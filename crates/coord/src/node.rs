@@ -19,6 +19,7 @@ use dup_wire::{
     proto, FieldDescriptor, FieldType, Frame, MessageDescriptor, MessageValue, Schema, Value,
 };
 use std::collections::BTreeMap;
+use std::sync::{LazyLock, OnceLock};
 
 const TOKEN_ELECTION: u64 = 1;
 const TOKEN_LEADER_PING: u64 = 2;
@@ -27,7 +28,12 @@ const ELECTION_TICK: SimDuration = SimDuration::from_millis(500);
 const PING_INTERVAL: SimDuration = SimDuration::from_millis(500);
 const PING_TIMEOUT: SimDuration = SimDuration::from_secs(2);
 
-fn vote_schema() -> Schema {
+fn vote_schema() -> &'static Schema {
+    static SCHEMA: LazyLock<Schema> = LazyLock::new(build_vote_schema);
+    &SCHEMA
+}
+
+fn build_vote_schema() -> Schema {
     Schema::new().with_message(
         MessageDescriptor::new("Vote")
             .with(FieldDescriptor::required(1, "node", FieldType::Uint32))
@@ -41,7 +47,14 @@ fn vote_schema() -> Schema {
 }
 
 /// Snapshot schema: 3.6 adds `required checkpoint_id` (the MESOS-3834 shape).
-fn snapshot_schema(v: VersionId) -> Schema {
+/// Built once per distinct shape.
+fn snapshot_schema(v: VersionId) -> &'static Schema {
+    static SHAPES: [OnceLock<Schema>; 2] = [const { OnceLock::new() }; 2];
+    let shape = usize::from(v >= VersionId::new(3, 6, 0));
+    SHAPES[shape].get_or_init(|| build_snapshot_schema(v))
+}
+
+fn build_snapshot_schema(v: VersionId) -> Schema {
     let mut m = MessageDescriptor::new("Snapshot")
         .with(FieldDescriptor::required(1, "epoch", FieldType::Uint64))
         .with(FieldDescriptor::required(2, "zxid", FieldType::Uint64))
@@ -129,7 +142,15 @@ impl CoordNode {
             .set("node", Value::U32(n))
             .set("peer_epoch", Value::U64(e))
             .set("zxid", Value::U64(z));
-        proto::encode(&vote_schema(), &v).expect("own vote always encodes")
+        proto::encode(vote_schema(), &v).expect("own vote always encodes")
+    }
+
+    /// Sends one already encoded frame to every peer.
+    fn broadcast(&self, ctx: &mut Ctx<'_>, frame: &Frame<'_>) {
+        let bytes = frame.encode();
+        for peer in self.setup.peers() {
+            ctx.send(Endpoint::Node(peer), bytes.clone());
+        }
     }
 
     fn start_election(&mut self, ctx: &mut Ctx<'_>) {
@@ -137,13 +158,7 @@ impl CoordNode {
         self.leader = None;
         self.peer_votes.clear();
         self.round_vote = self.my_vote();
-        let bytes = self.vote_bytes();
-        for peer in self.setup.peers() {
-            ctx.send(
-                Endpoint::Node(peer),
-                Frame::new(1, "vote", bytes.clone()).encode(),
-            );
-        }
+        self.broadcast(ctx, &Frame::new(1, "vote", self.vote_bytes()));
         ctx.set_timer(ELECTION_TICK, TOKEN_ELECTION);
     }
 
@@ -201,12 +216,10 @@ impl CoordNode {
                 ),
             );
         }
-        let body = proto::encode(&schema, &snap)
+        let body = proto::encode(schema, &snap)
             .map_err(|e| Fatal::new(format!("cannot write snapshot: {e}")))?;
-        ctx.storage().write(
-            "snapshot",
-            Frame::new(1, "snapshot", body).encode().to_vec(),
-        );
+        ctx.storage()
+            .write("snapshot", Frame::new(1, "snapshot", body).encode_to_vec());
         // Snapshots are fsynced before they count (ZooKeeper syncs the
         // snapshot file before updating the epoch).
         ctx.flush("snapshot");
@@ -214,15 +227,15 @@ impl CoordNode {
     }
 
     fn load_snapshot(&mut self, ctx: &mut Ctx<'_>) -> Result<(), Fatal> {
-        let Some(bytes) = ctx.storage_ref().read("snapshot").map(<[u8]>::to_vec) else {
+        let Some(bytes) = ctx.storage_ref().read("snapshot") else {
             return Ok(());
         };
-        let frame = Frame::decode(&bytes)
+        let frame = Frame::decode(bytes)
             .map_err(|e| Fatal::new(format!("corrupt snapshot container: {e}")))?;
         let schema = snapshot_schema(self.version);
         // MESOS-3834 shape: the new version assumes every checkpoint has the
         // id field; old checkpoints do not.
-        let snap = proto::decode(&schema, "Snapshot", &frame.body)
+        let snap = proto::decode(schema, "Snapshot", &frame.body)
             .map_err(|e| Fatal::new(format!("cannot load checkpoint: {e}")))?;
         self.epoch = snap
             .get_u64("epoch")
@@ -319,9 +332,9 @@ impl Process for CoordNode {
                         return Ok(());
                     }
                 };
-                match frame.kind.as_str() {
+                match frame.kind {
                     "vote" => {
-                        let Ok(vote) = proto::decode(&vote_schema(), "Vote", &frame.body) else {
+                        let Ok(vote) = proto::decode(vote_schema(), "Vote", &frame.body) else {
                             ctx.warn(format!("malformed vote from node-{n}"));
                             return Ok(());
                         };
@@ -376,24 +389,13 @@ impl Process for CoordNode {
                             ctx.set_timer(ELECTION_TICK, TOKEN_ELECTION);
                         }
                     } else {
-                        let bytes = self.vote_bytes();
-                        for peer in self.setup.peers() {
-                            ctx.send(
-                                Endpoint::Node(peer),
-                                Frame::new(1, "vote", bytes.clone()).encode(),
-                            );
-                        }
+                        self.broadcast(ctx, &Frame::new(1, "vote", self.vote_bytes()));
                         ctx.set_timer(ELECTION_TICK, TOKEN_ELECTION);
                     }
                 }
             }
             TOKEN_LEADER_PING if self.leader == Some(self.setup.index) => {
-                for peer in self.setup.peers() {
-                    ctx.send(
-                        Endpoint::Node(peer),
-                        Frame::new(1, "ping", Vec::new()).encode(),
-                    );
-                }
+                self.broadcast(ctx, &Frame::new(1, "ping", Vec::new()));
                 ctx.set_timer(PING_INTERVAL, TOKEN_LEADER_PING);
             }
             TOKEN_PING_CHECK => {
@@ -463,6 +465,14 @@ mod tests {
         )
         .unwrap();
         sim.start_node(idx).unwrap();
+    }
+
+    #[test]
+    fn static_schemas_equal_freshly_built_ones() {
+        for v in crate::CoordSystem::release_history() {
+            assert_eq!(*snapshot_schema(v), build_snapshot_schema(v), "{v}");
+        }
+        assert_eq!(*vote_schema(), build_vote_schema());
     }
 
     #[test]

@@ -20,6 +20,7 @@ use dup_wire::{
     proto, EnumDescriptor, FieldDescriptor, FieldType, Frame, MessageDescriptor, MessageValue,
     Schema, Value, WireError,
 };
+use std::sync::{LazyLock, OnceLock};
 
 /// Marker byte prefixed to compressed fsimage bodies.
 pub const COMPRESSION_MARKER: u8 = 0xC0;
@@ -68,7 +69,13 @@ pub struct Namespace {
     pub next_block: u64,
 }
 
-fn fsimage_schema() -> Schema {
+/// The fsimage body schema (all versions), built once.
+fn fsimage_schema() -> &'static Schema {
+    static SCHEMA: LazyLock<Schema> = LazyLock::new(build_fsimage_schema);
+    &SCHEMA
+}
+
+fn build_fsimage_schema() -> Schema {
     Schema::new()
         .with_message(
             MessageDescriptor::new("FsImage")
@@ -115,13 +122,13 @@ pub fn encode_fsimage(v: VersionId, ns: &Namespace) -> Result<Vec<u8>, WireError
         }
         img.push_mut("files", Value::Msg(e));
     }
-    let mut body = proto::encode(&schema, &img)?;
+    let mut body = proto::encode(schema, &img)?;
     // HDFS-1936: 0.20 claims LayoutVersion 31 but never compresses.
     let implements_compression = lv >= COMPRESSED_SINCE_LV && !(v.major == 0 && v.minor == 20);
     if implements_compression {
         body.insert(0, COMPRESSION_MARKER);
     }
-    Ok(Frame::new(lv, "fsimage", body).encode().to_vec())
+    Ok(Frame::new(lv, "fsimage", body).encode_to_vec())
 }
 
 /// Errors loading an fsimage; each variant is a distinct studied failure.
@@ -194,7 +201,7 @@ pub fn decode_fsimage(v: VersionId, bytes: &[u8]) -> Result<DecodedImage, FsImag
         body = &body[1..];
     }
     let schema = fsimage_schema();
-    let img = proto::decode(&schema, "FsImage", body).map_err(FsImageError::Wire)?;
+    let img = proto::decode(schema, "FsImage", body).map_err(FsImageError::Wire)?;
     let mut ns = Namespace {
         files: Vec::new(),
         next_inode: img.get_u64("next_inode").map_err(FsImageError::Wire)?,
@@ -251,7 +258,13 @@ pub fn decode_fsimage(v: VersionId, bytes: &[u8]) -> Result<DecodedImage, FsImag
 /// The StorageType enum as release `v` declares it.
 ///
 /// 3.3 inserts `NVDIMM` in the middle (HDFS-15624).
-pub fn storage_type_enum(v: VersionId) -> EnumDescriptor {
+pub fn storage_type_enum(v: VersionId) -> &'static EnumDescriptor {
+    heartbeat_schema(v)
+        .enum_desc("StorageType")
+        .expect("every heartbeat schema declares StorageType")
+}
+
+fn build_storage_type_enum(v: VersionId) -> EnumDescriptor {
     if v.major > 3 || (v.major == 3 && v.minor >= 3) {
         EnumDescriptor::new(
             "StorageType",
@@ -278,8 +291,20 @@ pub fn archive_number(v: VersionId) -> i32 {
         .expect("every release declares ARCHIVE")
 }
 
-/// The heartbeat/block-report schema of release `v`.
-pub fn heartbeat_schema(v: VersionId) -> Schema {
+/// The heartbeat/block-report schema of release `v`, built once per
+/// distinct shape.
+pub fn heartbeat_schema(v: VersionId) -> &'static Schema {
+    static SHAPES: [OnceLock<Schema>; 4] = [const { OnceLock::new() }; 4];
+    let shape = match (v.major, v.minor) {
+        (..=2, _) => 0,
+        (3, ..=1) => 1,
+        (3, 2) => 2,
+        _ => 3, // 3.3 and later
+    };
+    SHAPES[shape].get_or_init(|| build_heartbeat_schema(v))
+}
+
+fn build_heartbeat_schema(v: VersionId) -> Schema {
     let mut m = MessageDescriptor::new("Heartbeat")
         .with(FieldDescriptor::required(1, "node", FieldType::Uint32))
         .with(FieldDescriptor::repeated(2, "blocks", FieldType::Uint64));
@@ -300,7 +325,7 @@ pub fn heartbeat_schema(v: VersionId) -> Schema {
     }
     Schema::new()
         .with_message(m)
-        .with_enum(storage_type_enum(v))
+        .with_enum(build_storage_type_enum(v))
 }
 
 #[cfg(test)]
@@ -385,12 +410,26 @@ mod tests {
         let hb = MessageValue::new("Heartbeat")
             .set("node", Value::U32(1))
             .push("storages", Value::Enum(0));
-        let bytes = proto::encode(&old, &hb).unwrap();
+        let bytes = proto::encode(old, &hb).unwrap();
         let new = heartbeat_schema(v("3.2.0"));
-        let err = proto::decode(&new, "Heartbeat", &bytes).unwrap_err();
+        let err = proto::decode(new, "Heartbeat", &bytes).unwrap_err();
+        // The text flows into failure signatures, and so into report digests.
+        assert_eq!(
+            err.to_string(),
+            "message Heartbeat is missing required field 'committedTxnId'"
+        );
         assert!(
             matches!(err, WireError::MissingRequired { field, .. } if field == "committedTxnId")
         );
+    }
+
+    #[test]
+    fn static_schemas_equal_freshly_built_ones() {
+        for v in crate::DfsSystem::release_history() {
+            assert_eq!(*heartbeat_schema(v), build_heartbeat_schema(v), "{v}");
+            assert_eq!(*storage_type_enum(v), build_storage_type_enum(v), "{v}");
+        }
+        assert_eq!(*fsimage_schema(), build_fsimage_schema());
     }
 
     #[test]
@@ -403,12 +442,24 @@ mod tests {
             .set("node", Value::U32(1))
             .set("committedTxnId", Value::U64(1))
             .push("storages", Value::Enum(archive_number(v("3.2.0"))));
-        let bytes = proto::encode(&old, &hb).unwrap();
+        let bytes = proto::encode(old, &hb).unwrap();
         let new = heartbeat_schema(v("3.3.0"));
-        let decoded = proto::decode(&new, "Heartbeat", &bytes).unwrap();
+        let decoded = proto::decode(new, "Heartbeat", &bytes).unwrap();
         let got = decoded.get_all("storages")[0].clone();
         assert_eq!(got, Value::Enum(2));
         assert_eq!(storage_type_enum(v("3.3.0")).name_of(2), Some("NVDIMM"));
+        // The other direction fails outright: 3.3's PROVIDED (4) is past the
+        // end of 3.2's enum. The text flows into failure signatures.
+        let hb = MessageValue::new("Heartbeat")
+            .set("node", Value::U32(1))
+            .set("committedTxnId", Value::U64(1))
+            .push("storages", Value::Enum(4));
+        let bytes = proto::encode(new, &hb).unwrap();
+        let err = proto::decode(old, "Heartbeat", &bytes).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "value 4 is not a member of enum StorageType"
+        );
     }
 
     #[test]

@@ -197,16 +197,12 @@ impl NameNode {
             blocks: vec![block],
             inode,
         });
+        // Block writes use a hand-rolled body: the block id, then the data.
+        let mut body = block.to_be_bytes().to_vec();
+        body.extend_from_slice(data.as_bytes());
+        let frame = Frame::new(layout_version(self.version), "block_write", body).encode();
         for &dn in &targets {
-            let msg = MessageValue::new("BlockWrite");
-            let _ = msg; // Block writes use a hand-rolled frame; see below.
-            let mut body = Vec::new();
-            body.extend_from_slice(&block.to_be_bytes());
-            body.extend_from_slice(data.as_bytes());
-            ctx.send(
-                Endpoint::Node(dn),
-                Frame::new(layout_version(self.version), "block_write", body).encode(),
-            );
+            ctx.send(Endpoint::Node(dn), frame.clone());
         }
         if targets.len() < self.replication_target() {
             ctx.warn(format!("block {block} for {path} starts under-replicated"));
@@ -242,7 +238,7 @@ impl NameNode {
             Frame::new(
                 layout_version(self.version),
                 "block_read",
-                block.to_be_bytes().to_vec(),
+                &block.to_be_bytes()[..],
             )
             .encode(),
         );
@@ -256,16 +252,14 @@ impl NameNode {
         let file = self.namespace.files.remove(pos);
         for block in file.blocks {
             if let Some(holders) = self.block_locations.remove(&block) {
+                let frame = Frame::new(
+                    layout_version(self.version),
+                    "block_trash",
+                    &block.to_be_bytes()[..],
+                )
+                .encode();
                 for dn in holders {
-                    ctx.send(
-                        Endpoint::Node(dn),
-                        Frame::new(
-                            layout_version(self.version),
-                            "block_trash",
-                            block.to_be_bytes().to_vec(),
-                        )
-                        .encode(),
-                    );
+                    ctx.send(Endpoint::Node(dn), frame.clone());
                 }
             }
         }
@@ -286,9 +280,9 @@ impl NameNode {
         format!("OK replication={target}")
     }
 
-    fn handle_heartbeat(&mut self, ctx: &mut Ctx<'_>, from: u32, frame: &Frame) -> StepResult {
+    fn handle_heartbeat(&mut self, ctx: &mut Ctx<'_>, from: u32, frame: &Frame<'_>) -> StepResult {
         let schema = heartbeat_schema(self.version);
-        let hb = match proto::decode(&schema, "Heartbeat", &frame.body) {
+        let hb = match proto::decode(schema, "Heartbeat", &frame.body) {
             Ok(hb) => hb,
             Err(e) => {
                 if self.version >= VersionId::new(3, 2, 0) {
@@ -371,12 +365,12 @@ impl NameNode {
             };
             let holder = replicas[0];
             self.copy_inflight.insert(block, now);
-            let mut body = Vec::new();
-            body.extend_from_slice(&block.to_be_bytes());
-            body.extend_from_slice(&dest.to_be_bytes());
+            let mut body = [0; 12];
+            body[..8].copy_from_slice(&block.to_be_bytes());
+            body[8..].copy_from_slice(&dest.to_be_bytes());
             ctx.send(
                 Endpoint::Node(holder),
-                Frame::new(layout_version(self.version), "block_copy", body).encode(),
+                Frame::new(layout_version(self.version), "block_copy", &body[..]).encode(),
             );
         }
     }
@@ -401,8 +395,8 @@ impl Process for NameNode {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) -> StepResult {
         self.started_at = ctx.now();
         let own_lv = layout_version(self.version);
-        if let Some(bytes) = ctx.storage_ref().read("fsimage").map(<[u8]>::to_vec) {
-            let decoded = codec::decode_fsimage(self.version, &bytes)
+        if let Some(bytes) = ctx.storage_ref().read("fsimage") {
+            let decoded = codec::decode_fsimage(self.version, bytes)
                 .map_err(|e| Fatal::new(e.to_string()))?;
             self.namespace = decoded.namespace;
             if decoded.layout < own_lv {
@@ -413,12 +407,8 @@ impl Process for NameNode {
                 // Upgrade checkpoint + verification reload: this is where
                 // HDFS-5988 loses the filesystem.
                 self.checkpoint(ctx)?;
-                let bytes = ctx
-                    .storage_ref()
-                    .read("fsimage")
-                    .expect("just written")
-                    .to_vec();
-                let verified = codec::decode_fsimage(self.version, &bytes)
+                let bytes = ctx.storage_ref().read("fsimage").expect("just written");
+                let verified = codec::decode_fsimage(self.version, bytes)
                     .map_err(|e| Fatal::new(format!("upgraded fsimage is unreadable: {e}")))?;
                 self.namespace = verified.namespace;
             }
@@ -456,7 +446,7 @@ impl Process for NameNode {
                         return Ok(());
                     }
                 };
-                match frame.kind.as_str() {
+                match frame.kind {
                     "heartbeat" => self.handle_heartbeat(ctx, n, &frame),
                     "restart_notice" => {
                         if let Some(info) = self.dn.get_mut(&n) {
@@ -489,10 +479,9 @@ impl Process for NameNode {
                             let block = u64::from_be_bytes(
                                 frame.body[..8].try_into().expect("len checked"),
                             );
-                            let data = frame.body[8..].to_vec();
                             if let Some(client) = self.pending_reads.remove(&block) {
                                 let mut reply = b"OK ".to_vec();
-                                reply.extend_from_slice(&data);
+                                reply.extend_from_slice(&frame.body[8..]);
                                 ctx.send(client, reply.into());
                             }
                         }
@@ -602,7 +591,7 @@ impl DataNode {
         self.heartbeats_sent += 1;
         let schema = heartbeat_schema(self.version);
         let mut hb = MessageValue::new("Heartbeat").set("node", Value::U32(self.setup.index));
-        for path in ctx.storage_ref().list("blocks/") {
+        for path in ctx.storage_ref().paths("blocks/") {
             if let Some(id) = path
                 .strip_prefix("blocks/")
                 .and_then(|s| s.parse::<u64>().ok())
@@ -617,7 +606,7 @@ impl DataNode {
         if self.version >= VersionId::new(3, 2, 0) {
             hb.put("committedTxnId", Value::U64(self.heartbeats_sent));
         }
-        let body = proto::encode(&schema, &hb).expect("own heartbeat always encodes");
+        let body = proto::encode(schema, &hb).expect("own heartbeat always encodes");
         ctx.send(
             self.namenode(),
             Frame::new(layout_version(self.version), "heartbeat", body).encode(),
@@ -648,27 +637,25 @@ impl Process for DataNode {
             .map(|b| String::from_utf8_lossy(b).into_owned());
         let own = self.version.to_string();
         let upgraded = marker.as_deref().is_some_and(|m| m != own);
-        let trash = ctx.storage_ref().list("trash/");
+        let trash = ctx.storage_ref().paths("trash/").count();
         let mut first_heartbeat = SimDuration::from_millis(50);
-        if upgraded && !trash.is_empty() {
+        if upgraded && trash > 0 {
             if purges_trash_synchronously(self.version) {
                 // HDFS-8676: the finalize step deletes the trash directory
                 // synchronously; heartbeats stall for the whole purge.
-                let purge = TRASH_PURGE_PER_BLOCK.saturating_mul(trash.len() as u64);
+                let purge = TRASH_PURGE_PER_BLOCK.saturating_mul(trash as u64);
                 ctx.info(format!(
-                    "upgrade finalized: deleting {} trashed blocks synchronously ({purge})",
-                    trash.len()
+                    "upgrade finalized: deleting {trash} trashed blocks synchronously ({purge})"
                 ));
                 self.busy_until = ctx.now() + purge;
                 first_heartbeat = purge;
             } else {
                 ctx.info(format!(
-                    "upgrade finalized: deleting {} trashed blocks in the background",
-                    trash.len()
+                    "upgrade finalized: deleting {trash} trashed blocks in the background"
                 ));
             }
             let n = ctx.storage().delete_prefix("trash/");
-            debug_assert_eq!(n, trash.len());
+            debug_assert_eq!(n, trash);
         }
         ctx.storage().write("dn_version", own.into_bytes());
         ctx.flush("dn_version");
@@ -704,7 +691,7 @@ impl Process for DataNode {
             }
         };
         let lv = layout_version(self.version);
-        match frame.kind.as_str() {
+        match frame.kind {
             "block_write" if frame.body.len() >= 8 => {
                 let block = u64::from_be_bytes(frame.body[..8].try_into().expect("len checked"));
                 let data = &frame.body[8..];
@@ -716,7 +703,7 @@ impl Process for DataNode {
                 ctx.flush(&format!("blocks/{block}"));
                 ctx.send(
                     self.namenode(),
-                    Frame::new(lv, "block_ack", block.to_be_bytes().to_vec()).encode(),
+                    Frame::new(lv, "block_ack", &block.to_be_bytes()[..]).encode(),
                 );
             }
             "block_read" if frame.body.len() >= 8 => {
@@ -734,7 +721,7 @@ impl Process for DataNode {
                     None => {
                         ctx.send(
                             self.namenode(),
-                            Frame::new(lv, "block_missing", block.to_be_bytes().to_vec()).encode(),
+                            Frame::new(lv, "block_missing", &block.to_be_bytes()[..]).encode(),
                         );
                     }
                 }

@@ -9,7 +9,7 @@
 
 use dup_core::{ClientOp, NodeSetup, SystemUnderTest, VersionId, WorkloadPhase};
 use dup_simnet::{Ctx, Endpoint, Process, StepResult};
-use dup_tester::{Campaign, CaseStatus, Scenario};
+use dup_tester::{Campaign, Scenario};
 
 /// Replies `OK` to every client command; otherwise inert.
 struct Echo;
@@ -70,12 +70,7 @@ fn main() {
     let table = report.render_table();
     print!("{table}");
 
-    let panicked = report
-        .metrics
-        .case_status
-        .iter()
-        .filter(|s| **s == CaseStatus::Panicked)
-        .count();
+    let panicked = report.metrics.per_scenario[&Scenario::FullStop].panicked;
     assert_eq!(panicked, 1, "exactly one case must be reported Panicked");
     assert_eq!(report.cases_passed, 2, "sibling cases must still pass");
     assert!(

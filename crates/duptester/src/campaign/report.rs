@@ -220,6 +220,11 @@ pub struct ScenarioCounts {
 }
 
 impl ScenarioCounts {
+    /// Cases that executed: everything but pruned seeds.
+    pub fn executed(&self) -> usize {
+        self.passed + self.failed + self.invalid + self.panicked + self.hung
+    }
+
     fn bump(&mut self, status: CaseStatus) {
         match status {
             CaseStatus::Passed => self.passed += 1,
@@ -232,19 +237,15 @@ impl ScenarioCounts {
     }
 }
 
-/// Execution observability for one campaign run: per-case wall-clock,
-/// per-scenario outcome counts, and dedup statistics.
+/// Execution observability for one campaign run: wall-clock totals,
+/// per-scenario outcome counts, and dedup statistics — O(scenarios) state,
+/// whatever the number of cases.
 ///
 /// Everything here except the wall-clock durations (and `threads_used`) is a
 /// pure function of the campaign configuration, so two runs of the same
 /// config agree on every other field regardless of thread count.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CampaignMetrics {
-    /// Wall-clock duration of each case, indexed by case index (zero for
-    /// pruned cases, which never execute).
-    pub case_wall: Vec<Duration>,
-    /// Status of each case, indexed by case index.
-    pub case_status: Vec<CaseStatus>,
     /// Outcome counts per scenario.
     pub per_scenario: BTreeMap<Scenario, ScenarioCounts>,
     /// Executed cases whose oracle collected failure evidence.
@@ -264,6 +265,8 @@ pub struct CampaignMetrics {
     pub trace_events_recorded: u64,
     /// Trace events evicted by ring wrap across executed cases.
     pub trace_events_dropped: u64,
+    /// The slowest case so far, as `(index, wall)`.
+    slowest: Option<(usize, Duration)>,
 }
 
 impl CampaignMetrics {
@@ -275,12 +278,10 @@ impl CampaignMetrics {
         status: CaseStatus,
         wall: Duration,
     ) {
-        if self.case_wall.len() <= index {
-            self.case_wall.resize(index + 1, Duration::ZERO);
-            self.case_status.resize(index + 1, CaseStatus::Pruned);
+        // Ties go to the larger index, whatever order workers report in.
+        if self.slowest.is_none_or(|(i, w)| (wall, index) > (w, i)) {
+            self.slowest = Some((index, wall));
         }
-        self.case_wall[index] = wall;
-        self.case_status[index] = status;
         self.per_scenario.entry(scenario).or_default().bump(status);
         match status {
             CaseStatus::Failed | CaseStatus::Panicked | CaseStatus::Hung => self.failing_cases += 1,
@@ -318,11 +319,11 @@ impl CampaignMetrics {
 
     /// Mean wall-clock of executed (non-pruned) cases.
     pub fn mean_case_wall(&self) -> Duration {
-        let executed = self
-            .case_status
-            .iter()
-            .filter(|s| **s != CaseStatus::Pruned)
-            .count();
+        let executed: usize = self
+            .per_scenario
+            .values()
+            .map(ScenarioCounts::executed)
+            .sum();
         if executed == 0 {
             Duration::ZERO
         } else {
@@ -332,11 +333,7 @@ impl CampaignMetrics {
 
     /// The slowest case, as `(index, wall)`.
     pub fn slowest_case(&self) -> Option<(usize, Duration)> {
-        self.case_wall
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, d)| **d)
-            .map(|(i, d)| (i, *d))
+        self.slowest
     }
 
     /// The deterministic slice of the metrics: per-scenario outcome counts,

@@ -930,8 +930,7 @@ mod tests {
         };
         let p = plan(&spec, 4, 500);
         p.validate().unwrap();
-        let mass =
-            |l: usize| p.zipf_cum[l] - if l == 0 { 0 } else { p.zipf_cum[l - 1] };
+        let mass = |l: usize| p.zipf_cum[l] - if l == 0 { 0 } else { p.zipf_cum[l - 1] };
         for l in 0..8 {
             let (head, next) = (mass(l), mass(l + 1));
             assert!(

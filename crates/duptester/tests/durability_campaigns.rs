@@ -19,8 +19,7 @@
 use dup_core::{ClientOp, NodeSetup, SystemUnderTest, VersionId, WorkloadPhase};
 use dup_simnet::{Ctx, Endpoint, Process, Sim, SimDuration, SimTime, StepResult};
 use dup_tester::{
-    fault_plan_for, Campaign, CaseStatus, Durability, FaultIntensity, Scenario, TestCase,
-    WorkloadSpec,
+    fault_plan_for, Campaign, Durability, FaultIntensity, Scenario, TestCase, WorkloadSpec,
 };
 
 fn v(s: &str) -> VersionId {
@@ -288,13 +287,8 @@ fn panicking_case_is_isolated_and_siblings_complete() {
     let report = run(1);
     assert_eq!(report.cases_run, 3, "all cases must execute");
     assert_eq!(report.cases_passed, 2, "sibling cases must pass");
-    let panicked: Vec<_> = report
-        .metrics
-        .case_status
-        .iter()
-        .filter(|s| **s == CaseStatus::Panicked)
-        .collect();
-    assert_eq!(panicked.len(), 1, "{:?}", report.metrics.case_status);
+    let counts = report.metrics.per_scenario[&Scenario::FullStop];
+    assert_eq!(counts.panicked, 1, "{counts:?}");
     let failure = report
         .failures
         .iter()
@@ -366,7 +360,7 @@ fn runaway_case_is_cut_off_and_reported_hung() {
         .threads(1)
         .run();
     assert_eq!(report.cases_run, 1);
-    assert_eq!(report.metrics.case_status, vec![CaseStatus::Hung]);
+    assert_eq!(report.metrics.per_scenario[&Scenario::FullStop].hung, 1);
     let failure = report
         .failures
         .first()

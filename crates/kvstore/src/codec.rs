@@ -19,6 +19,7 @@ use dup_wire::{
     proto, EnumDescriptor, FieldDescriptor, FieldType, Frame, MessageDescriptor, MessageValue,
     Schema, Value, WireError,
 };
+use std::sync::{LazyLock, OnceLock};
 
 /// Messaging protocol identifiers per release (the CASSANDRA-5102 lesson:
 /// these were allocated densely, leaving no room between 1.2 and 2.0).
@@ -76,12 +77,24 @@ pub fn data_rows_framed(v: VersionId) -> bool {
     v > VersionId::new(2, 0, u32::MAX) || (v.major == 2 && v.minor >= 1) || v.major >= 3
 }
 
-/// The gossip digest schema of `v`.
+/// The gossip digest schema of `v`, built once per distinct shape.
 ///
 /// Tag 3 is `schema_id: uint64` in 1.1 and `schema_uuid: string` from 1.2 —
 /// same tag, different wire type (CASSANDRA-4195). From 2.1 the digest also
 /// carries the sender's protocol version (the CASSANDRA-6678 fix).
-pub fn gossip_schema(v: VersionId) -> Schema {
+pub fn gossip_schema(v: VersionId) -> &'static Schema {
+    static SHAPES: [OnceLock<Schema>; 3] = [const { OnceLock::new() }; 3];
+    let shape = if v.major == 1 && v.minor == 1 {
+        0
+    } else if proto_version(v) < 8 {
+        1
+    } else {
+        2
+    };
+    SHAPES[shape].get_or_init(|| build_gossip_schema(v))
+}
+
+fn build_gossip_schema(v: VersionId) -> Schema {
     let mut m = MessageDescriptor::new("GossipDigest")
         .with(FieldDescriptor::required(
             1,
@@ -105,7 +118,12 @@ pub fn gossip_schema(v: VersionId) -> Schema {
 }
 
 /// The handshake message (all versions).
-pub fn handshake_schema() -> Schema {
+pub fn handshake_schema() -> &'static Schema {
+    static SCHEMA: LazyLock<Schema> = LazyLock::new(build_handshake_schema);
+    &SCHEMA
+}
+
+fn build_handshake_schema() -> Schema {
     Schema::new().with_message(
         MessageDescriptor::new("Handshake").with(FieldDescriptor::required(
             1,
@@ -115,13 +133,19 @@ pub fn handshake_schema() -> Schema {
     )
 }
 
-/// The schema-file format of `v`.
+/// The schema-file format of `v`, built once per format.
 ///
 /// Format A (pre-2.0): `Keyspace { name=1, repeated Table tables=2 }`.
 /// Format B (2.0+): `Keyspace { strategy=1 required, name=2, dropped=3,
 /// repeated Table tables=4 }` — `name` moved off tag 1, so a format-A reader
 /// fed format-B bytes fails with a type mismatch or missing field.
-pub fn schema_file_schema(v: VersionId) -> Schema {
+pub fn schema_file_schema(v: VersionId) -> &'static Schema {
+    static SHAPES: [OnceLock<Schema>; 2] = [const { OnceLock::new() }; 2];
+    let shape = if schema_format(v) == 1 { 0 } else { 1 };
+    SHAPES[shape].get_or_init(|| build_schema_file_schema(v))
+}
+
+fn build_schema_file_schema(v: VersionId) -> Schema {
     let (ks, table);
     if schema_format(v) == 1 {
         table = MessageDescriptor::new("Table").with(FieldDescriptor::required(
@@ -236,10 +260,8 @@ pub fn encode_schema_state(v: VersionId, state: &SchemaState) -> Result<Vec<u8>,
         }
         file.push_mut("keyspaces", Value::Msg(kv));
     }
-    let body = proto::encode(&schema, &file)?;
-    Ok(Frame::new(release_id(v), "schema_file", body)
-        .encode()
-        .to_vec())
+    let body = proto::encode(schema, &file)?;
+    Ok(Frame::new(release_id(v), "schema_file", body).encode_to_vec())
 }
 
 /// Result of decoding a schema file: the state plus the writer's release
@@ -300,7 +322,7 @@ fn decode_with_format(v: VersionId, fmt: u32, body: &[u8]) -> Result<SchemaState
         // The legacy (or mismatched) descriptor: any pre-2.0 release's view.
         schema_file_schema(VersionId::new(1, 2, 0))
     };
-    let file = proto::decode(&schema, "SchemaFile", body)?;
+    let file = proto::decode(schema, "SchemaFile", body)?;
     let mut state = SchemaState {
         timestamp: file.get_u64("timestamp")?,
         keyspaces: Vec::new(),
@@ -335,9 +357,7 @@ fn decode_with_format(v: VersionId, fmt: u32, body: &[u8]) -> Result<SchemaState
 /// Encodes a data row in `v`'s format (raw before 2.1, framed after).
 pub fn encode_row(v: VersionId, value: &str) -> Vec<u8> {
     if data_rows_framed(v) {
-        Frame::new(proto_version(v), "row", value.as_bytes().to_vec())
-            .encode()
-            .to_vec()
+        Frame::new(proto_version(v), "row", value.as_bytes()).encode_to_vec()
     } else {
         value.as_bytes().to_vec()
     }
@@ -418,10 +438,28 @@ mod tests {
             .set("generation", Value::U64(1))
             .set("schema_ts", Value::U64(5))
             .set("schema_uuid", Value::Str("3f0c-11".into()));
-        let bytes = proto::encode(&new, &digest).unwrap();
+        let bytes = proto::encode(new, &digest).unwrap();
         let old = gossip_schema(V11);
-        let err = proto::decode(&old, "GossipDigest", &bytes).unwrap_err();
+        let err = proto::decode(old, "GossipDigest", &bytes).unwrap_err();
         assert!(matches!(err, WireError::TypeMismatch { .. }));
+        // The text flows into failure signatures, and so into report digests.
+        assert_eq!(
+            err.to_string(),
+            "type mismatch decoding GossipDigest.schema_id: expected wire type 0, found 2"
+        );
+    }
+
+    #[test]
+    fn static_schemas_equal_freshly_built_ones() {
+        for v in crate::KvStoreSystem::release_history() {
+            assert_eq!(*gossip_schema(v), build_gossip_schema(v), "gossip {v}");
+            assert_eq!(
+                *schema_file_schema(v),
+                build_schema_file_schema(v),
+                "schema file {v}"
+            );
+        }
+        assert_eq!(*handshake_schema(), build_handshake_schema());
     }
 
     #[test]

@@ -95,17 +95,19 @@ impl KvNode {
         if self.proto >= 8 {
             digest.put("proto_version", Value::U32(self.proto));
         }
-        proto::encode(&schema, &digest).expect("own gossip digest always encodes")
+        proto::encode(schema, &digest).expect("own gossip digest always encodes")
+    }
+
+    /// Sends one already encoded frame to every peer.
+    fn broadcast(&self, ctx: &mut Ctx<'_>, frame: &Frame<'_>) {
+        let bytes = frame.encode();
+        for peer in self.setup.peers() {
+            ctx.send(Endpoint::Node(peer), bytes.clone());
+        }
     }
 
     fn broadcast_gossip(&self, ctx: &mut Ctx<'_>) {
-        let body = self.gossip_body();
-        for peer in self.setup.peers() {
-            ctx.send(
-                Endpoint::Node(peer),
-                Frame::new(self.proto, "gossip", body.clone()).encode(),
-            );
-        }
+        self.broadcast(ctx, &Frame::new(self.proto, "gossip", self.gossip_body()));
     }
 
     fn persist_schema(&self, ctx: &mut Ctx<'_>) {
@@ -152,13 +154,13 @@ impl KvNode {
         Ok(())
     }
 
-    fn handle_gossip(&mut self, ctx: &mut Ctx<'_>, from: u32, frame: &Frame) -> StepResult {
+    fn handle_gossip(&mut self, ctx: &mut Ctx<'_>, from: u32, frame: &Frame<'_>) -> StepResult {
         let own = codec::gossip_schema(self.version);
-        let decoded = proto::decode(&own, "GossipDigest", &frame.body).or_else(|e| {
+        let decoded = proto::decode(own, "GossipDigest", &frame.body).or_else(|e| {
             if frame.version < self.proto {
                 // Newer releases ship a legacy deserializer for older gossip.
                 let legacy = codec::gossip_schema(VersionId::new(1, 1, 0));
-                proto::decode(&legacy, "GossipDigest", &frame.body)
+                proto::decode(legacy, "GossipDigest", &frame.body)
             } else {
                 Err(e)
             }
@@ -213,7 +215,12 @@ impl KvNode {
         Ok(())
     }
 
-    fn handle_schema_push(&mut self, ctx: &mut Ctx<'_>, from: u32, frame: &Frame) -> StepResult {
+    fn handle_schema_push(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        from: u32,
+        frame: &Frame<'_>,
+    ) -> StepResult {
         self.pull_inflight_since = None;
         let decoded = codec::decode_schema_state(self.version, &frame.body);
         let decoded = match decoded {
@@ -304,8 +311,7 @@ impl KvNode {
         let Some(bytes) = ctx.storage_ref().read(&format!("data/{table}/{key}")) else {
             return "ERR not found".to_string();
         };
-        let bytes = bytes.to_vec();
-        match codec::decode_row(self.version, &bytes) {
+        match codec::decode_row(self.version, bytes) {
             Ok(v) => format!("OK {v}"),
             Err(e) => {
                 // CASSANDRA-16257 shape: 2.1+ cannot read pre-2.1 rows.
@@ -397,31 +403,40 @@ impl Process for KvNode {
         // 1. Replay the commit log; segments from a *newer* format are fatal
         //    (this is what stops the CASSANDRA-15794 downgrade).
         let own_cl = commitlog_format(self.version);
-        for seg in ctx.storage_ref().list("commitlog/") {
-            let bytes = ctx
-                .storage_ref()
-                .read(&seg)
-                .expect("listed file exists")
-                .to_vec();
-            let header = match Frame::decode(&bytes) {
-                Ok(h) => h,
+        // Storage is borrowed while the segments are walked, so what the
+        // walk wants logged is emitted after it, in the same order.
+        let mut torn = Vec::new();
+        let mut unreadable = None;
+        let mut segments = 0;
+        let storage = ctx.storage_ref();
+        for seg in storage.paths("commitlog/") {
+            segments += 1;
+            let bytes = storage.read(seg).expect("listed file exists");
+            let seg_fmt: u32 = match Frame::decode(bytes) {
+                Ok(header) => header.kind.parse().unwrap_or(0),
                 Err(e) => {
                     // A torn tail from a mid-write crash is expected under
                     // buffered durability; real commit log replay skips the
                     // truncated remainder rather than refusing to boot.
-                    ctx.warn(format!("skipping torn commit log segment {seg}: {e}"));
+                    torn.push(format!("skipping torn commit log segment {seg}: {e}"));
                     continue;
                 }
             };
-            let seg_fmt: u32 = header.kind.parse().unwrap_or(0);
             if seg_fmt > own_cl {
-                return Err(Fatal::new(format!(
+                unreadable = Some(Fatal::new(format!(
                     "cannot replay commit log segment {seg}: unknown format {seg_fmt} \
                      (this node supports up to {own_cl})"
                 )));
+                break;
             }
         }
-        self.boot_counter = ctx.storage_ref().list("commitlog/").len() as u64 + 1;
+        for warning in torn {
+            ctx.warn(warning);
+        }
+        if let Some(fatal) = unreadable {
+            return Err(fatal);
+        }
+        self.boot_counter = segments + 1;
 
         // 2. CASSANDRA-15794's trap: 4.0 writes its new-format commit log
         //    header *before* validating the schema, poisoning downgrades.
@@ -429,9 +444,7 @@ impl Process for KvNode {
             let seg = format!("commitlog/seg-b{}", self.boot_counter);
             ctx.storage().write(
                 &seg,
-                Frame::new(self.proto, &own_cl.to_string(), Vec::new())
-                    .encode()
-                    .to_vec(),
+                Frame::new(self.proto, &own_cl.to_string(), Vec::new()).encode_to_vec(),
             );
             // The header hits disk immediately — that is what poisons the
             // downgrade even when the boot aborts a moment later.
@@ -439,10 +452,10 @@ impl Process for KvNode {
         }
 
         // 3. Load the schema file left by the previous generation.
-        match ctx.storage_ref().read("schema").map(<[u8]>::to_vec) {
+        match ctx.storage_ref().read("schema") {
             Some(bytes) => {
                 let own_release = release_id(self.version);
-                let decoded = codec::decode_schema_state(self.version, &bytes)
+                let decoded = codec::decode_schema_state(self.version, bytes)
                     .map_err(|e| Fatal::new(format!("cannot load schema file: {e}")))?;
                 let writer_release = decoded.writer_release;
                 self.state = decoded.state;
@@ -489,9 +502,7 @@ impl Process for KvNode {
             let seg = format!("commitlog/seg-b{}", self.boot_counter);
             ctx.storage().write(
                 &seg,
-                Frame::new(self.proto, &own_cl.to_string(), Vec::new())
-                    .encode()
-                    .to_vec(),
+                Frame::new(self.proto, &own_cl.to_string(), Vec::new()).encode_to_vec(),
             );
             ctx.flush(&seg);
         }
@@ -506,16 +517,11 @@ impl Process for KvNode {
         //    their arrival order at each peer depends on network jitter —
         //    the CASSANDRA-6678 race window.
         let hs = proto::encode(
-            &codec::handshake_schema(),
+            codec::handshake_schema(),
             &MessageValue::new("Handshake").set("proto_version", Value::U32(self.proto)),
         )
         .expect("handshake always encodes");
-        for peer in self.setup.peers() {
-            ctx.send(
-                Endpoint::Node(peer),
-                Frame::new(self.proto, "handshake", hs.clone()).encode(),
-            );
-        }
+        self.broadcast(ctx, &Frame::new(self.proto, "handshake", hs));
         self.broadcast_gossip(ctx);
         ctx.set_timer(GOSSIP_INTERVAL, TOKEN_GOSSIP);
         Ok(())
@@ -535,10 +541,10 @@ impl Process for KvNode {
                         return Ok(());
                     }
                 };
-                match frame.kind.as_str() {
+                match frame.kind {
                     "handshake" => {
                         if let Ok(hs) =
-                            proto::decode(&codec::handshake_schema(), "Handshake", &frame.body)
+                            proto::decode(codec::handshake_schema(), "Handshake", &frame.body)
                         {
                             if let Ok(pv) = hs.get_u64("proto_version") {
                                 self.peer_versions.insert(n, pv as u32);

@@ -14,6 +14,7 @@ use dup_wire::{
     decode_varint, encode_varint, proto, FieldDescriptor, FieldType, MessageDescriptor,
     MessageValue, Schema, Value, WireError,
 };
+use std::sync::OnceLock;
 
 /// The inter-broker protocol id. Deliberately NOT bumped between 2.3 and
 /// 2.4 — that is the KAFKA-10173 bug.
@@ -31,8 +32,14 @@ pub fn offsets_expiry_optional(v: VersionId) -> bool {
     v >= VersionId::new(2, 3, 0)
 }
 
-/// The on-disk offset record schema of `v`.
-pub fn offsets_schema(v: VersionId) -> Schema {
+/// The on-disk offset record schema of `v`, built once per distinct shape.
+pub fn offsets_schema(v: VersionId) -> &'static Schema {
+    static SHAPES: [OnceLock<Schema>; 2] = [const { OnceLock::new() }; 2];
+    let shape = usize::from(offsets_expiry_optional(v));
+    SHAPES[shape].get_or_init(|| build_offsets_schema(v))
+}
+
+fn build_offsets_schema(v: VersionId) -> Schema {
     let expire = if offsets_expiry_optional(v) {
         FieldDescriptor::optional(4, "expire_ts", FieldType::Uint64)
     } else {
@@ -63,13 +70,13 @@ pub fn encode_offset_record(
     if let Some(e) = expire_ts {
         rec.put("expire_ts", Value::U64(e));
     }
-    proto::encode(&schema, &rec)
+    proto::encode(schema, &rec)
 }
 
 /// Reads one committed offset as `v` reads it.
 pub fn decode_offset_record(v: VersionId, bytes: &[u8]) -> Result<(u64, Option<u64>), WireError> {
     let schema = offsets_schema(v);
-    let rec = proto::decode(&schema, "OffsetRecord", bytes)?;
+    let rec = proto::decode(schema, "OffsetRecord", bytes)?;
     let offset = rec.get_u64("offset")?;
     let expire = rec.get_u64("expire_ts").ok();
     Ok((offset, expire))
@@ -196,6 +203,13 @@ mod tests {
 
     fn v(s: &str) -> VersionId {
         s.parse().unwrap()
+    }
+
+    #[test]
+    fn static_schemas_equal_freshly_built_ones() {
+        for v in crate::MqSystem::release_history() {
+            assert_eq!(*offsets_schema(v), build_offsets_schema(v), "{v}");
+        }
     }
 
     #[test]

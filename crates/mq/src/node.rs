@@ -29,7 +29,7 @@ impl Broker {
     }
 
     fn next_index(&self, ctx: &Ctx<'_>, topic: &str) -> u64 {
-        ctx.storage_ref().list(&format!("log/{topic}/")).len() as u64
+        ctx.storage_ref().paths(&format!("log/{topic}/")).count() as u64
     }
 
     fn handle_client(&mut self, ctx: &mut Ctx<'_>, from: Endpoint, text: &str) {
@@ -59,12 +59,9 @@ impl Broker {
             payload: value.as_bytes().to_vec(),
         };
         let body = codec::encode_replica_batch(self.version, &batch);
-        let proto = inter_broker_proto(self.version);
+        let frame = Frame::new(inter_broker_proto(self.version), "replica", body).encode();
         for peer in self.setup.peers() {
-            ctx.send(
-                Endpoint::Node(peer),
-                Frame::new(proto, "replica", body.clone()).encode(),
-            );
+            ctx.send(Endpoint::Node(peer), frame.clone());
         }
         format!("OK {idx}")
     }

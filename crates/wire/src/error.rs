@@ -8,6 +8,11 @@
 
 use std::fmt;
 
+/// Deepest message nesting the decoders follow. Each level is a stack frame,
+/// so a schema that refers to itself would otherwise let a small hostile
+/// payload overflow the stack — which no `catch_unwind` contains.
+pub const MAX_NESTING_DEPTH: usize = 64;
+
 /// Errors raised while encoding or decoding wire data.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WireError {
@@ -64,6 +69,8 @@ pub enum WireError {
     UnknownType(String),
     /// The message type requested for encode/decode is not in the schema.
     UnknownMessage(String),
+    /// The payload nests messages deeper than [`MAX_NESTING_DEPTH`].
+    NestingTooDeep,
     /// The value carries a field name the descriptor does not declare.
     UnknownField {
         /// Message type.
@@ -105,6 +112,9 @@ impl fmt::Display for WireError {
             }
             WireError::UnknownType(name) => write!(f, "schema has no type named {name}"),
             WireError::UnknownMessage(name) => write!(f, "schema has no message named {name}"),
+            WireError::NestingTooDeep => {
+                write!(f, "messages nested deeper than {MAX_NESTING_DEPTH} levels")
+            }
             WireError::UnknownField { message, field } => {
                 write!(f, "message {message} declares no field named '{field}'")
             }

@@ -13,43 +13,54 @@
 use crate::error::WireError;
 use crate::varint::{decode_varint, encode_varint};
 use bytes::Bytes;
+use std::borrow::Cow;
 
 const MAGIC: u16 = 0xD0_5E;
 
 /// A framed message: protocol version + kind tag + opaque body.
+///
+/// A frame borrows what it can: [`Frame::decode`] returns views into the
+/// input, and [`Frame::new`] takes the body owned or borrowed, so a handler
+/// that only inspects a frame copies nothing.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Frame {
+pub struct Frame<'a> {
     /// Protocol version identifier of the sender.
     pub version: u32,
     /// Message kind (system-defined discriminator, e.g. `"gossip"`).
-    pub kind: String,
+    pub kind: &'a str,
     /// Serialized body (typically `proto::encode` output).
-    pub body: Bytes,
+    pub body: Cow<'a, [u8]>,
 }
 
-impl Frame {
+impl<'a> Frame<'a> {
     /// Creates a frame.
-    pub fn new(version: u32, kind: &str, body: impl Into<Bytes>) -> Self {
+    pub fn new(version: u32, kind: &'a str, body: impl Into<Cow<'a, [u8]>>) -> Self {
         Frame {
             version,
-            kind: kind.to_string(),
+            kind,
             body: body.into(),
         }
     }
 
-    /// Serializes the frame.
+    /// Serializes the frame. The result is a shared handle: a broadcast
+    /// encodes once and clones it per peer.
     pub fn encode(&self) -> Bytes {
-        let mut out = Vec::with_capacity(self.body.len() + self.kind.len() + 10);
+        Bytes::from(self.encode_to_vec())
+    }
+
+    /// Serializes the frame into a plain buffer, for storage.
+    pub fn encode_to_vec(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(self.body.len() + self.kind.len() + 12);
         out.extend_from_slice(&MAGIC.to_be_bytes());
         encode_varint(u64::from(self.version), &mut out);
         encode_varint(self.kind.len() as u64, &mut out);
         out.extend_from_slice(self.kind.as_bytes());
         out.extend_from_slice(&self.body);
-        Bytes::from(out)
+        out
     }
 
     /// Parses a frame.
-    pub fn decode(bytes: &[u8]) -> Result<Frame, WireError> {
+    pub fn decode(bytes: &'a [u8]) -> Result<Self, WireError> {
         if bytes.len() < 2 {
             return Err(WireError::Truncated);
         }
@@ -67,22 +78,22 @@ impl Frame {
         let version = u32::try_from(version).map_err(|_| WireError::VarintOverflow)?;
         let (kind_len, used) = decode_varint(&bytes[pos..])?;
         pos += used;
-        let kind_len = kind_len as usize;
+        let kind_len = usize::try_from(kind_len).map_err(|_| WireError::Truncated)?;
         if bytes.len() - pos < kind_len {
             return Err(WireError::Truncated);
         }
-        let kind = std::str::from_utf8(&bytes[pos..pos + kind_len])
-            .map_err(|_| WireError::TypeMismatch {
+        let kind = std::str::from_utf8(&bytes[pos..pos + kind_len]).map_err(|_| {
+            WireError::TypeMismatch {
                 message: "Frame".to_string(),
                 field: "kind".to_string(),
                 detail: "invalid UTF-8".to_string(),
-            })?
-            .to_string();
+            }
+        })?;
         pos += kind_len;
         Ok(Frame {
             version,
             kind,
-            body: Bytes::copy_from_slice(&bytes[pos..]),
+            body: Cow::Borrowed(&bytes[pos..]),
         })
     }
 }
@@ -94,9 +105,10 @@ mod tests {
 
     #[test]
     fn roundtrip() {
-        let f = Frame::new(12, "gossip", Bytes::from_static(b"payload"));
-        let back = Frame::decode(&f.encode()).unwrap();
-        assert_eq!(back, f);
+        let f = Frame::new(12, "gossip", &b"payload"[..]);
+        let bytes = f.encode();
+        assert_eq!(Frame::decode(&bytes).unwrap(), f);
+        assert_eq!(f.encode_to_vec(), &bytes[..]);
     }
 
     #[test]
@@ -107,7 +119,7 @@ mod tests {
 
     #[test]
     fn truncated_rejected() {
-        let f = Frame::new(3, "req", Bytes::from_static(b""));
+        let f = Frame::new(3, "req", &b""[..]);
         let bytes = f.encode();
         assert!(Frame::decode(&bytes[..1]).is_err());
         assert!(Frame::decode(&bytes[..3]).is_err());
@@ -115,8 +127,9 @@ mod tests {
 
     #[test]
     fn empty_body_ok() {
-        let f = Frame::new(0, "ping", Bytes::new());
-        let back = Frame::decode(&f.encode()).unwrap();
+        let f = Frame::new(0, "ping", Vec::new());
+        let bytes = f.encode();
+        let back = Frame::decode(&bytes).unwrap();
         assert_eq!(back.body.len(), 0);
         assert_eq!(back.kind, "ping");
     }

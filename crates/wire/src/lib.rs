@@ -42,7 +42,7 @@ pub mod thrift;
 mod value;
 mod varint;
 
-pub use crate::error::WireError;
+pub use crate::error::{WireError, MAX_NESTING_DEPTH};
 pub use crate::frame::Frame;
 pub use crate::schema::{
     EnumDescriptor, FieldDescriptor, FieldType, Label, MessageDescriptor, Schema,

@@ -16,10 +16,10 @@
 //!   systems' hand-written `valueOf(int)` lookups threw — and that is the
 //!   mechanism under study.)
 
-use crate::error::WireError;
+use crate::error::{WireError, MAX_NESTING_DEPTH};
 use crate::schema::{FieldDescriptor, FieldType, Label, MessageDescriptor, Schema};
 use crate::value::{MessageValue, Value};
-use crate::varint::{decode_varint, encode_varint};
+use crate::varint::{decode_varint, encode_varint, length_prefixed};
 
 const WIRE_VARINT: u8 = 0;
 const WIRE_FIXED64: u8 = 1;
@@ -33,9 +33,9 @@ const WIRE_FIXED32: u8 = 5;
 /// type contradicts its declaration, or the value carries undeclared fields.
 pub fn encode(schema: &Schema, value: &MessageValue) -> Result<Vec<u8>, WireError> {
     let desc = schema
-        .message(&value.type_name)
-        .ok_or_else(|| WireError::UnknownMessage(value.type_name.clone()))?;
-    let mut out = Vec::new();
+        .message(value.type_name())
+        .ok_or_else(|| WireError::UnknownMessage(value.type_name().to_string()))?;
+    let mut out = Vec::with_capacity(value.encoded_size_hint());
     encode_into(schema, desc, value, &mut out)?;
     Ok(out)
 }
@@ -153,11 +153,8 @@ fn encode_field(
             let inner_desc = schema
                 .message(msg_name)
                 .ok_or_else(|| WireError::UnknownType(msg_name.clone()))?;
-            let mut inner = Vec::new();
-            encode_into(schema, inner_desc, v, &mut inner)?;
             encode_varint(key(field.tag, WIRE_LEN), out);
-            encode_varint(inner.len() as u64, out);
-            out.extend_from_slice(&inner);
+            length_prefixed(out, |out| encode_into(schema, inner_desc, v, out))?;
         }
         _ => return Err(bad()),
     }
@@ -176,15 +173,23 @@ pub fn decode(
     let desc = schema
         .message(message_name)
         .ok_or_else(|| WireError::UnknownMessage(message_name.to_string()))?;
-    decode_inner(schema, desc, bytes)
+    decode_inner(schema, desc, bytes, 1)
 }
 
+/// `depth` counts the message being decoded, the outermost being 1.
 fn decode_inner(
     schema: &Schema,
     desc: &MessageDescriptor,
     bytes: &[u8],
+    depth: usize,
 ) -> Result<MessageValue, WireError> {
-    let mut value = MessageValue::new(&desc.name);
+    if depth > MAX_NESTING_DEPTH {
+        return Err(WireError::NestingTooDeep);
+    }
+    let mut value = MessageValue::with_capacity(&desc.name, desc.fields.len());
+    // The previous field's tag and its slot in `value`: a repeated field
+    // arrives as a run, and the rest of a run skips the name lookup.
+    let mut run: Option<(u32, usize)> = None;
     let mut pos = 0usize;
     while pos < bytes.len() {
         let (k, used) = decode_varint(&bytes[pos..])?;
@@ -193,8 +198,11 @@ fn decode_inner(
         let wire_type = (k & 7) as u8;
         match desc.field_by_tag(tag) {
             Some(field) => {
-                let v = decode_field(schema, desc, field, wire_type, bytes, &mut pos)?;
-                value.push_mut(&field.name, v);
+                let v = decode_field(schema, desc, field, wire_type, bytes, &mut pos, depth)?;
+                match run {
+                    Some((run_tag, slot)) if run_tag == field.tag => value.push_slot(slot, v),
+                    _ => run = Some((field.tag, value.push_field(&field.name, v))),
+                }
             }
             None => skip_field(wire_type, tag, bytes, &mut pos)?,
         }
@@ -219,6 +227,7 @@ fn decode_field(
     wire_type: u8,
     bytes: &[u8],
     pos: &mut usize,
+    depth: usize,
 ) -> Result<Value, WireError> {
     let mismatch = |detail: String| WireError::TypeMismatch {
         message: desc.name.clone(),
@@ -297,7 +306,12 @@ fn decode_field(
             let inner_desc = schema
                 .message(msg_name)
                 .ok_or_else(|| WireError::UnknownType(msg_name.clone()))?;
-            Ok(Value::Msg(decode_inner(schema, inner_desc, slice)?))
+            Ok(Value::Msg(decode_inner(
+                schema,
+                inner_desc,
+                slice,
+                depth + 1,
+            )?))
         }
     }
 }
@@ -414,6 +428,103 @@ mod tests {
                 field: "timestampStarted".into()
             }
         );
+        // The text flows into failure signatures, and so into report digests.
+        assert_eq!(
+            err.to_string(),
+            "message ReplicationLoadSink is missing required field 'timestampStarted'"
+        );
+    }
+
+    /// `N { optional N next = 1; }` — what any recursive `.proto` message
+    /// lowers to.
+    fn self_referential_schema() -> Schema {
+        Schema::new().with_message(MessageDescriptor::new("N").with(FieldDescriptor::optional(
+            1,
+            "next",
+            FieldType::Message("N".into()),
+        )))
+    }
+
+    /// The encoding of `levels` nested `N`s, built outside in from the
+    /// lengths (a value that deep could not even be dropped safely).
+    fn nested_payload(levels: usize) -> Vec<u8> {
+        let mut lens = vec![0usize];
+        for _ in 1..levels {
+            let inner = *lens.last().unwrap();
+            let mut prefix = Vec::new();
+            encode_varint(inner as u64, &mut prefix);
+            lens.push(1 + prefix.len() + inner);
+        }
+        let mut out = Vec::new();
+        for inner in lens.iter().rev().skip(1) {
+            encode_varint(key(1, WIRE_LEN), &mut out);
+            encode_varint(*inner as u64, &mut out);
+        }
+        assert_eq!(out.len(), *lens.last().unwrap());
+        out
+    }
+
+    #[test]
+    fn decode_recursion_is_bounded() {
+        let s = self_referential_schema();
+        // Unbounded, this depth overflows the stack and aborts the process.
+        let err = decode(&s, "N", &nested_payload(100_000)).unwrap_err();
+        assert_eq!(err, WireError::NestingTooDeep);
+        assert_eq!(err.to_string(), "messages nested deeper than 64 levels");
+        let err = decode(&s, "N", &nested_payload(MAX_NESTING_DEPTH + 1)).unwrap_err();
+        assert_eq!(err, WireError::NestingTooDeep);
+
+        // The limit itself still round-trips.
+        let deepest = decode(&s, "N", &nested_payload(MAX_NESTING_DEPTH)).unwrap();
+        let mut levels = 1;
+        let mut at = &deepest;
+        while let Ok(next) = at.get_msg("next") {
+            levels += 1;
+            at = next;
+        }
+        assert_eq!(levels, MAX_NESTING_DEPTH);
+        assert_eq!(
+            encode(&s, &deepest).unwrap(),
+            nested_payload(MAX_NESTING_DEPTH)
+        );
+    }
+
+    #[test]
+    fn long_nested_messages_get_a_multi_byte_length() {
+        // The in-place length prefix reserves one byte; a body of 128 bytes
+        // or more has to be shifted to fit a longer one.
+        let s = Schema::new()
+            .with_message(
+                MessageDescriptor::new("Inner").with(FieldDescriptor::required(
+                    1,
+                    "blob",
+                    FieldType::BytesType,
+                )),
+            )
+            .with_message(
+                MessageDescriptor::new("Outer")
+                    .with(FieldDescriptor::repeated(
+                        1,
+                        "inner",
+                        FieldType::Message("Inner".into()),
+                    ))
+                    .with(FieldDescriptor::required(2, "tail", FieldType::Uint64)),
+            );
+        for len in [0usize, 124, 125, 126, 300, 20_000] {
+            let blob: Vec<u8> = (0..len).map(|i| i as u8).collect();
+            let m = MessageValue::new("Outer")
+                .push(
+                    "inner",
+                    Value::Msg(MessageValue::new("Inner").set("blob", Value::Bytes(blob.clone()))),
+                )
+                .push(
+                    "inner",
+                    Value::Msg(MessageValue::new("Inner").set("blob", Value::Bytes(vec![7]))),
+                )
+                .set("tail", Value::U64(9));
+            let back = decode(&s, "Outer", &encode(&s, &m).unwrap()).unwrap();
+            assert_eq!(back, m, "blob of {len} bytes");
+        }
     }
 
     #[test]

@@ -11,10 +11,10 @@
 //! with `T_STOP` (0x00). Integers are varints, strings/bytes/messages are
 //! length-prefixed with a varint.
 
-use crate::error::WireError;
+use crate::error::{WireError, MAX_NESTING_DEPTH};
 use crate::schema::{FieldDescriptor, FieldType, Label, MessageDescriptor, Schema};
 use crate::value::{MessageValue, Value};
-use crate::varint::{decode_varint, encode_varint};
+use crate::varint::{decode_varint, encode_varint, length_prefixed};
 
 const T_STOP: u8 = 0x00;
 const T_BOOL: u8 = 0x02;
@@ -38,9 +38,9 @@ fn type_code(ft: &FieldType) -> u8 {
 /// Enforces the same presence rules as [`crate::proto::encode`].
 pub fn encode(schema: &Schema, value: &MessageValue) -> Result<Vec<u8>, WireError> {
     let desc = schema
-        .message(&value.type_name)
-        .ok_or_else(|| WireError::UnknownMessage(value.type_name.clone()))?;
-    let mut out = Vec::new();
+        .message(value.type_name())
+        .ok_or_else(|| WireError::UnknownMessage(value.type_name().to_string()))?;
+    let mut out = Vec::with_capacity(value.encoded_size_hint());
     encode_struct(schema, desc, value, &mut out)?;
     Ok(out)
 }
@@ -128,10 +128,7 @@ fn encode_field(
             let inner_desc = schema
                 .message(msg_name)
                 .ok_or_else(|| WireError::UnknownType(msg_name.clone()))?;
-            let mut inner = Vec::new();
-            encode_struct(schema, inner_desc, v, &mut inner)?;
-            encode_varint(inner.len() as u64, out);
-            out.extend_from_slice(&inner);
+            length_prefixed(out, |out| encode_struct(schema, inner_desc, v, out))?;
         }
         _ => return Err(bad()),
     }
@@ -150,18 +147,24 @@ pub fn decode(
     let desc = schema
         .message(message_name)
         .ok_or_else(|| WireError::UnknownMessage(message_name.to_string()))?;
-    let mut pos = 0;
-    let v = decode_struct(schema, desc, bytes, &mut pos)?;
-    Ok(v)
+    decode_struct(schema, desc, bytes, &mut 0, 1)
 }
 
+/// `depth` counts the struct being decoded, the outermost being 1.
 fn decode_struct(
     schema: &Schema,
     desc: &MessageDescriptor,
     bytes: &[u8],
     pos: &mut usize,
+    depth: usize,
 ) -> Result<MessageValue, WireError> {
-    let mut value = MessageValue::new(&desc.name);
+    if depth > MAX_NESTING_DEPTH {
+        return Err(WireError::NestingTooDeep);
+    }
+    let mut value = MessageValue::with_capacity(&desc.name, desc.fields.len());
+    // The previous field's tag and its slot in `value`: a repeated field
+    // arrives as a run, and the rest of a run skips the name lookup.
+    let mut run: Option<(u32, usize)> = None;
     loop {
         let t = *bytes.get(*pos).ok_or(WireError::Truncated)?;
         *pos += 1;
@@ -183,8 +186,11 @@ fn decode_struct(
                         detail: format!("expected type code {expected:#x}, found {t:#x}"),
                     });
                 }
-                let v = decode_payload(schema, desc, field, bytes, pos)?;
-                value.push_mut(&field.name, v);
+                let v = decode_payload(schema, desc, field, bytes, pos, depth)?;
+                match run {
+                    Some((run_tag, slot)) if run_tag == field.tag => value.push_slot(slot, v),
+                    _ => run = Some((field.tag, value.push_field(&field.name, v))),
+                }
             }
             None => skip_payload(t, id, bytes, pos)?,
         }
@@ -206,6 +212,7 @@ fn decode_payload(
     field: &FieldDescriptor,
     bytes: &[u8],
     pos: &mut usize,
+    depth: usize,
 ) -> Result<Value, WireError> {
     match &field.field_type {
         FieldType::Bool => {
@@ -269,8 +276,7 @@ fn decode_payload(
             let inner_desc = schema
                 .message(msg_name)
                 .ok_or_else(|| WireError::UnknownType(msg_name.clone()))?;
-            let mut inner_pos = 0;
-            decode_struct(schema, inner_desc, slice, &mut inner_pos).map(Value::Msg)
+            decode_struct(schema, inner_desc, slice, &mut 0, depth + 1).map(Value::Msg)
         }
     }
 }
@@ -351,6 +357,44 @@ mod tests {
         assert_eq!(back.get_str("table").unwrap(), "t1");
         assert_eq!(back.get_i32("limit").unwrap(), 10);
         assert_eq!(back.get_all("columns").len(), 2);
+    }
+
+    #[test]
+    fn decode_recursion_is_bounded() {
+        // `N { optional N next = 1; }`, nested `levels` deep, built outside in
+        // from the lengths: per level a struct header and the length of what
+        // it holds, then every level's stop byte.
+        let s = Schema::new().with_message(MessageDescriptor::new("N").with(
+            FieldDescriptor::optional(1, "next", FieldType::Message("N".into())),
+        ));
+        let nested_payload = |levels: usize| {
+            let mut lens = vec![1usize];
+            for _ in 1..levels {
+                let inner = *lens.last().unwrap();
+                let mut prefix = Vec::new();
+                encode_varint(inner as u64, &mut prefix);
+                lens.push(3 + prefix.len() + inner + 1);
+            }
+            let mut out = Vec::new();
+            for inner in lens.iter().rev().skip(1) {
+                out.extend_from_slice(&[T_STRUCT, 0, 1]);
+                encode_varint(*inner as u64, &mut out);
+            }
+            out.resize(out.len() + levels, T_STOP);
+            assert_eq!(out.len(), *lens.last().unwrap());
+            out
+        };
+        // Unbounded, this depth overflows the stack and aborts the process.
+        let err = decode(&s, "N", &nested_payload(100_000)).unwrap_err();
+        assert_eq!(err, WireError::NestingTooDeep);
+        let err = decode(&s, "N", &nested_payload(MAX_NESTING_DEPTH + 1)).unwrap_err();
+        assert_eq!(err, WireError::NestingTooDeep);
+        // The limit itself still round-trips.
+        let deepest = decode(&s, "N", &nested_payload(MAX_NESTING_DEPTH)).unwrap();
+        assert_eq!(
+            encode(&s, &deepest).unwrap(),
+            nested_payload(MAX_NESTING_DEPTH)
+        );
     }
 
     #[test]

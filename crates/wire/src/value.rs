@@ -7,7 +7,75 @@
 //! which is the essence of a cross-version incompatibility.
 
 use crate::error::WireError;
-use std::collections::BTreeMap;
+use std::fmt;
+
+/// Longest name [`Name`] stores without a heap allocation. Every message
+/// and field name of the four mini systems fits.
+const INLINE_NAME: usize = 22;
+
+/// A message-type or field name owned by a [`MessageValue`].
+///
+/// Values are built and decoded once per simulated message, so a `String`
+/// per name was the codec's dominant allocation; names are short, so they
+/// are stored inline instead and only an unusually long one is boxed. The
+/// bytes always come from a `&str`, and which variant holds a name depends
+/// only on its length, so comparing the variants' bytes compares the names.
+#[derive(Clone)]
+enum Name {
+    Inline { len: u8, bytes: [u8; INLINE_NAME] },
+    Boxed(Box<str>),
+}
+
+impl Name {
+    fn new(name: &str) -> Self {
+        if name.len() <= INLINE_NAME {
+            let mut bytes = [0; INLINE_NAME];
+            bytes[..name.len()].copy_from_slice(name.as_bytes());
+            Name::Inline {
+                len: name.len() as u8,
+                bytes,
+            }
+        } else {
+            Name::Boxed(name.into())
+        }
+    }
+
+    fn as_bytes(&self) -> &[u8] {
+        match self {
+            Name::Inline { len, bytes } => &bytes[..usize::from(*len)],
+            Name::Boxed(name) => name.as_bytes(),
+        }
+    }
+
+    fn as_str(&self) -> &str {
+        match self {
+            Name::Inline { .. } => {
+                std::str::from_utf8(self.as_bytes()).expect("a name is copied from a str")
+            }
+            Name::Boxed(name) => name,
+        }
+    }
+}
+
+impl Default for Name {
+    fn default() -> Self {
+        Name::new("")
+    }
+}
+
+impl PartialEq for Name {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_bytes() == other.as_bytes()
+    }
+}
+
+impl Eq for Name {}
+
+impl fmt::Debug for Name {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
+    }
+}
 
 /// A single field value.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -32,79 +100,181 @@ pub enum Value {
     Msg(MessageValue),
 }
 
+/// The values of one field: a singular field holds its value in place, and
+/// only a field given a second value pays for a `Vec`. Never empty.
+#[derive(Debug, Clone)]
+enum Values {
+    One(Value),
+    Many(Vec<Value>),
+}
+
+impl Values {
+    fn as_slice(&self) -> &[Value] {
+        match self {
+            Values::One(value) => std::slice::from_ref(value),
+            Values::Many(values) => values,
+        }
+    }
+
+    fn push(&mut self, value: Value) {
+        match self {
+            Values::Many(values) => values.push(value),
+            Values::One(first) => {
+                let first = std::mem::replace(first, Value::Bool(false));
+                *self = Values::Many(vec![first, value]);
+            }
+        }
+    }
+}
+
+impl PartialEq for Values {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl Eq for Values {}
+
 /// A dynamic message: a type name plus named field values.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct MessageValue {
-    /// The message type this value claims to be.
-    pub type_name: String,
-    fields: BTreeMap<String, Vec<Value>>,
+    type_name: Name,
+    /// Sorted by name, one entry per field that has a value.
+    fields: Vec<(Name, Values)>,
 }
 
 impl MessageValue {
     /// Creates an empty value of message type `type_name`.
     pub fn new(type_name: &str) -> Self {
+        Self::with_capacity(type_name, 0)
+    }
+
+    /// Creates an empty value with room for `fields` distinct fields.
+    pub(crate) fn with_capacity(type_name: &str, fields: usize) -> Self {
         MessageValue {
-            type_name: type_name.to_string(),
-            fields: BTreeMap::new(),
+            type_name: Name::new(type_name),
+            fields: Vec::with_capacity(fields),
         }
+    }
+
+    /// The message type this value claims to be.
+    pub fn type_name(&self) -> &str {
+        self.type_name.as_str()
+    }
+
+    /// Position of `field`'s entry, or where it would be inserted.
+    fn position(&self, field: &str) -> Result<usize, usize> {
+        self.fields
+            .binary_search_by(|(name, _)| name.as_bytes().cmp(field.as_bytes()))
     }
 
     /// Sets a singular field (replacing any existing values); chains.
     pub fn set(mut self, field: &str, value: Value) -> Self {
-        self.fields.insert(field.to_string(), vec![value]);
+        self.put(field, value);
         self
     }
 
     /// Sets a singular field in place.
     pub fn put(&mut self, field: &str, value: Value) {
-        self.fields.insert(field.to_string(), vec![value]);
+        match self.position(field) {
+            Ok(at) => self.fields[at].1 = Values::One(value),
+            Err(at) => self
+                .fields
+                .insert(at, (Name::new(field), Values::One(value))),
+        }
     }
 
     /// Appends a value to a repeated field; chains.
     pub fn push(mut self, field: &str, value: Value) -> Self {
-        self.fields
-            .entry(field.to_string())
-            .or_default()
-            .push(value);
+        self.push_mut(field, value);
         self
     }
 
     /// Appends a value to a repeated field in place.
     pub fn push_mut(&mut self, field: &str, value: Value) {
-        self.fields
-            .entry(field.to_string())
-            .or_default()
-            .push(value);
+        self.push_field(field, value);
+    }
+
+    /// [`push_mut`](Self::push_mut), returning the slot of `field`'s entry:
+    /// valid for [`push_slot`](Self::push_slot) until another field is added
+    /// or removed.
+    pub(crate) fn push_field(&mut self, field: &str, value: Value) -> usize {
+        match self.position(field) {
+            Ok(at) => {
+                self.fields[at].1.push(value);
+                at
+            }
+            Err(at) => {
+                self.fields
+                    .insert(at, (Name::new(field), Values::One(value)));
+                at
+            }
+        }
+    }
+
+    /// Appends to the field in `slot` without looking its name up again — a
+    /// decoder's path for the rest of a run of one repeated field.
+    pub(crate) fn push_slot(&mut self, slot: usize, value: Value) {
+        self.fields[slot].1.push(value);
     }
 
     /// Removes a field entirely; returns `true` if it was present.
     pub fn clear_field(&mut self, field: &str) -> bool {
-        self.fields.remove(field).is_some()
+        match self.position(field) {
+            Ok(at) => {
+                self.fields.remove(at);
+                true
+            }
+            Err(_) => false,
+        }
     }
 
     /// Returns `true` if the field has at least one value.
     pub fn has(&self, field: &str) -> bool {
-        self.fields.get(field).is_some_and(|v| !v.is_empty())
+        self.position(field).is_ok()
     }
 
     /// Returns the last value of `field` (proto2 "last wins" semantics).
     pub fn get(&self, field: &str) -> Option<&Value> {
-        self.fields.get(field).and_then(|v| v.last())
+        self.get_all(field).last()
     }
 
     /// Returns all values of `field` (empty slice if absent).
     pub fn get_all(&self, field: &str) -> &[Value] {
-        self.fields.get(field).map(Vec::as_slice).unwrap_or(&[])
+        match self.position(field) {
+            Ok(at) => self.fields[at].1.as_slice(),
+            Err(_) => &[],
+        }
     }
 
     /// Iterates `(field name, values)` pairs in name order.
     pub fn fields(&self) -> impl Iterator<Item = (&str, &[Value])> {
-        self.fields.iter().map(|(k, v)| (k.as_str(), v.as_slice()))
+        self.fields
+            .iter()
+            .map(|(name, values)| (name.as_str(), values.as_slice()))
     }
 
     /// Number of distinct fields with at least one value.
     pub fn field_count(&self) -> usize {
-        self.fields.values().filter(|v| !v.is_empty()).count()
+        self.fields.len()
+    }
+
+    /// A cheap estimate of this value's encoded size in either wire format,
+    /// generous for typical scalars, so an encoder's output buffer is
+    /// allocated once instead of grown.
+    pub(crate) fn encoded_size_hint(&self) -> usize {
+        let mut hint = 1;
+        for (_, values) in &self.fields {
+            for value in values.as_slice() {
+                hint += match value {
+                    Value::Str(s) => 4 + s.len(),
+                    Value::Bytes(b) => 4 + b.len(),
+                    Value::Msg(m) => 4 + m.encoded_size_hint(),
+                    _ => 8,
+                };
+            }
+        }
+        hint
     }
 
     // ----- typed getters (used pervasively by the mini systems) -----------
@@ -178,12 +348,12 @@ impl MessageValue {
     fn value_type_error(&self, field: &str) -> WireError {
         if self.has(field) {
             WireError::ValueType {
-                message: self.type_name.clone(),
+                message: self.type_name().to_string(),
                 field: field.to_string(),
             }
         } else {
             WireError::MissingRequired {
-                message: self.type_name.clone(),
+                message: self.type_name().to_string(),
                 field: field.to_string(),
             }
         }

@@ -16,6 +16,33 @@ pub fn encode_varint(mut value: u64, out: &mut Vec<u8>) {
     }
 }
 
+/// Runs `body`, which appends to `out`, and prefixes what it appended with
+/// its length as a varint — in place, so a nested message needs no buffer of
+/// its own. One length byte is reserved up front (bodies under 128 bytes, the
+/// common case); a longer body is shifted to make room.
+pub(crate) fn length_prefixed(
+    out: &mut Vec<u8>,
+    body: impl FnOnce(&mut Vec<u8>) -> Result<(), WireError>,
+) -> Result<(), WireError> {
+    let at = out.len();
+    out.push(0);
+    body(out)?;
+    let len = out.len() - at - 1;
+    if len < 0x80 {
+        out[at] = len as u8;
+    } else {
+        // varint(len) is its low seven bits, flagged, then varint(len >> 7):
+        // the first byte takes the reserved slot, the rest are appended and
+        // rotated in behind it.
+        out[at] = (len & 0x7f) as u8 | 0x80;
+        let end = out.len();
+        encode_varint((len >> 7) as u64, out);
+        let extra = out.len() - end;
+        out[at + 1..].rotate_right(extra);
+    }
+    Ok(())
+}
+
 /// Decodes a varint from the front of `input`, returning `(value, consumed)`.
 pub fn decode_varint(input: &[u8]) -> Result<(u64, usize), WireError> {
     let mut value: u64 = 0;

@@ -132,6 +132,82 @@ fn check_torn_prefixes(schema: &Schema, value: &MessageValue) {
     }
 }
 
+/// Field names for the storage-model check: short ones (stored inline in
+/// the value), one past the inline limit, and prefixes of each other.
+const MODEL_NAMES: [&str; 6] = [
+    "a",
+    "ab",
+    "b",
+    "blocks",
+    "committedTxnId",
+    "a_field_name_longer_than_the_inline_limit",
+];
+
+/// Replays `ops` — `(name choice, operation choice, payload)` — against a
+/// `MessageValue` and against the obvious model, a name-ordered map of
+/// append-ordered lists, and checks every reader agrees with the model:
+/// `fields()` iterates in name order, `get` is last-wins, `get_all` keeps
+/// append order. Then rebuilds the value field by field in *reverse* name
+/// order and checks `==` does not see the difference.
+fn check_value_storage_model(ops: &[(u8, u8, u64)]) -> Result<(), String> {
+    use std::collections::BTreeMap;
+    let mut value = MessageValue::new("Model");
+    let mut model: BTreeMap<&str, Vec<Value>> = BTreeMap::new();
+    for &(name, op, payload) in ops {
+        let name = MODEL_NAMES[usize::from(name) % MODEL_NAMES.len()];
+        let v = Value::U64(payload);
+        match op % 4 {
+            0 => {
+                value.put(name, v.clone());
+                model.insert(name, vec![v]);
+            }
+            1 | 2 => {
+                value.push_mut(name, v.clone());
+                model.entry(name).or_default().push(v);
+            }
+            _ => {
+                let had = model.remove(name).is_some();
+                if value.clear_field(name) != had {
+                    return Err(format!("clear_field({name}) disagrees with the model"));
+                }
+            }
+        }
+    }
+    let seen: Vec<(&str, &[Value])> = value.fields().collect();
+    let expected: Vec<(&str, &[Value])> = model.iter().map(|(k, v)| (*k, v.as_slice())).collect();
+    if seen != expected {
+        return Err(format!("fields() {seen:?} != model {expected:?}"));
+    }
+    if value.field_count() != model.len() {
+        return Err(format!(
+            "field_count {} != {}",
+            value.field_count(),
+            model.len()
+        ));
+    }
+    for name in MODEL_NAMES {
+        let values = model.get(name).map(Vec::as_slice).unwrap_or(&[]);
+        if value.get_all(name) != values
+            || value.get(name) != values.last()
+            || value.has(name) == values.is_empty()
+        {
+            return Err(format!("readers of '{name}' disagree with the model"));
+        }
+    }
+    let mut reversed = MessageValue::new("Model");
+    for (name, values) in model.iter().rev() {
+        for v in values {
+            reversed.push_mut(name, v.clone());
+        }
+    }
+    if reversed != value {
+        return Err(format!(
+            "insertion order leaked into ==: {value:?} vs {reversed:?}"
+        ));
+    }
+    Ok(())
+}
+
 /// Tiny deterministic generator (SplitMix64) for the seeded plain-test
 /// sweeps, so the helper logic runs even where proptest is unavailable.
 struct Gen(u64);
@@ -161,6 +237,19 @@ fn seeded_specs_roundtrip_in_both_formats() {
         let value = message_from_spec(&spec, gen.next());
         if let Err(e) = check_roundtrip(&schema, &value) {
             panic!("round {round} spec {spec:?}: {e}");
+        }
+    }
+}
+
+#[test]
+fn seeded_value_storage_matches_the_model() {
+    let mut gen = Gen(0x5702A6E);
+    for round in 0..300 {
+        let ops: Vec<(u8, u8, u64)> = (0..gen.next() % 24)
+            .map(|_| (gen.next() as u8, gen.next() as u8, gen.next() % 5))
+            .collect();
+        if let Err(e) = check_value_storage_model(&ops) {
+            panic!("round {round} ops {ops:?}: {e}");
         }
     }
 }
@@ -249,6 +338,17 @@ proptest! {
         let value = message_from_spec(&spec, salt);
         if let Err(e) = check_roundtrip(&schema, &value) {
             prop_assert!(false, "spec {:?}: {}", spec, e);
+        }
+    }
+
+    /// `MessageValue` storage behaves as a name-ordered map of append-ordered
+    /// lists, whatever order its fields were given in.
+    #[test]
+    fn value_storage_matches_the_model(
+        ops in proptest::collection::vec((any::<u8>(), any::<u8>(), 0u64..5), 0..24),
+    ) {
+        if let Err(e) = check_value_storage_model(&ops) {
+            prop_assert!(false, "ops {:?}: {}", ops, e);
         }
     }
 
