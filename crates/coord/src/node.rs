@@ -338,14 +338,17 @@ impl Process for CoordNode {
                             ctx.warn(format!("malformed vote from node-{n}"));
                             return Ok(());
                         };
-                        let v = (
-                            vote.get_u64("peer_epoch").unwrap_or(0),
-                            vote.get_u64("zxid").unwrap_or(0),
-                            vote.get_u64("node").unwrap_or(0) as u32,
-                        );
+                        // Matched on `get`: a typed getter builds an error,
+                        // two `String`s, for a field that is merely absent.
+                        let field = |name| match vote.get(name) {
+                            Some(Value::U64(v)) => *v,
+                            Some(Value::U32(v)) => u64::from(*v),
+                            _ => 0,
+                        };
+                        let v = (field("peer_epoch"), field("zxid"), field("node") as u32);
                         if self.in_election && self.wedged.is_none() {
                             self.peer_votes.insert(n, v);
-                            if self.peer_votes.len() >= self.setup.peers().len() {
+                            if self.peer_votes.len() >= self.setup.peers().count() {
                                 self.evaluate_election(ctx);
                             }
                         } else {

@@ -44,11 +44,11 @@ impl NodeSetup {
         }
     }
 
-    /// Returns the ids of all peer nodes (everyone but `self.index`).
-    pub fn peers(&self) -> Vec<u32> {
-        (0..self.cluster_size)
-            .filter(|&i| i != self.index)
-            .collect()
+    /// Iterates the ids of all peer nodes (everyone but `self.index`), in
+    /// ascending order.
+    pub fn peers(&self) -> impl Iterator<Item = u32> {
+        let index = self.index;
+        (0..self.cluster_size).filter(move |&i| i != index)
     }
 }
 
@@ -279,9 +279,9 @@ mod tests {
     #[test]
     fn node_setup_peers() {
         let s = NodeSetup::new(1, 3);
-        assert_eq!(s.peers(), vec![0, 2]);
+        assert_eq!(s.peers().collect::<Vec<_>>(), vec![0, 2]);
         let solo = NodeSetup::new(0, 1);
-        assert!(solo.peers().is_empty());
+        assert_eq!(solo.peers().count(), 0);
     }
 
     #[test]

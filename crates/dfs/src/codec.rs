@@ -221,7 +221,13 @@ pub fn decode_fsimage(v: VersionId, bytes: &[u8]) -> Result<DecodedImage, FsImag
                 }
             })
             .collect();
-        let inode = fv.get_u64("inode").unwrap_or(0);
+        // Matched on `get`: `get_u64` builds an error, two `String`s, for an
+        // inode that is merely absent.
+        let inode = match fv.get("inode") {
+            Some(Value::U64(inode)) => *inode,
+            Some(Value::U32(inode)) => u64::from(*inode),
+            _ => 0,
+        };
         ns.files.push(FileEntry {
             path,
             blocks,

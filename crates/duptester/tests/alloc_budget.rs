@@ -6,7 +6,8 @@
 //! the counts below are exact and repeat from run to run, on any machine.
 //! One warm stress full-stop case on the newest release pair is run per
 //! system (the `upbench` `<system>.case_us` fixture) and its allocations per
-//! event must stay under a ceiling.
+//! event must stay under a ceiling. The handlers' way of reading an optional
+//! field that is absent must not allocate at all.
 //!
 //! The crates under test `#![forbid(unsafe_code)]`, so the counting
 //! `GlobalAlloc` lives here, as in `crates/simnet/tests/alloc_free_dispatch.rs`.
@@ -83,16 +84,18 @@ fn allocs_per_event(sut: &dyn SystemUnderTest) -> f64 {
 #[test]
 fn codec_path_stays_within_its_allocation_budget() {
     COUNTED_THREAD.with(|c| c.set(true));
-    // Ceilings: the measured 4.00 / 7.51 / 9.13 / 4.29 + 10 %. With a schema
+    // Ceilings: the measured 3.66 / 7.51 / 8.97 / 4.04 + 10 %. With a schema
     // rebuilt per message and a `String` + `Vec` per field of every dynamic
     // value these read 25.4 (kvstore), 43.7 (dfs), 11.9 (mq) and 10.8
-    // (coord). What remains is mostly client text commands and log lines,
-    // which this budget does not target.
+    // (coord); with an error built and dropped for each absent optional
+    // field a handler reads, 4.00, 7.51, 9.13 and 4.29. What remains is
+    // mostly client text commands and log lines, which this budget does not
+    // target.
     let budgets: [(&dyn SystemUnderTest, f64); 4] = [
-        (&dup_kvstore::KvStoreSystem, 4.4),
-        (&dup_dfs::DfsSystem, 8.3),
-        (&dup_mq::MqSystem, 10.0),
-        (&dup_coord::CoordSystem, 4.7),
+        (&dup_kvstore::KvStoreSystem, 4.02),
+        (&dup_dfs::DfsSystem, 8.26),
+        (&dup_mq::MqSystem, 9.86),
+        (&dup_coord::CoordSystem, 4.44),
     ];
     for (sut, ceiling) in budgets {
         let measured = allocs_per_event(sut);
@@ -103,4 +106,28 @@ fn codec_path_stays_within_its_allocation_budget() {
             sut.name()
         );
     }
+    absent_optional_reads_allocate_nothing();
+}
+
+/// The mini systems read an optional field with `get` and a `match`; the
+/// typed getters are for fields whose absence is an error, and build one.
+fn absent_optional_reads_allocate_nothing() {
+    use dup_wire::{proto, FieldDescriptor, FieldType, MessageDescriptor, Schema, Value};
+    let schema = Schema::new().with_message(
+        MessageDescriptor::new("Offset")
+            .with(FieldDescriptor::required(1, "offset", FieldType::Uint64))
+            .with(FieldDescriptor::optional(2, "expire_ts", FieldType::Uint64)),
+    );
+    let written = dup_wire::MessageValue::new("Offset").set("offset", Value::U64(7));
+    let bytes = proto::encode(&schema, &written).expect("encodes");
+    let decoded = proto::decode(&schema, "Offset", &bytes).expect("decodes");
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let expire = match decoded.get("expire_ts") {
+        Some(Value::U64(expire)) => Some(*expire),
+        _ => None,
+    };
+    let offset = decoded.get_u64("offset");
+    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    assert_eq!((offset, expire), (Ok(7), None));
+    assert_eq!(allocations, 0, "reading an absent optional field allocated");
 }

@@ -333,11 +333,13 @@ fn decode_with_format(v: VersionId, fmt: u32, body: &[u8]) -> Result<SchemaState
         };
         let mut ks = KeyspaceDef {
             name: ksv.get_str("name")?.to_string(),
-            strategy: ksv
-                .get_str("strategy")
-                .unwrap_or("SimpleStrategy")
-                .to_string(),
-            dropped: ksv.get_bool("dropped").unwrap_or(false),
+            // Optional fields are matched on `get`: a typed getter builds an
+            // error, two `String`s, for a field that is merely absent.
+            strategy: match ksv.get("strategy") {
+                Some(Value::Str(strategy)) => strategy.clone(),
+                _ => "SimpleStrategy".to_string(),
+            },
+            dropped: matches!(ksv.get("dropped"), Some(Value::Bool(true))),
             tables: Vec::new(),
         };
         for tv in ksv.get_all("tables") {
@@ -346,7 +348,7 @@ fn decode_with_format(v: VersionId, fmt: u32, body: &[u8]) -> Result<SchemaState
             };
             ks.tables.push((
                 tv.get_str("name")?.to_string(),
-                tv.get_bool("compact").unwrap_or(false),
+                matches!(tv.get("compact"), Some(Value::Bool(true))),
             ));
         }
         state.keyspaces.push(ks);

@@ -30,6 +30,17 @@ fn known_strategies(v: VersionId) -> &'static [&'static str] {
     }
 }
 
+/// The `proto_version` a peer announces in its gossip digest or handshake,
+/// if it does. Optional fields are matched on `get`: a typed getter builds
+/// an error, two `String`s, for a field that is merely absent.
+fn announced_proto(message: &MessageValue) -> Option<u32> {
+    match message.get("proto_version") {
+        Some(Value::U32(pv)) => Some(*pv),
+        Some(Value::U64(pv)) => Some(*pv as u32),
+        _ => None,
+    }
+}
+
 /// A node of the mini Cassandra-like store.
 #[derive(Clone)]
 pub struct KvNode {
@@ -177,10 +188,14 @@ impl KvNode {
                 return Ok(());
             }
         };
-        if let Ok(pv) = digest.get_u64("proto_version") {
-            self.peer_versions.insert(from, pv as u32);
+        if let Some(pv) = announced_proto(&digest) {
+            self.peer_versions.insert(from, pv);
         }
-        let peer_ts = digest.get_u64("schema_ts").unwrap_or(0);
+        let peer_ts = match digest.get("schema_ts") {
+            Some(Value::U64(ts)) => *ts,
+            Some(Value::U32(ts)) => u64::from(*ts),
+            _ => 0,
+        };
         if peer_ts > self.state.timestamp && self.stuck.is_none() {
             let peer_proto = self.peer_versions.get(&from).copied();
             let should_pull = if self.checks_version_before_pull() {
@@ -546,8 +561,8 @@ impl Process for KvNode {
                         if let Ok(hs) =
                             proto::decode(codec::handshake_schema(), "Handshake", &frame.body)
                         {
-                            if let Ok(pv) = hs.get_u64("proto_version") {
-                                self.peer_versions.insert(n, pv as u32);
+                            if let Some(pv) = announced_proto(&hs) {
+                                self.peer_versions.insert(n, pv);
                             }
                         }
                         Ok(())

@@ -78,7 +78,13 @@ pub fn decode_offset_record(v: VersionId, bytes: &[u8]) -> Result<(u64, Option<u
     let schema = offsets_schema(v);
     let rec = proto::decode(schema, "OffsetRecord", bytes)?;
     let offset = rec.get_u64("offset")?;
-    let expire = rec.get_u64("expire_ts").ok();
+    // Matched on `get`: `get_u64` builds an error, two `String`s, for an
+    // expiry that is merely absent.
+    let expire = match rec.get("expire_ts") {
+        Some(Value::U64(expire)) => Some(*expire),
+        Some(Value::U32(expire)) => Some(u64::from(*expire)),
+        _ => None,
+    };
     Ok((offset, expire))
 }
 

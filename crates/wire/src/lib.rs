@@ -38,6 +38,7 @@ mod error;
 mod frame;
 pub mod proto;
 mod schema;
+mod slots;
 pub mod thrift;
 mod value;
 mod varint;

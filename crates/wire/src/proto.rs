@@ -17,7 +17,8 @@
 //!   mechanism under study.)
 
 use crate::error::{WireError, MAX_NESTING_DEPTH};
-use crate::schema::{FieldDescriptor, FieldType, Label, MessageDescriptor, Schema};
+use crate::schema::{FieldDescriptor, FieldType, MessageDescriptor, Schema};
+use crate::slots::{encode_fields, Decoding};
 use crate::value::{MessageValue, Value};
 use crate::varint::{decode_varint, encode_varint, length_prefixed};
 
@@ -46,54 +47,20 @@ fn encode_into(
     value: &MessageValue,
     out: &mut Vec<u8>,
 ) -> Result<(), WireError> {
-    // Reject undeclared fields: writing a field the schema does not know is a
-    // programming error in the system under test, not a compatibility event.
-    for (name, values) in value.fields() {
-        if !values.is_empty() && desc.field_by_name(name).is_none() {
-            return Err(WireError::UnknownField {
-                message: desc.name.clone(),
-                field: name.to_string(),
-            });
-        }
-    }
-    for field in &desc.fields {
-        let values = value.get_all(&field.name);
-        match field.label {
-            Label::Required => {
-                if values.is_empty() {
-                    return Err(WireError::MissingRequired {
-                        message: desc.name.clone(),
-                        field: field.name.clone(),
-                    });
-                }
-                if values.len() > 1 {
-                    return Err(WireError::TooManyValues {
-                        message: desc.name.clone(),
-                        field: field.name.clone(),
-                    });
-                }
-            }
-            Label::Optional => {
-                if values.len() > 1 {
-                    return Err(WireError::TooManyValues {
-                        message: desc.name.clone(),
-                        field: field.name.clone(),
-                    });
-                }
-            }
-            Label::Repeated => {}
-        }
-        for v in values {
-            encode_field(schema, desc, field, v, out)?;
-        }
-    }
-    Ok(())
+    encode_fields(desc, value, |field, values| {
+        values
+            .iter()
+            .try_for_each(|v| encode_field(schema, desc, field, v, out))
+    })
 }
 
 fn key(tag: u32, wire_type: u8) -> u64 {
     (u64::from(tag) << 3) | u64::from(wire_type)
 }
 
+// Inlined into its one caller's per-value loop: out of line, a repeated
+// field of many scalars pays a call per value.
+#[inline]
 fn encode_field(
     schema: &Schema,
     desc: &MessageDescriptor,
@@ -186,38 +153,29 @@ fn decode_inner(
     if depth > MAX_NESTING_DEPTH {
         return Err(WireError::NestingTooDeep);
     }
-    let mut value = MessageValue::with_capacity(&desc.name, desc.fields.len());
-    // The previous field's tag and its slot in `value`: a repeated field
-    // arrives as a run, and the rest of a run skips the name lookup.
-    let mut run: Option<(u32, usize)> = None;
+    let mut fields = Decoding::new(desc);
     let mut pos = 0usize;
     while pos < bytes.len() {
         let (k, used) = decode_varint(&bytes[pos..])?;
         pos += used;
-        let tag = (k >> 3) as u32;
+        // A tag too large for any declared field must not alias one by
+        // losing its high bits: it is skipped like any other unknown tag
+        // (and reported, with a wire type that cannot be skipped, as the
+        // largest tag there is).
+        let tag = u32::try_from(k >> 3).ok();
         let wire_type = (k & 7) as u8;
-        match desc.field_by_tag(tag) {
-            Some(field) => {
+        match tag.and_then(|tag| desc.index_of_tag(tag)) {
+            Some(index) => {
+                let field = &desc.fields[index];
                 let v = decode_field(schema, desc, field, wire_type, bytes, &mut pos, depth)?;
-                match run {
-                    Some((run_tag, slot)) if run_tag == field.tag => value.push_slot(slot, v),
-                    _ => run = Some((field.tag, value.push_field(&field.name, v))),
-                }
+                fields.add(index, v);
             }
-            None => skip_field(wire_type, tag, bytes, &mut pos)?,
+            None => skip_field(wire_type, tag.unwrap_or(u32::MAX), bytes, &mut pos)?,
         }
     }
-    // Presence checks: required exactly once (proto2 tolerates duplicates of
-    // singular fields with last-wins; we follow that), required at least once.
-    for field in &desc.fields {
-        if field.label == Label::Required && !value.has(&field.name) {
-            return Err(WireError::MissingRequired {
-                message: desc.name.clone(),
-                field: field.name.clone(),
-            });
-        }
-    }
-    Ok(value)
+    // Presence is checked once the payload is consumed. proto2 tolerates
+    // duplicates of a singular field with last-wins; we follow that.
+    fields.finish()
 }
 
 fn decode_field(
@@ -678,6 +636,24 @@ mod tests {
         let bytes = encode(&s, &sink(300)).unwrap();
         let err = decode(&s, "ReplicationLoadSink", &bytes[..bytes.len() - 1]).unwrap_err();
         assert_eq!(err, WireError::Truncated);
+    }
+
+    #[test]
+    fn a_tag_beyond_u32_does_not_alias_a_declared_field() {
+        let s = Schema::new().with_message(
+            MessageDescriptor::new("M").with(FieldDescriptor::required(1, "a", FieldType::Uint64)),
+        );
+        // Tag 2^32 + 1 has the low 32 bits of tag 1.
+        let mut bytes = Vec::new();
+        encode_varint(((1u64 << 32) + 1) << 3 | u64::from(WIRE_VARINT), &mut bytes);
+        encode_varint(7, &mut bytes);
+        let err = decode(&s, "M", &bytes).unwrap_err();
+        assert!(matches!(err, WireError::MissingRequired { .. }), "{err:?}");
+        // It is skipped by its wire type, like any other undeclared tag.
+        encode_varint(key(1, WIRE_VARINT), &mut bytes);
+        encode_varint(9, &mut bytes);
+        let m = decode(&s, "M", &bytes).unwrap();
+        assert_eq!(m.get_all("a"), [Value::U64(9)]);
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! versions of a system can disagree about a format exactly the way
 //! HBase 2.2.0 and 2.3.3 disagreed about `ReplicationLoadSink` (paper Fig. 2).
 
+use crate::value::Name;
 use std::collections::BTreeMap;
 
 /// Presence discipline of a field, as in proto2.
@@ -80,6 +81,9 @@ pub struct FieldDescriptor {
     pub label: Label,
     /// Declared type.
     pub field_type: FieldType,
+    /// `name` in the form a [`crate::MessageValue`] stores, built once here
+    /// so that a decoder adds the field to a value without building a name.
+    pub(crate) key: Name,
 }
 
 impl FieldDescriptor {
@@ -90,6 +94,7 @@ impl FieldDescriptor {
             name: name.to_string(),
             label,
             field_type,
+            key: Name::new(name),
         }
     }
 
@@ -116,6 +121,8 @@ pub struct MessageDescriptor {
     pub name: String,
     /// Fields in declaration order.
     pub fields: Vec<FieldDescriptor>,
+    /// `name` as a decoded [`crate::MessageValue`] stores its type name.
+    pub(crate) key: Name,
 }
 
 impl MessageDescriptor {
@@ -124,6 +131,7 @@ impl MessageDescriptor {
         MessageDescriptor {
             name: name.to_string(),
             fields: Vec::new(),
+            key: Name::new(name),
         }
     }
 
@@ -152,7 +160,12 @@ impl MessageDescriptor {
 
     /// Looks up a field by wire tag.
     pub fn field_by_tag(&self, tag: u32) -> Option<&FieldDescriptor> {
-        self.fields.iter().find(|f| f.tag == tag)
+        self.index_of_tag(tag).map(|index| &self.fields[index])
+    }
+
+    /// Index in `fields` of the field with wire tag `tag`.
+    pub(crate) fn index_of_tag(&self, tag: u32) -> Option<usize> {
+        self.fields.iter().position(|f| f.tag == tag)
     }
 
     /// Looks up a field by name.

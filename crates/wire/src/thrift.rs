@@ -12,7 +12,8 @@
 //! length-prefixed with a varint.
 
 use crate::error::{WireError, MAX_NESTING_DEPTH};
-use crate::schema::{FieldDescriptor, FieldType, Label, MessageDescriptor, Schema};
+use crate::schema::{FieldDescriptor, FieldType, MessageDescriptor, Schema};
+use crate::slots::{encode_fields, Decoding};
 use crate::value::{MessageValue, Value};
 use crate::varint::{decode_varint, encode_varint, length_prefixed};
 
@@ -51,39 +52,18 @@ fn encode_struct(
     value: &MessageValue,
     out: &mut Vec<u8>,
 ) -> Result<(), WireError> {
-    for (name, values) in value.fields() {
-        if !values.is_empty() && desc.field_by_name(name).is_none() {
-            return Err(WireError::UnknownField {
-                message: desc.name.clone(),
-                field: name.to_string(),
-            });
-        }
-    }
-    for field in &desc.fields {
-        let values = value.get_all(&field.name);
-        match field.label {
-            Label::Required if values.is_empty() => {
-                return Err(WireError::MissingRequired {
-                    message: desc.name.clone(),
-                    field: field.name.clone(),
-                });
-            }
-            Label::Required | Label::Optional if values.len() > 1 => {
-                return Err(WireError::TooManyValues {
-                    message: desc.name.clone(),
-                    field: field.name.clone(),
-                });
-            }
-            _ => {}
-        }
-        for v in values {
-            encode_field(schema, desc, field, v, out)?;
-        }
-    }
+    encode_fields(desc, value, |field, values| {
+        values
+            .iter()
+            .try_for_each(|v| encode_field(schema, desc, field, v, out))
+    })?;
     out.push(T_STOP);
     Ok(())
 }
 
+// Inlined into its one caller's per-value loop: out of line, a repeated
+// field of many scalars pays a call per value.
+#[inline]
 fn encode_field(
     schema: &Schema,
     desc: &MessageDescriptor,
@@ -161,10 +141,7 @@ fn decode_struct(
     if depth > MAX_NESTING_DEPTH {
         return Err(WireError::NestingTooDeep);
     }
-    let mut value = MessageValue::with_capacity(&desc.name, desc.fields.len());
-    // The previous field's tag and its slot in `value`: a repeated field
-    // arrives as a run, and the rest of a run skips the name lookup.
-    let mut run: Option<(u32, usize)> = None;
+    let mut fields = Decoding::new(desc);
     loop {
         let t = *bytes.get(*pos).ok_or(WireError::Truncated)?;
         *pos += 1;
@@ -176,8 +153,9 @@ fn decode_struct(
         }
         let id = u16::from_be_bytes([bytes[*pos], bytes[*pos + 1]]);
         *pos += 2;
-        match desc.field_by_tag(u32::from(id)) {
-            Some(field) => {
+        match desc.index_of_tag(u32::from(id)) {
+            Some(index) => {
+                let field = &desc.fields[index];
                 let expected = type_code(&field.field_type);
                 if t != expected {
                     return Err(WireError::TypeMismatch {
@@ -186,24 +164,15 @@ fn decode_struct(
                         detail: format!("expected type code {expected:#x}, found {t:#x}"),
                     });
                 }
-                let v = decode_payload(schema, desc, field, bytes, pos, depth)?;
-                match run {
-                    Some((run_tag, slot)) if run_tag == field.tag => value.push_slot(slot, v),
-                    _ => run = Some((field.tag, value.push_field(&field.name, v))),
-                }
+                fields.add(
+                    index,
+                    decode_payload(schema, desc, field, bytes, pos, depth)?,
+                );
             }
             None => skip_payload(t, id, bytes, pos)?,
         }
     }
-    for field in &desc.fields {
-        if field.label == Label::Required && !value.has(&field.name) {
-            return Err(WireError::MissingRequired {
-                message: desc.name.clone(),
-                field: field.name.clone(),
-            });
-        }
-    }
-    Ok(value)
+    fields.finish()
 }
 
 fn decode_payload(

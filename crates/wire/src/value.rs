@@ -21,13 +21,13 @@ const INLINE_NAME: usize = 22;
 /// bytes always come from a `&str`, and which variant holds a name depends
 /// only on its length, so comparing the variants' bytes compares the names.
 #[derive(Clone)]
-enum Name {
+pub(crate) enum Name {
     Inline { len: u8, bytes: [u8; INLINE_NAME] },
     Boxed(Box<str>),
 }
 
 impl Name {
-    fn new(name: &str) -> Self {
+    pub(crate) fn new(name: &str) -> Self {
         if name.len() <= INLINE_NAME {
             let mut bytes = [0; INLINE_NAME];
             bytes[..name.len()].copy_from_slice(name.as_bytes());
@@ -47,7 +47,7 @@ impl Name {
         }
     }
 
-    fn as_str(&self) -> &str {
+    pub(crate) fn as_str(&self) -> &str {
         match self {
             Name::Inline { .. } => {
                 std::str::from_utf8(self.as_bytes()).expect("a name is copied from a str")
@@ -65,8 +65,15 @@ impl Default for Name {
 
 impl PartialEq for Name {
     fn eq(&self, other: &Self) -> bool {
-        self.as_bytes() == other.as_bytes()
+        same_bytes(self.as_bytes(), other.as_bytes())
     }
+}
+
+/// Slice equality, length first and then byte by byte. Names are a handful
+/// of bytes and a lookup compares several, so a call into libc's `memcmp`
+/// per comparison costs more than the bytes it compares.
+fn same_bytes(a: &[u8], b: &[u8]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x == y)
 }
 
 impl Eq for Name {}
@@ -136,23 +143,44 @@ impl PartialEq for Values {
 impl Eq for Values {}
 
 /// A dynamic message: a type name plus named field values.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct MessageValue {
     type_name: Name,
-    /// Sorted by name, one entry per field that has a value.
+    /// In insertion order, one entry per field that has a value. A message
+    /// carries a handful of fields, so finding one is a scan for an equal
+    /// name and adding one is a push.
     fields: Vec<(Name, Values)>,
 }
+
+/// Equal when the same fields hold the same values, in whatever order the
+/// fields were inserted.
+impl PartialEq for MessageValue {
+    fn eq(&self, other: &Self) -> bool {
+        self.type_name == other.type_name
+            && self.fields.len() == other.fields.len()
+            && self.fields.iter().all(|(name, values)| {
+                let theirs = other.position(name.as_bytes());
+                theirs.is_some_and(|at| other.fields[at].1 == *values)
+            })
+    }
+}
+
+impl Eq for MessageValue {}
 
 impl MessageValue {
     /// Creates an empty value of message type `type_name`.
     pub fn new(type_name: &str) -> Self {
-        Self::with_capacity(type_name, 0)
-    }
-
-    /// Creates an empty value with room for `fields` distinct fields.
-    pub(crate) fn with_capacity(type_name: &str, fields: usize) -> Self {
         MessageValue {
             type_name: Name::new(type_name),
+            fields: Vec::new(),
+        }
+    }
+
+    /// Creates an empty value of the type named by `type_name`, with room
+    /// for `fields` distinct fields.
+    pub(crate) fn with_capacity(type_name: &Name, fields: usize) -> Self {
+        MessageValue {
+            type_name: type_name.clone(),
             fields: Vec::with_capacity(fields),
         }
     }
@@ -162,10 +190,11 @@ impl MessageValue {
         self.type_name.as_str()
     }
 
-    /// Position of `field`'s entry, or where it would be inserted.
-    fn position(&self, field: &str) -> Result<usize, usize> {
+    /// Slot of `field`'s entry.
+    pub(crate) fn position(&self, field: &[u8]) -> Option<usize> {
         self.fields
-            .binary_search_by(|(name, _)| name.as_bytes().cmp(field.as_bytes()))
+            .iter()
+            .position(|(name, _)| same_bytes(name.as_bytes(), field))
     }
 
     /// Sets a singular field (replacing any existing values); chains.
@@ -176,11 +205,9 @@ impl MessageValue {
 
     /// Sets a singular field in place.
     pub fn put(&mut self, field: &str, value: Value) {
-        match self.position(field) {
-            Ok(at) => self.fields[at].1 = Values::One(value),
-            Err(at) => self
-                .fields
-                .insert(at, (Name::new(field), Values::One(value))),
+        match self.position(field.as_bytes()) {
+            Some(at) => self.fields[at].1 = Values::One(value),
+            None => self.fields.push((Name::new(field), Values::One(value))),
         }
     }
 
@@ -192,46 +219,44 @@ impl MessageValue {
 
     /// Appends a value to a repeated field in place.
     pub fn push_mut(&mut self, field: &str, value: Value) {
-        self.push_field(field, value);
-    }
-
-    /// [`push_mut`](Self::push_mut), returning the slot of `field`'s entry:
-    /// valid for [`push_slot`](Self::push_slot) until another field is added
-    /// or removed.
-    pub(crate) fn push_field(&mut self, field: &str, value: Value) -> usize {
-        match self.position(field) {
-            Ok(at) => {
-                self.fields[at].1.push(value);
-                at
-            }
-            Err(at) => {
-                self.fields
-                    .insert(at, (Name::new(field), Values::One(value)));
-                at
-            }
+        match self.position(field.as_bytes()) {
+            Some(at) => self.fields[at].1.push(value),
+            None => self.fields.push((Name::new(field), Values::One(value))),
         }
     }
 
-    /// Appends to the field in `slot` without looking its name up again — a
-    /// decoder's path for the rest of a run of one repeated field.
+    /// Adds the first value of a field the caller knows is absent, and
+    /// returns its slot: valid for [`push_slot`](Self::push_slot) and
+    /// [`values_at`](Self::values_at) until a field is removed.
+    pub(crate) fn push_new(&mut self, field: &Name, value: Value) -> usize {
+        self.fields.push((field.clone(), Values::One(value)));
+        self.fields.len() - 1
+    }
+
+    /// Appends to the field in `slot` without looking its name up.
     pub(crate) fn push_slot(&mut self, slot: usize, value: Value) {
         self.fields[slot].1.push(value);
     }
 
+    /// The values of the field in `slot`.
+    pub(crate) fn values_at(&self, slot: usize) -> &[Value] {
+        self.fields[slot].1.as_slice()
+    }
+
     /// Removes a field entirely; returns `true` if it was present.
     pub fn clear_field(&mut self, field: &str) -> bool {
-        match self.position(field) {
-            Ok(at) => {
+        match self.position(field.as_bytes()) {
+            Some(at) => {
                 self.fields.remove(at);
                 true
             }
-            Err(_) => false,
+            None => false,
         }
     }
 
     /// Returns `true` if the field has at least one value.
     pub fn has(&self, field: &str) -> bool {
-        self.position(field).is_ok()
+        self.position(field.as_bytes()).is_some()
     }
 
     /// Returns the last value of `field` (proto2 "last wins" semantics).
@@ -241,17 +266,20 @@ impl MessageValue {
 
     /// Returns all values of `field` (empty slice if absent).
     pub fn get_all(&self, field: &str) -> &[Value] {
-        match self.position(field) {
-            Ok(at) => self.fields[at].1.as_slice(),
-            Err(_) => &[],
+        match self.position(field.as_bytes()) {
+            Some(at) => self.values_at(at),
+            None => &[],
         }
     }
 
-    /// Iterates `(field name, values)` pairs in name order.
+    /// Iterates `(field name, values)` pairs in name order, sorting on each
+    /// call: for reporting and tests, not for a per-message path.
     pub fn fields(&self) -> impl Iterator<Item = (&str, &[Value])> {
-        self.fields
-            .iter()
+        let mut fields: Vec<_> = (self.fields.iter())
             .map(|(name, values)| (name.as_str(), values.as_slice()))
+            .collect();
+        fields.sort_unstable_by_key(|(name, _)| *name);
+        fields.into_iter()
     }
 
     /// Number of distinct fields with at least one value.

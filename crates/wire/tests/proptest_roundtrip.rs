@@ -208,6 +208,65 @@ fn check_value_storage_model(ops: &[(u8, u8, u64)]) -> Result<(), String> {
     Ok(())
 }
 
+/// Builds `message_from_spec(spec, salt)` again with its fields inserted in
+/// the order `order` sorts them into, and checks that neither format sees
+/// the difference: same bytes as the in-order build, and decoding them gives
+/// a value equal to both builds.
+fn check_insertion_order_is_invisible(
+    spec: &[FieldSpec],
+    salt: u64,
+    order: &[u64],
+) -> Result<(), String> {
+    let schema = schema_from_spec(spec);
+    let in_order = message_from_spec(spec, salt);
+    let mut tags: Vec<usize> = (1..=spec.len()).collect();
+    tags.sort_by_key(|tag| order.get(tag - 1));
+    let names: Vec<String> = tags.iter().map(|tag| format!("f{tag}")).collect();
+    let mut shuffled = MessageValue::new("Gen");
+    for name in &names {
+        for v in in_order.get_all(name) {
+            shuffled.push_mut(name, v.clone());
+        }
+    }
+    if shuffled != in_order {
+        return Err(format!("{shuffled:?} != {in_order:?}"));
+    }
+    check_roundtrip(&schema, &shuffled)?;
+    if proto::encode(&schema, &shuffled) != proto::encode(&schema, &in_order) {
+        return Err(format!("proto bytes depend on insertion order {names:?}"));
+    }
+    if thrift::encode(&schema, &shuffled) != thrift::encode(&schema, &in_order) {
+        return Err(format!("thrift bytes depend on insertion order {names:?}"));
+    }
+    Ok(())
+}
+
+/// A proto payload made of `extra` — `(tag bits above u32, low 32 tag bits,
+/// value)` varint fields whose tags do not fit `u32` — followed by field 1
+/// of `Gen { required uint64 f1 = 1 }` holding `own`: every oversized tag is
+/// skipped, whatever declared tag its low bits spell.
+fn check_oversized_tags_are_skipped(extra: &[(u32, u32, u64)], own: u64) -> Result<(), String> {
+    let schema = schema_from_spec(&[(3, 0)]);
+    let mut bytes = Vec::new();
+    for &(high, low, value) in extra {
+        // At most 61 bits, so that the key (tag and three wire-type bits)
+        // fits a varint; at least 33.
+        let tag = u64::from(high % (1 << 29)).max(1) << 32 | u64::from(low);
+        dup_wire::encode_varint(tag << 3, &mut bytes);
+        dup_wire::encode_varint(value, &mut bytes);
+    }
+    if proto::decode(&schema, "Gen", &bytes).is_ok() {
+        return Err("an oversized tag satisfied the required field".to_string());
+    }
+    dup_wire::encode_varint(1 << 3, &mut bytes);
+    dup_wire::encode_varint(own, &mut bytes);
+    let back = proto::decode(&schema, "Gen", &bytes).map_err(|e| format!("decode: {e}"))?;
+    if back.get_all("f1") != [Value::U64(own)] {
+        return Err(format!("an oversized tag landed in f1: {back:?}"));
+    }
+    Ok(())
+}
+
 /// Tiny deterministic generator (SplitMix64) for the seeded plain-test
 /// sweeps, so the helper logic runs even where proptest is unavailable.
 struct Gen(u64);
@@ -250,6 +309,31 @@ fn seeded_value_storage_matches_the_model() {
             .collect();
         if let Err(e) = check_value_storage_model(&ops) {
             panic!("round {round} ops {ops:?}: {e}");
+        }
+    }
+}
+
+#[test]
+fn seeded_insertion_orders_are_invisible_to_the_codecs() {
+    let mut gen = Gen(0x0DE2);
+    for round in 0..200 {
+        let spec = gen.spec((round % 9) as usize);
+        let order: Vec<u64> = spec.iter().map(|_| gen.next()).collect();
+        if let Err(e) = check_insertion_order_is_invisible(&spec, gen.next(), &order) {
+            panic!("round {round} spec {spec:?}: {e}");
+        }
+    }
+}
+
+#[test]
+fn seeded_oversized_tags_never_land_in_a_declared_field() {
+    let mut gen = Gen(0x7A6);
+    for round in 0..200 {
+        let extra: Vec<(u32, u32, u64)> = (0..gen.next() % 4)
+            .map(|i| (gen.next() as u32, (i % 2) as u32, gen.next()))
+            .collect();
+        if let Err(e) = check_oversized_tags_are_skipped(&extra, gen.next()) {
+            panic!("round {round} extra {extra:?}: {e}");
         }
     }
 }
@@ -349,6 +433,30 @@ proptest! {
     ) {
         if let Err(e) = check_value_storage_model(&ops) {
             prop_assert!(false, "ops {:?}: {}", ops, e);
+        }
+    }
+
+    /// The order a value's fields were inserted in changes neither its
+    /// encoding nor what decodes from it, in either format.
+    #[test]
+    fn insertion_order_is_invisible_to_the_codecs(
+        spec in proptest::collection::vec((0u8..7, 0u8..3), 0..9),
+        salt in any::<u64>(),
+        order in proptest::collection::vec(any::<u64>(), 9..10),
+    ) {
+        if let Err(e) = check_insertion_order_is_invisible(&spec, salt, &order) {
+            prop_assert!(false, "spec {:?}: {}", spec, e);
+        }
+    }
+
+    /// No proto key above `u32::MAX << 3` lands in a declared field.
+    #[test]
+    fn oversized_tags_never_land_in_a_declared_field(
+        extra in proptest::collection::vec((any::<u32>(), 0u32..3, any::<u64>()), 0..4),
+        own in any::<u64>(),
+    ) {
+        if let Err(e) = check_oversized_tags_are_skipped(&extra, own) {
+            prop_assert!(false, "extra {:?}: {}", extra, e);
         }
     }
 
