@@ -13,11 +13,11 @@
 //!   `required checkpoint_id` field, so checkpoints written by 3.5 fail to
 //!   load (the MESOS-3834 mechanism transplanted).
 
+use bytes::Bytes;
 use dup_core::{NodeSetup, VersionId};
 use dup_simnet::{Ctx, Endpoint, Fatal, Process, SimDuration, SimTime, StepResult};
-use dup_wire::{
-    proto, FieldDescriptor, FieldType, Frame, MessageDescriptor, MessageValue, Schema, Value,
-};
+use dup_wire::proto::{Reader, ValueRef, Writer};
+use dup_wire::{FieldDescriptor, FieldType, Frame, MessageDescriptor, Schema, WireError};
 use std::collections::BTreeMap;
 use std::sync::{LazyLock, OnceLock};
 
@@ -77,6 +77,48 @@ fn build_snapshot_schema(v: VersionId) -> Schema {
     )
 }
 
+/// A checkpoint's epoch, zxid and entries.
+type Checkpoint = (u64, u64, Vec<(String, String)>);
+
+fn read_snapshot(schema: &Schema, body: &[u8]) -> Result<Checkpoint, WireError> {
+    let mut snap = Reader::new(schema, "Snapshot", body)?;
+    let (mut epoch, mut zxid, mut entries) = (0, 0, Vec::new());
+    while let Some((field, value)) = snap.next()? {
+        match (field.name.as_str(), value) {
+            ("epoch", ValueRef::U64(v)) => epoch = v,
+            ("zxid", ValueRef::U64(v)) => zxid = v,
+            ("entries", ValueRef::Msg(mut entry)) => {
+                let (mut key, mut val) = ("", "");
+                while let Some((field, value)) = entry.next()? {
+                    match (field.name.as_str(), value) {
+                        ("key", ValueRef::Str(v)) => key = v,
+                        ("value", ValueRef::Str(v)) => val = v,
+                        _ => {}
+                    }
+                }
+                entries.push((key.to_string(), val.to_string()));
+            }
+            _ => {}
+        }
+    }
+    Ok((epoch, zxid, entries))
+}
+
+/// The `(peer_epoch, zxid, node)` a vote carries.
+fn read_vote(body: &[u8]) -> Result<(u64, u64, u32), WireError> {
+    let mut vote = Reader::new(vote_schema(), "Vote", body)?;
+    let mut v = (0, 0, 0);
+    while let Some((field, value)) = vote.next()? {
+        match (field.name.as_str(), value) {
+            ("peer_epoch", ValueRef::U64(epoch)) => v.0 = epoch,
+            ("zxid", ValueRef::U64(zxid)) => v.1 = zxid,
+            ("node", ValueRef::U32(node)) => v.2 = node,
+            _ => {}
+        }
+    }
+    Ok(v)
+}
+
 fn sends_proposed_epoch(v: VersionId) -> bool {
     v >= VersionId::new(3, 5, 0)
 }
@@ -130,26 +172,38 @@ impl CoordNode {
         (peer_epoch, self.zxid, self.setup.index)
     }
 
-    fn vote_bytes(&self) -> Vec<u8> {
-        // While electing, a node campaigns with its round vote; settled (or
-        // wedged) nodes echo their current view.
-        let (e, z, n) = if self.in_election {
+    /// A `vote` frame carrying this node's vote.
+    fn vote_frame(&self) -> Bytes {
+        let mut frame = Vec::with_capacity(32);
+        Frame::header(1, "vote", &mut frame);
+        self.write_vote(&mut frame)
+            .expect("own vote always encodes");
+        Bytes::from(frame)
+    }
+
+    /// While electing, a node campaigns with its round vote; settled (or
+    /// wedged) nodes echo their current view.
+    fn cast_vote(&self) -> (u64, u64, u32) {
+        if self.in_election {
             self.round_vote
         } else {
             self.my_vote()
-        };
-        let v = MessageValue::new("Vote")
-            .set("node", Value::U32(n))
-            .set("peer_epoch", Value::U64(e))
-            .set("zxid", Value::U64(z));
-        proto::encode(vote_schema(), &v).expect("own vote always encodes")
+        }
     }
 
-    /// Sends one already encoded frame to every peer.
-    fn broadcast(&self, ctx: &mut Ctx<'_>, frame: &Frame<'_>) {
-        let bytes = frame.encode();
+    fn write_vote(&self, out: &mut Vec<u8>) -> Result<(), WireError> {
+        let (e, z, n) = self.cast_vote();
+        let mut vote = Writer::new(vote_schema(), "Vote", out)?;
+        vote.put("node", ValueRef::U32(n))?;
+        vote.put("peer_epoch", ValueRef::U64(e))?;
+        vote.put("zxid", ValueRef::U64(z))?;
+        vote.finish()
+    }
+
+    /// Sends one encoded frame to every peer.
+    fn broadcast(&self, ctx: &mut Ctx<'_>, frame: Bytes) {
         for peer in self.setup.peers() {
-            ctx.send(Endpoint::Node(peer), bytes.clone());
+            ctx.send(Endpoint::Node(peer), frame.clone());
         }
     }
 
@@ -158,7 +212,7 @@ impl CoordNode {
         self.leader = None;
         self.peer_votes.clear();
         self.round_vote = self.my_vote();
-        self.broadcast(ctx, &Frame::new(1, "vote", self.vote_bytes()));
+        self.broadcast(ctx, self.vote_frame());
         ctx.set_timer(ELECTION_TICK, TOKEN_ELECTION);
     }
 
@@ -199,31 +253,32 @@ impl CoordNode {
     }
 
     fn snapshot(&self, ctx: &mut Ctx<'_>) -> Result<(), Fatal> {
-        let schema = snapshot_schema(self.version);
-        let mut snap = MessageValue::new("Snapshot")
-            .set("epoch", Value::U64(self.epoch))
-            .set("zxid", Value::U64(self.zxid));
-        if self.version >= VersionId::new(3, 6, 0) {
-            snap.put("checkpoint_id", Value::U64(self.zxid + 1));
-        }
-        for (k, v) in &self.data {
-            snap.push_mut(
-                "entries",
-                Value::Msg(
-                    MessageValue::new("Entry")
-                        .set("key", Value::Str(k.clone()))
-                        .set("value", Value::Str(v.clone())),
-                ),
-            );
-        }
-        let body = proto::encode(schema, &snap)
+        let mut file = Vec::with_capacity(64);
+        Frame::header(1, "snapshot", &mut file);
+        self.write_snapshot(&mut file)
             .map_err(|e| Fatal::new(format!("cannot write snapshot: {e}")))?;
-        ctx.storage()
-            .write("snapshot", Frame::new(1, "snapshot", body).encode_to_vec());
+        ctx.storage().write("snapshot", file);
         // Snapshots are fsynced before they count (ZooKeeper syncs the
         // snapshot file before updating the epoch).
         ctx.flush("snapshot");
         Ok(())
+    }
+
+    fn write_snapshot(&self, out: &mut Vec<u8>) -> Result<(), WireError> {
+        let mut snap = Writer::new(snapshot_schema(self.version), "Snapshot", out)?;
+        snap.put("epoch", ValueRef::U64(self.epoch))?;
+        snap.put("zxid", ValueRef::U64(self.zxid))?;
+        for (k, v) in &self.data {
+            snap.message("entries", |entry| {
+                entry.put("key", ValueRef::Str(k))?;
+                entry.put("value", ValueRef::Str(v))?;
+                Ok(())
+            })?;
+        }
+        if self.version >= VersionId::new(3, 6, 0) {
+            snap.put("checkpoint_id", ValueRef::U64(self.zxid + 1))?;
+        }
+        snap.finish()
     }
 
     fn load_snapshot(&mut self, ctx: &mut Ctx<'_>) -> Result<(), Fatal> {
@@ -232,24 +287,13 @@ impl CoordNode {
         };
         let frame = Frame::decode(bytes)
             .map_err(|e| Fatal::new(format!("corrupt snapshot container: {e}")))?;
-        let schema = snapshot_schema(self.version);
         // MESOS-3834 shape: the new version assumes every checkpoint has the
         // id field; old checkpoints do not.
-        let snap = proto::decode(schema, "Snapshot", &frame.body)
+        let (epoch, zxid, entries) = read_snapshot(snapshot_schema(self.version), &frame.body)
             .map_err(|e| Fatal::new(format!("cannot load checkpoint: {e}")))?;
-        self.epoch = snap
-            .get_u64("epoch")
-            .map_err(|e| Fatal::new(e.to_string()))?;
-        self.zxid = snap
-            .get_u64("zxid")
-            .map_err(|e| Fatal::new(e.to_string()))?;
-        for e in snap.get_all("entries") {
-            if let Value::Msg(e) = e {
-                if let (Ok(k), Ok(v)) = (e.get_str("key"), e.get_str("value")) {
-                    self.data.insert(k.to_string(), v.to_string());
-                }
-            }
-        }
+        self.epoch = epoch;
+        self.zxid = zxid;
+        self.data.extend(entries);
         Ok(())
     }
 
@@ -334,18 +378,10 @@ impl Process for CoordNode {
                 };
                 match frame.kind {
                     "vote" => {
-                        let Ok(vote) = proto::decode(vote_schema(), "Vote", &frame.body) else {
+                        let Ok(v) = read_vote(&frame.body) else {
                             ctx.warn(format!("malformed vote from node-{n}"));
                             return Ok(());
                         };
-                        // Matched on `get`: a typed getter builds an error,
-                        // two `String`s, for a field that is merely absent.
-                        let field = |name| match vote.get(name) {
-                            Some(Value::U64(v)) => *v,
-                            Some(Value::U32(v)) => u64::from(*v),
-                            _ => 0,
-                        };
-                        let v = (field("peer_epoch"), field("zxid"), field("node") as u32);
                         if self.in_election && self.wedged.is_none() {
                             self.peer_votes.insert(n, v);
                             if self.peer_votes.len() >= self.setup.peers().count() {
@@ -354,10 +390,7 @@ impl Process for CoordNode {
                         } else {
                             // Settled (or wedged) nodes echo their vote so a
                             // restarting peer can tally.
-                            ctx.send(
-                                Endpoint::Node(n),
-                                Frame::new(1, "vote", self.vote_bytes()).encode(),
-                            );
+                            ctx.send(Endpoint::Node(n), self.vote_frame());
                         }
                         Ok(())
                     }
@@ -392,13 +425,13 @@ impl Process for CoordNode {
                             ctx.set_timer(ELECTION_TICK, TOKEN_ELECTION);
                         }
                     } else {
-                        self.broadcast(ctx, &Frame::new(1, "vote", self.vote_bytes()));
+                        self.broadcast(ctx, self.vote_frame());
                         ctx.set_timer(ELECTION_TICK, TOKEN_ELECTION);
                     }
                 }
             }
             TOKEN_LEADER_PING if self.leader == Some(self.setup.index) => {
-                self.broadcast(ctx, &Frame::new(1, "ping", Vec::new()));
+                self.broadcast(ctx, Frame::new(1, "ping", Vec::new()).encode());
                 ctx.set_timer(PING_INTERVAL, TOKEN_LEADER_PING);
             }
             TOKEN_PING_CHECK => {
@@ -429,9 +462,67 @@ impl Process for CoordNode {
 mod tests {
     use super::*;
     use dup_simnet::Sim;
+    use dup_wire::{proto, MessageValue, Value};
 
     fn v(s: &str) -> VersionId {
         s.parse().unwrap()
+    }
+
+    /// The vote and the snapshot as they were built before the streaming
+    /// writer: value trees handed to `proto::encode`. Kept as the oracles
+    /// for the bytes.
+    fn tree_vote(node: &CoordNode) -> Vec<u8> {
+        let (e, z, n) = node.cast_vote();
+        let vote = MessageValue::new("Vote")
+            .set("node", Value::U32(n))
+            .set("peer_epoch", Value::U64(e))
+            .set("zxid", Value::U64(z));
+        proto::encode(vote_schema(), &vote).unwrap()
+    }
+
+    fn tree_snapshot(node: &CoordNode) -> Vec<u8> {
+        let mut snap = MessageValue::new("Snapshot")
+            .set("epoch", Value::U64(node.epoch))
+            .set("zxid", Value::U64(node.zxid));
+        if node.version >= VersionId::new(3, 6, 0) {
+            snap.put("checkpoint_id", Value::U64(node.zxid + 1));
+        }
+        for (k, v) in &node.data {
+            let entry = MessageValue::new("Entry")
+                .set("key", Value::Str(k.clone()))
+                .set("value", Value::Str(v.clone()));
+            snap.push_mut("entries", Value::Msg(entry));
+        }
+        proto::encode(snapshot_schema(node.version), &snap).unwrap()
+    }
+
+    #[test]
+    fn streamed_votes_and_snapshots_equal_the_tree_encoders() {
+        for version in crate::CoordSystem::release_history() {
+            let mut node = CoordNode::new(version, NodeSetup::new(2, 3));
+            for entries in [0, 1, 50] {
+                node.epoch = 3 + entries;
+                node.zxid = entries * 1_000_000;
+                node.in_election = entries == 1;
+                node.round_vote = (9, 8, 1);
+                node.data = (0..entries)
+                    .map(|i| (format!("/k{i}"), "v".repeat(i as usize * 7)))
+                    .collect();
+
+                let vote = node.vote_frame();
+                let body = tree_vote(&node);
+                assert_eq!(vote[..], Frame::new(1, "vote", &body[..]).encode()[..]);
+                assert_eq!(read_vote(&body), Ok(node.cast_vote()));
+
+                let mut snapshot = Vec::new();
+                node.write_snapshot(&mut snapshot).unwrap();
+                assert_eq!(snapshot, tree_snapshot(&node), "{version}");
+                let (epoch, zxid, read) =
+                    read_snapshot(snapshot_schema(version), &snapshot).unwrap();
+                assert_eq!((epoch, zxid), (node.epoch, node.zxid));
+                assert_eq!(read, node.data.clone().into_iter().collect::<Vec<_>>());
+            }
+        }
     }
 
     fn boot(sim: &mut Sim, version: VersionId, n: u32) -> Vec<u32> {

@@ -16,9 +16,9 @@
 //!   `NVDIMM` on a 3.3 NameNode.
 
 use dup_core::VersionId;
+use dup_wire::proto::{Reader, ValueRef, Writer};
 use dup_wire::{
-    proto, EnumDescriptor, FieldDescriptor, FieldType, Frame, MessageDescriptor, MessageValue,
-    Schema, Value, WireError,
+    EnumDescriptor, FieldDescriptor, FieldType, Frame, MessageDescriptor, Schema, WireError,
 };
 use std::sync::{LazyLock, OnceLock};
 
@@ -108,27 +108,30 @@ fn build_fsimage_schema() -> Schema {
 /// written only when populated.
 pub fn encode_fsimage(v: VersionId, ns: &Namespace) -> Result<Vec<u8>, WireError> {
     let lv = layout_version(v);
-    let schema = fsimage_schema();
-    let mut img = MessageValue::new("FsImage")
-        .set("next_inode", Value::U64(ns.next_inode.max(1)))
-        .set("next_block", Value::U64(ns.next_block.max(1)));
-    for f in &ns.files {
-        let mut e = MessageValue::new("FileEntry").set("path", Value::Str(f.path.clone()));
-        for b in &f.blocks {
-            e.push_mut("blocks", Value::U64(*b));
-        }
-        if lv >= INODES_SINCE_LV && f.inode != 0 {
-            e.put("inode", Value::U64(f.inode));
-        }
-        img.push_mut("files", Value::Msg(e));
-    }
-    let mut body = proto::encode(schema, &img)?;
+    let mut out = Vec::with_capacity(64);
+    Frame::header(lv, "fsimage", &mut out);
     // HDFS-1936: 0.20 claims LayoutVersion 31 but never compresses.
     let implements_compression = lv >= COMPRESSED_SINCE_LV && !(v.major == 0 && v.minor == 20);
     if implements_compression {
-        body.insert(0, COMPRESSION_MARKER);
+        out.push(COMPRESSION_MARKER);
     }
-    Ok(Frame::new(lv, "fsimage", body).encode_to_vec())
+    let mut img = Writer::new(fsimage_schema(), "FsImage", &mut out)?;
+    for f in &ns.files {
+        img.message("files", |e| {
+            e.put("path", ValueRef::Str(&f.path))?;
+            for b in &f.blocks {
+                e.put("blocks", ValueRef::U64(*b))?;
+            }
+            if lv >= INODES_SINCE_LV && f.inode != 0 {
+                e.put("inode", ValueRef::U64(f.inode))?;
+            }
+            Ok(())
+        })?;
+    }
+    img.put("next_inode", ValueRef::U64(ns.next_inode.max(1)))?;
+    img.put("next_block", ValueRef::U64(ns.next_block.max(1)))?;
+    img.finish()?;
+    Ok(out)
 }
 
 /// Errors loading an fsimage; each variant is a distinct studied failure.
@@ -200,40 +203,7 @@ pub fn decode_fsimage(v: VersionId, bytes: &[u8]) -> Result<DecodedImage, FsImag
     } else if body.first() == Some(&COMPRESSION_MARKER) {
         body = &body[1..];
     }
-    let schema = fsimage_schema();
-    let img = proto::decode(schema, "FsImage", body).map_err(FsImageError::Wire)?;
-    let mut ns = Namespace {
-        files: Vec::new(),
-        next_inode: img.get_u64("next_inode").map_err(FsImageError::Wire)?,
-        next_block: img.get_u64("next_block").map_err(FsImageError::Wire)?,
-    };
-    for fv in img.get_all("files") {
-        let Value::Msg(fv) = fv else { continue };
-        let path = fv.get_str("path").map_err(FsImageError::Wire)?.to_string();
-        let blocks = fv
-            .get_all("blocks")
-            .iter()
-            .filter_map(|b| {
-                if let Value::U64(v) = b {
-                    Some(*v)
-                } else {
-                    None
-                }
-            })
-            .collect();
-        // Matched on `get`: `get_u64` builds an error, two `String`s, for an
-        // inode that is merely absent.
-        let inode = match fv.get("inode") {
-            Some(Value::U64(inode)) => *inode,
-            Some(Value::U32(inode)) => u64::from(*inode),
-            _ => 0,
-        };
-        ns.files.push(FileEntry {
-            path,
-            blocks,
-            inode,
-        });
-    }
+    let mut ns = read_fsimage(body).map_err(FsImageError::Wire)?;
     if own_lv >= INODES_SINCE_LV {
         if layout >= INODES_SINCE_LV {
             // Same-era image: inodes are mandatory.
@@ -258,6 +228,38 @@ pub fn decode_fsimage(v: VersionId, bytes: &[u8]) -> Result<DecodedImage, FsImag
     Ok(DecodedImage {
         namespace: ns,
         layout,
+    })
+}
+
+fn read_fsimage(body: &[u8]) -> Result<Namespace, WireError> {
+    let mut img = Reader::new(fsimage_schema(), "FsImage", body)?;
+    let mut ns = Namespace::default();
+    while let Some((field, value)) = img.next()? {
+        match (field.name.as_str(), value) {
+            ("files", ValueRef::Msg(file)) => ns.files.push(read_file_entry(file)?),
+            ("next_inode", ValueRef::U64(next)) => ns.next_inode = next,
+            ("next_block", ValueRef::U64(next)) => ns.next_block = next,
+            _ => {}
+        }
+    }
+    Ok(ns)
+}
+
+fn read_file_entry(mut file: Reader<'_>) -> Result<FileEntry, WireError> {
+    // Inode 0 is "not populated": what an image without the field reads as.
+    let (mut path, mut blocks, mut inode) = ("", Vec::new(), 0);
+    while let Some((field, value)) = file.next()? {
+        match (field.name.as_str(), value) {
+            ("path", ValueRef::Str(v)) => path = v,
+            ("blocks", ValueRef::U64(block)) => blocks.push(block),
+            ("inode", ValueRef::U64(v)) => inode = v,
+            _ => {}
+        }
+    }
+    Ok(FileEntry {
+        path: path.to_string(),
+        blocks,
+        inode,
     })
 }
 
@@ -334,12 +336,166 @@ fn build_heartbeat_schema(v: VersionId) -> Schema {
         .with_enum(build_storage_type_enum(v))
 }
 
+/// Appends the heartbeat DataNode `node` of release `v` sends — its block
+/// report, its storage types, and from 3.2 its `committed_txn` — to `out`.
+pub fn write_heartbeat(
+    v: VersionId,
+    node: u32,
+    blocks: impl Iterator<Item = u64>,
+    committed_txn: u64,
+    out: &mut Vec<u8>,
+) -> Result<(), WireError> {
+    let mut hb = Writer::new(heartbeat_schema(v), "Heartbeat", out)?;
+    hb.put("node", ValueRef::U32(node))?;
+    for id in blocks {
+        hb.put("blocks", ValueRef::U64(id))?;
+    }
+    if v.major >= 3 {
+        hb.put("storages", ValueRef::Enum(0))?; // DISK
+        hb.put("storages", ValueRef::Enum(archive_number(v)))?;
+    }
+    if v >= VersionId::new(3, 2, 0) {
+        hb.put("committedTxnId", ValueRef::U64(committed_txn))?;
+    }
+    hb.finish()
+}
+
+/// A received heartbeat that parsed to its end. Its fields are read from
+/// the payload when asked for: nothing is copied out of it.
+#[derive(Debug, Clone)]
+pub struct Heartbeat<'a>(Reader<'a>);
+
+/// One thing a heartbeat reports, of those a NameNode acts on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Reported {
+    /// A block id.
+    Block(u64),
+    /// A storage type, by number in the *reader's* enum.
+    Storage(i32),
+}
+
+/// Parses a heartbeat as release `v` would. A NameNode applies nothing of a
+/// heartbeat it cannot parse to the end, so the whole payload is walked
+/// here, before the caller reads a field.
+pub fn decode_heartbeat(v: VersionId, body: &[u8]) -> Result<Heartbeat<'_>, WireError> {
+    let fields = Reader::new(heartbeat_schema(v), "Heartbeat", body)?;
+    Ok(Heartbeat(fields.checked()?))
+}
+
+impl Heartbeat<'_> {
+    /// Hands `each` the reported blocks and storage types, in wire order.
+    // A loop around `Reader::next`, not an iterator over it: an item handed
+    // out of an iterator goes through memory, which costs more than reading
+    // the field does.
+    pub fn for_each(&self, mut each: impl FnMut(Reported)) {
+        let mut fields = self.0.clone();
+        // A checked reader cannot fail.
+        while let Ok(Some((field, value))) = fields.next() {
+            match (field.name.as_str(), value) {
+                ("blocks", ValueRef::U64(block)) => each(Reported::Block(block)),
+                ("storages", ValueRef::Enum(storage)) => each(Reported::Storage(storage)),
+                _ => {}
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dup_wire::{proto, MessageValue, Value};
 
     fn v(s: &str) -> VersionId {
         s.parse().unwrap()
+    }
+
+    /// The fsimage as it was built before the streaming writer: a value
+    /// tree handed to `proto::encode`. Kept as the oracle for the bytes.
+    fn tree_fsimage(v: VersionId, ns: &Namespace) -> Vec<u8> {
+        let lv = layout_version(v);
+        let mut img = MessageValue::new("FsImage")
+            .set("next_inode", Value::U64(ns.next_inode.max(1)))
+            .set("next_block", Value::U64(ns.next_block.max(1)));
+        for f in &ns.files {
+            let mut e = MessageValue::new("FileEntry").set("path", Value::Str(f.path.clone()));
+            for b in &f.blocks {
+                e.push_mut("blocks", Value::U64(*b));
+            }
+            if lv >= INODES_SINCE_LV && f.inode != 0 {
+                e.put("inode", Value::U64(f.inode));
+            }
+            img.push_mut("files", Value::Msg(e));
+        }
+        let mut body = proto::encode(fsimage_schema(), &img).unwrap();
+        if lv >= COMPRESSED_SINCE_LV && !(v.major == 0 && v.minor == 20) {
+            body.insert(0, COMPRESSION_MARKER);
+        }
+        Frame::new(lv, "fsimage", body).encode_to_vec()
+    }
+
+    /// The heartbeat as it was built before the streaming writer: a value
+    /// tree handed to `proto::encode`. Kept as the oracle for the bytes.
+    fn tree_heartbeat(v: VersionId, node: u32, blocks: &[u64], txn: u64) -> Vec<u8> {
+        let mut hb = MessageValue::new("Heartbeat").set("node", Value::U32(node));
+        for id in blocks {
+            hb.push_mut("blocks", Value::U64(*id));
+        }
+        if v.major >= 3 {
+            hb.push_mut("storages", Value::Enum(0));
+            hb.push_mut("storages", Value::Enum(archive_number(v)));
+        }
+        if v >= VersionId::new(3, 2, 0) {
+            hb.put("committedTxnId", Value::U64(txn));
+        }
+        proto::encode(heartbeat_schema(v), &hb).unwrap()
+    }
+
+    fn streamed_heartbeat(v: VersionId, node: u32, blocks: &[u64], txn: u64) -> Vec<u8> {
+        let mut out = Vec::new();
+        write_heartbeat(v, node, blocks.iter().copied(), txn, &mut out).unwrap();
+        out
+    }
+
+    #[test]
+    fn streamed_heartbeats_equal_the_tree_encoders() {
+        let many: Vec<u64> = (0..300).map(|b| b * 1_000_003).collect();
+        for v in crate::DfsSystem::release_history() {
+            for (sent, blocks) in [&[][..], &[7], &many].into_iter().enumerate() {
+                let txn = sent as u64 * 1_000;
+                let body = streamed_heartbeat(v, 2, blocks, txn);
+                assert_eq!(body, tree_heartbeat(v, 2, blocks, txn), "{v}");
+                let mut read = Vec::new();
+                let hb = decode_heartbeat(v, &body).unwrap();
+                hb.for_each(|reported| read.push(reported));
+                let mut sent: Vec<_> = blocks.iter().map(|b| Reported::Block(*b)).collect();
+                if v.major >= 3 {
+                    sent.push(Reported::Storage(0));
+                    sent.push(Reported::Storage(archive_number(v)));
+                }
+                assert_eq!(read, sent, "{v}");
+            }
+        }
+    }
+
+    #[test]
+    fn streamed_fsimages_equal_the_tree_encoders() {
+        let busy = Namespace {
+            files: (0..60u64)
+                .map(|i| FileEntry {
+                    path: format!("/dir-{}/{}", i % 7, "f".repeat(i as usize * 5)),
+                    blocks: (0..i % 4).map(|b| i * 100 + b).collect(),
+                    inode: if i % 5 == 0 { 0 } else { 1_000 + i },
+                })
+                .collect(),
+            next_inode: 2_000,
+            next_block: u64::MAX,
+        };
+        for v in crate::DfsSystem::release_history() {
+            for ns in [Namespace::default(), ns_with(0), ns_with(3), busy.clone()] {
+                let streamed = encode_fsimage(v, &ns).unwrap();
+                assert_eq!(streamed, tree_fsimage(v, &ns), "release {v}");
+            }
+        }
     }
 
     fn ns_with(inode: u64) -> Namespace {
@@ -424,6 +580,9 @@ mod tests {
             err.to_string(),
             "message Heartbeat is missing required field 'committedTxnId'"
         );
+        // A 3.2 NameNode parsing a 3.1 DataNode's heartbeat meets it too.
+        let sent = streamed_heartbeat(v("3.1.0"), 1, &[4, 5], 0);
+        assert_eq!(decode_heartbeat(v("3.2.0"), &sent).unwrap_err(), err);
         assert!(
             matches!(err, WireError::MissingRequired { field, .. } if field == "committedTxnId")
         );
@@ -466,6 +625,7 @@ mod tests {
             err.to_string(),
             "value 4 is not a member of enum StorageType"
         );
+        assert_eq!(decode_heartbeat(v("3.2.0"), &bytes).unwrap_err(), err);
     }
 
     #[test]

@@ -5,10 +5,10 @@
 //! NameNode ↔ DataNode traffic uses framed proto messages, and the fsimage
 //! checkpoint uses the versioned format in [`crate::codec`].
 
-use crate::codec::{self, archive_number, heartbeat_schema, layout_version, FileEntry, Namespace};
+use crate::codec::{self, layout_version, FileEntry, Namespace, Reported};
 use dup_core::{NodeSetup, VersionId};
 use dup_simnet::{Ctx, Endpoint, Fatal, Process, SimDuration, SimTime, StepResult};
-use dup_wire::{proto, Frame, MessageValue, Value};
+use dup_wire::Frame;
 use std::collections::{BTreeMap, BTreeSet};
 
 const TOKEN_HEARTBEAT: u64 = 1;
@@ -281,8 +281,7 @@ impl NameNode {
     }
 
     fn handle_heartbeat(&mut self, ctx: &mut Ctx<'_>, from: u32, frame: &Frame<'_>) -> StepResult {
-        let schema = heartbeat_schema(self.version);
-        let hb = match proto::decode(schema, "Heartbeat", &frame.body) {
+        let hb = match codec::decode_heartbeat(self.version, &frame.body) {
             Ok(hb) => hb,
             Err(e) => {
                 if self.version >= VersionId::new(3, 2, 0) {
@@ -312,13 +311,14 @@ impl NameNode {
 
         // HDFS-15624: a 3.3 NameNode sees a 3.2 DataNode's ARCHIVE (=2) as
         // NVDIMM (=2) and refuses to place blocks on it.
+        let nvdimm = (self.version >= VersionId::new(3, 3, 0)).then_some(2);
         let mut storages_ok = true;
-        if self.version >= VersionId::new(3, 3, 0) {
-            let nvdimm = 2;
-            if hb.get_all("storages").contains(&Value::Enum(nvdimm)) {
-                storages_ok = false;
+        hb.for_each(|reported| match reported {
+            Reported::Storage(storage) => storages_ok &= Some(storage) != nvdimm,
+            Reported::Block(block) => {
+                self.block_locations.entry(block).or_default().insert(from);
             }
-        }
+        });
         let flipped = info.storages_ok && !storages_ok;
         info.storages_ok = storages_ok;
         if flipped {
@@ -329,11 +329,6 @@ impl NameNode {
         }
         if was_gone {
             ctx.info(format!("DataNode dn-{from} re-registered"));
-        }
-        for b in hb.get_all("blocks") {
-            if let Value::U64(b) = b {
-                self.block_locations.entry(*b).or_default().insert(from);
-            }
         }
         Ok(())
     }
@@ -589,28 +584,16 @@ impl DataNode {
 
     fn send_heartbeat(&mut self, ctx: &mut Ctx<'_>) {
         self.heartbeats_sent += 1;
-        let schema = heartbeat_schema(self.version);
-        let mut hb = MessageValue::new("Heartbeat").set("node", Value::U32(self.setup.index));
-        for path in ctx.storage_ref().paths("blocks/") {
-            if let Some(id) = path
-                .strip_prefix("blocks/")
+        let mut frame = Vec::with_capacity(64);
+        Frame::header(layout_version(self.version), "heartbeat", &mut frame);
+        let blocks = ctx.storage_ref().paths("blocks/").filter_map(|path| {
+            path.strip_prefix("blocks/")
                 .and_then(|s| s.parse::<u64>().ok())
-            {
-                hb.push_mut("blocks", Value::U64(id));
-            }
-        }
-        if self.version.major >= 3 {
-            hb.push_mut("storages", Value::Enum(0)); // DISK
-            hb.push_mut("storages", Value::Enum(archive_number(self.version)));
-        }
-        if self.version >= VersionId::new(3, 2, 0) {
-            hb.put("committedTxnId", Value::U64(self.heartbeats_sent));
-        }
-        let body = proto::encode(schema, &hb).expect("own heartbeat always encodes");
-        ctx.send(
-            self.namenode(),
-            Frame::new(layout_version(self.version), "heartbeat", body).encode(),
-        );
+        });
+        let (node, txn) = (self.setup.index, self.heartbeats_sent);
+        codec::write_heartbeat(self.version, node, blocks, txn, &mut frame)
+            .expect("own heartbeat always encodes");
+        ctx.send(self.namenode(), frame.into());
     }
 }
 

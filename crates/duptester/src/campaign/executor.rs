@@ -365,9 +365,8 @@ impl<'a> CampaignBuilder<'a> {
     /// Finalizes the builder into a reusable [`Campaign`].
     pub fn build(self) -> Campaign<'a> {
         Campaign {
-            sut: self.sut,
-            config: self.config,
             observer: self.observer,
+            ..Campaign::new(self.sut, self.config)
         }
     }
 
@@ -392,6 +391,8 @@ pub struct Campaign<'a> {
     sut: &'a dyn SystemUnderTest,
     config: CampaignConfig,
     observer: Option<Box<dyn CampaignObserver>>,
+    /// `sut.versions()`, which builds a `Vec` per call, asked once.
+    catalog: Vec<VersionId>,
 }
 
 impl<'a> Campaign<'a> {
@@ -410,6 +411,7 @@ impl<'a> Campaign<'a> {
             sut,
             config,
             observer: None,
+            catalog: sut.versions(),
         }
     }
 
@@ -450,7 +452,7 @@ impl<'a> Campaign<'a> {
             &matrix,
             &records,
             &fan,
-            &self.sut.versions(),
+            &self.catalog,
             self.sut.cluster_size(),
         );
         report.metrics = metrics.finish(threads, started.elapsed());
@@ -506,7 +508,7 @@ impl<'a> Campaign<'a> {
             search.budget_per_group.max(1),
             records,
             &fan,
-            &self.sut.versions(),
+            &self.catalog,
             self.sut.cluster_size(),
         );
         report.campaign.metrics = metrics.finish(threads, started.elapsed());

@@ -116,6 +116,9 @@ pub struct CaseRunner<'a> {
 /// into, so the warm path allocates no fresh `Vec` per phase.
 #[derive(Default)]
 struct CasePools {
+    /// `sut.versions()`, which builds a `Vec` per call, asked once: every
+    /// case's rollout plan is compiled against it.
+    catalog: Vec<VersionId>,
     /// Pooled rollout plan, recompiled in place per case.
     plan: RolloutPlan,
     /// Pooled open-loop workload plan, recompiled in place per case; its
@@ -186,7 +189,10 @@ impl<'a> CaseRunner<'a> {
             snapshot: SimSnapshot::new(),
             prefix: None,
             ops: Vec::new(),
-            pools: CasePools::default(),
+            pools: CasePools {
+                catalog: sut.versions(),
+                ..CasePools::default()
+            },
         }
     }
 
@@ -763,8 +769,14 @@ fn run_suffix(
     // a failure report rebuilds it exactly — and apply the plan-level half
     // of the nudge.
     let plan = &mut pools.plan;
-    let catalog = sut.versions();
-    plan.compile(case.scenario, case.from, case.to, &catalog, n, case.seed);
+    plan.compile(
+        case.scenario,
+        case.from,
+        case.to,
+        &pools.catalog,
+        n,
+        case.seed,
+    );
     if let Some(nd) = nudge {
         plan.nudge(nd);
     }

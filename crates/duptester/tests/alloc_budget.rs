@@ -6,8 +6,10 @@
 //! the counts below are exact and repeat from run to run, on any machine.
 //! One warm stress full-stop case on the newest release pair is run per
 //! system (the `upbench` `<system>.case_us` fixture) and its allocations per
-//! event must stay under a ceiling. The handlers' way of reading an optional
-//! field that is absent must not allocate at all.
+//! event must stay under a ceiling. Reading a received message — the
+//! handlers read field by field off the payload, with `proto::Reader` —
+//! must not allocate at all, nor must a value tree's reader taking an
+//! optional field that is absent.
 //!
 //! The crates under test `#![forbid(unsafe_code)]`, so the counting
 //! `GlobalAlloc` lives here, as in `crates/simnet/tests/alloc_free_dispatch.rs`.
@@ -84,18 +86,19 @@ fn allocs_per_event(sut: &dyn SystemUnderTest) -> f64 {
 #[test]
 fn codec_path_stays_within_its_allocation_budget() {
     COUNTED_THREAD.with(|c| c.set(true));
-    // Ceilings: the measured 3.66 / 7.51 / 8.97 / 4.04 + 10 %. With a schema
-    // rebuilt per message and a `String` + `Vec` per field of every dynamic
-    // value these read 25.4 (kvstore), 43.7 (dfs), 11.9 (mq) and 10.8
-    // (coord); with an error built and dropped for each absent optional
-    // field a handler reads, 4.00, 7.51, 9.13 and 4.29. What remains is
-    // mostly client text commands and log lines, which this budget does not
-    // target.
+    // Ceilings: the measured 1.05 / 3.17 / 8.76 / 3.42 + 10 %. With a
+    // `MessageValue` tree built for every message sent and received these
+    // read 3.66 (kvstore), 7.51 (dfs), 8.97 (mq) and 4.04 (coord); with a
+    // schema rebuilt per message and a `String` + `Vec` per field of every
+    // value, 25.4, 43.7, 11.9 and 10.8. What remains is mostly client text
+    // commands and log lines, which this budget does not target, and two
+    // allocations per message sent: its buffer and the shared handle the
+    // simulator delivers.
     let budgets: [(&dyn SystemUnderTest, f64); 4] = [
-        (&dup_kvstore::KvStoreSystem, 4.02),
-        (&dup_dfs::DfsSystem, 8.26),
-        (&dup_mq::MqSystem, 9.86),
-        (&dup_coord::CoordSystem, 4.44),
+        (&dup_kvstore::KvStoreSystem, 1.15),
+        (&dup_dfs::DfsSystem, 3.49),
+        (&dup_mq::MqSystem, 9.64),
+        (&dup_coord::CoordSystem, 3.77),
     ];
     for (sut, ceiling) in budgets {
         let measured = allocs_per_event(sut);
@@ -106,11 +109,43 @@ fn codec_path_stays_within_its_allocation_budget() {
             sut.name()
         );
     }
+    received_messages_are_read_without_allocating();
     absent_optional_reads_allocate_nothing();
 }
 
-/// The mini systems read an optional field with `get` and a `match`; the
-/// typed getters are for fields whose absence is an error, and build one.
+/// The decode side of handling one received gossip digest and one received
+/// heartbeat — the calls `KvNode::handle_gossip` and
+/// `NameNode::handle_heartbeat` make — allocates nothing.
+fn received_messages_are_read_without_allocating() {
+    use dup_dfs::codec::{decode_heartbeat, write_heartbeat, Reported};
+    use dup_kvstore::codec::{decode_gossip, write_gossip};
+    let newest = |sut: &dyn SystemUnderTest| *sut.versions().last().expect("has releases");
+    let (kv, dfs) = (
+        newest(&dup_kvstore::KvStoreSystem),
+        newest(&dup_dfs::DfsSystem),
+    );
+    let (mut digest, mut heartbeat) = (Vec::new(), Vec::new());
+    write_gossip(kv, 3, 41, &mut digest).expect("encodes");
+    write_heartbeat(dfs, 2, 100..140, 9, &mut heartbeat).expect("encodes");
+
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let read = decode_gossip(kv, &digest).expect("decodes");
+    let hb = decode_heartbeat(dfs, &heartbeat).expect("decodes");
+    let (mut blocks, mut storages) = (0, 0);
+    hb.for_each(|reported| match reported {
+        Reported::Block(block) => blocks += block,
+        Reported::Storage(_) => storages += 1,
+    });
+    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    assert_eq!(
+        (read.schema_ts, blocks, storages),
+        (41, (100..140).sum(), 2)
+    );
+    assert_eq!(allocations, 0, "reading a received message allocated");
+}
+
+/// A value tree's reader takes an optional field with `get` and a `match`;
+/// the typed getters are for fields whose absence is an error, and build one.
 fn absent_optional_reads_allocate_nothing() {
     use dup_wire::{proto, FieldDescriptor, FieldType, MessageDescriptor, Schema, Value};
     let schema = Schema::new().with_message(

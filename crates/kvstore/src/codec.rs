@@ -15,9 +15,9 @@
 //!   mechanism that blocks downgrade in CASSANDRA-15794.
 
 use dup_core::VersionId;
+use dup_wire::proto::{Reader, ValueRef, Writer};
 use dup_wire::{
-    proto, EnumDescriptor, FieldDescriptor, FieldType, Frame, MessageDescriptor, MessageValue,
-    Schema, Value, WireError,
+    EnumDescriptor, FieldDescriptor, FieldType, Frame, MessageDescriptor, Schema, WireError,
 };
 use std::sync::{LazyLock, OnceLock};
 
@@ -133,6 +133,112 @@ fn build_handshake_schema() -> Schema {
     )
 }
 
+/// `{:08x}-{:04x}` of a schema timestamp's hash and a protocol version,
+/// rendered without a heap allocation: a digest carries one, and a storm
+/// sends tens of thousands of digests.
+struct SchemaUuid {
+    /// 16 hex digits at most, a dash, 8 at most.
+    text: [u8; 25],
+    len: usize,
+}
+
+impl SchemaUuid {
+    fn new(timestamp: u64, proto: u32) -> Self {
+        let mut uuid = SchemaUuid {
+            text: [0; 25],
+            len: 0,
+        };
+        uuid.push_hex(timestamp.wrapping_mul(0x9e37), 8);
+        uuid.text[uuid.len] = b'-';
+        uuid.len += 1;
+        uuid.push_hex(u64::from(proto), 4);
+        uuid
+    }
+
+    /// Appends `value` in lower-case hex, zero-padded to `min_width` digits.
+    fn push_hex(&mut self, value: u64, min_width: usize) {
+        let significant = (16 - value.leading_zeros() as usize / 4).max(min_width);
+        for digit in (0..significant).rev() {
+            let nibble = (value >> (4 * digit) & 0xf) as usize;
+            self.text[self.len] = b"0123456789abcdef"[nibble];
+            self.len += 1;
+        }
+    }
+
+    fn as_str(&self) -> &str {
+        std::str::from_utf8(&self.text[..self.len]).expect("hex digits and a dash are ASCII")
+    }
+}
+
+/// Appends the gossip digest release `v` sends for boot `generation` and
+/// schema timestamp `schema_ts` to `out`.
+pub fn write_gossip(
+    v: VersionId,
+    generation: u64,
+    schema_ts: u64,
+    out: &mut Vec<u8>,
+) -> Result<(), WireError> {
+    let proto = proto_version(v);
+    let mut digest = Writer::new(gossip_schema(v), "GossipDigest", out)?;
+    digest.put("generation", ValueRef::U64(generation))?;
+    digest.put("schema_ts", ValueRef::U64(schema_ts))?;
+    if v.major == 1 && v.minor == 1 {
+        digest.put("schema_id", ValueRef::U64(schema_ts))?;
+    } else {
+        let uuid = SchemaUuid::new(schema_ts, proto);
+        digest.put("schema_uuid", ValueRef::Str(uuid.as_str()))?;
+    }
+    if proto >= 8 {
+        digest.put("proto_version", ValueRef::U32(proto))?;
+    }
+    digest.finish()
+}
+
+/// What a node reads out of a peer's gossip digest.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PeerDigest {
+    /// The peer's schema timestamp.
+    pub schema_ts: u64,
+    /// The protocol version the peer announces, if its digest carries one.
+    pub proto_version: Option<u32>,
+}
+
+/// Reads a gossip digest with release `v`'s descriptor.
+pub fn decode_gossip(v: VersionId, body: &[u8]) -> Result<PeerDigest, WireError> {
+    let mut fields = Reader::new(gossip_schema(v), "GossipDigest", body)?;
+    let mut digest = PeerDigest {
+        schema_ts: 0,
+        proto_version: None,
+    };
+    while let Some((field, value)) = fields.next()? {
+        match (field.name.as_str(), value) {
+            ("schema_ts", ValueRef::U64(ts)) => digest.schema_ts = ts,
+            ("proto_version", ValueRef::U32(pv)) => digest.proto_version = Some(pv),
+            _ => {}
+        }
+    }
+    Ok(digest)
+}
+
+/// Appends release `v`'s handshake to `out`.
+pub fn write_handshake(v: VersionId, out: &mut Vec<u8>) -> Result<(), WireError> {
+    let mut hs = Writer::new(handshake_schema(), "Handshake", out)?;
+    hs.put("proto_version", ValueRef::U32(proto_version(v)))?;
+    hs.finish()
+}
+
+/// The protocol version a handshake announces.
+pub fn decode_handshake(body: &[u8]) -> Result<Option<u32>, WireError> {
+    let mut hs = Reader::new(handshake_schema(), "Handshake", body)?;
+    let mut announced = None;
+    while let Some((field, value)) = hs.next()? {
+        if let ("proto_version", ValueRef::U32(pv)) = (field.name.as_str(), value) {
+            announced = Some(pv);
+        }
+    }
+    Ok(announced)
+}
+
 /// The schema-file format of `v`, built once per format.
 ///
 /// Format A (pre-2.0): `Keyspace { name=1, repeated Table tables=2 }`.
@@ -235,33 +341,48 @@ impl SchemaState {
 /// Serializes `state` in `v`'s schema-file format, wrapped in a [`Frame`]
 /// whose version field records the *writer's* protocol version.
 pub fn encode_schema_state(v: VersionId, state: &SchemaState) -> Result<Vec<u8>, WireError> {
-    let schema = schema_file_schema(v);
+    let mut out = Vec::with_capacity(64);
+    write_schema_state(v, state, &mut out)?;
+    Ok(out)
+}
+
+/// Appends what [`encode_schema_state`] returns to `out`.
+pub fn write_schema_state(
+    v: VersionId,
+    state: &SchemaState,
+    out: &mut Vec<u8>,
+) -> Result<(), WireError> {
     let fmt = schema_format(v);
-    let mut file = MessageValue::new("SchemaFile").set("timestamp", Value::U64(state.timestamp));
+    Frame::header(release_id(v), "schema_file", out);
+    let mut file = Writer::new(schema_file_schema(v), "SchemaFile", out)?;
+    file.put("timestamp", ValueRef::U64(state.timestamp))?;
     for ks in &state.keyspaces {
         // Format A has nowhere to put tombstones; dropped keyspaces are
         // simply omitted (which is why 1.x never tripped the tombstone bug).
         if ks.dropped && fmt == 1 {
             continue;
         }
-        let mut kv = MessageValue::new("Keyspace").set("name", Value::Str(ks.name.clone()));
-        if fmt == 2 {
-            kv.put("strategy", Value::Str(ks.strategy.clone()));
-            if ks.dropped {
-                kv.put("dropped", Value::Bool(true));
+        file.message("keyspaces", |kv| {
+            if fmt == 2 {
+                kv.put("strategy", ValueRef::Str(&ks.strategy))?;
             }
-        }
-        for (t, compact) in &ks.tables {
-            let mut tv = MessageValue::new("Table").set("name", Value::Str(t.clone()));
-            if fmt == 2 && *compact {
-                tv.put("compact", Value::Bool(true));
+            kv.put("name", ValueRef::Str(&ks.name))?;
+            if fmt == 2 && ks.dropped {
+                kv.put("dropped", ValueRef::Bool(true))?;
             }
-            kv.push_mut("tables", Value::Msg(tv));
-        }
-        file.push_mut("keyspaces", Value::Msg(kv));
+            for (t, compact) in &ks.tables {
+                kv.message("tables", |tv| {
+                    tv.put("name", ValueRef::Str(t))?;
+                    if fmt == 2 && *compact {
+                        tv.put("compact", ValueRef::Bool(true))?;
+                    }
+                    Ok(())
+                })?;
+            }
+            Ok(())
+        })?;
     }
-    let body = proto::encode(schema, &file)?;
-    Ok(Frame::new(release_id(v), "schema_file", body).encode_to_vec())
+    file.finish()
 }
 
 /// Result of decoding a schema file: the state plus the writer's release
@@ -322,38 +443,48 @@ fn decode_with_format(v: VersionId, fmt: u32, body: &[u8]) -> Result<SchemaState
         // The legacy (or mismatched) descriptor: any pre-2.0 release's view.
         schema_file_schema(VersionId::new(1, 2, 0))
     };
-    let file = proto::decode(schema, "SchemaFile", body)?;
-    let mut state = SchemaState {
-        timestamp: file.get_u64("timestamp")?,
-        keyspaces: Vec::new(),
-    };
-    for ksv in file.get_all("keyspaces") {
-        let Value::Msg(ksv) = ksv else {
-            continue;
-        };
-        let mut ks = KeyspaceDef {
-            name: ksv.get_str("name")?.to_string(),
-            // Optional fields are matched on `get`: a typed getter builds an
-            // error, two `String`s, for a field that is merely absent.
-            strategy: match ksv.get("strategy") {
-                Some(Value::Str(strategy)) => strategy.clone(),
-                _ => "SimpleStrategy".to_string(),
-            },
-            dropped: matches!(ksv.get("dropped"), Some(Value::Bool(true))),
-            tables: Vec::new(),
-        };
-        for tv in ksv.get_all("tables") {
-            let Value::Msg(tv) = tv else {
-                continue;
-            };
-            ks.tables.push((
-                tv.get_str("name")?.to_string(),
-                matches!(tv.get("compact"), Some(Value::Bool(true))),
-            ));
+    let mut file = Reader::new(schema, "SchemaFile", body)?;
+    let mut state = SchemaState::default();
+    while let Some((field, value)) = file.next()? {
+        match (field.name.as_str(), value) {
+            ("timestamp", ValueRef::U64(timestamp)) => state.timestamp = timestamp,
+            ("keyspaces", ValueRef::Msg(ks)) => state.keyspaces.push(read_keyspace(ks)?),
+            _ => {}
         }
-        state.keyspaces.push(ks);
     }
     Ok(state)
+}
+
+fn read_keyspace(mut ks: Reader<'_>) -> Result<KeyspaceDef, WireError> {
+    let (mut name, mut strategy, mut dropped) = ("", "SimpleStrategy", false);
+    let mut tables = Vec::new();
+    while let Some((field, value)) = ks.next()? {
+        match (field.name.as_str(), value) {
+            ("name", ValueRef::Str(v)) => name = v,
+            ("strategy", ValueRef::Str(v)) => strategy = v,
+            ("dropped", ValueRef::Bool(v)) => dropped = v,
+            ("tables", ValueRef::Msg(table)) => tables.push(read_table(table)?),
+            _ => {}
+        }
+    }
+    Ok(KeyspaceDef {
+        name: name.to_string(),
+        strategy: strategy.to_string(),
+        dropped,
+        tables,
+    })
+}
+
+fn read_table(mut table: Reader<'_>) -> Result<(String, bool), WireError> {
+    let (mut name, mut compact) = ("", false);
+    while let Some((field, value)) = table.next()? {
+        match (field.name.as_str(), value) {
+            ("name", ValueRef::Str(v)) => name = v,
+            ("compact", ValueRef::Bool(v)) => compact = v,
+            _ => {}
+        }
+    }
+    Ok((name.to_string(), compact))
 }
 
 /// Encodes a data row in `v`'s format (raw before 2.1, framed after).
@@ -381,6 +512,123 @@ pub fn decode_row(v: VersionId, bytes: &[u8]) -> Result<String, WireError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dup_wire::{proto, MessageValue, Value};
+
+    /// The schema file as it was built before the streaming writer: a value
+    /// tree handed to `proto::encode`. Kept as the oracle for the bytes.
+    fn tree_schema_state(v: VersionId, state: &SchemaState) -> Vec<u8> {
+        let fmt = schema_format(v);
+        let mut file =
+            MessageValue::new("SchemaFile").set("timestamp", Value::U64(state.timestamp));
+        for ks in &state.keyspaces {
+            if ks.dropped && fmt == 1 {
+                continue;
+            }
+            let mut kv = MessageValue::new("Keyspace").set("name", Value::Str(ks.name.clone()));
+            if fmt == 2 {
+                kv.put("strategy", Value::Str(ks.strategy.clone()));
+                if ks.dropped {
+                    kv.put("dropped", Value::Bool(true));
+                }
+            }
+            for (t, compact) in &ks.tables {
+                let mut tv = MessageValue::new("Table").set("name", Value::Str(t.clone()));
+                if fmt == 2 && *compact {
+                    tv.put("compact", Value::Bool(true));
+                }
+                kv.push_mut("tables", Value::Msg(tv));
+            }
+            file.push_mut("keyspaces", Value::Msg(kv));
+        }
+        let body = proto::encode(schema_file_schema(v), &file).unwrap();
+        Frame::new(release_id(v), "schema_file", body).encode_to_vec()
+    }
+
+    /// The gossip digest as it was built before the streaming writer: a
+    /// value tree with a `format!`-ed uuid. Kept as the oracle for the bytes.
+    fn tree_gossip(v: VersionId, generation: u64, schema_ts: u64) -> Vec<u8> {
+        let proto = proto_version(v);
+        let mut digest = MessageValue::new("GossipDigest")
+            .set("generation", Value::U64(generation))
+            .set("schema_ts", Value::U64(schema_ts));
+        if v.major == 1 && v.minor == 1 {
+            digest.put("schema_id", Value::U64(schema_ts));
+        } else {
+            let uuid = format!("{:08x}-{:04x}", schema_ts.wrapping_mul(0x9e37), proto);
+            digest.put("schema_uuid", Value::Str(uuid));
+        }
+        if proto >= 8 {
+            digest.put("proto_version", Value::U32(proto));
+        }
+        proto::encode(gossip_schema(v), &digest).unwrap()
+    }
+
+    /// Timestamps whose hash is short, fills eight digits, and wraps.
+    const TIMESTAMPS: [u64; 7] = [0, 1, 9, 0x1_0000, 1 << 40, u64::MAX / 3, u64::MAX];
+
+    #[test]
+    fn schema_uuid_renders_what_format_did() {
+        for ts in TIMESTAMPS {
+            for proto in [0, 5, 12, 0xffff, 0x1_0000, u32::MAX] {
+                assert_eq!(
+                    SchemaUuid::new(ts, proto).as_str(),
+                    format!("{:08x}-{:04x}", ts.wrapping_mul(0x9e37), proto)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn streamed_gossip_and_handshake_equal_the_tree_encoders() {
+        for v in crate::KvStoreSystem::release_history() {
+            let proto = proto_version(v);
+            for (generation, ts) in TIMESTAMPS.into_iter().enumerate() {
+                let mut digest = Vec::new();
+                write_gossip(v, generation as u64, ts, &mut digest).unwrap();
+                assert_eq!(digest, tree_gossip(v, generation as u64, ts), "{v}");
+                // It reads back: a release announces its version from 2.1 on.
+                let read = PeerDigest {
+                    schema_ts: ts,
+                    proto_version: (proto >= 8).then_some(proto),
+                };
+                assert_eq!(decode_gossip(v, &digest), Ok(read), "{v}");
+            }
+            let mut hs = Vec::new();
+            write_handshake(v, &mut hs).unwrap();
+            let tree = MessageValue::new("Handshake").set("proto_version", Value::U32(proto));
+            assert_eq!(hs, proto::encode(handshake_schema(), &tree).unwrap());
+            assert_eq!(decode_handshake(&hs), Ok(Some(proto)));
+        }
+    }
+
+    #[test]
+    fn streamed_schema_files_equal_the_tree_encoders() {
+        let mut busy = sample_state();
+        busy.timestamp = u64::MAX;
+        busy.keyspaces[0].tables.push(("compacted".into(), true));
+        busy.keyspaces.push(KeyspaceDef {
+            name: "ghost".into(),
+            strategy: "OldNetworkTopologyStrategy".into(),
+            dropped: true,
+            tables: vec![],
+        });
+        busy.keyspaces.push(KeyspaceDef {
+            name: "k".repeat(200),
+            strategy: "NetworkTopologyStrategy".into(),
+            dropped: false,
+            tables: (0..40).map(|t| (format!("t{t}"), t % 3 == 0)).collect(),
+        });
+        for v in crate::KvStoreSystem::release_history() {
+            for state in [SchemaState::default(), sample_state(), busy.clone()] {
+                let streamed = encode_schema_state(v, &state).unwrap();
+                assert_eq!(streamed, tree_schema_state(v, &state), "release {v}");
+                // Appended behind something else, it is the same bytes.
+                let mut out = b"push".to_vec();
+                write_schema_state(v, &state, &mut out).unwrap();
+                assert_eq!(out[4..], streamed[..], "release {v}");
+            }
+        }
+    }
 
     const V11: VersionId = VersionId::new(1, 1, 0);
     const V12: VersionId = VersionId::new(1, 2, 0);
@@ -444,6 +692,10 @@ mod tests {
         let old = gossip_schema(V11);
         let err = proto::decode(old, "GossipDigest", &bytes).unwrap_err();
         assert!(matches!(err, WireError::TypeMismatch { .. }));
+        // A 1.1 handler reading a 1.2 node's digest meets the same error.
+        let mut sent = Vec::new();
+        write_gossip(V12, 1, 5, &mut sent).unwrap();
+        assert_eq!(decode_gossip(V11, &sent), Err(err.clone()));
         // The text flows into failure signatures, and so into report digests.
         assert_eq!(
             err.to_string(),

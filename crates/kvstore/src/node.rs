@@ -6,9 +6,10 @@
 //! crate docs for the bug catalog.
 
 use crate::codec::{self, commitlog_format, proto_version, release_id, KeyspaceDef, SchemaState};
+use bytes::Bytes;
 use dup_core::{NodeSetup, VersionId};
 use dup_simnet::{Ctx, Endpoint, Fatal, LogLevel, Process, SimDuration, StepResult};
-use dup_wire::{proto, Frame, MessageValue, Value};
+use dup_wire::Frame;
 use std::collections::BTreeMap;
 
 const TOKEN_GOSSIP: u64 = 1;
@@ -27,17 +28,6 @@ fn known_strategies(v: VersionId) -> &'static [&'static str] {
             "NetworkTopologyStrategy",
             "OldNetworkTopologyStrategy",
         ]
-    }
-}
-
-/// The `proto_version` a peer announces in its gossip digest or handshake,
-/// if it does. Optional fields are matched on `get`: a typed getter builds
-/// an error, two `String`s, for a field that is merely absent.
-fn announced_proto(message: &MessageValue) -> Option<u32> {
-    match message.get("proto_version") {
-        Some(Value::U32(pv)) => Some(*pv),
-        Some(Value::U64(pv)) => Some(*pv as u32),
-        _ => None,
     }
 }
 
@@ -85,40 +75,31 @@ impl KvNode {
         self.proto >= 8 // Fixed in 2.1 by putting the version in the gossip.
     }
 
-    fn schema_uuid(&self) -> String {
-        format!(
-            "{:08x}-{:04x}",
-            self.state.timestamp.wrapping_mul(0x9e37),
-            self.proto
-        )
+    /// Starts an outgoing frame of `kind`; the body is appended in place.
+    fn frame(&self, kind: &str) -> Vec<u8> {
+        let mut out = Vec::with_capacity(64);
+        Frame::header(self.proto, kind, &mut out);
+        out
     }
 
-    fn gossip_body(&self) -> Vec<u8> {
-        let schema = codec::gossip_schema(self.version);
-        let mut digest = MessageValue::new("GossipDigest")
-            .set("generation", Value::U64(self.boot_counter))
-            .set("schema_ts", Value::U64(self.state.timestamp));
-        if self.version.major == 1 && self.version.minor == 1 {
-            digest.put("schema_id", Value::U64(self.state.timestamp));
-        } else {
-            digest.put("schema_uuid", Value::Str(self.schema_uuid()));
-        }
-        if self.proto >= 8 {
-            digest.put("proto_version", Value::U32(self.proto));
-        }
-        proto::encode(schema, &digest).expect("own gossip digest always encodes")
-    }
-
-    /// Sends one already encoded frame to every peer.
-    fn broadcast(&self, ctx: &mut Ctx<'_>, frame: &Frame<'_>) {
-        let bytes = frame.encode();
+    /// Sends one encoded frame to every peer.
+    fn broadcast(&self, ctx: &mut Ctx<'_>, frame: Vec<u8>) {
+        let bytes = Bytes::from(frame);
         for peer in self.setup.peers() {
             ctx.send(Endpoint::Node(peer), bytes.clone());
         }
     }
 
     fn broadcast_gossip(&self, ctx: &mut Ctx<'_>) {
-        self.broadcast(ctx, &Frame::new(self.proto, "gossip", self.gossip_body()));
+        let mut frame = self.frame("gossip");
+        codec::write_gossip(
+            self.version,
+            self.boot_counter,
+            self.state.timestamp,
+            &mut frame,
+        )
+        .expect("own gossip digest always encodes");
+        self.broadcast(ctx, frame);
     }
 
     fn persist_schema(&self, ctx: &mut Ctx<'_>) {
@@ -166,12 +147,10 @@ impl KvNode {
     }
 
     fn handle_gossip(&mut self, ctx: &mut Ctx<'_>, from: u32, frame: &Frame<'_>) -> StepResult {
-        let own = codec::gossip_schema(self.version);
-        let decoded = proto::decode(own, "GossipDigest", &frame.body).or_else(|e| {
+        let decoded = codec::decode_gossip(self.version, &frame.body).or_else(|e| {
             if frame.version < self.proto {
                 // Newer releases ship a legacy deserializer for older gossip.
-                let legacy = codec::gossip_schema(VersionId::new(1, 1, 0));
-                proto::decode(legacy, "GossipDigest", &frame.body)
+                codec::decode_gossip(VersionId::new(1, 1, 0), &frame.body)
             } else {
                 Err(e)
             }
@@ -188,15 +167,10 @@ impl KvNode {
                 return Ok(());
             }
         };
-        if let Some(pv) = announced_proto(&digest) {
+        if let Some(pv) = digest.proto_version {
             self.peer_versions.insert(from, pv);
         }
-        let peer_ts = match digest.get("schema_ts") {
-            Some(Value::U64(ts)) => *ts,
-            Some(Value::U32(ts)) => u64::from(*ts),
-            _ => 0,
-        };
-        if peer_ts > self.state.timestamp && self.stuck.is_none() {
+        if digest.schema_ts > self.state.timestamp && self.stuck.is_none() {
             let peer_proto = self.peer_versions.get(&from).copied();
             let should_pull = if self.checks_version_before_pull() {
                 // Fixed behaviour: only pull from same-version peers, and the
@@ -531,12 +505,9 @@ impl Process for KvNode {
         // 5. Handshake + immediate gossip. Both go out in the same tick, so
         //    their arrival order at each peer depends on network jitter —
         //    the CASSANDRA-6678 race window.
-        let hs = proto::encode(
-            codec::handshake_schema(),
-            &MessageValue::new("Handshake").set("proto_version", Value::U32(self.proto)),
-        )
-        .expect("handshake always encodes");
-        self.broadcast(ctx, &Frame::new(self.proto, "handshake", hs));
+        let mut hs = self.frame("handshake");
+        codec::write_handshake(self.version, &mut hs).expect("handshake always encodes");
+        self.broadcast(ctx, hs);
         self.broadcast_gossip(ctx);
         ctx.set_timer(GOSSIP_INTERVAL, TOKEN_GOSSIP);
         Ok(())
@@ -558,23 +529,17 @@ impl Process for KvNode {
                 };
                 match frame.kind {
                     "handshake" => {
-                        if let Ok(hs) =
-                            proto::decode(codec::handshake_schema(), "Handshake", &frame.body)
-                        {
-                            if let Some(pv) = announced_proto(&hs) {
-                                self.peer_versions.insert(n, pv);
-                            }
+                        if let Ok(Some(pv)) = codec::decode_handshake(&frame.body) {
+                            self.peer_versions.insert(n, pv);
                         }
                         Ok(())
                     }
                     "gossip" => self.handle_gossip(ctx, n, &frame),
                     "schema_pull" => {
-                        let body = codec::encode_schema_state(self.version, &self.state)
+                        let mut push = self.frame("schema_push");
+                        codec::write_schema_state(self.version, &self.state, &mut push)
                             .expect("own schema always encodes");
-                        ctx.send(
-                            Endpoint::Node(n),
-                            Frame::new(self.proto, "schema_push", body).encode(),
-                        );
+                        ctx.send(Endpoint::Node(n), Bytes::from(push));
                         if self.system_tables_dirty {
                             // CASSANDRA-13441: serving a pull re-regenerates
                             // the upgraded system tables with a *fresh*

@@ -10,9 +10,9 @@
 //!   other's batches.
 
 use dup_core::VersionId;
+use dup_wire::proto::{Reader, ValueRef, Writer};
 use dup_wire::{
-    decode_varint, encode_varint, proto, FieldDescriptor, FieldType, MessageDescriptor,
-    MessageValue, Schema, Value, WireError,
+    decode_varint, encode_varint, FieldDescriptor, FieldType, MessageDescriptor, Schema, WireError,
 };
 use std::sync::OnceLock;
 
@@ -62,29 +62,29 @@ pub fn encode_offset_record(
     offset: u64,
     expire_ts: Option<u64>,
 ) -> Result<Vec<u8>, WireError> {
-    let schema = offsets_schema(v);
-    let mut rec = MessageValue::new("OffsetRecord")
-        .set("group", Value::Str(group.to_string()))
-        .set("topic", Value::Str(topic.to_string()))
-        .set("offset", Value::U64(offset));
+    let mut out = Vec::with_capacity(group.len() + topic.len() + 24);
+    let mut rec = Writer::new(offsets_schema(v), "OffsetRecord", &mut out)?;
+    rec.put("group", ValueRef::Str(group))?;
+    rec.put("topic", ValueRef::Str(topic))?;
+    rec.put("offset", ValueRef::U64(offset))?;
     if let Some(e) = expire_ts {
-        rec.put("expire_ts", Value::U64(e));
+        rec.put("expire_ts", ValueRef::U64(e))?;
     }
-    proto::encode(schema, &rec)
+    rec.finish()?;
+    Ok(out)
 }
 
 /// Reads one committed offset as `v` reads it.
 pub fn decode_offset_record(v: VersionId, bytes: &[u8]) -> Result<(u64, Option<u64>), WireError> {
-    let schema = offsets_schema(v);
-    let rec = proto::decode(schema, "OffsetRecord", bytes)?;
-    let offset = rec.get_u64("offset")?;
-    // Matched on `get`: `get_u64` builds an error, two `String`s, for an
-    // expiry that is merely absent.
-    let expire = match rec.get("expire_ts") {
-        Some(Value::U64(expire)) => Some(*expire),
-        Some(Value::U32(expire)) => Some(u64::from(*expire)),
-        _ => None,
-    };
+    let mut rec = Reader::new(offsets_schema(v), "OffsetRecord", bytes)?;
+    let (mut offset, mut expire) = (0, None);
+    while let Some((field, value)) = rec.next()? {
+        match (field.name.as_str(), value) {
+            ("offset", ValueRef::U64(v)) => offset = v,
+            ("expire_ts", ValueRef::U64(v)) => expire = Some(v),
+            _ => {}
+        }
+    }
     Ok((offset, expire))
 }
 
@@ -206,9 +206,48 @@ pub fn decode_replica_batch(v: VersionId, bytes: &[u8]) -> Result<ReplicaBatch, 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dup_wire::{proto, MessageValue, Value};
 
     fn v(s: &str) -> VersionId {
         s.parse().unwrap()
+    }
+
+    /// The offset record as it was built before the streaming writer: a
+    /// value tree handed to `proto::encode`. Kept as the oracle.
+    fn tree_offset_record(
+        v: VersionId,
+        group: &str,
+        topic: &str,
+        offset: u64,
+        expire_ts: Option<u64>,
+    ) -> Result<Vec<u8>, WireError> {
+        let mut rec = MessageValue::new("OffsetRecord")
+            .set("group", Value::Str(group.to_string()))
+            .set("topic", Value::Str(topic.to_string()))
+            .set("offset", Value::U64(offset));
+        if let Some(e) = expire_ts {
+            rec.put("expire_ts", Value::U64(e));
+        }
+        proto::encode(offsets_schema(v), &rec)
+    }
+
+    #[test]
+    fn streamed_offset_records_equal_the_tree_encoders() {
+        let long = "g".repeat(300);
+        for v in crate::MqSystem::release_history() {
+            for (group, topic) in [("g", "t"), ("", ""), (long.as_str(), "events")] {
+                for offset in [0, 42, u64::MAX] {
+                    for expire in [None, Some(0), Some(1 << 50)] {
+                        // Errors too: a missing `required` expiry (KAFKA-7403).
+                        assert_eq!(
+                            encode_offset_record(v, group, topic, offset, expire),
+                            tree_offset_record(v, group, topic, offset, expire),
+                            "release {v}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -51,12 +51,19 @@ impl<'a> Frame<'a> {
     /// Serializes the frame into a plain buffer, for storage.
     pub fn encode_to_vec(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.body.len() + self.kind.len() + 12);
-        out.extend_from_slice(&MAGIC.to_be_bytes());
-        encode_varint(u64::from(self.version), &mut out);
-        encode_varint(self.kind.len() as u64, &mut out);
-        out.extend_from_slice(self.kind.as_bytes());
+        Frame::header(self.version, self.kind, &mut out);
         out.extend_from_slice(&self.body);
         out
+    }
+
+    /// Appends everything of a frame but its body — magic, version, kind —
+    /// to `out`. The frame carries no body length, so a sender that appends
+    /// the body next has the whole frame in one buffer.
+    pub fn header(version: u32, kind: &str, out: &mut Vec<u8>) {
+        out.extend_from_slice(&MAGIC.to_be_bytes());
+        encode_varint(u64::from(version), out);
+        encode_varint(kind.len() as u64, out);
+        out.extend_from_slice(kind.as_bytes());
     }
 
     /// Parses a frame.
@@ -109,6 +116,23 @@ mod tests {
         let bytes = f.encode();
         assert_eq!(Frame::decode(&bytes).unwrap(), f);
         assert_eq!(f.encode_to_vec(), &bytes[..]);
+    }
+
+    #[test]
+    fn a_body_appended_to_a_header_is_the_encoded_frame() {
+        for (version, kind, body) in [
+            (12, "gossip", &b"payload"[..]),
+            (0, "", &b""[..]),
+            (u32::MAX, "schema_push", &[0xD0, 0x5E, 0x00][..]),
+        ] {
+            let mut out = Vec::new();
+            Frame::header(version, kind, &mut out);
+            out.extend_from_slice(body);
+            let frame = Frame::new(version, kind, body);
+            assert_eq!(out, frame.encode_to_vec());
+            assert_eq!(out, &frame.encode()[..]);
+            assert_eq!(Frame::decode(&out).unwrap(), frame);
+        }
     }
 
     #[test]

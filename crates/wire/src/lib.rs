@@ -30,6 +30,35 @@
 //! let back = proto::decode(&schema, "Checkpoint", &bytes).unwrap();
 //! assert_eq!(back.get_u64("term").unwrap(), 7);
 //! ```
+//!
+//! A message handler that reads two integers out of a payload, or writes a
+//! message once and drops it, has no use for the value in between:
+//! [`proto::Reader`] and [`proto::Writer`] stream the same bytes under the
+//! same checks, field by field, without building it.
+//!
+//! ```
+//! # use dup_wire::{Schema, MessageDescriptor, FieldDescriptor, FieldType};
+//! use dup_wire::proto::{Reader, ValueRef, Writer};
+//!
+//! # let schema = Schema::new().with_message(
+//! #     MessageDescriptor::new("Checkpoint")
+//! #         .with(FieldDescriptor::required(1, "term", FieldType::Uint64)),
+//! # );
+//! let mut bytes = Vec::new();
+//! let mut checkpoint = Writer::new(&schema, "Checkpoint", &mut bytes)?;
+//! checkpoint.put("term", ValueRef::U64(7))?;
+//! checkpoint.finish()?;
+//!
+//! let mut term = 0;
+//! let mut fields = Reader::new(&schema, "Checkpoint", &bytes)?;
+//! while let Some((field, value)) = fields.next()? {
+//!     if let ("term", ValueRef::U64(v)) = (field.name.as_str(), value) {
+//!         term = v;
+//!     }
+//! }
+//! assert_eq!(term, 7);
+//! # Ok::<(), dup_wire::WireError>(())
+//! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -9,6 +9,7 @@
 use crate::error::WireError;
 use crate::schema::{FieldDescriptor, Label, MessageDescriptor};
 use crate::value::{MessageValue, Value};
+use std::ops::Range;
 
 /// Descriptor fields the slot table has room for. A wider descriptor (the
 /// mini systems' widest has 9) is resolved by name on every access instead.
@@ -82,16 +83,35 @@ impl<'d> Decoding<'d> {
     /// The decoded value, once every `required` field has arrived.
     pub(crate) fn finish(self) -> Result<MessageValue, WireError> {
         let desc = self.slots.desc;
-        for (index, field) in desc.fields.iter().enumerate() {
-            if field.label == Label::Required && self.slots.get(&self.value, index).is_none() {
-                return Err(WireError::MissingRequired {
-                    message: desc.name.clone(),
-                    field: field.name.clone(),
-                });
-            }
-        }
+        check_required(desc, 0..desc.fields.len(), |index| {
+            self.slots.get(&self.value, index).is_some()
+        })?;
         Ok(self.value)
     }
+
+    /// The decoded value, for a caller that has checked presence itself.
+    pub(crate) fn into_value(self) -> MessageValue {
+        self.value
+    }
+}
+
+/// Fails with `MissingRequired` for the first `required` field among
+/// `desc.fields[range]` that `present` denies.
+pub(crate) fn check_required(
+    desc: &MessageDescriptor,
+    range: Range<usize>,
+    present: impl Fn(usize) -> bool,
+) -> Result<(), WireError> {
+    for index in range {
+        let field = &desc.fields[index];
+        if field.label == Label::Required && !present(index) {
+            return Err(WireError::MissingRequired {
+                message: desc.name.clone(),
+                field: field.name.clone(),
+            });
+        }
+    }
+    Ok(())
 }
 
 /// Hands `emit` the values of each declared field that `value` has, in

@@ -6,9 +6,10 @@
 //! both by the proptest properties and by the deterministic seeded sweeps
 //! below (which double as quick regression tests).
 
+use dup_wire::proto::{Reader, ValueRef, Writer};
 use dup_wire::{
-    proto, thrift, FieldDescriptor, FieldType, Frame, Label, MessageDescriptor, MessageValue,
-    Schema, Value,
+    proto, thrift, EnumDescriptor, FieldDescriptor, FieldType, Frame, Label, MessageDescriptor,
+    MessageValue, Schema, Value, WireError, MAX_NESTING_DEPTH,
 };
 use proptest::prelude::*;
 
@@ -267,6 +268,343 @@ fn check_oversized_tags_are_skipped(extra: &[(u32, u32, u64)], own: u64) -> Resu
     Ok(())
 }
 
+// ----- the streaming reader and writer against the tree codec -------------
+
+/// `Gen` from `spec` plus a message around it with what `Gen` lacks: nested
+/// and self-nested messages, an enum, `required` fields either side of them.
+fn stream_schema(spec: &[FieldSpec]) -> Schema {
+    let gen = schema_from_spec(spec).message("Gen").unwrap().clone();
+    Schema::new()
+        .with_message(gen)
+        .with_message(
+            MessageDescriptor::new("Outer")
+                .with(FieldDescriptor::required(1, "head", FieldType::Uint64))
+                .with(FieldDescriptor::repeated(
+                    2,
+                    "items",
+                    FieldType::Message("Gen".into()),
+                ))
+                .with(FieldDescriptor::optional(
+                    3,
+                    "kind",
+                    FieldType::Enum("Kind".into()),
+                ))
+                .with(FieldDescriptor::optional(
+                    4,
+                    "next",
+                    FieldType::Message("Outer".into()),
+                ))
+                .with(FieldDescriptor::required(5, "tail", FieldType::Str)),
+        )
+        .with_enum(EnumDescriptor::new("Kind", &[("A", 0), ("B", 1), ("C", 5)]))
+}
+
+/// An `Outer` holding `salt % 3` generated `Gen`s, `levels` further `Outer`s
+/// deep.
+fn outer_from_spec(spec: &[FieldSpec], salt: u64, levels: u32) -> MessageValue {
+    let mut outer = MessageValue::new("Outer").set("head", Value::U64(salt));
+    for i in 0..salt % 3 {
+        let item = message_from_spec(spec, salt.wrapping_add(i));
+        outer.push_mut("items", Value::Msg(item));
+    }
+    if !salt.is_multiple_of(4) {
+        outer.put("kind", Value::Enum([0, 1, 5][(salt % 3) as usize]));
+    }
+    if levels > 0 {
+        let next = outer_from_spec(spec, salt.rotate_left(7), levels - 1);
+        outer.put("next", Value::Msg(next));
+    }
+    outer.set("tail", Value::Str(format!("t{}", salt % 100)))
+}
+
+/// Rebuilds the value tree from a reader, descending into every nested
+/// message.
+fn tree_from_reader(mut reader: Reader<'_>, type_name: &str) -> Result<MessageValue, WireError> {
+    let mut value = MessageValue::new(type_name);
+    while let Some((field, v)) = reader.next()? {
+        let v = match v {
+            ValueRef::I32(v) => Value::I32(v),
+            ValueRef::I64(v) => Value::I64(v),
+            ValueRef::U32(v) => Value::U32(v),
+            ValueRef::U64(v) => Value::U64(v),
+            ValueRef::Bool(v) => Value::Bool(v),
+            ValueRef::Str(v) => Value::Str(v.to_string()),
+            ValueRef::Bytes(v) => Value::Bytes(v.to_vec()),
+            ValueRef::Enum(v) => Value::Enum(v),
+            ValueRef::Msg(inner) => {
+                let FieldType::Message(inner_type) = &field.field_type else {
+                    panic!("{} yielded a message", field.name);
+                };
+                Value::Msg(tree_from_reader(inner, inner_type)?)
+            }
+        };
+        value.push_mut(&field.name, v);
+    }
+    Ok(value)
+}
+
+/// Reads `bytes` to the end *without* descending into nested messages.
+fn drain_shallow(schema: &Schema, name: &str, bytes: &[u8]) -> Result<(), WireError> {
+    let mut reader = Reader::new(schema, name, bytes)?;
+    while reader.next()?.is_some() {}
+    Ok(())
+}
+
+/// On any bytes at all: a reader drained without descending returns exactly
+/// the error `proto::decode` returns, and one drained into a tree returns
+/// exactly its value.
+fn check_reader_agrees_with_decode(
+    schema: &Schema,
+    name: &str,
+    bytes: &[u8],
+) -> Result<(), String> {
+    let decoded = proto::decode(schema, name, bytes);
+    let shallow = drain_shallow(schema, name, bytes);
+    if shallow.as_ref().err() != decoded.as_ref().err() {
+        return Err(format!("shallow drain {shallow:?} vs decode {decoded:?}"));
+    }
+    let rebuilt = Reader::new(schema, name, bytes).and_then(|r| tree_from_reader(r, name));
+    if rebuilt != decoded {
+        return Err(format!("rebuilt {rebuilt:?} vs decode {decoded:?}"));
+    }
+    Ok(())
+}
+
+/// [`check_reader_agrees_with_decode`] on `value`'s encoding, on every
+/// truncation of it, and on it with the bit `flip` picks inverted.
+fn check_reader_on_damaged_payloads(
+    schema: &Schema,
+    value: &MessageValue,
+    flip: u64,
+) -> Result<(), String> {
+    let name = value.type_name();
+    let bytes = proto::encode(schema, value).map_err(|e| format!("encode: {e}"))?;
+    check_reader_agrees_with_decode(schema, name, &bytes)?;
+    for cut in 0..bytes.len() {
+        check_reader_agrees_with_decode(schema, name, &bytes[..cut])
+            .map_err(|e| format!("cut at {cut}: {e}"))?;
+    }
+    if !bytes.is_empty() {
+        let mut flipped = bytes.clone();
+        let bit = flip as usize % (bytes.len() * 8);
+        flipped[bit / 8] ^= 1 << (bit % 8);
+        check_reader_agrees_with_decode(schema, name, &flipped)
+            .map_err(|e| format!("bit {bit} flipped: {e}"))?;
+    }
+    Ok(())
+}
+
+/// Feeds `value` to `writer` as a handler would: declared fields in
+/// declaration order, whatever else the value carries after them.
+fn write_fields(
+    writer: &mut Writer<'_>,
+    schema: &Schema,
+    value: &MessageValue,
+) -> Result<(), WireError> {
+    let declared: Vec<&str> = schema
+        .message(value.type_name())
+        .map(|desc| desc.fields.iter().map(|f| f.name.as_str()).collect())
+        .unwrap_or_default();
+    let undeclared = value.fields().map(|(name, _)| name);
+    let undeclared: Vec<&str> = undeclared.filter(|n| !declared.contains(n)).collect();
+    for name in declared.into_iter().chain(undeclared) {
+        for v in value.get_all(name) {
+            let v = match v {
+                Value::I32(v) => ValueRef::I32(*v),
+                Value::I64(v) => ValueRef::I64(*v),
+                Value::U32(v) => ValueRef::U32(*v),
+                Value::U64(v) => ValueRef::U64(*v),
+                Value::Bool(v) => ValueRef::Bool(*v),
+                Value::Str(v) => ValueRef::Str(v),
+                Value::Bytes(v) => ValueRef::Bytes(v),
+                Value::Enum(v) => ValueRef::Enum(*v),
+                Value::Msg(m) => {
+                    writer.message(name, |inner| write_fields(inner, schema, m))?;
+                    continue;
+                }
+            };
+            writer.put(name, v)?;
+        }
+    }
+    Ok(())
+}
+
+fn stream_encode(schema: &Schema, value: &MessageValue) -> Result<Vec<u8>, WireError> {
+    let mut out = Vec::new();
+    let mut writer = Writer::new(schema, value.type_name(), &mut out)?;
+    write_fields(&mut writer, schema, value)?;
+    writer.finish()?;
+    Ok(out)
+}
+
+/// Gives a `Gen` value of `spec` at most one defect, chosen by `defect`:
+/// a `required` field missing, a singular field given a second value, a
+/// value of the wrong type, an undeclared field — or, where `spec` has no
+/// field the defect applies to, none.
+fn damage_gen(spec: &[FieldSpec], value: &mut MessageValue, defect: u8, salt: u64) {
+    let pick = |wanted: &dyn Fn(Label) -> bool| {
+        let fits: Vec<usize> = (0..spec.len())
+            .filter(|&i| wanted(label_of(spec[i].1)))
+            .collect();
+        (!fits.is_empty()).then(|| fits[salt as usize % fits.len()])
+    };
+    match defect % 4 {
+        0 => {
+            if let Some(i) = pick(&|label| label == Label::Required) {
+                value.clear_field(&format!("f{}", i + 1));
+            }
+        }
+        1 => {
+            if let Some(i) = pick(&|label| label != Label::Repeated) {
+                value.push_mut(&format!("f{}", i + 1), value_for(spec[i].0, salt));
+            }
+        }
+        2 => {
+            if let Some(i) = pick(&|_| true) {
+                value.put(&format!("f{}", i + 1), value_for(spec[i].0 + 1, salt));
+            }
+        }
+        _ => value.put("bogus", Value::Bool(true)),
+    }
+}
+
+/// The writer, fed a value's fields in declaration order, yields
+/// `proto::encode`'s bytes — and for a value with one defect its error.
+fn check_writer_agrees_with_encode(
+    spec: &[FieldSpec],
+    salt: u64,
+    defect: u8,
+) -> Result<(), String> {
+    let schema = stream_schema(spec);
+    let agree = |value: &MessageValue| {
+        let (streamed, tree) = (stream_encode(&schema, value), proto::encode(&schema, value));
+        if streamed == tree {
+            Ok(())
+        } else {
+            Err(format!("{value:?}: writer {streamed:?} vs encode {tree:?}"))
+        }
+    };
+    agree(&message_from_spec(spec, salt))?;
+    agree(&outer_from_spec(spec, salt, 2))?;
+
+    // The defect in a top-level message, then in a nested one.
+    let mut gen = message_from_spec(spec, salt);
+    damage_gen(spec, &mut gen, defect, salt);
+    agree(&gen)?;
+    let mut outer = outer_from_spec(spec, salt, 0);
+    outer.put("items", Value::Msg(gen));
+    agree(&outer)?;
+    // An enum number that is no member, a scalar where a message goes, a
+    // message where a scalar goes.
+    let sound = outer_from_spec(spec, salt, 1);
+    agree(&sound.clone().set("kind", Value::Enum(3)))?;
+    agree(&sound.clone().set("next", Value::U64(salt)))?;
+    agree(
+        &sound
+            .clone()
+            .set("head", Value::Msg(MessageValue::new("Gen"))),
+    )?;
+    let unknown = MessageValue::new("Nope").set("head", Value::U64(salt));
+    agree(&unknown)
+}
+
+/// `levels` nested `N { optional N next = 1 }`s, written by the streaming
+/// writer.
+fn write_nested(writer: &mut Writer<'_>, levels: usize) -> Result<(), WireError> {
+    if levels > 1 {
+        writer.message("next", |inner| write_nested(inner, levels - 1))?;
+    }
+    Ok(())
+}
+
+#[test]
+fn a_wide_descriptor_and_a_deep_nesting_go_through_reader_and_writer() {
+    // 70 fields: wider than either side's 64-field presence mask.
+    let wide = |last: Label| {
+        let mut desc = MessageDescriptor::new("Gen");
+        for i in 1..=70u32 {
+            let label = if i == 70 { last } else { Label::Optional };
+            let ty = field_type_of(i as u8);
+            desc = desc.with(FieldDescriptor::new(i, &format!("f{i}"), label, ty));
+        }
+        Schema::new().with_message(desc)
+    };
+    let spec: Vec<FieldSpec> = (1..=70).map(|i| (i as u8, 1)).collect();
+    let required = wide(Label::Required);
+    let full = message_from_spec(&spec, 0xD1FF);
+    let mut without_last = full.clone();
+    without_last.clear_field("f70");
+    for value in [&full, &without_last] {
+        assert_eq!(
+            stream_encode(&required, value),
+            proto::encode(&required, value)
+        );
+        let bytes = proto::encode(&wide(Label::Optional), value).unwrap();
+        check_reader_agrees_with_decode(&required, "Gen", &bytes).unwrap();
+    }
+    let missing = WireError::MissingRequired {
+        message: "Gen".into(),
+        field: "f70".into(),
+    };
+    assert_eq!(stream_encode(&required, &without_last), Err(missing));
+
+    // 65 levels: one more than a decoder follows.
+    let recursive = Schema::new().with_message(MessageDescriptor::new("N").with(
+        FieldDescriptor::optional(1, "next", FieldType::Message("N".into())),
+    ));
+    for levels in [MAX_NESTING_DEPTH, MAX_NESTING_DEPTH + 1] {
+        let mut bytes = Vec::new();
+        let mut writer = Writer::new(&recursive, "N", &mut bytes).unwrap();
+        write_nested(&mut writer, levels).unwrap();
+        writer.finish().unwrap();
+        check_reader_agrees_with_decode(&recursive, "N", &bytes).unwrap();
+        let shallow = drain_shallow(&recursive, "N", &bytes);
+        if levels > MAX_NESTING_DEPTH {
+            assert_eq!(shallow, Err(WireError::NestingTooDeep));
+        } else {
+            assert_eq!(shallow, Ok(()));
+            let decoded = proto::decode(&recursive, "N", &bytes).unwrap();
+            assert_eq!(proto::encode(&recursive, &decoded).unwrap(), bytes);
+        }
+    }
+}
+
+#[test]
+fn seeded_readers_agree_with_decode_on_sound_damaged_and_arbitrary_payloads() {
+    let mut gen = Gen(0x57EA);
+    for round in 0..120 {
+        let spec = gen.spec((round % 9) as usize);
+        let schema = stream_schema(&spec);
+        let salt = gen.next();
+        for value in [
+            message_from_spec(&spec, salt),
+            outer_from_spec(&spec, salt, (round % 3) as u32),
+        ] {
+            if let Err(e) = check_reader_on_damaged_payloads(&schema, &value, gen.next()) {
+                panic!("round {round} spec {spec:?}: {e}");
+            }
+        }
+        let len = (gen.next() % 64) as usize;
+        let bytes: Vec<u8> = (0..len).map(|_| gen.next() as u8).collect();
+        for name in ["Gen", "Outer", "Nope"] {
+            if let Err(e) = check_reader_agrees_with_decode(&schema, name, &bytes) {
+                panic!("round {round} spec {spec:?} garbage {bytes:?} as {name}: {e}");
+            }
+        }
+    }
+}
+
+#[test]
+fn seeded_writers_agree_with_encode_on_sound_and_defective_values() {
+    let mut gen = Gen(0x3217E);
+    for round in 0..300 {
+        let spec = gen.spec((round % 9) as usize);
+        if let Err(e) = check_writer_agrees_with_encode(&spec, gen.next(), round as u8) {
+            panic!("round {round} spec {spec:?}: {e}");
+        }
+    }
+}
+
 /// Tiny deterministic generator (SplitMix64) for the seeded plain-test
 /// sweeps, so the helper logic runs even where proptest is unavailable.
 struct Gen(u64);
@@ -457,6 +795,43 @@ proptest! {
     ) {
         if let Err(e) = check_oversized_tags_are_skipped(&extra, own) {
             prop_assert!(false, "extra {:?}: {}", extra, e);
+        }
+    }
+
+    /// A streaming reader — drained shallowly for its error, deeply for its
+    /// value — agrees with `proto::decode` on sound, truncated, bit-flipped
+    /// and arbitrary payloads.
+    #[test]
+    fn readers_agree_with_decode(
+        spec in proptest::collection::vec((0u8..7, 0u8..3), 0..9),
+        salt in any::<u64>(),
+        levels in 0u32..3,
+        flip in any::<u64>(),
+        garbage in proptest::collection::vec(any::<u8>(), 0..96),
+    ) {
+        let schema = stream_schema(&spec);
+        for value in [message_from_spec(&spec, salt), outer_from_spec(&spec, salt, levels)] {
+            if let Err(e) = check_reader_on_damaged_payloads(&schema, &value, flip) {
+                prop_assert!(false, "spec {:?}: {}", spec, e);
+            }
+        }
+        for name in ["Gen", "Outer"] {
+            if let Err(e) = check_reader_agrees_with_decode(&schema, name, &garbage) {
+                prop_assert!(false, "spec {:?} as {}: {}", spec, name, e);
+            }
+        }
+    }
+
+    /// A streaming writer fed in declaration order agrees with
+    /// `proto::encode`: same bytes, and for one defect the same error.
+    #[test]
+    fn writers_agree_with_encode(
+        spec in proptest::collection::vec((0u8..7, 0u8..3), 0..9),
+        salt in any::<u64>(),
+        defect in any::<u8>(),
+    ) {
+        if let Err(e) = check_writer_agrees_with_encode(&spec, salt, defect) {
+            prop_assert!(false, "spec {:?}: {}", spec, e);
         }
     }
 
