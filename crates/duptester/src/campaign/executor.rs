@@ -13,30 +13,30 @@
 //! between cases, and (with snapshotting on, the default) `Sim::restore`
 //! replays each seed group's shared warmup prefix from a snapshot instead
 //! of re-executing it. Seeds of a group run in order on one worker, which
-//! keeps dedup-aware seed pruning deterministic; results are folded into
-//! per-group [`GroupRecord`]s — aggregation memory is O(groups + failures),
-//! never O(cases) — and stitched afterwards **in matrix order**, so the
-//! report is byte-identical whether the campaign ran on one thread or many,
-//! whether the runners were warm or fresh, and whether snapshotting was on
-//! or off.
+//! keeps dedup-aware seed pruning deterministic; every case is folded into
+//! its worker's [`Tally`] the moment it finishes — counters and metrics
+//! summed per worker, failures deduplicated per group on the spot, so
+//! result memory is O(groups × distinct failure signatures), never O(cases)
+//! or O(failing cases) — and the groups' failures are merged afterwards
+//! **in matrix order**, so the report is byte-identical whether the
+//! campaign ran on one thread or many, whether the runners were warm or
+//! fresh, and whether snapshotting was on or off.
+//! (`upbench`'s `million_cases`, 1 000 020 cases of which 100 002 fail onto
+//! 3 signatures: peak RSS 70.3 MiB with every failing case kept until
+//! aggregation, 3.7 MiB folded — `BENCH_upbench.json`.)
 
 use crate::campaign::matrix::{CaseMatrix, SeedGroup};
-use crate::campaign::observer::{CampaignObserver, MetricsObserver};
-use crate::campaign::report::{dedup_key, CampaignReport, CaseStatus, FailureReport};
-use crate::campaign::search::{
-    aggregate_search, run_search_group, SearchConfig, SearchGroupRecord, SearchPools, SearchReport,
-    SearchRound,
-};
-use crate::faults::FaultIntensity;
+use crate::campaign::observer::{CampaignObserver, NoopObserver};
+use crate::campaign::report::{CampaignReport, CaseStatus, FailureFold, FailureReport};
+use crate::campaign::search::{run_search_group, SearchConfig, SearchPools, SearchReport};
+use crate::faults::{FaultIntensity, PlanNudge};
 use crate::harness::{CaseDigest, CaseOutcome, CaseResult, CaseRunner, TestCase};
 use crate::oracle::Observation;
 use crate::scenario::Scenario;
 use dup_core::{SystemUnderTest, VersionId};
-use dup_simnet::{Durability, TraceConfig, TraceSlice};
-use std::collections::BTreeMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use dup_simnet::{Durability, TraceConfig};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Campaign configuration. Constructed through [`Campaign::builder`] (or
@@ -156,91 +156,61 @@ impl Default for CampaignConfig {
     }
 }
 
-/// What one executed seed group left behind: folded counts and digest sums
-/// for every case, plus the failing cases in full. This is the executor's
-/// unit of result memory — O(groups + failures) for the whole campaign, so
-/// a 10⁶-case sweep that mostly passes carries a few counters per group
-/// instead of a million records. (Timings live in the metrics, collected
-/// via the observer path.)
-#[derive(Debug, Clone, Default)]
-struct GroupRecord {
-    cases_run: usize,
-    cases_passed: usize,
-    cases_invalid: usize,
-    cases_pruned: usize,
-    events_processed: u64,
-    messages_delivered: u64,
-    faults_injected: u64,
-    /// The group's failing cases, in case-index order.
-    failures: Vec<GroupFailure>,
+/// A worker's running tally, folded case by case: outcome counts, digest
+/// sums and metrics over every seed group the worker has run, and the
+/// failures of the group it is running, by dedup key. A finished group
+/// leaves only its [`FailureFold`] behind — one kept case per distinct
+/// failure signature, however many of its seeds failed — so result memory
+/// is O(workers + groups × distinct signatures).
+#[derive(Debug, Default)]
+pub(crate) struct Tally {
+    /// Counters and metrics (`failures` stays empty). Sums, so it does not
+    /// matter which worker ran which group.
+    totals: CampaignReport,
+    /// The current group's failures; [`Tally::finish_group`] takes them.
+    failures: FailureFold,
 }
 
-/// One failing case inside a [`GroupRecord`].
-#[derive(Debug, Clone)]
-struct GroupFailure {
-    index: usize,
-    observations: Vec<Observation>,
-    /// The failing case's causal slice; `None` for untraced campaigns.
-    slice: Option<TraceSlice>,
-}
-
-/// Fans callbacks out to the engine's internal metrics collector plus the
-/// caller's observer, if any. Crate-visible so the search driver (in
-/// [`crate::campaign::search`]) reports through the same pipeline.
-pub(crate) struct FanOut<'o> {
-    metrics: &'o MetricsObserver,
-    user: Option<&'o dyn CampaignObserver>,
-}
-
-impl FanOut<'_> {
-    pub(crate) fn case_start(&self, index: usize, case: &TestCase) {
-        self.metrics.on_case_start(index, case);
-        if let Some(user) = self.user {
-            user.on_case_start(index, case);
-        }
-    }
-
+impl Tally {
+    /// Folds one executed case into the tally and reports it done. Returns
+    /// how often the case's failure signature has now reproduced in the
+    /// group (0 for a case that did not fail).
     pub(crate) fn case_done(
-        &self,
+        &mut self,
         index: usize,
         case: &TestCase,
-        status: CaseStatus,
+        nudge: Option<&PlanNudge>,
+        result: &CaseResult,
         wall: Duration,
-    ) {
-        self.metrics.on_case_done(index, case, status, wall);
-        if let Some(user) = self.user {
-            user.on_case_done(index, case, status, wall);
+        observer: &dyn CampaignObserver,
+    ) -> usize {
+        let (totals, digest) = (&mut self.totals, &result.digest);
+        totals.cases_run += 1;
+        totals.sim_events_processed += digest.events_processed;
+        totals.sim_messages_delivered += digest.messages_delivered;
+        totals.sim_faults_injected += digest.faults_injected;
+        totals
+            .metrics
+            .record_trace_counts(digest.trace_events_recorded, digest.trace_events_dropped);
+        let status = CaseStatus::of(&result.outcome);
+        totals
+            .metrics
+            .record_case(index, case.scenario, status, wall);
+        observer.on_case_done(index, case, status, wall);
+        let slice = result.slice.as_ref();
+        match &result.outcome {
+            CaseOutcome::Pass => totals.cases_passed += 1,
+            CaseOutcome::InvalidWorkload(_) => totals.cases_invalid += 1,
+            CaseOutcome::Fail(observations) => {
+                return self.failures.push(index, case, nudge, observations, slice)
+            }
         }
+        0
     }
 
-    pub(crate) fn failure_found(&self, index: usize, case: &TestCase, failure: &FailureReport) {
-        self.metrics.on_failure_found(index, case, failure);
-        if let Some(user) = self.user {
-            user.on_failure_found(index, case, failure);
-        }
-    }
-
-    pub(crate) fn trace_slice(&self, index: usize, case: &TestCase, slice: &TraceSlice) {
-        self.metrics.on_trace_slice(index, case, slice);
-        if let Some(user) = self.user {
-            user.on_trace_slice(index, case, slice);
-        }
-    }
-
-    /// Per-case trace counters go straight to the engine's metrics
-    /// collector: every traced case counts, not just the failing ones.
-    /// Per-round search progress: the per-group driver reports each
-    /// bootstrap/mutation round through here.
-    pub(crate) fn search_round(&self, round: &SearchRound) {
-        self.metrics.on_search_round(round);
-        if let Some(user) = self.user {
-            user.on_search_round(round);
-        }
-    }
-
-    pub(crate) fn trace_counts(&self, digest: &CaseDigest) {
-        self.metrics
-            .record_trace(digest.trace_events_recorded, digest.trace_events_dropped);
+    /// Ends the current seed group, handing over its folded failures.
+    pub(crate) fn finish_group(&mut self) -> FailureFold {
+        std::mem::take(&mut self.failures)
     }
 }
 
@@ -434,28 +404,26 @@ impl<'a> Campaign<'a> {
         }
         let started = Instant::now();
         let matrix = CaseMatrix::enumerate(self.sut, &self.config);
-        let metrics = MetricsObserver::new();
-        let fan = FanOut {
-            metrics: &metrics,
-            user: self.observer.as_deref(),
-        };
+        let observer = self.observer.as_deref();
         let threads = self.resolve_threads(matrix.groups().len());
-
-        let records = if threads <= 1 {
-            self.run_groups_sequential(&matrix, &fan)
-        } else {
-            self.run_groups_parallel(&matrix, &fan, threads)
-        };
-
-        let mut report = aggregate(
-            self.sut.name(),
+        let (totals, failures) = run_groups(
             &matrix,
-            &records,
-            &fan,
-            &self.catalog,
-            self.sut.cluster_size(),
+            threads,
+            || CaseRunner::with_options(self.sut, self.config.trace, self.config.snapshot),
+            |runner, tally, g| {
+                run_group(
+                    runner,
+                    tally,
+                    &matrix,
+                    &matrix.groups()[g],
+                    &self.config,
+                    observer,
+                )
+            },
         );
-        report.metrics = metrics.finish(threads, started.elapsed());
+        let mut report = self.aggregate(totals, failures);
+        report.metrics.threads_used = threads;
+        report.metrics.campaign_wall = started.elapsed();
         report
     }
 
@@ -480,91 +448,36 @@ impl<'a> Campaign<'a> {
         shape.seeds = vec![0];
         let matrix = CaseMatrix::enumerate(self.sut, &shape);
         let trace = Some(self.config.trace.unwrap_or_default());
-        let metrics = MetricsObserver::new();
-        let fan = FanOut {
-            metrics: &metrics,
-            user: self.observer.as_deref(),
-        };
+        let observer = self.observer.as_deref().unwrap_or(&NoopObserver);
         let threads = self.resolve_threads(matrix.groups().len());
-
-        let records = if threads <= 1 {
-            let mut runner = CaseRunner::with_options(self.sut, trace, self.config.snapshot);
-            let mut pools = SearchPools::new();
-            matrix
-                .groups()
-                .iter()
-                .enumerate()
-                .map(|(g, group)| {
-                    let template = matrix.case_at(group.start);
-                    run_search_group(&mut runner, &mut pools, g, &template, &search, &fan)
-                })
-                .collect()
-        } else {
-            self.run_search_parallel(&matrix, &search, trace, &fan, threads)
-        };
-
-        let mut report = aggregate_search(
-            self.sut.name(),
-            search.budget_per_group.max(1),
-            records,
-            &fan,
-            &self.catalog,
-            self.sut.cluster_size(),
+        // One warm runner and one set of pooled search buffers per worker,
+        // reused across every group the worker runs.
+        let (totals, records) = run_groups(
+            &matrix,
+            threads,
+            || {
+                let runner = CaseRunner::with_options(self.sut, trace, self.config.snapshot);
+                (runner, SearchPools::new())
+            },
+            |(runner, pools), tally, g| {
+                let template = matrix.case_at(matrix.groups()[g].start);
+                run_search_group(runner, pools, tally, g, &template, &search, observer)
+            },
         );
-        report.campaign.metrics = metrics.finish(threads, started.elapsed());
-        report
-    }
-
-    fn run_search_parallel(
-        &self,
-        matrix: &CaseMatrix,
-        search: &SearchConfig,
-        trace: Option<TraceConfig>,
-        fan: &FanOut<'_>,
-        threads: usize,
-    ) -> Vec<SearchGroupRecord> {
-        let groups = matrix.groups();
-        let batches = matrix.batches();
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<SearchGroupRecord>>> =
-            groups.iter().map(|_| Mutex::new(None)).collect();
-
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| {
-                    // One warm runner and one set of pooled search buffers
-                    // per worker, reused across every group the worker runs.
-                    let mut runner =
-                        CaseRunner::with_options(self.sut, trace, self.config.snapshot);
-                    let mut pools = SearchPools::new();
-                    loop {
-                        let b = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(batch) = batches.get(b) else { break };
-                        for g in batch.clone() {
-                            let template = matrix.case_at(groups[g].start);
-                            let rec = run_search_group(
-                                &mut runner,
-                                &mut pools,
-                                g,
-                                &template,
-                                search,
-                                fan,
-                            );
-                            *slots[g].lock().expect("slot lock") = Some(rec);
-                        }
-                    }
-                });
-            }
+        let (mut groups, mut detections) = (Vec::with_capacity(records.len()), Vec::new());
+        let failures = records.into_iter().map(|record| {
+            groups.push(record.summary);
+            detections.extend(record.detections);
+            record.failures
         });
-
-        slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("slot lock")
-                    .expect("every group slot filled once the scope joins")
-            })
-            .collect()
+        let mut campaign = self.aggregate(totals, failures);
+        campaign.metrics.threads_used = threads;
+        campaign.metrics.campaign_wall = started.elapsed();
+        SearchReport {
+            campaign,
+            groups,
+            detections,
+        }
     }
 
     fn resolve_threads(&self, groups: usize) -> usize {
@@ -578,156 +491,148 @@ impl<'a> Campaign<'a> {
         requested.clamp(1, groups.max(1))
     }
 
-    fn run_groups_sequential(&self, matrix: &CaseMatrix, fan: &FanOut<'_>) -> Vec<GroupRecord> {
-        let mut runner =
-            CaseRunner::with_options(self.sut, self.config.trace, self.config.snapshot);
-        let mut records = Vec::with_capacity(matrix.groups().len());
-        for group in matrix.groups() {
-            records.push(run_group(&mut runner, matrix, group, &self.config, fan));
-        }
-        records
-    }
-
-    fn run_groups_parallel(
+    /// Completes the workers' summed `totals` into the deduplicated report
+    /// — the groups' failures, given in matrix order, merged and each
+    /// distinct one announced — so the report reads exactly as a sequential
+    /// per-case walk would.
+    fn aggregate(
         &self,
-        matrix: &CaseMatrix,
-        fan: &FanOut<'_>,
-        threads: usize,
-    ) -> Vec<GroupRecord> {
-        let groups = matrix.groups();
-        // Workers pull (pair, scenario) batches, not single groups: the
-        // groups of one batch share cluster topology and workload shape, so
-        // a warm runner replays near-identical allocation patterns and its
-        // pools stay exactly-sized; consecutive groups of a batch also often
-        // share a prefix snapshot. Coarser units also mean fewer trips to
-        // the shared queue.
-        let batches = matrix.batches();
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<GroupRecord>>> =
-            groups.iter().map(|_| Mutex::new(None)).collect();
-
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| {
-                    // One warm runner per worker for the whole campaign.
-                    let mut runner =
-                        CaseRunner::with_options(self.sut, self.config.trace, self.config.snapshot);
-                    loop {
-                        let b = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(batch) = batches.get(b) else { break };
-                        for g in batch.clone() {
-                            let rec = run_group(&mut runner, matrix, &groups[g], &self.config, fan);
-                            *slots[g].lock().expect("slot lock") = Some(rec);
-                        }
-                    }
-                });
+        totals: CampaignReport,
+        groups: impl IntoIterator<Item = FailureFold>,
+    ) -> CampaignReport {
+        let system = self.sut.name();
+        let observer = self.observer.as_deref().unwrap_or(&NoopObserver);
+        let mut report = CampaignReport {
+            system: system.to_string(),
+            ..totals
+        };
+        let mut failures = FailureFold::default();
+        for group in groups {
+            failures.merge(group);
+        }
+        for first in failures.firsts {
+            let (index, case) = (first.index, first.case.clone());
+            let failure =
+                FailureReport::first(system, first, &self.catalog, self.sut.cluster_size());
+            observer.on_failure_found(index, &case, &failure);
+            if let Some(slice) = &failure.trace {
+                observer.on_trace_slice(index, &case, slice);
             }
-        });
-
-        // Stitch group results back together in matrix order — this, not
-        // completion order, is what the report sees.
-        slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("slot lock")
-                    .expect("every group slot filled once the scope joins")
-            })
-            .collect()
+            report.failures.push(failure);
+        }
+        report.metrics.distinct_failures = report.failures.len();
+        report
     }
 }
 
+/// Runs `work` once per seed group on `threads` workers and returns the
+/// workers' summed totals plus the per-group results in matrix order —
+/// this, not completion order, is what the report sees. Each worker owns a
+/// warm `state` and a [`Tally`] for the whole campaign and pulls (pair,
+/// scenario) batches, not single groups, off a shared cursor: the groups of
+/// one batch share cluster topology and workload shape, so a warm runner
+/// replays near-identical allocation patterns and its pools stay
+/// exactly-sized; consecutive groups of a batch also often share a prefix
+/// snapshot, and coarser units mean fewer trips to the cursor. A worker
+/// hands its totals and results back when it is joined; a single worker
+/// runs on the calling thread.
+fn run_groups<S, R: Send>(
+    matrix: &CaseMatrix,
+    threads: usize,
+    state: impl Fn() -> S + Sync,
+    work: impl Fn(&mut S, &mut Tally, usize) -> R + Sync,
+) -> (CampaignReport, Vec<R>) {
+    let batches = matrix.batches();
+    let next = AtomicUsize::new(0);
+    let worker = || {
+        let (mut state, mut tally, mut done) = (state(), Tally::default(), Vec::new());
+        while let Some(batch) = batches.get(next.fetch_add(1, Ordering::Relaxed)) {
+            done.extend(batch.clone().map(|g| (g, work(&mut state, &mut tally, g))));
+        }
+        (tally.totals, done)
+    };
+    let parts = if threads <= 1 {
+        vec![worker()]
+    } else {
+        std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..threads).map(|_| scope.spawn(worker)).collect();
+            workers
+                .into_iter()
+                .map(|w| w.join().unwrap_or_else(|payload| resume_unwind(payload)))
+                .collect()
+        })
+    };
+    let (mut totals, mut done) = (CampaignReport::default(), Vec::new());
+    for (part, results) in parts {
+        totals.absorb(&part);
+        done.extend(results);
+    }
+    done.sort_unstable_by_key(|(g, _)| *g);
+    (totals, done.into_iter().map(|(_, result)| result).collect())
+}
+
+/// Runs one case, containing a panic: a buggy SUT adapter (or harness) must
+/// cost one case, not the whole campaign. Reusing the runner after an
+/// unwind is sound despite `AssertUnwindSafe` because `run_in` starts with
+/// an unconditional `Sim::reset` or `Sim::restore` — whatever torn state
+/// the panicking case left behind is cleared before the next case sees it.
+/// (A snapshot captured *before* the panic is still the prefix's pristine
+/// end state, so restoring from it stays sound.)
+pub(crate) fn run_contained(run: impl FnOnce() -> CaseResult) -> CaseResult {
+    catch_unwind(AssertUnwindSafe(run)).unwrap_or_else(|payload| CaseResult {
+        outcome: CaseOutcome::Fail(vec![Observation::HarnessPanic {
+            message: panic_message(payload.as_ref()),
+        }]),
+        digest: CaseDigest::default(),
+        slice: None,
+    })
+}
+
 /// Runs one seed group in order, applying dedup-aware pruning within it,
-/// and folds the results into one [`GroupRecord`].
+/// folds the results into `rec`, and returns the group's failures.
 fn run_group(
     runner: &mut CaseRunner<'_>,
+    rec: &mut Tally,
     matrix: &CaseMatrix,
     group: &SeedGroup,
     config: &CampaignConfig,
-    fan: &FanOut<'_>,
-) -> GroupRecord {
-    let mut rec = GroupRecord::default();
-    let mut sig_counts: BTreeMap<String, usize> = BTreeMap::new();
-    let mut prune_rest = false;
-    for index in group.indices() {
+    user: Option<&dyn CampaignObserver>,
+) -> FailureFold {
+    let observer = user.unwrap_or(&NoopObserver);
+    let mut indices = group.indices();
+    for index in indices.by_ref() {
         let case = matrix.case_at(index);
-        fan.case_start(index, &case);
-        if prune_rest {
-            fan.case_done(index, &case, CaseStatus::Pruned, Duration::ZERO);
-            rec.cases_pruned += 1;
-            continue;
-        }
+        observer.on_case_start(index, &case);
         let t0 = Instant::now();
-        // Contain panics: a buggy SUT adapter (or harness) must cost one
-        // case, not the whole campaign. Reusing the runner after an unwind
-        // is sound despite AssertUnwindSafe because `run_in` starts with an
-        // unconditional `Sim::reset` or `Sim::restore` — whatever torn state
-        // the panicking case left behind is cleared before the next case
-        // sees it. (A snapshot captured *before* the panic is still the
-        // prefix's pristine end state, so restoring from it stays sound.)
-        let CaseResult {
-            outcome,
-            digest,
-            slice,
-        } = match catch_unwind(AssertUnwindSafe(|| case.run_in(runner))) {
-            Ok(result) => result,
-            Err(payload) => CaseResult {
-                outcome: CaseOutcome::Fail(vec![Observation::HarnessPanic {
-                    message: panic_message(payload.as_ref()),
-                }]),
-                digest: CaseDigest::default(),
-                slice: None,
-            },
-        };
-        fan.trace_counts(&digest);
-        let wall = t0.elapsed();
-        rec.cases_run += 1;
-        rec.events_processed += digest.events_processed;
-        rec.messages_delivered += digest.messages_delivered;
-        rec.faults_injected += digest.faults_injected;
-        let status = match &outcome {
-            CaseOutcome::Pass => CaseStatus::Passed,
-            CaseOutcome::InvalidWorkload(_) => CaseStatus::Invalid,
-            CaseOutcome::Fail(observations) => {
-                if let Some(k) = config.prune_after {
-                    let count = sig_counts.entry(dedup_key(observations)).or_insert(0);
-                    *count += 1;
-                    if *count >= k {
-                        prune_rest = true;
-                    }
-                }
-                if observations
-                    .iter()
-                    .any(|o| matches!(o, Observation::HarnessPanic { .. }))
-                {
-                    CaseStatus::Panicked
-                } else if observations
-                    .iter()
-                    .any(|o| matches!(o, Observation::CaseHung { .. }))
-                {
-                    CaseStatus::Hung
-                } else {
-                    CaseStatus::Failed
-                }
-            }
-        };
-        fan.case_done(index, &case, status, wall);
-        match outcome {
-            CaseOutcome::Pass => rec.cases_passed += 1,
-            CaseOutcome::InvalidWorkload(_) => rec.cases_invalid += 1,
-            CaseOutcome::Fail(observations) => rec.failures.push(GroupFailure {
-                index,
-                observations,
-                slice,
-            }),
+        let result = run_contained(|| case.run_in(runner));
+        let reproduced = rec.case_done(index, &case, None, &result, t0.elapsed(), observer);
+        if config.prune_after.is_some_and(|k| reproduced >= k) {
+            break;
         }
     }
-    rec
+    // What pruning skipped is counted arithmetically; only an attached
+    // observer has the skipped seeds decoded and announced one by one.
+    let pruned = indices;
+    if let Some(user) = user {
+        for index in pruned.clone() {
+            let case = matrix.case_at(index);
+            user.on_case_start(index, &case);
+            user.on_case_done(index, &case, CaseStatus::Pruned, Duration::ZERO);
+        }
+    }
+    if let Some(last) = pruned.clone().last() {
+        let (scenario, n) = (matrix.case_at(last).scenario, pruned.len());
+        rec.totals.cases_pruned += n;
+        rec.totals
+            .metrics
+            .record_cases(last, scenario, CaseStatus::Pruned, Duration::ZERO, n);
+    }
+    rec.finish_group()
 }
 
 /// Renders a panic payload as text (panics carry `&str` or `String` in
 /// practice; anything else gets a placeholder).
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -737,83 +642,15 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Folds per-group records into the deduplicated report, in matrix order
-/// (groups in order, each group's failures in case-index order) — so the
-/// report reads exactly as a sequential per-case walk would, at O(groups +
-/// failures) memory.
-fn aggregate(
-    system: &str,
-    matrix: &CaseMatrix,
-    records: &[GroupRecord],
-    fan: &FanOut<'_>,
-    catalog: &[VersionId],
-    cluster_size: u32,
-) -> CampaignReport {
-    debug_assert_eq!(matrix.groups().len(), records.len());
-    let mut report = CampaignReport {
-        system: system.to_string(),
-        ..Default::default()
-    };
-    // dedup key -> index into report.failures
-    let mut seen: BTreeMap<(VersionId, VersionId, String), usize> = BTreeMap::new();
-
-    for record in records {
-        report.cases_run += record.cases_run;
-        report.cases_passed += record.cases_passed;
-        report.cases_invalid += record.cases_invalid;
-        report.cases_pruned += record.cases_pruned;
-        // Per-case digests are deterministic in the seed, so these sums are
-        // independent of worker thread count — the determinism-digest tests
-        // key on exactly that.
-        report.sim_events_processed += record.events_processed;
-        report.sim_messages_delivered += record.messages_delivered;
-        report.sim_faults_injected += record.faults_injected;
-        for failure_case in &record.failures {
-            let index = failure_case.index;
-            let case = matrix.case_at(index);
-            let observations = &failure_case.observations;
-            let signature = dedup_key(observations);
-            let key = (case.from, case.to, signature.clone());
-            if let Some(&idx) = seen.get(&key) {
-                report.failures[idx].reproductions += 1;
-            } else {
-                let cause = observations
-                    .iter()
-                    .map(|o| o.classify())
-                    .find(|c| *c != "Unclassified")
-                    .unwrap_or("Unclassified");
-                seen.insert(key, report.failures.len());
-                report.failures.push(FailureReport {
-                    system: system.to_string(),
-                    from: case.from,
-                    to: case.to,
-                    scenario: case.scenario,
-                    workload: case.workload.clone(),
-                    seed: case.seed,
-                    faults: case.faults,
-                    durability: case.durability,
-                    signature,
-                    cause,
-                    observations: observations.clone(),
-                    reproductions: 1,
-                    trace: failure_case.slice.clone(),
-                    plan: crate::rollout::rendered_plan(&case, None, catalog, cluster_size),
-                });
-                let failure = report.failures.last().expect("just pushed");
-                fan.failure_found(index, &case, failure);
-                if let Some(slice) = &failure.trace {
-                    fan.trace_slice(index, &case, slice);
-                }
-            }
-        }
-    }
-    report
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::observer::MetricsObserver;
+    use crate::campaign::report::{dedup_key, FirstFailure};
     use crate::oracle::Observation;
+    use dup_simnet::TraceSlice;
+    use std::collections::BTreeMap;
+    use std::sync::{Arc, Mutex};
 
     fn crash(reason: &str) -> Observation {
         Observation::NodeCrash {
@@ -835,12 +672,19 @@ mod tests {
         }
     }
 
-    fn fail(index: usize, observations: Vec<Observation>) -> GroupFailure {
-        GroupFailure {
-            index,
-            observations,
-            slice: None,
+    /// One group's folded failures: `(case index, evidence)`, seed `i + 1`
+    /// at index `i`.
+    fn group(failures: &[(usize, Vec<Observation>)]) -> FailureFold {
+        let mut fold = FailureFold::default();
+        for (index, observations) in failures {
+            fold.push(*index, &case(*index as u64 + 1), None, observations, None);
         }
+        fold
+    }
+
+    fn aggregate(totals: CampaignReport, groups: Vec<FailureFold>) -> CampaignReport {
+        Campaign::new(&dup_kvstore::KvStoreSystem, CampaignConfig::default())
+            .aggregate(totals, groups)
     }
 
     #[test]
@@ -863,47 +707,271 @@ mod tests {
         // Two failing cases share their *first* observation but differ in
         // the second: they must surface as two distinct failures (the old
         // first-signature keying silently merged them).
-        let matrix = CaseMatrix::from_cases(vec![case(1), case(2), case(3)]);
-        assert_eq!(matrix.groups().len(), 1, "seeds fold into one group");
-        let records = vec![GroupRecord {
-            cases_run: 3,
-            failures: vec![
-                fail(0, vec![crash("shared root symptom"), crash("beta effect")]),
-                fail(1, vec![crash("shared root symptom"), crash("gamma effect")]),
-                fail(2, vec![crash("beta effect"), crash("shared root symptom")]),
-            ],
-            ..GroupRecord::default()
-        }];
-        let metrics = MetricsObserver::new();
-        let fan = FanOut {
-            metrics: &metrics,
-            user: None,
-        };
-        let report = aggregate("sys", &matrix, &records, &fan, &[], 3);
+        let failures = group(&[
+            (0, vec![crash("shared root symptom"), crash("beta effect")]),
+            (1, vec![crash("shared root symptom"), crash("gamma effect")]),
+            (2, vec![crash("beta effect"), crash("shared root symptom")]),
+        ]);
+        let report = aggregate(CampaignReport::default(), vec![failures]);
         assert_eq!(report.failures.len(), 2, "{:#?}", report.failures);
         // Case 3 has the same *set* as case 1 (order-insensitive): a dedup hit.
         assert_eq!(report.failures[0].reproductions, 2);
         assert_eq!(report.failures[1].reproductions, 1);
-        assert_eq!(metrics.snapshot().distinct_failures, 2);
+        assert_eq!(report.metrics.distinct_failures, 2);
     }
 
     #[test]
-    fn aggregation_counts_pruned_separately() {
-        let matrix = CaseMatrix::from_cases(vec![case(1), case(2)]);
-        let records = vec![GroupRecord {
-            cases_run: 1,
+    fn aggregation_merges_groups_in_the_order_given() {
+        // The same signature in two groups: the earlier group's case is the
+        // one reported, the later group's count is added to it.
+        let totals = CampaignReport {
+            cases_run: 3,
             cases_pruned: 1,
-            failures: vec![fail(0, vec![crash("boom")])],
-            ..GroupRecord::default()
-        }];
-        let metrics = MetricsObserver::new();
-        let fan = FanOut {
-            metrics: &metrics,
-            user: None,
+            ..Default::default()
         };
-        let report = aggregate("sys", &matrix, &records, &fan, &[], 3);
-        assert_eq!(report.cases_run, 1);
-        assert_eq!(report.cases_pruned, 1);
+        let groups = vec![
+            group(&[(1, vec![crash("boom")])]),
+            group(&[(2, vec![crash("boom")]), (3, vec![crash("boom")])]),
+        ];
+        let report = aggregate(totals, groups);
+        assert_eq!(report.system, dup_kvstore::KvStoreSystem.name());
+        assert_eq!((report.cases_run, report.cases_pruned), (3, 1));
         assert_eq!(report.failures.len(), 1);
+        assert_eq!(report.failures[0].seed, 2);
+        assert_eq!(report.failures[0].reproductions, 3);
+    }
+
+    /// The aggregation this engine ran before it folded results where they
+    /// are produced, kept as the oracle the fold is compared against: one
+    /// sequential walk that keeps every failing case's evidence until the
+    /// end and only then deduplicates. Returns the report (every wall-clock
+    /// zero) and the `(callback, case index)` sequence an observer would
+    /// have seen for distinct failures.
+    fn reference(
+        sut: &dyn SystemUnderTest,
+        config: &CampaignConfig,
+    ) -> (CampaignReport, Vec<(&'static str, usize)>) {
+        let matrix = CaseMatrix::enumerate(sut, config);
+        let mut runner = CaseRunner::with_options(sut, config.trace, config.snapshot);
+        let mut report = CampaignReport {
+            system: sut.name().to_string(),
+            ..Default::default()
+        };
+        let mut kept: Vec<(usize, TestCase, Vec<Observation>, Option<TraceSlice>)> = Vec::new();
+        for group in matrix.groups() {
+            let mut sig_counts: BTreeMap<String, usize> = BTreeMap::new();
+            let mut prune_rest = false;
+            for index in group.indices() {
+                let case = matrix.case_at(index);
+                let metrics = &mut report.metrics;
+                if prune_rest {
+                    report.cases_pruned += 1;
+                    metrics.record_case(index, case.scenario, CaseStatus::Pruned, Duration::ZERO);
+                    continue;
+                }
+                let result = case.run_in(&mut runner);
+                report.cases_run += 1;
+                report.sim_events_processed += result.digest.events_processed;
+                report.sim_messages_delivered += result.digest.messages_delivered;
+                report.sim_faults_injected += result.digest.faults_injected;
+                metrics.record_trace_counts(
+                    result.digest.trace_events_recorded,
+                    result.digest.trace_events_dropped,
+                );
+                let status = CaseStatus::of(&result.outcome);
+                metrics.record_case(index, case.scenario, status, Duration::ZERO);
+                match result.outcome {
+                    CaseOutcome::Pass => report.cases_passed += 1,
+                    CaseOutcome::InvalidWorkload(_) => report.cases_invalid += 1,
+                    CaseOutcome::Fail(observations) => {
+                        let count = sig_counts.entry(dedup_key(&observations)).or_insert(0);
+                        *count += 1;
+                        prune_rest = config.prune_after.is_some_and(|k| *count >= k);
+                        kept.push((index, case, observations, result.slice));
+                    }
+                }
+            }
+        }
+        let mut seen: BTreeMap<(VersionId, VersionId, String), usize> = BTreeMap::new();
+        let mut callbacks = Vec::new();
+        for (index, case, observations, slice) in kept {
+            let signature = dedup_key(&observations);
+            let key = (case.from, case.to, signature.clone());
+            if let Some(&at) = seen.get(&key) {
+                report.failures[at].reproductions += 1;
+                continue;
+            }
+            seen.insert(key, report.failures.len());
+            callbacks.push(("failure", index));
+            if slice.is_some() {
+                callbacks.push(("slice", index));
+            }
+            let first = FirstFailure {
+                index,
+                case,
+                nudge: None,
+                signature,
+                observations,
+                slice,
+                reproductions: 1,
+            };
+            report.failures.push(FailureReport::first(
+                sut.name(),
+                first,
+                &sut.versions(),
+                sut.cluster_size(),
+            ));
+        }
+        report.metrics.distinct_failures = report.failures.len();
+        (report, callbacks)
+    }
+
+    /// Logs every callback as `(name, case index)` and keeps a
+    /// [`MetricsObserver`] fed on the side.
+    #[derive(Default)]
+    struct Recording {
+        log: Mutex<Vec<(&'static str, usize)>>,
+        metrics: MetricsObserver,
+    }
+
+    impl Recording {
+        fn logged(&self, names: &[&str]) -> Vec<(&'static str, usize)> {
+            let log = self.log.lock().unwrap();
+            log.iter()
+                .filter(|(name, _)| names.contains(name))
+                .copied()
+                .collect()
+        }
+    }
+
+    impl CampaignObserver for Recording {
+        fn on_case_start(&self, index: usize, _: &TestCase) {
+            self.log.lock().unwrap().push(("start", index));
+        }
+        fn on_case_done(&self, index: usize, case: &TestCase, status: CaseStatus, wall: Duration) {
+            self.log.lock().unwrap().push(("done", index));
+            self.metrics.on_case_done(index, case, status, wall);
+        }
+        fn on_failure_found(&self, index: usize, case: &TestCase, failure: &FailureReport) {
+            self.log.lock().unwrap().push(("failure", index));
+            self.metrics.on_failure_found(index, case, failure);
+        }
+        fn on_trace_slice(&self, index: usize, _: &TestCase, _: &TraceSlice) {
+            self.log.lock().unwrap().push(("slice", index));
+        }
+    }
+
+    /// The folded report equals the keep-everything reference field for
+    /// field, on every system × threads × snapshot × pruning × tracing.
+    #[test]
+    fn fold_equals_reference() {
+        let systems: [&dyn SystemUnderTest; 4] = [
+            &dup_kvstore::KvStoreSystem,
+            &dup_dfs::DfsSystem,
+            &dup_mq::MqSystem,
+            &dup_coord::CoordSystem,
+        ];
+        let mut failing_cases = 0;
+        let mut pruned = 0;
+        for sut in systems {
+            for (prune_after, traced) in [None, Some(1), Some(3)]
+                .into_iter()
+                .flat_map(|p| [(p, false), (p, true)])
+            {
+                let mut builder = Campaign::builder(sut)
+                    .seeds(1..=4)
+                    .scenarios([Scenario::FullStop, Scenario::NewNodeJoin])
+                    .unit_tests(false);
+                if let Some(k) = prune_after {
+                    builder = builder.prune_after(k);
+                }
+                if traced {
+                    builder = builder.trace(TraceConfig::default());
+                }
+                let config = builder.into_config();
+                let (expected, expected_callbacks) = reference(sut, &config);
+                let enumerated = expected.cases_run + expected.cases_pruned;
+                failing_cases += expected.metrics.failing_cases;
+                pruned += expected.cases_pruned;
+
+                // No observer (`None`: skipped seeds are counted, not
+                // announced) and an observer, each on 1 and 4 threads with
+                // snapshotting on and off.
+                for (threads, snapshot, observed) in [
+                    (1, true, true),
+                    (1, false, true),
+                    (4, true, true),
+                    (4, false, true),
+                    (1, false, false),
+                    (4, true, false),
+                ] {
+                    let what = format!(
+                        "{} prune_after={prune_after:?} traced={traced} threads={threads} \
+                         snapshot={snapshot} observed={observed}",
+                        sut.name()
+                    );
+                    let seen = Arc::new(Recording::default());
+                    let mut builder = Campaign::builder(sut)
+                        .config(config.clone())
+                        .threads(threads)
+                        .snapshot(snapshot);
+                    if observed {
+                        builder = builder.observer(Arc::clone(&seen));
+                    }
+                    let report = builder.run();
+
+                    assert_eq!(report.failures, expected.failures, "{what}");
+                    assert_eq!(report.render_table(), expected.render_table(), "{what}");
+                    assert_eq!(report.cases_run, expected.cases_run, "{what}");
+                    assert_eq!(report.cases_passed, expected.cases_passed, "{what}");
+                    assert_eq!(report.cases_invalid, expected.cases_invalid, "{what}");
+                    assert_eq!(report.cases_pruned, expected.cases_pruned, "{what}");
+                    let reproductions: usize =
+                        report.failures.iter().map(|f| f.reproductions).sum();
+                    // Everything but the wall-clocks is the reference's.
+                    let (m, e) = (&report.metrics, &expected.metrics);
+                    assert_eq!(reproductions, m.failing_cases, "{what}");
+                    assert_eq!(m.per_scenario, e.per_scenario, "{what}");
+                    assert_eq!(m.failing_cases, e.failing_cases, "{what}");
+                    assert_eq!(m.distinct_failures, e.distinct_failures, "{what}");
+                    assert_eq!(m.pruned_seeds, e.pruned_seeds, "{what}");
+                    assert_eq!(m.trace_events_recorded, e.trace_events_recorded, "{what}");
+                    assert_eq!(m.trace_events_dropped, e.trace_events_dropped, "{what}");
+                    assert!(m.slowest_case().is_some_and(|(i, _)| i < enumerated));
+                    if !observed {
+                        continue;
+                    }
+
+                    // What the engine summed from its workers' tallies is
+                    // what a locked collector saw case by case — `slowest`
+                    // and its tie-break included. (No callback carries the
+                    // trace counters.)
+                    let mut collected = seen.metrics.snapshot();
+                    collected.threads_used = report.metrics.threads_used;
+                    collected.campaign_wall = report.metrics.campaign_wall;
+                    collected.trace_events_recorded = report.metrics.trace_events_recorded;
+                    collected.trace_events_dropped = report.metrics.trace_events_dropped;
+                    assert_eq!(report.metrics, collected, "{what}");
+
+                    assert_eq!(
+                        seen.logged(&["failure", "slice"]),
+                        expected_callbacks,
+                        "{what}"
+                    );
+                    // Every enumerated case, pruned ones included, starts
+                    // and finishes exactly once, and in that order.
+                    let mut cases = seen.logged(&["start", "done"]);
+                    assert_eq!(cases.len(), 2 * enumerated, "{what}");
+                    cases.sort_by_key(|(_, index)| *index);
+                    for (index, pair) in cases.chunks(2).enumerate() {
+                        assert_eq!(pair, [("start", index), ("done", index)], "{what}");
+                    }
+                }
+            }
+        }
+        assert!(
+            failing_cases > pruned && pruned > 0,
+            "the sweeps fail and prune"
+        );
     }
 }

@@ -8,7 +8,7 @@
 //!   is O(seed groups) even for million-case sweeps;
 //! - [`executor`] — the [`Campaign`] builder/engine: a `std::thread::scope`
 //!   worker pool over an atomic work queue of seed groups, snapshot-and-fork
-//!   case execution per group, aggregating per-group records by index so
+//!   case execution per group, merging per-group failures by index so
 //!   parallel runs report byte-identically to sequential ones;
 //! - [`observer`] — the [`CampaignObserver`] callbacks plus the bundled
 //!   [`ProgressObserver`] and [`MetricsObserver`];

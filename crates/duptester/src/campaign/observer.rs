@@ -6,8 +6,8 @@
 //! For every enumerated case the engine calls `on_case_start` then
 //! `on_case_done` exactly once — pruned cases included, reported with
 //! [`CaseStatus::Pruned`] and zero duration. `on_failure_found` fires once
-//! per *distinct* (post-dedup) failure, during result aggregation, in case
-//! index order.
+//! per *distinct* (post-dedup) failure, once every case is done and the
+//! report is final, in case index order.
 
 use crate::campaign::report::{CampaignMetrics, CaseStatus, FailureReport};
 use crate::campaign::search::SearchRound;
@@ -34,7 +34,8 @@ pub trait CampaignObserver: Send + Sync {
     }
 
     /// A distinct failure entered the report. `index` is the first exposing
-    /// case. Fires during aggregation, in case-index order.
+    /// case and `failure` is final, `reproductions` included. Fires during
+    /// aggregation, in case-index order.
     fn on_failure_found(&self, index: usize, case: &TestCase, failure: &FailureReport) {
         let _ = (index, case, failure);
     }
@@ -131,10 +132,11 @@ impl CampaignObserver for ProgressObserver {
     }
 }
 
-/// Collects [`CampaignMetrics`] from observer callbacks. The engine keeps
-/// one of these internally on every run; attach your own (via
-/// `Campaign::builder(..).observer(..)`) if you want live metrics without
-/// waiting for the report.
+/// Collects [`CampaignMetrics`] from observer callbacks. The engine itself
+/// takes no lock per case — each worker folds metrics into the seed-group
+/// record it owns and the report merges them — so attach one of these (via
+/// `Campaign::builder(..).observer(..)`) only if you want live metrics
+/// without waiting for the report.
 #[derive(Debug, Default)]
 pub struct MetricsObserver {
     metrics: Mutex<CampaignMetrics>,
@@ -151,21 +153,14 @@ impl MetricsObserver {
         self.metrics.lock().expect("metrics lock").clone()
     }
 
-    /// Accumulates one executed case's trace counters. The engine feeds
-    /// these from the case digest, so every traced case counts — not just
-    /// the failing ones whose slices reach `on_trace_slice`.
+    /// Accumulates one executed case's trace counters. No observer callback
+    /// carries them (the report's metrics sum them from every case digest),
+    /// so a caller with digests at hand feeds them here.
     pub fn record_trace(&self, recorded: u64, dropped: u64) {
         self.metrics
             .lock()
             .expect("metrics lock")
             .record_trace_counts(recorded, dropped);
-    }
-
-    pub(crate) fn finish(&self, threads_used: usize, campaign_wall: Duration) -> CampaignMetrics {
-        let mut m = self.snapshot();
-        m.threads_used = threads_used;
-        m.campaign_wall = campaign_wall;
-        m
     }
 }
 
@@ -210,10 +205,9 @@ mod tests {
         obs.on_case_start(0, &c);
         obs.on_case_done(0, &c, CaseStatus::Failed, Duration::from_millis(3));
         obs.on_case_done(1, &c, CaseStatus::Pruned, Duration::ZERO);
-        let m = obs.finish(4, Duration::from_millis(10));
+        let m = obs.snapshot();
         assert_eq!(m.failing_cases, 1);
         assert_eq!(m.pruned_seeds, 1);
-        assert_eq!(m.threads_used, 4);
         assert_eq!(m.per_scenario[&Scenario::Rolling].failed, 1);
     }
 

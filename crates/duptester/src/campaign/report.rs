@@ -1,13 +1,14 @@
 //! Campaign outputs: deduplicated failures, the Table-5-style report, and
 //! per-run execution metrics.
 
-use crate::faults::FaultIntensity;
+use crate::faults::{FaultIntensity, PlanNudge};
+use crate::harness::{CaseOutcome, TestCase};
 use crate::oracle::Observation;
 use crate::scenario::Scenario;
 use crate::workload::WorkloadSpec;
 use dup_core::VersionId;
 use dup_simnet::{Durability, TraceSlice};
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Entry};
 use std::fmt;
 use std::time::Duration;
 
@@ -54,6 +55,42 @@ pub struct FailureReport {
 }
 
 impl FailureReport {
+    /// The report of a dedup key's first failing case, as a [`FailureFold`]
+    /// kept it. `catalog` and `cluster_size` are the system's, for the
+    /// rendered rollout plan.
+    pub(crate) fn first(
+        system: &str,
+        first: FirstFailure,
+        catalog: &[VersionId],
+        cluster_size: u32,
+    ) -> FailureReport {
+        let plan =
+            crate::rollout::rendered_plan(&first.case, first.nudge.as_ref(), catalog, cluster_size);
+        let cause = first
+            .observations
+            .iter()
+            .map(|o| o.classify())
+            .find(|c| *c != "Unclassified")
+            .unwrap_or("Unclassified");
+        let case = first.case;
+        FailureReport {
+            system: system.to_string(),
+            from: case.from,
+            to: case.to,
+            scenario: case.scenario,
+            workload: case.workload,
+            seed: case.seed,
+            faults: case.faults,
+            durability: case.durability,
+            signature: first.signature,
+            cause,
+            observations: first.observations,
+            reproductions: first.reproductions,
+            trace: first.slice,
+            plan,
+        }
+    }
+
     /// One-line repro string: everything needed to re-run the first
     /// exposing case — version pair, scenario, workload, seed, fault
     /// intensity, and durability mode (the concrete fault plan, crash
@@ -170,6 +207,80 @@ pub fn dedup_key(observations: &[Observation]) -> String {
     sigs.join("|")
 }
 
+/// The first failing case of one dedup key — in fold order, which the
+/// executor makes case-index order — with how many cases reproduced it.
+#[derive(Debug, Clone)]
+pub(crate) struct FirstFailure {
+    pub(crate) index: usize,
+    pub(crate) case: TestCase,
+    /// The plan perturbation the case ran under (search mutants only).
+    pub(crate) nudge: Option<PlanNudge>,
+    pub(crate) signature: String,
+    pub(crate) observations: Vec<Observation>,
+    /// The case's causal slice; `None` for untraced campaigns.
+    pub(crate) slice: Option<TraceSlice>,
+    pub(crate) reproductions: usize,
+}
+
+/// Failing cases folded by dedup key (version pair + [`dedup_key`]): the
+/// first case of each key in full, every later one as a count. A worker
+/// folds each failing case of a seed group the moment it finishes and
+/// aggregation merges the groups' folds in matrix order, so what is kept is
+/// O(distinct signatures), never O(failing cases).
+#[derive(Debug, Clone, Default)]
+pub(crate) struct FailureFold {
+    /// Dedup key -> position in `firsts`.
+    slots: BTreeMap<(VersionId, VersionId, String), usize>,
+    pub(crate) firsts: Vec<FirstFailure>,
+}
+
+impl FailureFold {
+    /// Counts one failing case and returns how often its key has now
+    /// reproduced. The evidence is copied only when the key is new.
+    pub(crate) fn push(
+        &mut self,
+        index: usize,
+        case: &TestCase,
+        nudge: Option<&PlanNudge>,
+        observations: &[Observation],
+        slice: Option<&TraceSlice>,
+    ) -> usize {
+        let key = (case.from, case.to, dedup_key(observations));
+        if let Some(&slot) = self.slots.get(&key) {
+            self.firsts[slot].reproductions += 1;
+            return self.firsts[slot].reproductions;
+        }
+        self.firsts.push(FirstFailure {
+            index,
+            case: case.clone(),
+            nudge: nudge.copied(),
+            signature: key.2.clone(),
+            observations: observations.to_vec(),
+            slice: slice.cloned(),
+            reproductions: 1,
+        });
+        self.slots.insert(key, self.firsts.len() - 1);
+        1
+    }
+
+    /// Folds a later fold in: its new keys append in their order, its known
+    /// keys add their counts.
+    pub(crate) fn merge(&mut self, later: FailureFold) {
+        for first in later.firsts {
+            let key = (first.case.from, first.case.to, first.signature.clone());
+            match self.slots.entry(key) {
+                Entry::Occupied(slot) => {
+                    self.firsts[*slot.get()].reproductions += first.reproductions
+                }
+                Entry::Vacant(slot) => {
+                    slot.insert(self.firsts.len());
+                    self.firsts.push(first);
+                }
+            }
+        }
+    }
+}
+
 /// How one enumerated case ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum CaseStatus {
@@ -186,6 +297,25 @@ pub enum CaseStatus {
     Panicked,
     /// The case exceeded its event budget and was cut off by the watchdog.
     Hung,
+}
+
+impl CaseStatus {
+    /// The status of an executed case.
+    pub(crate) fn of(outcome: &CaseOutcome) -> CaseStatus {
+        let observations = match outcome {
+            CaseOutcome::Pass => return CaseStatus::Passed,
+            CaseOutcome::InvalidWorkload(_) => return CaseStatus::Invalid,
+            CaseOutcome::Fail(observations) => observations,
+        };
+        let any = |pred: fn(&Observation) -> bool| observations.iter().any(pred);
+        if any(|o| matches!(o, Observation::HarnessPanic { .. })) {
+            CaseStatus::Panicked
+        } else if any(|o| matches!(o, Observation::CaseHung { .. })) {
+            CaseStatus::Hung
+        } else {
+            CaseStatus::Failed
+        }
+    }
 }
 
 impl fmt::Display for CaseStatus {
@@ -225,14 +355,14 @@ impl ScenarioCounts {
         self.passed + self.failed + self.invalid + self.panicked + self.hung
     }
 
-    fn bump(&mut self, status: CaseStatus) {
+    fn bump(&mut self, status: CaseStatus, n: usize) {
         match status {
-            CaseStatus::Passed => self.passed += 1,
-            CaseStatus::Failed => self.failed += 1,
-            CaseStatus::Invalid => self.invalid += 1,
-            CaseStatus::Pruned => self.pruned += 1,
-            CaseStatus::Panicked => self.panicked += 1,
-            CaseStatus::Hung => self.hung += 1,
+            CaseStatus::Passed => self.passed += n,
+            CaseStatus::Failed => self.failed += n,
+            CaseStatus::Invalid => self.invalid += n,
+            CaseStatus::Pruned => self.pruned += n,
+            CaseStatus::Panicked => self.panicked += n,
+            CaseStatus::Hung => self.hung += n,
         }
     }
 }
@@ -278,17 +408,63 @@ impl CampaignMetrics {
         status: CaseStatus,
         wall: Duration,
     ) {
-        // Ties go to the larger index, whatever order workers report in.
+        self.record_cases(index, scenario, status, wall, 1);
+    }
+
+    /// Records `n` consecutive cases of one scenario, the last at index
+    /// `last`, that each ended as `status` after `wall` — what `n` calls of
+    /// [`record_case`](Self::record_case) would.
+    pub(crate) fn record_cases(
+        &mut self,
+        last: usize,
+        scenario: Scenario,
+        status: CaseStatus,
+        wall: Duration,
+        n: usize,
+    ) {
+        self.note_slowest(last, wall);
+        self.per_scenario
+            .entry(scenario)
+            .or_default()
+            .bump(status, n);
+        match status {
+            CaseStatus::Failed | CaseStatus::Panicked | CaseStatus::Hung => self.failing_cases += n,
+            CaseStatus::Pruned => self.pruned_seeds += n,
+            _ => {}
+        }
+        self.total_case_wall += wall * n as u32;
+    }
+
+    // Ties go to the larger index, whatever order workers report in.
+    fn note_slowest(&mut self, index: usize, wall: Duration) {
         if self.slowest.is_none_or(|(i, w)| (wall, index) > (w, i)) {
             self.slowest = Some((index, wall));
         }
-        self.per_scenario.entry(scenario).or_default().bump(status);
-        match status {
-            CaseStatus::Failed | CaseStatus::Panicked | CaseStatus::Hung => self.failing_cases += 1,
-            CaseStatus::Pruned => self.pruned_seeds += 1,
-            _ => {}
+    }
+
+    /// Adds the metrics of another part of the same run — one seed group's,
+    /// say. Commutative, so the sum does not depend on which worker ran
+    /// which part; the run-wide `threads_used` and `campaign_wall` are left
+    /// alone.
+    pub fn merge(&mut self, part: &CampaignMetrics) {
+        for (scenario, c) in &part.per_scenario {
+            let counts = self.per_scenario.entry(*scenario).or_default();
+            counts.passed += c.passed;
+            counts.failed += c.failed;
+            counts.invalid += c.invalid;
+            counts.pruned += c.pruned;
+            counts.panicked += c.panicked;
+            counts.hung += c.hung;
         }
-        self.total_case_wall += wall;
+        self.failing_cases += part.failing_cases;
+        self.distinct_failures += part.distinct_failures;
+        self.pruned_seeds += part.pruned_seeds;
+        self.total_case_wall += part.total_case_wall;
+        self.trace_events_recorded += part.trace_events_recorded;
+        self.trace_events_dropped += part.trace_events_dropped;
+        if let Some((index, wall)) = part.slowest {
+            self.note_slowest(index, wall);
+        }
     }
 
     /// Records one distinct (post-dedup) failure.
@@ -422,6 +598,21 @@ pub struct CampaignReport {
 }
 
 impl CampaignReport {
+    /// Adds the counters and metrics of another part of the same run.
+    pub(crate) fn absorb(&mut self, part: &CampaignReport) {
+        self.cases_run += part.cases_run;
+        self.cases_passed += part.cases_passed;
+        self.cases_invalid += part.cases_invalid;
+        self.cases_pruned += part.cases_pruned;
+        // Per-case digests are deterministic in the seed, so these sums are
+        // independent of worker thread count — the determinism-digest tests
+        // key on exactly that.
+        self.sim_events_processed += part.sim_events_processed;
+        self.sim_messages_delivered += part.sim_messages_delivered;
+        self.sim_faults_injected += part.sim_faults_injected;
+        self.metrics.merge(&part.metrics);
+    }
+
     /// Failures on the given version pair.
     pub fn failures_on(&self, from: VersionId, to: VersionId) -> Vec<&FailureReport> {
         self.failures
@@ -622,6 +813,90 @@ mod tests {
             crash("alpha failure"),
         ]);
         assert_eq!(a, c);
+    }
+
+    #[test]
+    fn failure_fold_keeps_firsts_and_counts_the_rest() {
+        let crash = |reason: &str| Observation::NodeCrash {
+            node: 0,
+            version: "2.0.0".into(),
+            reason: reason.to_string(),
+        };
+        let case = |seed| TestCase {
+            from: "1.0.0".parse().unwrap(),
+            to: "2.0.0".parse().unwrap(),
+            scenario: Scenario::FullStop,
+            workload: WorkloadSpec::Stress,
+            seed,
+            faults: FaultIntensity::Off,
+            durability: Durability::Strict,
+        };
+        let mut early = FailureFold::default();
+        assert_eq!(early.push(0, &case(1), None, &[crash("alpha")], None), 1);
+        assert_eq!(early.push(1, &case(2), None, &[crash("beta")], None), 1);
+        assert_eq!(early.push(2, &case(3), None, &[crash("alpha")], None), 2);
+        let mut late = FailureFold::default();
+        late.push(7, &case(8), None, &[crash("gamma")], None);
+        late.push(8, &case(9), None, &[crash("beta")], None);
+        // Another version pair never merges, whatever its signature.
+        let other_pair = TestCase {
+            to: "3.0.0".parse().unwrap(),
+            ..case(10)
+        };
+        late.push(9, &other_pair, None, &[crash("alpha")], None);
+
+        early.merge(late);
+        let kept: Vec<_> = early
+            .firsts
+            .iter()
+            .map(|f| (f.index, f.case.seed, f.reproductions))
+            .collect();
+        assert_eq!(kept, [(0, 1, 2), (1, 2, 2), (7, 8, 1), (9, 10, 1)]);
+        assert_eq!(early.firsts[0].signature, dedup_key(&[crash("alpha")]));
+    }
+
+    #[test]
+    fn merged_metrics_equal_recording_case_by_case() {
+        let ms = Duration::from_millis;
+        // (index, scenario, status, wall); 3 and 6 tie for slowest.
+        let cases = [
+            (0, Scenario::FullStop, CaseStatus::Passed, ms(5)),
+            (1, Scenario::FullStop, CaseStatus::Failed, ms(2)),
+            (2, Scenario::FullStop, CaseStatus::Pruned, ms(0)),
+            (3, Scenario::Rolling, CaseStatus::Hung, ms(9)),
+            (4, Scenario::Rolling, CaseStatus::Invalid, ms(1)),
+            (5, Scenario::NewNodeJoin, CaseStatus::Panicked, ms(3)),
+            (6, Scenario::NewNodeJoin, CaseStatus::Failed, ms(9)),
+            (7, Scenario::NewNodeJoin, CaseStatus::Pruned, ms(0)),
+            (8, Scenario::NewNodeJoin, CaseStatus::Pruned, ms(0)),
+        ];
+        let mut whole = CampaignMetrics::default();
+        for (index, scenario, status, wall) in cases {
+            whole.record_case(index, scenario, status, wall);
+        }
+        whole.record_trace_counts(70, 2);
+        assert_eq!(whole.slowest_case(), Some((6, ms(9))), "ties go up");
+
+        // The same cases as three parts, the pruned tail of the last one
+        // counted in one step, merged in either order.
+        let part = |range: std::ops::Range<usize>| {
+            let mut m = CampaignMetrics::default();
+            for (index, scenario, status, wall) in &cases[range] {
+                m.record_case(*index, *scenario, *status, *wall);
+            }
+            m
+        };
+        let (mut a, b, mut c) = (part(0..3), part(3..5), part(5..7));
+        c.record_cases(8, Scenario::NewNodeJoin, CaseStatus::Pruned, ms(0), 2);
+        a.record_trace_counts(30, 2);
+        c.record_trace_counts(40, 0);
+        for order in [[&a, &b, &c], [&c, &b, &a]] {
+            let mut merged = CampaignMetrics::default();
+            for part in order {
+                merged.merge(part);
+            }
+            assert_eq!(merged, whole);
+        }
     }
 
     #[test]

@@ -22,16 +22,16 @@
 //! byte-identical across thread counts and reruns.
 
 use crate::campaign::coverage::{CaseSignature, CoverageMap};
-use crate::campaign::executor::FanOut;
-use crate::campaign::report::{dedup_key, CampaignReport, CaseStatus, FailureReport};
+use crate::campaign::executor::{run_contained, Tally};
+use crate::campaign::observer::CampaignObserver;
+use crate::campaign::report::{CampaignReport, CaseStatus, FailureFold};
 use crate::faults::{FaultIntensity, PlanNudge, MAX_NUDGE_SHIFT_MS};
-use crate::harness::{CaseDigest, CaseOutcome, CaseResult, CaseRunner, TestCase};
+use crate::harness::{CaseOutcome, CaseRunner, TestCase};
 use crate::oracle::Observation;
 use dup_core::VersionId;
-use dup_simnet::{Durability, SimRng, TraceSlice};
+use dup_simnet::{Durability, SimRng};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
 /// One schedule-affecting input the search can execute and mutate: the case
@@ -431,26 +431,14 @@ impl SearchReport {
     }
 }
 
-/// What one searched group leaves behind for aggregation.
-#[derive(Debug, Clone, Default)]
+/// What one searched group leaves behind for aggregation: its folded
+/// failures, like a blind group, plus the search's own evidence — every
+/// failing case as a [`Detection`], at most `budget_per_group` of them.
+#[derive(Debug, Default)]
 pub(crate) struct SearchGroupRecord {
     pub(crate) summary: GroupSearchSummary,
-    pub(crate) cases_passed: usize,
-    pub(crate) cases_invalid: usize,
-    pub(crate) events_processed: u64,
-    pub(crate) messages_delivered: u64,
-    pub(crate) faults_injected: u64,
-    pub(crate) failures: Vec<SearchFailure>,
-}
-
-/// One failing case inside a [`SearchGroupRecord`].
-#[derive(Debug, Clone)]
-pub(crate) struct SearchFailure {
-    pub(crate) ordinal: usize,
-    pub(crate) case: TestCase,
-    pub(crate) input: SearchInput,
-    pub(crate) observations: Vec<Observation>,
-    pub(crate) slice: Option<TraceSlice>,
+    pub(crate) failures: FailureFold,
+    pub(crate) detections: Vec<Detection>,
 }
 
 /// The pooled per-worker search state: one signature buffer, one coverage
@@ -479,10 +467,11 @@ impl SearchPools {
 pub(crate) fn run_search_group(
     runner: &mut CaseRunner<'_>,
     pools: &mut SearchPools,
+    tally: &mut Tally,
     group_index: usize,
     template: &TestCase,
     search: &SearchConfig,
-    fan: &FanOut<'_>,
+    observer: &dyn CampaignObserver,
 ) -> SearchGroupRecord {
     pools.coverage.clear();
     pools.corpus.clear();
@@ -497,15 +486,16 @@ pub(crate) fn run_search_group(
         bootstrap_new += run_case(
             runner,
             pools,
+            tally,
             &mut rec,
             group_index,
             budget,
             template,
             SearchInput::from_seed(seed),
-            fan,
+            observer,
         );
     }
-    fan.search_round(&SearchRound {
+    observer.on_search_round(&SearchRound {
         group: group_index,
         round: 0,
         cases: rec.summary.cases_run,
@@ -522,16 +512,17 @@ pub(crate) fn run_search_group(
             run_case(
                 runner,
                 pools,
+                tally,
                 &mut rec,
                 group_index,
                 budget,
                 template,
                 SearchInput::from_seed(next),
-                fan,
+                observer,
             );
             next += 1;
         }
-        finish_group(rec, pools)
+        finish_group(rec, pools, tally)
     } else {
         // Guided rounds. A group with no fault plan — faults off under
         // strict durability — has nothing a nudge could perturb: every
@@ -586,17 +577,18 @@ pub(crate) fn run_search_group(
                     round_new += run_case(
                         runner,
                         pools,
+                        tally,
                         &mut rec,
                         group_index,
                         budget,
                         template,
                         input,
-                        fan,
+                        observer,
                     );
                 }
             }
             rec.summary.rounds = round;
-            fan.search_round(&SearchRound {
+            observer.on_search_round(&SearchRound {
                 group: group_index,
                 round,
                 cases: rec.summary.cases_run - cases_before,
@@ -610,14 +602,20 @@ pub(crate) fn run_search_group(
                 dry = 0;
             }
         }
-        finish_group(rec, pools)
+        finish_group(rec, pools, tally)
     }
 }
 
-/// Moves the group's final coverage and corpus into its record.
-fn finish_group(mut rec: SearchGroupRecord, pools: &mut SearchPools) -> SearchGroupRecord {
+/// Moves the group's final coverage, corpus and folded failures into its
+/// record.
+fn finish_group(
+    mut rec: SearchGroupRecord,
+    pools: &mut SearchPools,
+    tally: &mut Tally,
+) -> SearchGroupRecord {
     rec.summary.coverage_bits = pools.coverage.bits_set();
     rec.summary.corpus = pools.corpus.entries().copied().collect();
+    rec.failures = tally.finish_group();
     rec
 }
 
@@ -629,12 +627,13 @@ fn finish_group(mut rec: SearchGroupRecord, pools: &mut SearchPools) -> SearchGr
 fn run_case(
     runner: &mut CaseRunner<'_>,
     pools: &mut SearchPools,
+    tally: &mut Tally,
     rec: &mut SearchGroupRecord,
     group_index: usize,
     budget: usize,
     template: &TestCase,
     input: SearchInput,
-    fan: &FanOut<'_>,
+    observer: &dyn CampaignObserver,
 ) -> u32 {
     let ordinal = rec.summary.cases_run;
     let case = TestCase {
@@ -644,48 +643,25 @@ fn run_case(
     // Synthetic per-case index: sparse but stable and collision-free, so
     // observer callbacks stay ordered the same way on any thread count.
     let index = group_index * budget + ordinal;
-    fan.case_start(index, &case);
+    observer.on_case_start(index, &case);
     let t0 = Instant::now();
     // Panic containment mirrors the blind executor: one buggy case costs
-    // one case, and the runner's unconditional reset/restore makes reuse
-    // after an unwind sound.
-    let executed = catch_unwind(AssertUnwindSafe(|| {
+    // one case.
+    let result = run_contained(|| {
         if input.nudge.is_noop() {
             case.run_in(runner)
         } else {
             runner.run_nudged(&case, &input.nudge)
         }
-    }));
-    let (result, panicked) = match executed {
-        Ok(result) => (result, false),
-        Err(payload) => (
-            CaseResult {
-                outcome: CaseOutcome::Fail(vec![Observation::HarnessPanic {
-                    message: crate::campaign::executor::panic_message(payload.as_ref()),
-                }]),
-                digest: CaseDigest::default(),
-                slice: None,
-            },
-            true,
-        ),
-    };
-    let CaseResult {
-        outcome,
-        digest,
-        slice,
-    } = result;
-    fan.trace_counts(&digest);
+    });
     let wall = t0.elapsed();
     rec.summary.cases_run += 1;
-    rec.events_processed += digest.events_processed;
-    rec.messages_delivered += digest.messages_delivered;
-    rec.faults_injected += digest.faults_injected;
 
     // Coverage: fold the case's trace. A panicked case left no trustworthy
     // trace; it contributes nothing to coverage (but its failure is still
     // recorded below).
     let mut new_bits = 0u32;
-    if !panicked {
+    if CaseStatus::of(&result.outcome) != CaseStatus::Panicked {
         if let Some(trace) = runner.trace_buffer() {
             pools.signature.clear();
             pools.signature.fold(trace);
@@ -701,122 +677,19 @@ fn run_case(
         }
     }
 
-    let status = match &outcome {
-        CaseOutcome::Pass => CaseStatus::Passed,
-        CaseOutcome::InvalidWorkload(_) => CaseStatus::Invalid,
-        CaseOutcome::Fail(observations) => {
-            if observations
-                .iter()
-                .any(|o| matches!(o, Observation::HarnessPanic { .. }))
-            {
-                CaseStatus::Panicked
-            } else if observations
-                .iter()
-                .any(|o| matches!(o, Observation::CaseHung { .. }))
-            {
-                CaseStatus::Hung
-            } else {
-                CaseStatus::Failed
-            }
-        }
-    };
-    fan.case_done(index, &case, status, wall);
-    match outcome {
-        CaseOutcome::Pass => rec.cases_passed += 1,
-        CaseOutcome::InvalidWorkload(_) => rec.cases_invalid += 1,
-        CaseOutcome::Fail(observations) => rec.failures.push(SearchFailure {
+    // Dedup keys on the case as *executed* — real seed and nudge, not the
+    // matrix placeholder.
+    tally.case_done(index, &case, Some(&input.nudge), &result, wall, observer);
+    if let CaseOutcome::Fail(observations) = result.outcome {
+        rec.detections.push(Detection {
+            group: group_index,
             ordinal,
             case,
             input,
             observations,
-            slice,
-        }),
+        });
     }
     new_bits
-}
-
-/// Folds per-group search records into the final report — matrix order, the
-/// same dedup policy as the blind executor's aggregation, but keyed on the
-/// cases as *executed* (real seeds and nudges, not matrix placeholders).
-pub(crate) fn aggregate_search(
-    system: &str,
-    budget: usize,
-    records: Vec<SearchGroupRecord>,
-    fan: &FanOut<'_>,
-    catalog: &[VersionId],
-    cluster_size: u32,
-) -> SearchReport {
-    let mut campaign = CampaignReport {
-        system: system.to_string(),
-        ..Default::default()
-    };
-    let mut groups = Vec::with_capacity(records.len());
-    let mut detections = Vec::new();
-    let mut seen: BTreeMap<(VersionId, VersionId, String), usize> = BTreeMap::new();
-
-    for (group_index, record) in records.into_iter().enumerate() {
-        campaign.cases_run += record.summary.cases_run;
-        campaign.cases_passed += record.cases_passed;
-        campaign.cases_invalid += record.cases_invalid;
-        campaign.sim_events_processed += record.events_processed;
-        campaign.sim_messages_delivered += record.messages_delivered;
-        campaign.sim_faults_injected += record.faults_injected;
-        for failure in &record.failures {
-            let signature = dedup_key(&failure.observations);
-            let key = (failure.case.from, failure.case.to, signature.clone());
-            if let Some(&idx) = seen.get(&key) {
-                campaign.failures[idx].reproductions += 1;
-            } else {
-                let cause = failure
-                    .observations
-                    .iter()
-                    .map(|o| o.classify())
-                    .find(|c| *c != "Unclassified")
-                    .unwrap_or("Unclassified");
-                seen.insert(key, campaign.failures.len());
-                campaign.failures.push(FailureReport {
-                    system: system.to_string(),
-                    from: failure.case.from,
-                    to: failure.case.to,
-                    scenario: failure.case.scenario,
-                    workload: failure.case.workload.clone(),
-                    seed: failure.case.seed,
-                    faults: failure.case.faults,
-                    durability: failure.case.durability,
-                    signature,
-                    cause,
-                    observations: failure.observations.clone(),
-                    reproductions: 1,
-                    trace: failure.slice.clone(),
-                    plan: crate::rollout::rendered_plan(
-                        &failure.case,
-                        Some(&failure.input.nudge),
-                        catalog,
-                        cluster_size,
-                    ),
-                });
-                let report = campaign.failures.last().expect("just pushed");
-                let index = group_index * budget + failure.ordinal;
-                fan.failure_found(index, &failure.case, report);
-                if let Some(slice) = &report.trace {
-                    fan.trace_slice(index, &failure.case, slice);
-                }
-            }
-            detections.push(Detection {
-                group: group_index,
-                ordinal: failure.ordinal,
-                case: failure.case.clone(),
-                input: failure.input,
-                observations: failure.observations.clone(),
-            });
-        }
-        groups.push(record.summary);
-    }
-    SearchReport {
-        campaign,
-        groups,
-        detections,
-    }
 }
 
 #[cfg(test)]
