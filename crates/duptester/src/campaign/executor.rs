@@ -189,6 +189,7 @@ impl Tally {
         totals.sim_events_processed += digest.events_processed;
         totals.sim_messages_delivered += digest.messages_delivered;
         totals.sim_faults_injected += digest.faults_injected;
+        totals.cases_decided_early += digest.decided_early;
         totals
             .metrics
             .record_trace_counts(digest.trace_events_recorded, digest.trace_events_dropped);
@@ -774,6 +775,7 @@ mod tests {
                 report.sim_events_processed += result.digest.events_processed;
                 report.sim_messages_delivered += result.digest.messages_delivered;
                 report.sim_faults_injected += result.digest.faults_injected;
+                report.cases_decided_early += result.digest.decided_early;
                 metrics.record_trace_counts(
                     result.digest.trace_events_recorded,
                     result.digest.trace_events_dropped,
@@ -824,6 +826,86 @@ mod tests {
         }
         report.metrics.distinct_failures = report.failures.len();
         (report, callbacks)
+    }
+
+    /// The distinct failures of one version pair, folded and aggregated as
+    /// a campaign does it, from a sequential walk on `runner`.
+    fn failures_on_pair(
+        sut: &dyn SystemUnderTest,
+        config: &CampaignConfig,
+        pair: (VersionId, VersionId),
+        mut runner: CaseRunner<'_>,
+    ) -> Vec<FailureReport> {
+        let matrix = CaseMatrix::enumerate(sut, config);
+        let mut tally = Tally::default();
+        let mut folds = Vec::new();
+        for group in matrix.groups() {
+            let first = matrix.case_at(group.start);
+            if (first.from, first.to) != pair {
+                continue;
+            }
+            for index in group.indices() {
+                let case = matrix.case_at(index);
+                let result = case.run_in(&mut runner);
+                tally.case_done(index, &case, None, &result, Duration::ZERO, &NoopObserver);
+            }
+            folds.push(tally.finish_group());
+        }
+        Campaign::new(sut, config.clone())
+            .aggregate(tally.totals, folds)
+            .failures
+    }
+
+    /// The proof obligation the decided-verdict cut ships behind instead of
+    /// a knob: every catalog bug's pair, swept with the cut and with the
+    /// uncut reference, reports the same failures.
+    #[test]
+    fn catalog_bugs_report_the_same_failures_cut_and_uncut() {
+        let systems: [&dyn SystemUnderTest; 4] = [
+            &dup_kvstore::KvStoreSystem,
+            &dup_dfs::DfsSystem,
+            &dup_mq::MqSystem,
+            &dup_coord::CoordSystem,
+        ];
+        let mut storms = 0;
+        for bug in crate::catalog::seeded_bugs() {
+            let sut = *systems
+                .iter()
+                .find(|s| s.name() == bug.system)
+                .expect("a catalog bug names one of the four systems");
+            let scenarios = match bug.scenario {
+                Some(scenario) => vec![scenario],
+                None => Scenario::paper().to_vec(),
+            };
+            let config = Campaign::builder(sut)
+                .seeds(1..=3)
+                .scenarios(scenarios)
+                .gap_two(true)
+                .into_config();
+            let pair = (bug.from_version(), bug.to_version());
+            let sweep = |runner| failures_on_pair(sut, &config, pair, runner);
+            let cut = sweep(CaseRunner::with_options(sut, None, true));
+            let uncut = sweep(CaseRunner::with_options(sut, None, true).uncut());
+            let rows = |failures: &[FailureReport]| -> Vec<_> {
+                failures
+                    .iter()
+                    .map(|f| {
+                        (
+                            (f.from, f.to, f.scenario, f.workload.clone()),
+                            (f.seed, f.cause, f.signature.clone(), f.reproductions),
+                        )
+                    })
+                    .collect()
+            };
+            assert_eq!(rows(&cut), rows(&uncut), "{}", bug.ticket);
+            let caught = cut
+                .iter()
+                .flat_map(|f| &f.observations)
+                .any(|o| o.to_string().contains(bug.marker));
+            assert!(caught || bug.timing_dependent, "{} missed", bug.ticket);
+            storms += usize::from(bug.marker == "message storm" && caught);
+        }
+        assert_eq!(storms, 2, "both storm bugs are caught, through the cut");
     }
 
     /// Logs every callback as `(name, case index)` and keeps a

@@ -593,6 +593,10 @@ pub struct CampaignReport {
     /// Total faults injected across executed cases (message perturbations
     /// plus applied scheduled actions); same determinism guarantee.
     pub sim_faults_injected: u64,
+    /// Executed cases whose post-upgrade quiesce ended before its deadline
+    /// because the oracle's storm verdict was already decided (the sum of
+    /// [`CaseDigest::decided_early`](crate::CaseDigest::decided_early)).
+    pub cases_decided_early: u64,
     /// Execution metrics for this run.
     pub metrics: CampaignMetrics,
 }
@@ -610,6 +614,7 @@ impl CampaignReport {
         self.sim_events_processed += part.sim_events_processed;
         self.sim_messages_delivered += part.sim_messages_delivered;
         self.sim_faults_injected += part.sim_faults_injected;
+        self.cases_decided_early += part.cases_decided_early;
         self.metrics.merge(&part.metrics);
     }
 
@@ -656,9 +661,16 @@ impl CampaignReport {
             self.cases_pruned
         ));
         out.push_str(&format!(
-            "   sim totals: {} events, {} messages delivered, {} faults injected\n",
+            "   sim totals: {} events, {} messages delivered, {} faults injected",
             self.sim_events_processed, self.sim_messages_delivered, self.sim_faults_injected
         ));
+        if self.cases_decided_early > 0 {
+            out.push_str(&format!(
+                ", {} cases decided early",
+                self.cases_decided_early
+            ));
+        }
+        out.push('\n');
         out.push_str(&self.metrics.render_summary());
         out
     }
@@ -680,13 +692,21 @@ mod tests {
             sim_events_processed: 1234,
             sim_messages_delivered: 567,
             sim_faults_injected: 89,
+            cases_decided_early: 0,
             metrics: CampaignMetrics::default(),
         };
         let table = report.render_table();
         assert!(table.contains("0 distinct failures / 10 cases"));
-        assert!(
-            table.contains("sim totals: 1234 events, 567 messages delivered, 89 faults injected")
-        );
+        let totals = "sim totals: 1234 events, 567 messages delivered, 89 faults injected";
+        assert!(table.contains(&format!("{totals}\n")));
+        // The cut count shows only when some case was cut.
+        let cut = CampaignReport {
+            cases_decided_early: 2,
+            ..report
+        };
+        assert!(cut
+            .render_table()
+            .contains(&format!("{totals}, 2 cases decided early\n")));
     }
 
     #[test]

@@ -131,6 +131,9 @@ struct CasePools {
     during_ops: Vec<ClientOp>,
     /// Post-upgrade phase ops.
     after_ops: Vec<ClientOp>,
+    /// Reference path for the differential tests: never end a quiesce early.
+    #[cfg(test)]
+    uncut: bool,
 }
 
 /// Everything the suffix needs from an executed prefix.
@@ -206,6 +209,14 @@ impl<'a> CaseRunner<'a> {
         self.trace
     }
 
+    /// The reference the decided-verdict cut is tested against: every
+    /// quiesce runs to its deadline, as it did before the cut existed.
+    #[cfg(test)]
+    pub(crate) fn uncut(mut self) -> Self {
+        self.pools.uncut = true;
+        self
+    }
+
     /// Whether this runner reuses prefixes via snapshot-and-fork.
     pub fn snapshots_enabled(&self) -> bool {
         self.use_snapshots
@@ -250,7 +261,7 @@ impl<'a> CaseRunner<'a> {
                     self.sim.restore(&self.snapshot);
                     self.ops.truncate(pre.data.ops_len);
                     self.sim.reseed(case.seed);
-                    let outcome = run_suffix(
+                    let (outcome, decided_early) = run_suffix(
                         &mut self.sim,
                         self.sut,
                         case,
@@ -259,7 +270,7 @@ impl<'a> CaseRunner<'a> {
                         &mut self.pools,
                         &mut self.ops,
                     );
-                    return finalize(&mut self.sim, outcome);
+                    return finalize(&mut self.sim, outcome, decided_early);
                 }
             }
         }
@@ -287,7 +298,7 @@ impl<'a> CaseRunner<'a> {
             // A runaway prefix is not cacheable evidence of anything but its
             // own non-termination; report the hang without caching.
             self.prefix = None;
-            return finalize(&mut self.sim, CaseOutcome::Pass);
+            return finalize(&mut self.sim, CaseOutcome::Pass, false);
         }
         if let Err(message) = &prefix_verdict {
             data.invalid = Some((message.clone(), digest_of(&self.sim)));
@@ -310,7 +321,7 @@ impl<'a> CaseRunner<'a> {
             };
         }
         self.sim.reseed(case.seed);
-        let outcome = run_suffix(
+        let (outcome, decided_early) = run_suffix(
             &mut self.sim,
             self.sut,
             case,
@@ -319,7 +330,7 @@ impl<'a> CaseRunner<'a> {
             &mut self.pools,
             &mut self.ops,
         );
-        finalize(&mut self.sim, outcome)
+        finalize(&mut self.sim, outcome, decided_early)
     }
 }
 
@@ -343,7 +354,7 @@ fn prefix_seed(from: VersionId, workload: &WorkloadSpec) -> u64 {
 /// The end-of-case bookkeeping shared by every execution path: the event
 /// budget watchdog, the failing case's trace slice, and the determinism
 /// digest.
-fn finalize(sim: &mut Sim, mut outcome: CaseOutcome) -> CaseResult {
+fn finalize(sim: &mut Sim, mut outcome: CaseOutcome, decided_early: bool) -> CaseResult {
     if sim.budget_exhausted() {
         // The case ran away; whatever the oracle saw is untrustworthy
         // evidence from a truncated run. Report the non-termination
@@ -368,7 +379,10 @@ fn finalize(sim: &mut Sim, mut outcome: CaseOutcome) -> CaseResult {
     };
     CaseResult {
         outcome,
-        digest: digest_of(sim),
+        digest: CaseDigest {
+            decided_early: u64::from(decided_early),
+            ..digest_of(sim)
+        },
         slice,
     }
 }
@@ -381,6 +395,7 @@ fn digest_of(sim: &Sim) -> CaseDigest {
         faults_injected: sim.faults_injected(),
         trace_events_recorded: sim.trace().map_or(0, |t| t.events_recorded()),
         trace_events_dropped: sim.trace().map_or(0, |t| t.events_dropped()),
+        decided_early: 0,
     }
 }
 
@@ -416,6 +431,9 @@ pub struct CaseDigest {
     pub trace_events_recorded: u64,
     /// Trace events the case's ring buffer evicted by wrap-around.
     pub trace_events_dropped: u64,
+    /// 1 when the post-upgrade quiesce ended before its deadline because the
+    /// oracle's storm verdict was already decided, else 0.
+    pub decided_early: u64,
 }
 
 /// The outcome of one test case.
@@ -439,7 +457,11 @@ impl CaseOutcome {
 
 const SETTLE: SimDuration = SimDuration::from_secs(2);
 /// Post-upgrade quiesce. Long enough for slow-burn symptoms (trash-purge
-/// heartbeat stalls, storms) to surface.
+/// heartbeat stalls, storms) to surface. It ends at this deadline, or as
+/// soon as the upgrade window holds more messages than
+/// [`oracle::storm_decided_above`] allows for the longest window the case
+/// can still reach: from there a `MessageStorm` is certain whatever happens
+/// next, so pumping the storm further buys no evidence.
 const QUIESCE: SimDuration = SimDuration::from_secs(75);
 const OP_TIMEOUT: SimDuration = SimDuration::from_secs(3);
 /// The logical phase window an open-loop [`WorkloadPlan`] compiles over:
@@ -450,7 +472,10 @@ const OPEN_LOOP_WINDOW_MS: u64 = 2_000;
 /// (even heavy-fault stress on the chattiest system) stays well under one
 /// million events; a case that hits the ceiling is runaway — a livelock,
 /// a restart storm, a timer loop — and is reported as hung instead of
-/// spinning the worker thread forever.
+/// spinning the worker thread forever. A message flood whose storm verdict
+/// is decided before the ceiling ends its [`QUIESCE`] there and is reported
+/// as the `MessageStorm` it is; a runaway that delivers no messages (a timer
+/// loop) still runs into the ceiling.
 const EVENT_BUDGET: u64 = 2_000_000;
 
 /// Drives the simulation on the harness's behalf while a fault plan is
@@ -505,22 +530,29 @@ impl FaultDriver<'_> {
 
     /// Pump-aware [`Sim::run_for`].
     fn run_for(&self, sim: &mut Sim, duration: SimDuration) {
-        if !self.active {
-            sim.run_for(duration);
-            return;
-        }
+        self.quiesce(sim, duration, u64::MAX);
+    }
+
+    /// Pump-aware [`Sim::run_for`] that also stops, wherever the clock then
+    /// stands, once [`Sim::messages_delivered`] reaches `decided_at`.
+    /// Returns `true` if that is what ended it. (With no plan active nothing
+    /// is ever pending, and the pump is one empty-queue check per event.)
+    fn quiesce(&self, sim: &mut Sim, duration: SimDuration, decided_at: u64) -> bool {
         let deadline = sim.now() + duration;
-        loop {
+        while sim.messages_delivered() < decided_at {
             self.pump(sim);
             match sim.peek_time() {
                 Some(t) if t <= deadline => {
                     sim.step();
                 }
-                _ => break,
+                _ => {
+                    sim.run_until(deadline);
+                    self.pump(sim);
+                    return false;
+                }
             }
         }
-        sim.run_until(deadline);
-        self.pump(sim);
+        true
     }
 
     /// Pump-aware [`Sim::run_until`]: advances to `deadline`, a no-op when
@@ -711,7 +743,7 @@ fn run_suffix(
     nudge: Option<&PlanNudge>,
     pools: &mut CasePools,
     ops: &mut Vec<OpResult>,
-) -> CaseOutcome {
+) -> (CaseOutcome, bool) {
     let n = sut.cluster_size();
     let config = &pre.config;
 
@@ -932,48 +964,68 @@ fn run_suffix(
     // diluted below threshold by the long quiet quiesce window.
     let rollout_msgs = sim.messages_delivered() - msgs_before_window;
     let rollout_len = sim.now().since(upgrade_started).as_millis().max(1);
+    // Message-rate comparison: the baseline-window rate (first op to upgrade
+    // start) projected onto the length of the window it is compared with.
+    let baseline_window_msgs = msgs_before_window - pre.msgs_at_first_op;
+    let baseline_len = upgrade_started.since(pre.first_op_time).as_millis();
+    let project = |len_ms| oracle::project_baseline(baseline_window_msgs, baseline_len, len_ms);
+    let baseline_rollout = project(rollout_len);
 
-    driver.run_for(sim, QUIESCE);
+    // Decided-verdict cut: the window can only gain messages, and it ends at
+    // most `max_len` after the upgrade started (an op returns by its
+    // timeout), so past `decided_at` delivered messages — or with the
+    // rollout window already a storm — the storm rule below is certain to
+    // fire and the rest of the quiesce would add no evidence.
+    let max_len = max_window_len(rollout_len, after_ops.len());
+    let decided_at = if oracle::is_storm(rollout_msgs, baseline_rollout) {
+        0
+    } else {
+        oracle::storm_decided_above(project(max_len)).saturating_add(msgs_before_window + 1)
+    };
+    #[cfg(test)]
+    let decided_at = if pools.uncut { u64::MAX } else { decided_at };
+    let decided_early = driver.quiesce(sim, QUIESCE, decided_at);
+    if decided_early {
+        let at = sim.messages_delivered() - msgs_before_window;
+        sim.log_sim(
+            LogLevel::Info,
+            format!("quiesce ended early: message storm decided at {at} window messages"),
+        );
+    }
     run_ops(&driver, sim, after_ops, true, true, ops);
     driver.run_for(sim, SETTLE);
 
-    // Message-rate comparison: project the baseline-window rate (first op
-    // to upgrade start) onto the upgrade window's length.
     let window_msgs = sim.messages_delivered() - msgs_before_window;
     let window_len = sim.now().since(upgrade_started).as_millis().max(1);
-    let baseline_window_msgs = msgs_before_window - pre.msgs_at_first_op;
-    let baseline_len = upgrade_started.since(pre.first_op_time).as_millis();
-    let baseline_msgs = project_baseline(baseline_window_msgs, baseline_len, window_len);
-    let baseline_rollout = project_baseline(baseline_window_msgs, baseline_len, rollout_len);
+    debug_assert!(window_len <= max_len, "{window_len} > {max_len}");
+    let baseline_msgs = project(window_len);
 
     // The full window takes precedence (identical evidence to what it
     // always produced); the rollout-only window is consulted only when the
     // full window is quiet, so a transient rollout-phase storm still trips
     // the same oracle rule.
-    let storm = |msgs: u64, baseline: u64| {
-        msgs > oracle::STORM_FLOOR && msgs > baseline.saturating_mul(oracle::STORM_FACTOR)
+    let (window_msgs, baseline_msgs) = if !oracle::is_storm(window_msgs, baseline_msgs)
+        && oracle::is_storm(rollout_msgs, baseline_rollout)
+    {
+        (rollout_msgs, baseline_rollout)
+    } else {
+        (window_msgs, baseline_msgs)
     };
-    let (window_msgs, baseline_msgs) =
-        if !storm(window_msgs, baseline_msgs) && storm(rollout_msgs, baseline_rollout) {
-            (rollout_msgs, baseline_rollout)
-        } else {
-            (window_msgs, baseline_msgs)
-        };
 
     let observations = oracle::evaluate(sim, log_mark, baseline_msgs, window_msgs, ops);
-    if observations.is_empty() {
+    let outcome = if observations.is_empty() {
         CaseOutcome::Pass
     } else {
         CaseOutcome::Fail(observations)
-    }
+    };
+    (outcome, decided_early)
 }
 
-/// Projects a measured baseline message count onto a window of a different
-/// length: `baseline_msgs` messages observed over `baseline_len_ms` scale to
-/// the expected count for `window_len_ms` at the same rate.
-fn project_baseline(baseline_msgs: u64, baseline_len_ms: u64, window_len_ms: u64) -> u64 {
-    let rate_per_ms = baseline_msgs as f64 / baseline_len_ms.max(1) as f64;
-    (rate_per_ms * window_len_ms as f64) as u64
+/// The longest the upgrade window can get, in milliseconds, for a rollout
+/// that took `rollout_len_ms`: a full [`QUIESCE`], every post-upgrade op
+/// running into its timeout, and the final [`SETTLE`].
+fn max_window_len(rollout_len_ms: u64, after_ops: usize) -> u64 {
+    rollout_len_ms + (QUIESCE + OP_TIMEOUT.saturating_mul(after_ops as u64) + SETTLE).as_millis()
 }
 
 fn host(i: u32) -> String {
@@ -1025,21 +1077,318 @@ fn run_ops(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::{dedup_key, Campaign, CaseMatrix};
+    use crate::oracle::project_baseline;
+    use crate::workload::OpenLoopSpec;
+    use dup_simnet::{Ctx, Endpoint, Process, StepResult};
+    use proptest::prelude::*;
+
+    fn systems() -> [&'static dyn SystemUnderTest; 4] {
+        [
+            &dup_kvstore::KvStoreSystem,
+            &dup_dfs::DfsSystem,
+            &dup_mq::MqSystem,
+            &dup_coord::CoordSystem,
+        ]
+    }
+
+    fn evidence(outcome: &CaseOutcome) -> &[Observation] {
+        match outcome {
+            CaseOutcome::Fail(observations) => observations,
+            _ => &[],
+        }
+    }
+
+    fn has_storm(outcome: &CaseOutcome) -> bool {
+        evidence(outcome)
+            .iter()
+            .any(|o| matches!(o, Observation::MessageStorm { .. }))
+    }
+
+    /// The cut against the uncut reference over one system's whole extended
+    /// matrix, case by case: the same verdict always; the same everything
+    /// when the cut did not fire; and when it did, a storm on both sides
+    /// under the same dedup key. Snapshotting on and off must agree with
+    /// each other too. Returns how many cases were cut.
+    fn cut_equals_uncut_reference(sut: &dyn SystemUnderTest) -> usize {
+        let config = Campaign::builder(sut)
+            .seeds(1..=3)
+            .scenarios(Scenario::extended())
+            .faults([FaultIntensity::Off, FaultIntensity::Heavy])
+            .durabilities([Durability::Strict, Durability::Torn])
+            .into_config();
+        let matrix = CaseMatrix::enumerate(sut, &config);
+        let mut forked = CaseRunner::with_options(sut, None, true);
+        let mut replayed = CaseRunner::with_options(sut, None, false);
+        let mut reference = CaseRunner::with_options(sut, None, true).uncut();
+        let mut cut_cases = 0;
+        for index in 0..matrix.len() {
+            let case = matrix.case_at(index);
+            let what = format!("{} {case:?}", sut.name());
+            let cut = case.run_in(&mut forked);
+            let other = case.run_in(&mut replayed);
+            assert_eq!(cut.outcome, other.outcome, "{what}");
+            assert_eq!(cut.digest, other.digest, "{what}");
+            let uncut = case.run_in(&mut reference);
+            assert_eq!(uncut.digest.decided_early, 0, "{what}");
+            assert_eq!(
+                cut.outcome.is_failure(),
+                uncut.outcome.is_failure(),
+                "{what}"
+            );
+            if cut.digest.decided_early == 0 {
+                assert_eq!(cut.outcome, uncut.outcome, "{what}");
+                assert_eq!(cut.digest, uncut.digest, "{what}");
+                continue;
+            }
+            cut_cases += 1;
+            assert!(has_storm(&cut.outcome), "{what}: {:?}", cut.outcome);
+            assert!(has_storm(&uncut.outcome), "{what}: {:?}", uncut.outcome);
+            assert_eq!(
+                dedup_key(evidence(&cut.outcome)),
+                dedup_key(evidence(&uncut.outcome)),
+                "{what}"
+            );
+            assert!(
+                cut.digest.events_processed < uncut.digest.events_processed,
+                "{what}"
+            );
+        }
+        assert!(cut_cases * 10 < matrix.len(), "{cut_cases} cases cut");
+        cut_cases
+    }
+
+    // One test per system, so they run side by side.
+    #[test]
+    fn cut_equals_uncut_on_kvstore() {
+        // CASSANDRA-13441's migration storm lives here.
+        assert!(cut_equals_uncut_reference(&dup_kvstore::KvStoreSystem) > 0);
+    }
 
     #[test]
-    fn baseline_projection_excludes_settle_idle() {
-        // 1000 messages over the 1000 ms the workload actually ran project
-        // to 5000 messages for a 5000 ms upgrade window.
-        assert_eq!(project_baseline(1000, 1000, 5000), 5000);
-        // Regression: the old formula divided by the whole pre-upgrade time
-        // including the 2 s boot SETTLE, deflating the baseline to a third
-        // of the true rate — enough to turn healthy traffic into a false
-        // "storm". The fixed projection must beat that deflated figure.
-        let deflated = project_baseline(1000, 3000, 5000);
-        assert!(deflated < 2000);
-        assert!(project_baseline(1000, 1000, 5000) > deflated * 2);
-        // Degenerate windows stay finite.
-        assert_eq!(project_baseline(0, 0, 100), 0);
-        assert_eq!(project_baseline(7, 0, 0), 0);
+    fn cut_equals_uncut_on_dfs() {
+        cut_equals_uncut_reference(&dup_dfs::DfsSystem);
+    }
+
+    #[test]
+    fn cut_equals_uncut_on_mq() {
+        cut_equals_uncut_reference(&dup_mq::MqSystem);
+    }
+
+    #[test]
+    fn cut_equals_uncut_on_coord() {
+        cut_equals_uncut_reference(&dup_coord::CoordSystem);
+    }
+
+    /// A same-version "upgrade" has no storm to decide: under the heaviest
+    /// adversity and the open-loop barrage no case fails and none is cut.
+    /// (hdfs-mini's precision has known bounds — injected crashes leave its
+    /// single namenode unresponsive, and a rolling restart under open-loop
+    /// traffic outlasts a datanode's heartbeat timeout — so it runs without
+    /// the adversity and, under open-loop, only has to stay storm-free.)
+    #[test]
+    fn same_version_cases_are_never_cut() {
+        let open_loop = |read_pct| {
+            WorkloadSpec::OpenLoop(OpenLoopSpec {
+                clients: 1_000_000,
+                rate_per_sec: 500,
+                read_pct,
+                ..OpenLoopSpec::small()
+            })
+        };
+        for sut in systems() {
+            let hdfs = sut.name() == "hdfs-mini";
+            let version = *sut.versions().last().expect("a system has versions");
+            let (faults, durability) = if hdfs {
+                (FaultIntensity::Off, Durability::Strict)
+            } else {
+                (FaultIntensity::Heavy, Durability::Torn)
+            };
+            let mut runner = CaseRunner::with_options(sut, None, true);
+            for workload in [WorkloadSpec::Stress, open_loop(90), open_loop(10)] {
+                for seed in 1..=3 {
+                    let case = TestCase {
+                        from: version,
+                        to: version,
+                        scenario: Scenario::Rolling,
+                        workload: workload.clone(),
+                        seed,
+                        faults,
+                        durability,
+                    };
+                    let result = case.run_in(&mut runner);
+                    let what = format!("{} {case:?}: {:?}", sut.name(), result.outcome);
+                    assert_eq!(result.digest.decided_early, 0, "{what}");
+                    if hdfs && workload != WorkloadSpec::Stress {
+                        assert!(!has_storm(&result.outcome), "{what}");
+                    } else {
+                        assert_eq!(result.outcome, CaseOutcome::Pass, "{what}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// The theorem the cut rests on, for one baseline and one rollout: a
+    /// window holding more than the decided level is a storm at every
+    /// length it can still end at.
+    fn check_decided_level(base_msgs: u64, base_len: u64, rollout_len: u64, after_ops: usize) {
+        let max_len = max_window_len(rollout_len, after_ops);
+        let at_max = project_baseline(base_msgs, base_len, max_len);
+        let level = oracle::storm_decided_above(at_max);
+        let lens = [0, 1, rollout_len, max_len / 2, max_len - 1, max_len];
+        for len in lens {
+            let baseline = project_baseline(base_msgs, base_len, len);
+            assert!(baseline <= at_max);
+            if level < u64::MAX {
+                for window in [level + 1, level.saturating_mul(2), u64::MAX] {
+                    assert!(
+                        oracle::is_storm(window, baseline),
+                        "{window} msgs over {len} ms vs {base_msgs} per {base_len} ms"
+                    );
+                }
+            }
+        }
+        // The level is tight at the longest window, or sits on the floor.
+        assert!(!oracle::is_storm(level, at_max));
+    }
+
+    #[test]
+    fn decided_level_is_sound_on_seeded_inputs() {
+        let mut rng = dup_simnet::SimRng::new(17);
+        // Uniform in magnitude, not in value: small counts matter as much.
+        let mut up_to_bits = |bits: u64| {
+            let bound = 1 << rng.next_below(bits);
+            rng.next_below(bound)
+        };
+        for _ in 0..2_000 {
+            let (base_msgs, base_len) = (up_to_bits(40), up_to_bits(24));
+            let (rollout_len, after_ops) = (1 + up_to_bits(24), up_to_bits(7) as usize);
+            check_decided_level(base_msgs, base_len, rollout_len, after_ops);
+        }
+        // Degenerate windows: no baseline time, no baseline traffic, and a
+        // rate whose projection saturates.
+        check_decided_level(7, 0, 1, 0);
+        check_decided_level(0, 0, 1, 3);
+        check_decided_level(u64::MAX, 1, 1, 0);
+    }
+
+    proptest! {
+        #[test]
+        fn decided_level_is_sound(
+            base_msgs in any::<u64>(),
+            base_len in 0u64..100_000_000,
+            rollout_len in 1u64..100_000_000,
+            after_ops in 0usize..10_000,
+        ) {
+            check_decided_level(base_msgs, base_len, rollout_len, after_ops);
+        }
+
+        #[test]
+        fn baseline_projection_never_shrinks_with_the_window(
+            base_msgs in any::<u64>(),
+            base_len in any::<u64>(),
+            a in any::<u64>(),
+            b in any::<u64>(),
+        ) {
+            let (short, long) = (a.min(b), a.max(b));
+            prop_assert!(
+                project_baseline(base_msgs, base_len, short)
+                    <= project_baseline(base_msgs, base_len, long)
+            );
+        }
+    }
+
+    // ---- a toy flood: the runaway the cut ends ------------------------------
+    // (The timer-loop runaway it leaves alone is `durability_campaigns.rs`'s
+    // `runaway_case_is_cut_off_and_reported_hung`.)
+
+    /// Replies `OK` to clients. As the new version it also goes bad once the
+    /// rollout has settled: 200 messages bounce between the two nodes forever.
+    struct Flooder {
+        new_version: bool,
+    }
+
+    impl Process for Flooder {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) -> StepResult {
+            if self.new_version {
+                ctx.set_timer(SimDuration::from_secs(5), 1);
+            }
+            Ok(())
+        }
+        fn on_message(&mut self, ctx: &mut Ctx<'_>, from: Endpoint, _payload: &[u8]) -> StepResult {
+            let reply: &'static [u8] = match from {
+                Endpoint::Node(_) => b"PING",
+                Endpoint::Client(_) => b"OK",
+            };
+            ctx.send(from, bytes::Bytes::from_static(reply));
+            Ok(())
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: u64) -> StepResult {
+            let peer = Endpoint::Node(1 - ctx.node_id());
+            for _ in 0..200 {
+                ctx.send(peer, bytes::Bytes::from_static(b"PING"));
+            }
+            Ok(())
+        }
+    }
+
+    struct FloodSut;
+
+    impl SystemUnderTest for FloodSut {
+        fn name(&self) -> &'static str {
+            "flood-toy"
+        }
+        fn versions(&self) -> Vec<VersionId> {
+            vec!["1.0.0".parse().unwrap(), "2.0.0".parse().unwrap()]
+        }
+        fn cluster_size(&self) -> u32 {
+            2
+        }
+        fn spawn(&self, version: VersionId, _setup: &NodeSetup) -> Box<dyn Process> {
+            Box::new(Flooder {
+                new_version: version.to_string() == "2.0.0",
+            })
+        }
+        fn stress_ops(
+            &self,
+            _seed: u64,
+            _phase: WorkloadPhase,
+            _client_version: VersionId,
+            emit: &mut dyn FnMut(ClientOp),
+        ) {
+            emit(ClientOp::new(0, "HEALTH"));
+        }
+    }
+
+    #[test]
+    fn a_flood_is_reported_as_the_storm_it_is() {
+        let case = TestCase {
+            from: "1.0.0".parse().unwrap(),
+            to: "2.0.0".parse().unwrap(),
+            scenario: Scenario::FullStop,
+            workload: WorkloadSpec::Stress,
+            seed: 1,
+            faults: FaultIntensity::Off,
+            durability: Durability::Strict,
+        };
+        let mut runner = CaseRunner::new(&FloodSut);
+        let cut = case.run_in(&mut runner);
+        assert_eq!(cut.digest.decided_early, 1);
+        assert!(has_storm(&cut.outcome), "{:?}", cut.outcome);
+        assert!(cut.digest.events_processed < EVENT_BUDGET / 2);
+        let log = runner.sim.logs().records_since(Default::default());
+        assert!(
+            log.iter()
+                .any(|r| r.message.starts_with("quiesce ended early")),
+            "the cut explains itself in the log"
+        );
+        // Pumped through the whole quiesce, the same flood runs away.
+        let uncut = case.run_in(&mut CaseRunner::new(&FloodSut).uncut());
+        assert!(
+            matches!(evidence(&uncut.outcome), [Observation::CaseHung { .. }]),
+            "{:?}",
+            uncut.outcome
+        );
     }
 }

@@ -227,8 +227,33 @@ fn is_benign_miss(response: &str) -> bool {
 
 /// Storm thresholds: the window must both exceed an absolute floor and be a
 /// large multiple of the pre-upgrade baseline.
-pub(crate) const STORM_FLOOR: u64 = 2_000;
-pub(crate) const STORM_FACTOR: u64 = 10;
+const STORM_FLOOR: u64 = 2_000;
+const STORM_FACTOR: u64 = 10;
+
+/// The storm rule: `window_msgs` messages in the upgrade window against
+/// `baseline_msgs` expected for a window that long at the pre-upgrade rate.
+pub(crate) fn is_storm(window_msgs: u64, baseline_msgs: u64) -> bool {
+    window_msgs > STORM_FLOOR && window_msgs > baseline_msgs.saturating_mul(STORM_FACTOR)
+}
+
+/// Projects a measured baseline message count onto a window of a different
+/// length: `baseline_msgs` messages observed over `baseline_len_ms` scale to
+/// the expected count for `window_ms` at the same rate. Non-decreasing in
+/// `window_ms`, which the decided-verdict cut leans on.
+pub(crate) fn project_baseline(baseline_msgs: u64, baseline_len_ms: u64, window_ms: u64) -> u64 {
+    let rate_per_ms = baseline_msgs as f64 / baseline_len_ms.max(1) as f64;
+    (rate_per_ms * window_ms as f64) as u64
+}
+
+/// The window message count above which [`is_storm`] holds against every
+/// baseline up to `max_baseline_msgs` — the baseline projected onto the
+/// longest window a case can still end with. A window's count never falls,
+/// so once it passes this level no later event can un-meet the rule.
+pub(crate) fn storm_decided_above(max_baseline_msgs: u64) -> u64 {
+    max_baseline_msgs
+        .saturating_mul(STORM_FACTOR)
+        .max(STORM_FLOOR)
+}
 
 /// Evaluates everything the harness recorded and returns the observations.
 ///
@@ -310,7 +335,7 @@ pub fn evaluate(
             _ => {}
         }
     }
-    if window_msgs > STORM_FLOOR && window_msgs > baseline_msgs.saturating_mul(STORM_FACTOR) {
+    if is_storm(window_msgs, baseline_msgs) {
         out.push(Observation::MessageStorm {
             messages: window_msgs,
             baseline: baseline_msgs,
@@ -395,6 +420,23 @@ mod tests {
         assert_eq!(h.classify(), "Non-termination");
         assert_eq!(h.signature(), "hung");
         assert!(h.to_string().contains("did not terminate"));
+    }
+
+    #[test]
+    fn baseline_projection_excludes_settle_idle() {
+        // 1000 messages over the 1000 ms the workload actually ran project
+        // to 5000 messages for a 5000 ms upgrade window.
+        assert_eq!(project_baseline(1000, 1000, 5000), 5000);
+        // Regression: the old formula divided by the whole pre-upgrade time
+        // including the 2 s boot SETTLE, deflating the baseline to a third
+        // of the true rate — enough to turn healthy traffic into a false
+        // "storm". The fixed projection must beat that deflated figure.
+        let deflated = project_baseline(1000, 3000, 5000);
+        assert!(deflated < 2000);
+        assert!(project_baseline(1000, 1000, 5000) > deflated * 2);
+        // Degenerate windows stay finite.
+        assert_eq!(project_baseline(0, 0, 100), 0);
+        assert_eq!(project_baseline(7, 0, 0), 0);
     }
 
     #[test]

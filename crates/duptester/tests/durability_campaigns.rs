@@ -361,6 +361,8 @@ fn runaway_case_is_cut_off_and_reported_hung() {
         .run();
     assert_eq!(report.cases_run, 1);
     assert_eq!(report.metrics.per_scenario[&Scenario::FullStop].hung, 1);
+    // A timer loop delivers no messages, so no storm verdict ends it early.
+    assert_eq!(report.cases_decided_early, 0);
     let failure = report
         .failures
         .first()
