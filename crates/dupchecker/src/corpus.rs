@@ -121,14 +121,20 @@ pub fn check_corpus(corpus: &Corpus) -> Result<CorpusReport, ParseError> {
         system: corpus.system.clone(),
         pairs: Vec::new(),
     };
+    // Each version is parsed once: one pair's `new` is the next pair's `old`.
+    let mut carried: Option<IdlFile> = None;
     for pair in corpus.versions.windows(2) {
-        let old = parse_version(corpus.syntax, &pair[0])?;
+        let old = match carried.take() {
+            Some(file) => file,
+            None => parse_version(corpus.syntax, &pair[0])?,
+        };
         let new = parse_version(corpus.syntax, &pair[1])?;
         report.pairs.push(PairReport {
             from: pair[0].version,
             to: pair[1].version,
             violations: compare_files(&old, &new),
         });
+        carried = Some(new);
     }
     Ok(report)
 }
@@ -445,5 +451,26 @@ mod tests {
         let report = check_corpus(&generate(&spec)).unwrap();
         assert_eq!(report.errors(), 5);
         assert_eq!(report.warnings(), 3);
+    }
+
+    #[test]
+    fn longer_histories_check_like_their_pairs() {
+        // Generated corpora have two versions; append the old one again as a
+        // third, so the middle version is the `new` of one pair and the `old`
+        // of the next, and the second pair undoes the first.
+        let mut corpus = generate(&table6_specs()[0]);
+        let mut third = corpus.versions[0].clone();
+        third.version = VersionId::new(9, 9, 9);
+        corpus.versions.push(third);
+        let report = check_corpus(&corpus).unwrap();
+        assert_eq!(report.pairs.len(), 2);
+        for (pair, got) in corpus.versions.windows(2).zip(&report.pairs) {
+            let old = parse_version(corpus.syntax, &pair[0]).unwrap();
+            let new = parse_version(corpus.syntax, &pair[1]).unwrap();
+            assert_eq!((got.from, got.to), (pair[0].version, pair[1].version));
+            assert_eq!(got.violations, compare_files(&old, &new));
+            assert!(!got.violations.is_empty());
+        }
+        assert_ne!(report.pairs[0].violations, report.pairs[1].violations);
     }
 }

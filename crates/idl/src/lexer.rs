@@ -17,23 +17,23 @@ impl fmt::Display for Span {
     }
 }
 
-/// A lexical token.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TokenKind {
+/// A lexical token; identifier and string text borrows from the source.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum TokenKind<'a> {
     /// Identifier or keyword (`message`, `required`, `uint64`, names, …).
     /// Dotted identifiers (`foo.Bar`) are a single token.
-    Ident(String),
+    Ident(&'a str),
     /// Integer literal (possibly negative).
     Int(i64),
     /// Quoted string literal (content, without quotes).
-    Str(String),
+    Str(&'a str),
     /// Single punctuation character: `{ } = ; , < > ( ) [ ] :`.
     Punct(char),
     /// End of input.
     Eof,
 }
 
-impl fmt::Display for TokenKind {
+impl fmt::Display for TokenKind<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             TokenKind::Ident(s) => write!(f, "identifier '{s}'"),
@@ -46,12 +46,12 @@ impl fmt::Display for TokenKind {
 }
 
 /// A token with its source position.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Token {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Token<'a> {
     /// What was lexed.
-    pub kind: TokenKind,
+    pub(crate) kind: TokenKind<'a>,
     /// Where it starts.
-    pub span: Span,
+    pub(crate) span: Span,
 }
 
 /// A lexing or parsing error with a source position.
@@ -81,123 +81,108 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// Tokenizes `input`, skipping whitespace, `//` line comments, `#` line
-/// comments (thrift), and `/* */` block comments.
-pub fn lex(input: &str) -> Result<Vec<Token>, ParseError> {
-    let mut tokens = Vec::new();
-    let bytes = input.as_bytes();
-    let mut i = 0usize;
-    let mut line = 1u32;
-    let mut col = 1u32;
+/// Deepest message or type nesting either grammar accepts; the parsers
+/// recurse once per level, so unbounded input would overflow the stack.
+pub(crate) const MAX_NESTING: usize = 64;
 
-    macro_rules! bump {
-        () => {{
-            if bytes[i] == b'\n' {
-                line += 1;
-                col = 1;
-            } else {
-                col += 1;
-            }
-            i += 1;
-        }};
+/// Fails at `span` when `depth` levels of `what` exceed [`MAX_NESTING`].
+pub(crate) fn check_nesting(depth: usize, span: Span, what: &str) -> Result<(), ParseError> {
+    if depth > MAX_NESTING {
+        let message = format!("{what} nested deeper than {MAX_NESTING} levels");
+        return Err(ParseError::new(span, message));
     }
+    Ok(())
+}
 
+/// Tokenizes `input`, skipping whitespace, `//` line comments, `#` line
+/// comments (thrift), and `/* */` block comments. Bytes are read as Latin-1
+/// and columns count bytes; identifiers are ASCII and string contents sit
+/// between two ASCII quotes, so every slice falls on a char boundary.
+pub(crate) fn lex(input: &str) -> Result<Vec<Token<'_>>, ParseError> {
+    let bytes = input.as_bytes();
+    // Schema text runs at about four bytes per token: one allocation, not a
+    // doubling series per file.
+    let mut tokens = Vec::with_capacity(input.len() / 4 + 1);
+    let (mut i, mut line, mut line_start) = (0usize, 1u32, 0usize);
     while i < bytes.len() {
-        let c = bytes[i] as char;
-        let span = Span { line, col };
+        let c = bytes[i];
+        let span = Span {
+            line,
+            col: (i - line_start) as u32 + 1,
+        };
+        let mut push = |kind| tokens.push(Token { kind, span });
         match c {
-            c if c.is_whitespace() => bump!(),
-            '/' if bytes.get(i + 1) == Some(&b'/') => {
+            b'\n' => {
+                i += 1;
+                line += 1;
+                line_start = i;
+            }
+            _ if (c as char).is_whitespace() => i += 1,
+            _ if c == b'#' || bytes[i..].starts_with(b"//") => {
                 while i < bytes.len() && bytes[i] != b'\n' {
-                    bump!();
+                    i += 1;
                 }
             }
-            '#' => {
-                while i < bytes.len() && bytes[i] != b'\n' {
-                    bump!();
-                }
-            }
-            '/' if bytes.get(i + 1) == Some(&b'*') => {
-                bump!();
-                bump!();
+            _ if bytes[i..].starts_with(b"/*") => {
+                i += 2;
                 loop {
                     if i + 1 >= bytes.len() {
                         return Err(ParseError::new(span, "unterminated block comment"));
                     }
                     if bytes[i] == b'*' && bytes[i + 1] == b'/' {
-                        bump!();
-                        bump!();
+                        i += 2;
                         break;
                     }
-                    bump!();
-                }
-            }
-            '"' | '\'' => {
-                let quote = bytes[i];
-                bump!();
-                let start = i;
-                while i < bytes.len() && bytes[i] != quote {
                     if bytes[i] == b'\n' {
-                        return Err(ParseError::new(span, "unterminated string literal"));
+                        line += 1;
+                        line_start = i + 1;
                     }
-                    bump!();
+                    i += 1;
                 }
-                if i >= bytes.len() {
-                    return Err(ParseError::new(span, "unterminated string literal"));
-                }
-                let text = String::from_utf8_lossy(&bytes[start..i]).into_owned();
-                bump!(); // Closing quote.
-                tokens.push(Token {
-                    kind: TokenKind::Str(text),
-                    span,
-                });
             }
-            c if c.is_ascii_alphabetic() || c == '_' => {
-                let start = i;
-                while i < bytes.len() {
-                    let c = bytes[i] as char;
-                    if c.is_ascii_alphanumeric() || c == '_' || c == '.' {
-                        bump!();
-                    } else {
-                        break;
+            b'"' | b'\'' => {
+                let start = i + 1;
+                let len = bytes[start..].iter().position(|&b| b == c || b == b'\n');
+                match len {
+                    Some(len) if bytes[start + len] == c => {
+                        push(TokenKind::Str(&input[start..start + len]));
+                        i = start + len + 1;
                     }
+                    _ => return Err(ParseError::new(span, "unterminated string literal")),
                 }
-                let text = String::from_utf8_lossy(&bytes[start..i]).into_owned();
-                tokens.push(Token {
-                    kind: TokenKind::Ident(text),
-                    span,
-                });
             }
-            c if c.is_ascii_digit() || c == '-' => {
+            _ if c.is_ascii_alphabetic() || c == b'_' => {
                 let start = i;
-                bump!();
-                while i < bytes.len() && (bytes[i] as char).is_ascii_digit() {
-                    bump!();
+                while i < bytes.len()
+                    && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_' || bytes[i] == b'.')
+                {
+                    i += 1;
                 }
-                let text = std::str::from_utf8(&bytes[start..i]).expect("digits are ASCII");
-                let value: i64 = text
+                push(TokenKind::Ident(&input[start..i]));
+            }
+            _ if c.is_ascii_digit() || c == b'-' => {
+                let start = i;
+                i += 1;
+                while i < bytes.len() && bytes[i].is_ascii_digit() {
+                    i += 1;
+                }
+                let text = &input[start..i];
+                let value = text
                     .parse()
                     .map_err(|_| ParseError::new(span, format!("invalid integer '{text}'")))?;
-                tokens.push(Token {
-                    kind: TokenKind::Int(value),
-                    span,
-                });
+                push(TokenKind::Int(value));
             }
-            '{' | '}' | '=' | ';' | ',' | '<' | '>' | '(' | ')' | '[' | ']' | ':' => {
-                tokens.push(Token {
-                    kind: TokenKind::Punct(c),
-                    span,
-                });
-                bump!();
+            b'{' | b'}' | b'=' | b';' | b',' | b'<' | b'>' | b'(' | b')' | b'[' | b']' | b':' => {
+                push(TokenKind::Punct(c as char));
+                i += 1;
             }
             other => {
-                return Err(ParseError::new(
-                    span,
-                    format!("unexpected character '{other}'"),
-                ));
+                let message = format!("unexpected character '{}'", other as char);
+                return Err(ParseError::new(span, message));
             }
         }
     }
+    let col = (i - line_start) as u32 + 1;
     tokens.push(Token {
         kind: TokenKind::Eof,
         span: Span { line, col },
@@ -205,11 +190,84 @@ pub fn lex(input: &str) -> Result<Vec<Token>, ParseError> {
     Ok(tokens)
 }
 
+/// The eagerly lexed token stream with the lookahead and `eat_*` helpers
+/// both grammars drive. The whole file is tokenized before parsing starts,
+/// so a lexical error anywhere wins over a syntax error before it.
+pub(crate) struct Cursor<'a> {
+    tokens: Vec<Token<'a>>,
+    pos: usize,
+}
+
+impl<'a> Cursor<'a> {
+    /// Lexes `input` and positions the cursor on its first token.
+    pub(crate) fn new(input: &'a str) -> Result<Self, ParseError> {
+        let tokens = lex(input)?;
+        Ok(Cursor { tokens, pos: 0 })
+    }
+
+    /// The current token; at the end of input this is `Eof`, forever.
+    pub(crate) fn peek(&self) -> Token<'a> {
+        self.tokens[self.pos]
+    }
+
+    /// Returns the current token and steps past it (never past `Eof`).
+    pub(crate) fn advance(&mut self) -> Token<'a> {
+        let t = self.peek();
+        if self.pos + 1 < self.tokens.len() {
+            self.pos += 1;
+        }
+        t
+    }
+
+    /// Whether the current token is the punctuation `c`.
+    pub(crate) fn at_punct(&self, c: char) -> bool {
+        self.peek().kind == TokenKind::Punct(c)
+    }
+
+    /// Whether the current token is the identifier `word`.
+    pub(crate) fn is_ident(&self, word: &str) -> bool {
+        self.peek().kind == TokenKind::Ident(word)
+    }
+
+    /// Steps past the punctuation `c`, or fails on whatever is there instead.
+    pub(crate) fn eat_punct(&mut self, c: char) -> Result<Span, ParseError> {
+        let t = self.advance();
+        match t.kind {
+            TokenKind::Punct(p) if p == c => Ok(t.span),
+            _ => Err(expected(&format!("'{c}'"), t)),
+        }
+    }
+
+    /// Steps past an identifier and returns its text and position.
+    pub(crate) fn eat_ident(&mut self) -> Result<(&'a str, Span), ParseError> {
+        let t = self.advance();
+        match t.kind {
+            TokenKind::Ident(s) => Ok((s, t.span)),
+            _ => Err(expected("identifier", t)),
+        }
+    }
+
+    /// Steps past an integer literal and returns its value and position.
+    pub(crate) fn eat_int(&mut self) -> Result<(i64, Span), ParseError> {
+        let t = self.advance();
+        match t.kind {
+            TokenKind::Int(v) => Ok((v, t.span)),
+            _ => Err(expected("integer", t)),
+        }
+    }
+}
+
+/// The "expected X, found Y" error at `found`.
+pub(crate) fn expected(what: &str, found: Token<'_>) -> ParseError {
+    ParseError::new(found.span, format!("expected {what}, found {}", found.kind))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
-    fn kinds(input: &str) -> Vec<TokenKind> {
+    fn kinds(input: &str) -> Vec<TokenKind<'_>> {
         lex(input).unwrap().into_iter().map(|t| t.kind).collect()
     }
 
@@ -219,9 +277,9 @@ mod tests {
         assert_eq!(
             toks,
             vec![
-                TokenKind::Ident("required".into()),
-                TokenKind::Ident("uint64".into()),
-                TokenKind::Ident("ageOfLastAppliedOp".into()),
+                TokenKind::Ident("required"),
+                TokenKind::Ident("uint64"),
+                TokenKind::Ident("ageOfLastAppliedOp"),
                 TokenKind::Punct('='),
                 TokenKind::Int(1),
                 TokenKind::Punct(';'),
@@ -235,28 +293,21 @@ mod tests {
         let toks = kinds("// line\n/* block\nmore */ x # thrift\ny");
         assert_eq!(
             toks,
-            vec![
-                TokenKind::Ident("x".into()),
-                TokenKind::Ident("y".into()),
-                TokenKind::Eof
-            ]
+            vec![TokenKind::Ident("x"), TokenKind::Ident("y"), TokenKind::Eof]
         );
     }
 
     #[test]
     fn strings_and_negatives() {
         let toks = kinds("syntax = \"proto2\"; -5");
-        assert!(toks.contains(&TokenKind::Str("proto2".into())));
+        assert!(toks.contains(&TokenKind::Str("proto2")));
         assert!(toks.contains(&TokenKind::Int(-5)));
     }
 
     #[test]
     fn dotted_identifiers_are_single_tokens() {
         let toks = kinds("hadoop.hdfs.StorageTypeProto");
-        assert_eq!(
-            toks[0],
-            TokenKind::Ident("hadoop.hdfs.StorageTypeProto".into())
-        );
+        assert_eq!(toks[0], TokenKind::Ident("hadoop.hdfs.StorageTypeProto"));
     }
 
     #[test]
@@ -288,14 +339,58 @@ mod tests {
             vec![
                 TokenKind::Int(1),
                 TokenKind::Punct(':'),
-                TokenKind::Ident("list".into()),
+                TokenKind::Ident("list"),
                 TokenKind::Punct('<'),
-                TokenKind::Ident("string".into()),
+                TokenKind::Ident("string"),
                 TokenKind::Punct('>'),
-                TokenKind::Ident("xs".into()),
+                TokenKind::Ident("xs"),
                 TokenKind::Punct(','),
                 TokenKind::Eof,
             ]
         );
+    }
+
+    /// Lexable text with everything that moves a position: line breaks in
+    /// and out of comments, tabs, and multi-byte characters inside strings
+    /// and comments (columns count bytes).
+    fn arb_lexable() -> impl Strategy<Value = String> {
+        const GLUE: &[&str] = &[
+            "{", "}", "=", ";", ",", "<", ">", "(", ")", "[", "]", ":", " ", "\t", "\r\n", "\n",
+        ];
+        let fragment = prop_oneof![
+            "[a-zA-Z_][a-zA-Z0-9_.]{0,12} {0,2}",
+            "-[0-9]{1,9}",
+            (0..GLUE.len()).prop_map(|i| GLUE[i].to_string()),
+            "[a-z é日]{0,8}".prop_map(|text| format!("\"{text}\"")),
+            "[a-z é日]{0,8}".prop_map(|text| format!("'{text}'")),
+            "[a-z é日]{0,8}".prop_map(|text| format!("//{text}\n")),
+            "[a-z é日]{0,8}".prop_map(|text| format!("#{text}\n")),
+            "[a-z é日\n]{0,8}".prop_map(|text| format!("/*{text}*/")),
+        ];
+        proptest::collection::vec(fragment, 0..40).prop_map(|parts| parts.concat())
+    }
+
+    proptest! {
+        /// Walking a token's 1-based line and byte column back to an offset
+        /// lands on the first byte of the text it borrows (for a string, on
+        /// the opening quote just before it).
+        #[test]
+        fn spans_point_at_the_borrowed_text(input in arb_lexable()) {
+            let line_starts: Vec<usize> = std::iter::once(0)
+                .chain(input.match_indices('\n').map(|(i, _)| i + 1))
+                .collect();
+            let offset_of = |s: &str| s.as_ptr() as usize - input.as_ptr() as usize;
+            for t in lex(&input).expect("every fragment lexes") {
+                let at = line_starts[t.span.line as usize - 1] + t.span.col as usize - 1;
+                match t.kind {
+                    TokenKind::Ident(s) => prop_assert_eq!(at, offset_of(s)),
+                    TokenKind::Str(s) => {
+                        prop_assert_eq!(at + 1, offset_of(s));
+                        prop_assert!(matches!(input.as_bytes()[at], b'"' | b'\''));
+                    }
+                    _ => {}
+                }
+            }
+        }
     }
 }

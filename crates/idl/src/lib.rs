@@ -35,7 +35,7 @@ mod thrift_parser;
 pub use crate::ast::{
     EnumDecl, EnumValueDecl, FieldDecl, FieldLabel, IdlFile, MessageDecl, SyntaxKind,
 };
-pub use crate::lexer::{lex, ParseError, Span, Token, TokenKind};
+pub use crate::lexer::{ParseError, Span};
 pub use crate::lower::lower;
 pub use crate::proto_parser::parse_proto;
 pub use crate::thrift_parser::parse_thrift;

@@ -1,8 +1,9 @@
 //! Lowering parsed IDL to runtime [`dup_wire::Schema`] descriptors.
 //!
-//! This is how a protocol file becomes an executable codec: the mini systems
-//! embed IDL text per version, parse it, lower it, and use the resulting
-//! schema with [`dup_wire::proto`] or [`dup_wire::thrift`].
+//! This is how a protocol file becomes an executable codec: parse it, lower
+//! it, and use the resulting schema with [`dup_wire::proto`] or
+//! [`dup_wire::thrift`]. Today only tests, benches and examples do; the mini
+//! systems still build their per-version schemas in code.
 
 use crate::ast::{FieldLabel, IdlFile};
 use crate::lexer::{ParseError, Span};

@@ -10,71 +10,34 @@
 use crate::ast::{
     EnumDecl, EnumValueDecl, FieldDecl, FieldLabel, IdlFile, MessageDecl, SyntaxKind,
 };
-use crate::lexer::{lex, ParseError, Span, Token, TokenKind};
+use crate::lexer::{check_nesting, expected, Cursor, ParseError, TokenKind};
+
+/// Most tags one message's `reserved` ranges may add up to. Proto's own
+/// field-number ceiling (2^29 - 1) is far too many to materialise one by one.
+const MAX_RESERVED_TAGS: usize = 65_536;
 
 /// Parses proto2 source text.
 pub fn parse_proto(input: &str) -> Result<IdlFile, ParseError> {
-    let tokens = lex(input)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser {
+        cur: Cursor::new(input)?,
+    };
     p.file()
 }
 
-struct Parser {
-    tokens: Vec<Token>,
-    pos: usize,
+struct Parser<'a> {
+    cur: Cursor<'a>,
 }
 
-impl Parser {
-    fn peek(&self) -> &Token {
-        &self.tokens[self.pos.min(self.tokens.len() - 1)]
+/// `prefix.name` for a nested declaration, `name` at the top level.
+fn qualified(prefix: &str, name: &str) -> String {
+    if prefix.is_empty() {
+        name.to_string()
+    } else {
+        format!("{prefix}.{name}")
     }
+}
 
-    fn advance(&mut self) -> Token {
-        let t = self.tokens[self.pos.min(self.tokens.len() - 1)].clone();
-        if self.pos < self.tokens.len() - 1 {
-            self.pos += 1;
-        }
-        t
-    }
-
-    fn eat_punct(&mut self, c: char) -> Result<Span, ParseError> {
-        let t = self.advance();
-        if t.kind == TokenKind::Punct(c) {
-            Ok(t.span)
-        } else {
-            Err(ParseError::new(
-                t.span,
-                format!("expected '{c}', found {}", t.kind),
-            ))
-        }
-    }
-
-    fn eat_ident(&mut self) -> Result<(String, Span), ParseError> {
-        let t = self.advance();
-        match t.kind {
-            TokenKind::Ident(s) => Ok((s, t.span)),
-            other => Err(ParseError::new(
-                t.span,
-                format!("expected identifier, found {other}"),
-            )),
-        }
-    }
-
-    fn eat_int(&mut self) -> Result<(i64, Span), ParseError> {
-        let t = self.advance();
-        match t.kind {
-            TokenKind::Int(v) => Ok((v, t.span)),
-            other => Err(ParseError::new(
-                t.span,
-                format!("expected integer, found {other}"),
-            )),
-        }
-    }
-
-    fn is_ident(&self, word: &str) -> bool {
-        matches!(&self.peek().kind, TokenKind::Ident(s) if s == word)
-    }
-
+impl Parser<'_> {
     fn file(&mut self) -> Result<IdlFile, ParseError> {
         let mut file = IdlFile {
             syntax: SyntaxKind::Proto2,
@@ -83,58 +46,55 @@ impl Parser {
             enums: Vec::new(),
         };
         loop {
-            match &self.peek().kind {
+            let t = self.cur.peek();
+            match t.kind {
                 TokenKind::Eof => break,
-                TokenKind::Ident(word) => match word.as_str() {
+                TokenKind::Ident(word) => match word {
                     "syntax" => {
-                        self.advance();
-                        self.eat_punct('=')?;
-                        let t = self.advance();
+                        self.cur.advance();
+                        self.cur.eat_punct('=')?;
+                        let t = self.cur.advance();
                         if !matches!(t.kind, TokenKind::Str(_)) {
                             return Err(ParseError::new(
                                 t.span,
                                 "expected string after 'syntax ='",
                             ));
                         }
-                        self.eat_punct(';')?;
+                        self.cur.eat_punct(';')?;
                     }
                     "package" => {
-                        self.advance();
-                        let (name, _) = self.eat_ident()?;
-                        file.package = Some(name);
-                        self.eat_punct(';')?;
+                        self.cur.advance();
+                        let (name, _) = self.cur.eat_ident()?;
+                        file.package = Some(name.to_string());
+                        self.cur.eat_punct(';')?;
                     }
                     "option" => self.skip_option()?,
                     "import" => {
-                        self.advance();
+                        self.cur.advance();
                         // `import "x.proto";` or `import public "x.proto";`
-                        if self.is_ident("public") || self.is_ident("weak") {
-                            self.advance();
+                        if self.cur.is_ident("public") || self.cur.is_ident("weak") {
+                            self.cur.advance();
                         }
-                        self.advance(); // The string literal.
-                        self.eat_punct(';')?;
+                        self.cur.advance(); // The string literal.
+                        self.cur.eat_punct(';')?;
                     }
                     "message" => {
-                        self.advance();
-                        self.message("", &mut file)?;
+                        self.cur.advance();
+                        self.message("", &mut file, 1)?;
                     }
                     "enum" => {
-                        self.advance();
+                        self.cur.advance();
                         let e = self.enum_decl("")?;
                         file.enums.push(e);
                     }
                     other => {
-                        let span = self.peek().span;
                         return Err(ParseError::new(
-                            span,
+                            t.span,
                             format!("unexpected top-level keyword '{other}'"),
                         ));
                     }
                 },
-                _ => {
-                    let t = self.peek();
-                    return Err(ParseError::new(t.span, format!("unexpected {}", t.kind)));
-                }
+                kind => return Err(ParseError::new(t.span, format!("unexpected {kind}"))),
             }
         }
         Ok(file)
@@ -142,80 +102,82 @@ impl Parser {
 
     fn skip_option(&mut self) -> Result<(), ParseError> {
         // `option name = value;` — value may be ident, int, or string.
-        self.advance(); // 'option'
-        self.eat_ident()?;
-        self.eat_punct('=')?;
-        self.advance(); // The value.
-        self.eat_punct(';')?;
+        self.cur.advance(); // 'option'
+        self.cur.eat_ident()?;
+        self.cur.eat_punct('=')?;
+        self.cur.advance(); // The value.
+        self.cur.eat_punct(';')?;
         Ok(())
     }
 
-    fn message(&mut self, prefix: &str, file: &mut IdlFile) -> Result<(), ParseError> {
-        let (name, span) = self.eat_ident()?;
-        let full = if prefix.is_empty() {
-            name
-        } else {
-            format!("{prefix}.{name}")
-        };
-        self.eat_punct('{')?;
+    /// Parses a message body; `depth` is 1 for a top-level message.
+    fn message(
+        &mut self,
+        prefix: &str,
+        file: &mut IdlFile,
+        depth: usize,
+    ) -> Result<(), ParseError> {
+        let (name, span) = self.cur.eat_ident()?;
+        check_nesting(depth, span, "messages")?;
+        self.cur.eat_punct('{')?;
         let mut decl = MessageDecl {
-            name: full.clone(),
+            name: qualified(prefix, name),
             fields: Vec::new(),
             reserved_tags: Vec::new(),
             reserved_names: Vec::new(),
             span,
         };
         loop {
-            match self.peek().kind.clone() {
+            let t = self.cur.peek();
+            match t.kind {
                 TokenKind::Punct('}') => {
-                    self.advance();
+                    self.cur.advance();
                     break;
                 }
                 TokenKind::Eof => {
                     return Err(ParseError::new(
                         span,
-                        format!("unterminated message {full}"),
+                        format!("unterminated message {}", decl.name),
                     ));
                 }
-                TokenKind::Ident(word) => match word.as_str() {
+                TokenKind::Ident(word) => match word {
                     "message" => {
-                        self.advance();
-                        self.message(&full, file)?;
+                        self.cur.advance();
+                        self.message(&decl.name, file, depth + 1)?;
                     }
                     "enum" => {
-                        self.advance();
-                        let e = self.enum_decl(&full)?;
+                        self.cur.advance();
+                        let e = self.enum_decl(&decl.name)?;
                         file.enums.push(e);
                     }
                     "option" => self.skip_option()?,
                     "reserved" => self.reserved(&mut decl)?,
                     "extensions" => {
                         // `extensions 100 to 199;` — skip to semicolon.
-                        while self.peek().kind != TokenKind::Punct(';') {
-                            if self.peek().kind == TokenKind::Eof {
+                        while !self.cur.at_punct(';') {
+                            if self.cur.peek().kind == TokenKind::Eof {
                                 return Err(ParseError::new(span, "unterminated extensions"));
                             }
-                            self.advance();
+                            self.cur.advance();
                         }
-                        self.advance();
+                        self.cur.advance();
                     }
                     "required" | "optional" | "repeated" => {
                         let field = self.field()?;
                         decl.fields.push(field);
                     }
                     other => {
-                        let sp = self.peek().span;
+                        let hint = "(proto2 fields need a label)";
                         return Err(ParseError::new(
-                            sp,
-                            format!("unexpected '{other}' in message {full} (proto2 fields need a label)"),
+                            t.span,
+                            format!("unexpected '{other}' in message {} {hint}", decl.name),
                         ));
                     }
                 },
                 other => {
-                    let sp = self.peek().span;
                     return Err(ParseError::new(
-                        sp,
-                        format!("unexpected {other} in message {full}"),
+                        t.span,
+                        format!("unexpected {other} in message {}", decl.name),
                     ));
                 }
             }
@@ -225,80 +187,75 @@ impl Parser {
     }
 
     fn reserved(&mut self, decl: &mut MessageDecl) -> Result<(), ParseError> {
-        self.advance(); // 'reserved'
+        self.cur.advance(); // 'reserved'
         loop {
-            match self.peek().kind.clone() {
+            let t = self.cur.advance();
+            match t.kind {
                 TokenKind::Int(v) => {
-                    self.advance();
-                    let lo = u32::try_from(v)
-                        .map_err(|_| ParseError::new(self.peek().span, "negative reserved tag"))?;
-                    if self.is_ident("to") {
-                        self.advance();
-                        let (hi, sp) = self.eat_int()?;
-                        let hi = u32::try_from(hi)
+                    let lo = u32::try_from(v).map_err(|_| {
+                        ParseError::new(self.cur.peek().span, "negative reserved tag")
+                    })?;
+                    let mut hi = lo;
+                    if self.cur.is_ident("to") {
+                        self.cur.advance();
+                        let (v, sp) = self.cur.eat_int()?;
+                        hi = u32::try_from(v)
                             .map_err(|_| ParseError::new(sp, "negative reserved tag"))?;
-                        for t in lo..=hi {
-                            decl.reserved_tags.push(t);
+                        // One less than the tags the range adds.
+                        let width = hi.saturating_sub(lo) as usize;
+                        if decl.reserved_tags.len().saturating_add(width) >= MAX_RESERVED_TAGS {
+                            return Err(ParseError::new(
+                                sp,
+                                format!(
+                                    "more than {MAX_RESERVED_TAGS} reserved tags in one message"
+                                ),
+                            ));
                         }
-                    } else {
-                        decl.reserved_tags.push(lo);
                     }
+                    decl.reserved_tags.extend(lo..=hi);
                 }
-                TokenKind::Str(s) => {
-                    self.advance();
-                    decl.reserved_names.push(s);
-                }
+                TokenKind::Str(s) => decl.reserved_names.push(s.to_string()),
                 other => {
                     return Err(ParseError::new(
-                        self.peek().span,
+                        t.span,
                         format!("expected tag or name in reserved, found {other}"),
                     ));
                 }
             }
-            match self.peek().kind {
-                TokenKind::Punct(',') => {
-                    self.advance();
-                }
-                TokenKind::Punct(';') => {
-                    self.advance();
-                    return Ok(());
-                }
-                _ => {
-                    let t = self.peek();
-                    return Err(ParseError::new(
-                        t.span,
-                        format!("expected ',' or ';', found {}", t.kind),
-                    ));
-                }
+            let t = self.cur.advance();
+            match t.kind {
+                TokenKind::Punct(',') => {}
+                TokenKind::Punct(';') => return Ok(()),
+                _ => return Err(expected("',' or ';'", t)),
             }
         }
     }
 
     fn field(&mut self) -> Result<FieldDecl, ParseError> {
-        let (label_word, span) = self.eat_ident()?;
-        let label = match label_word.as_str() {
+        let (label_word, span) = self.cur.eat_ident()?;
+        let label = match label_word {
             "required" => FieldLabel::Required,
             "optional" => FieldLabel::Optional,
             "repeated" => FieldLabel::Repeated,
             _ => unreachable!("caller checked the label keyword"),
         };
-        let (type_name, _) = self.eat_ident()?;
-        let (name, _) = self.eat_ident()?;
-        self.eat_punct('=')?;
-        let (tag, tag_span) = self.eat_int()?;
+        let (type_name, _) = self.cur.eat_ident()?;
+        let (name, _) = self.cur.eat_ident()?;
+        self.cur.eat_punct('=')?;
+        let (tag, tag_span) = self.cur.eat_int()?;
         let tag = u32::try_from(tag)
             .map_err(|_| ParseError::new(tag_span, format!("invalid field tag {tag}")))?;
         let mut default = None;
-        if self.peek().kind == TokenKind::Punct('[') {
-            self.advance();
+        if self.cur.at_punct('[') {
+            self.cur.advance();
             // Parse `[name = value, name = value]`, remembering `default`.
             loop {
-                let (opt_name, _) = self.eat_ident()?;
-                self.eat_punct('=')?;
-                let value = self.advance();
+                let (opt_name, _) = self.cur.eat_ident()?;
+                self.cur.eat_punct('=')?;
+                let value = self.cur.advance();
                 if opt_name == "default" {
                     default = Some(match value.kind {
-                        TokenKind::Ident(s) | TokenKind::Str(s) => s,
+                        TokenKind::Ident(s) | TokenKind::Str(s) => s.to_string(),
                         TokenKind::Int(v) => v.to_string(),
                         other => {
                             return Err(ParseError::new(
@@ -308,29 +265,19 @@ impl Parser {
                         }
                     });
                 }
-                match self.peek().kind {
-                    TokenKind::Punct(',') => {
-                        self.advance();
-                    }
-                    TokenKind::Punct(']') => {
-                        self.advance();
-                        break;
-                    }
-                    _ => {
-                        let t = self.peek();
-                        return Err(ParseError::new(
-                            t.span,
-                            format!("expected ',' or ']', found {}", t.kind),
-                        ));
-                    }
+                let t = self.cur.advance();
+                match t.kind {
+                    TokenKind::Punct(',') => {}
+                    TokenKind::Punct(']') => break,
+                    _ => return Err(expected("',' or ']'", t)),
                 }
             }
         }
-        self.eat_punct(';')?;
+        self.cur.eat_punct(';')?;
         Ok(FieldDecl {
             label,
-            type_name,
-            name,
+            type_name: type_name.to_string(),
+            name: name.to_string(),
             tag,
             default,
             span,
@@ -338,41 +285,37 @@ impl Parser {
     }
 
     fn enum_decl(&mut self, prefix: &str) -> Result<EnumDecl, ParseError> {
-        let (name, span) = self.eat_ident()?;
-        let full = if prefix.is_empty() {
-            name
-        } else {
-            format!("{prefix}.{name}")
-        };
-        self.eat_punct('{')?;
+        let (name, span) = self.cur.eat_ident()?;
+        let full = qualified(prefix, name);
+        self.cur.eat_punct('{')?;
         let mut values = Vec::new();
         loop {
-            match self.peek().kind.clone() {
+            let t = self.cur.peek();
+            match t.kind {
                 TokenKind::Punct('}') => {
-                    self.advance();
+                    self.cur.advance();
                     break;
                 }
                 TokenKind::Eof => {
                     return Err(ParseError::new(span, format!("unterminated enum {full}")));
                 }
-                TokenKind::Ident(word) if word == "option" => self.skip_option()?,
-                TokenKind::Ident(_) => {
-                    let (vname, vspan) = self.eat_ident()?;
-                    self.eat_punct('=')?;
-                    let (number, nspan) = self.eat_int()?;
+                TokenKind::Ident("option") => self.skip_option()?,
+                TokenKind::Ident(vname) => {
+                    self.cur.advance();
+                    self.cur.eat_punct('=')?;
+                    let (number, nspan) = self.cur.eat_int()?;
                     let number = i32::try_from(number)
                         .map_err(|_| ParseError::new(nspan, "enum number out of range"))?;
-                    self.eat_punct(';')?;
+                    self.cur.eat_punct(';')?;
                     values.push(EnumValueDecl {
-                        name: vname,
+                        name: vname.to_string(),
                         number,
-                        span: vspan,
+                        span: t.span,
                     });
                 }
                 other => {
-                    let sp = self.peek().span;
                     return Err(ParseError::new(
-                        sp,
+                        t.span,
                         format!("unexpected {other} in enum {full}"),
                     ));
                 }
@@ -389,6 +332,7 @@ impl Parser {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lexer::MAX_NESTING;
 
     /// The exact proto diff of paper Figure 2.
     const SINK_V2: &str = r#"
@@ -518,5 +462,35 @@ mod tests {
             .unwrap()
             .field("b")
             .is_some());
+    }
+
+    /// `depth` messages nested inside each other, closed properly.
+    fn nested_messages(depth: usize) -> String {
+        "message A { ".repeat(depth) + &"} ".repeat(depth)
+    }
+
+    #[test]
+    fn message_nesting_is_bounded() {
+        let file = parse_proto(&nested_messages(MAX_NESTING)).unwrap();
+        assert_eq!(file.messages.len(), MAX_NESTING);
+        let err = parse_proto(&nested_messages(MAX_NESTING + 1)).unwrap_err();
+        assert!(err.message.contains("nested deeper than 64"), "{err}");
+        // Column of the 65th `A` on the single line.
+        assert_eq!((err.span.line, err.span.col), (1, 12 * 64 + 9));
+        // Used to overflow the stack.
+        assert!(parse_proto(&"message A { ".repeat(200_000)).is_err());
+    }
+
+    #[test]
+    fn reserved_ranges_are_bounded() {
+        let m = parse_proto("message M { reserved 1 to 65536; }").unwrap();
+        assert_eq!(m.messages[0].reserved_tags.len(), MAX_RESERVED_TAGS);
+        let err = parse_proto("message M { reserved 0 to 65536; }").unwrap_err();
+        assert!(err.message.contains("65536 reserved tags"), "{err}");
+        // The cap is per message, not per statement.
+        let split = "message M { reserved 1 to 40000; reserved 50000 to 90000; }";
+        assert!(parse_proto(split).is_err());
+        // Used to try to materialise 2^32 tags.
+        assert!(parse_proto("message M { reserved 0 to 4294967295; }").is_err());
     }
 }

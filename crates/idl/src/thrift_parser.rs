@@ -11,66 +11,24 @@
 use crate::ast::{
     EnumDecl, EnumValueDecl, FieldDecl, FieldLabel, IdlFile, MessageDecl, SyntaxKind,
 };
-use crate::lexer::{lex, ParseError, Token, TokenKind};
+use crate::lexer::{check_nesting, Cursor, ParseError, TokenKind};
 use std::collections::BTreeMap;
 
 /// Parses Thrift source text.
 pub fn parse_thrift(input: &str) -> Result<IdlFile, ParseError> {
-    let tokens = lex(input)?;
     let mut p = Parser {
-        tokens,
-        pos: 0,
+        cur: Cursor::new(input)?,
         typedefs: BTreeMap::new(),
     };
     p.file()
 }
 
-struct Parser {
-    tokens: Vec<Token>,
-    pos: usize,
-    typedefs: BTreeMap<String, String>,
+struct Parser<'a> {
+    cur: Cursor<'a>,
+    typedefs: BTreeMap<&'a str, String>,
 }
 
-impl Parser {
-    fn peek(&self) -> &Token {
-        &self.tokens[self.pos.min(self.tokens.len() - 1)]
-    }
-
-    fn advance(&mut self) -> Token {
-        let t = self.tokens[self.pos.min(self.tokens.len() - 1)].clone();
-        if self.pos < self.tokens.len() - 1 {
-            self.pos += 1;
-        }
-        t
-    }
-
-    fn eat_punct(&mut self, c: char) -> Result<(), ParseError> {
-        let t = self.advance();
-        if t.kind == TokenKind::Punct(c) {
-            Ok(())
-        } else {
-            Err(ParseError::new(
-                t.span,
-                format!("expected '{c}', found {}", t.kind),
-            ))
-        }
-    }
-
-    fn eat_ident(&mut self) -> Result<String, ParseError> {
-        let t = self.advance();
-        match t.kind {
-            TokenKind::Ident(s) => Ok(s),
-            other => Err(ParseError::new(
-                t.span,
-                format!("expected identifier, found {other}"),
-            )),
-        }
-    }
-
-    fn is_ident(&self, word: &str) -> bool {
-        matches!(&self.peek().kind, TokenKind::Ident(s) if s == word)
-    }
-
+impl Parser<'_> {
     fn file(&mut self) -> Result<IdlFile, ParseError> {
         let mut file = IdlFile {
             syntax: SyntaxKind::Thrift,
@@ -79,58 +37,55 @@ impl Parser {
             enums: Vec::new(),
         };
         loop {
-            match self.peek().kind.clone() {
+            let t = self.cur.peek();
+            match t.kind {
                 TokenKind::Eof => break,
-                TokenKind::Ident(word) => match word.as_str() {
+                TokenKind::Ident(word) => match word {
                     "namespace" => {
-                        self.advance();
-                        self.eat_ident()?; // Language tag (`java`, `cpp`, …).
-                        file.package = Some(self.eat_ident()?);
+                        self.cur.advance();
+                        self.cur.eat_ident()?; // Language tag (`java`, `cpp`, …).
+                        file.package = Some(self.cur.eat_ident()?.0.to_string());
                     }
                     "include" => {
-                        self.advance();
-                        self.advance(); // The string literal.
+                        self.cur.advance();
+                        self.cur.advance(); // The string literal.
                     }
                     "typedef" => {
-                        self.advance();
-                        let target = self.read_type()?;
-                        let alias = self.eat_ident()?;
-                        self.typedefs.insert(alias, target.0);
+                        self.cur.advance();
+                        let (target, _) = self.read_type(1)?;
+                        let (alias, _) = self.cur.eat_ident()?;
+                        self.typedefs.insert(alias, target);
                     }
                     "const" => {
                         // `const <type> NAME = value` — values can be
                         // literals or simple lists; skip to end of line by
                         // consuming until the next top-level keyword. We
                         // conservatively consume `<type> NAME = <one token>`.
-                        self.advance();
-                        self.read_type()?;
-                        self.eat_ident()?;
-                        self.eat_punct('=')?;
-                        self.advance();
+                        self.cur.advance();
+                        self.read_type(1)?;
+                        self.cur.eat_ident()?;
+                        self.cur.eat_punct('=')?;
+                        self.cur.advance();
                     }
                     "struct" | "union" | "exception" => {
-                        self.advance();
+                        self.cur.advance();
                         let m = self.struct_decl()?;
                         file.messages.push(m);
                     }
                     "enum" => {
-                        self.advance();
+                        self.cur.advance();
                         let e = self.enum_decl()?;
                         file.enums.push(e);
                     }
                     "service" => self.skip_braced_block()?,
                     other => {
-                        let span = self.peek().span;
                         return Err(ParseError::new(
-                            span,
+                            t.span,
                             format!("unexpected top-level keyword '{other}'"),
                         ));
                     }
                 },
-                other => {
-                    let span = self.peek().span;
-                    return Err(ParseError::new(span, format!("unexpected {other}")));
-                }
+                other => return Err(ParseError::new(t.span, format!("unexpected {other}"))),
             }
         }
         Ok(file)
@@ -138,16 +93,16 @@ impl Parser {
 
     fn skip_braced_block(&mut self) -> Result<(), ParseError> {
         // `service Name { ... }` — skip the whole body.
-        let start = self.peek().span;
-        while self.peek().kind != TokenKind::Punct('{') {
-            if self.peek().kind == TokenKind::Eof {
+        let start = self.cur.peek().span;
+        while !self.cur.at_punct('{') {
+            if self.cur.peek().kind == TokenKind::Eof {
                 return Err(ParseError::new(start, "expected '{'"));
             }
-            self.advance();
+            self.cur.advance();
         }
         let mut depth = 0i32;
         loop {
-            match self.advance().kind {
+            match self.cur.advance().kind {
                 TokenKind::Punct('{') => depth += 1,
                 TokenKind::Punct('}') => {
                     depth -= 1;
@@ -161,71 +116,73 @@ impl Parser {
         }
     }
 
-    /// Reads a type expression; returns `(base type name, is_repeated)`.
-    fn read_type(&mut self) -> Result<(String, bool), ParseError> {
-        let name = self.eat_ident()?;
-        match name.as_str() {
+    /// Reads a type expression `depth` containers deep (1 at a field);
+    /// returns `(base type name, is_repeated)`.
+    fn read_type(&mut self, depth: usize) -> Result<(String, bool), ParseError> {
+        let (name, span) = self.cur.eat_ident()?;
+        check_nesting(depth, span, "types")?;
+        match name {
             "list" | "set" => {
-                self.eat_punct('<')?;
-                let (inner, _) = self.read_type()?;
-                self.eat_punct('>')?;
+                self.cur.eat_punct('<')?;
+                let (inner, _) = self.read_type(depth + 1)?;
+                self.cur.eat_punct('>')?;
                 Ok((inner, true))
             }
             "map" => {
-                self.eat_punct('<')?;
-                let (k, _) = self.read_type()?;
-                self.eat_punct(',')?;
-                let (v, _) = self.read_type()?;
-                self.eat_punct('>')?;
+                self.cur.eat_punct('<')?;
+                let (k, _) = self.read_type(depth + 1)?;
+                self.cur.eat_punct(',')?;
+                let (v, _) = self.read_type(depth + 1)?;
+                self.cur.eat_punct('>')?;
                 Ok((format!("map<{k},{v}>"), true))
             }
             _ => {
-                let resolved = self.typedefs.get(&name).cloned().unwrap_or(name);
-                Ok((resolved, false))
+                let resolved = self.typedefs.get(name).map_or(name, String::as_str);
+                Ok((resolved.to_string(), false))
             }
         }
     }
 
     fn struct_decl(&mut self) -> Result<MessageDecl, ParseError> {
-        let t = self.peek().clone();
-        let name = self.eat_ident()?;
-        self.eat_punct('{')?;
+        let (name, decl_span) = self.cur.eat_ident()?;
+        self.cur.eat_punct('{')?;
         let mut fields = Vec::new();
         loop {
-            match self.peek().kind.clone() {
+            let t = self.cur.peek();
+            match t.kind {
                 TokenKind::Punct('}') => {
-                    self.advance();
+                    self.cur.advance();
                     break;
                 }
                 TokenKind::Eof => {
                     return Err(ParseError::new(
-                        t.span,
+                        decl_span,
                         format!("unterminated struct {name}"),
                     ));
                 }
                 TokenKind::Int(id) => {
-                    let span = self.peek().span;
-                    self.advance();
+                    let span = t.span;
+                    self.cur.advance();
                     let tag = u32::try_from(id)
                         .map_err(|_| ParseError::new(span, format!("invalid field id {id}")))?;
-                    self.eat_punct(':')?;
+                    self.cur.eat_punct(':')?;
                     let mut label = FieldLabel::Optional;
-                    if self.is_ident("required") {
-                        self.advance();
+                    if self.cur.is_ident("required") {
+                        self.cur.advance();
                         label = FieldLabel::Required;
-                    } else if self.is_ident("optional") {
-                        self.advance();
+                    } else if self.cur.is_ident("optional") {
+                        self.cur.advance();
                     }
-                    let (type_name, repeated) = self.read_type()?;
+                    let (type_name, repeated) = self.read_type(1)?;
                     if repeated {
                         label = FieldLabel::Repeated;
                     }
-                    let fname = self.eat_ident()?;
+                    let (fname, _) = self.cur.eat_ident()?;
                     let mut default = None;
-                    if self.peek().kind == TokenKind::Punct('=') {
-                        self.advance();
-                        default = Some(match self.advance().kind {
-                            TokenKind::Ident(s) | TokenKind::Str(s) => s,
+                    if self.cur.at_punct('=') {
+                        self.cur.advance();
+                        default = Some(match self.cur.advance().kind {
+                            TokenKind::Ident(s) | TokenKind::Str(s) => s.to_string(),
                             TokenKind::Int(v) => v.to_string(),
                             other => {
                                 return Err(ParseError::new(
@@ -236,100 +193,87 @@ impl Parser {
                         });
                     }
                     // Field separators are optional in thrift (`,` or `;`).
-                    if matches!(
-                        self.peek().kind,
-                        TokenKind::Punct(',') | TokenKind::Punct(';')
-                    ) {
-                        self.advance();
+                    if self.cur.at_punct(',') || self.cur.at_punct(';') {
+                        self.cur.advance();
                     }
                     fields.push(FieldDecl {
                         label,
                         type_name,
-                        name: fname,
+                        name: fname.to_string(),
                         tag,
                         default,
                         span,
                     });
                 }
                 other => {
-                    let span = self.peek().span;
                     return Err(ParseError::new(
-                        span,
+                        t.span,
                         format!("expected field id or '}}' in struct {name}, found {other}"),
                     ));
                 }
             }
         }
         Ok(MessageDecl {
-            name,
+            name: name.to_string(),
             fields,
             reserved_tags: Vec::new(),
             reserved_names: Vec::new(),
-            span: t.span,
+            span: decl_span,
         })
     }
 
     fn enum_decl(&mut self) -> Result<EnumDecl, ParseError> {
-        let t = self.peek().clone();
-        let name = self.eat_ident()?;
-        self.eat_punct('{')?;
+        let (name, decl_span) = self.cur.eat_ident()?;
+        self.cur.eat_punct('{')?;
         let mut values = Vec::new();
-        let mut next_number = 0i32;
+        // `None` once the previous value was `i32::MAX`.
+        let mut next_number = Some(0i32);
         loop {
-            match self.peek().kind.clone() {
+            let t = self.cur.peek();
+            match t.kind {
                 TokenKind::Punct('}') => {
-                    self.advance();
+                    self.cur.advance();
                     break;
                 }
                 TokenKind::Eof => {
-                    return Err(ParseError::new(t.span, format!("unterminated enum {name}")));
+                    return Err(ParseError::new(
+                        decl_span,
+                        format!("unterminated enum {name}"),
+                    ));
                 }
-                TokenKind::Ident(_) => {
-                    let span = self.peek().span;
-                    let vname = self.eat_ident()?;
-                    let number = if self.peek().kind == TokenKind::Punct('=') {
-                        self.advance();
-                        let tok = self.advance();
-                        match tok.kind {
-                            TokenKind::Int(v) => i32::try_from(v).map_err(|_| {
-                                ParseError::new(tok.span, "enum number out of range")
-                            })?,
-                            other => {
-                                return Err(ParseError::new(
-                                    tok.span,
-                                    format!("expected integer, found {other}"),
-                                ))
-                            }
-                        }
+                TokenKind::Ident(vname) => {
+                    self.cur.advance();
+                    let number = if self.cur.at_punct('=') {
+                        self.cur.advance();
+                        let (v, nspan) = self.cur.eat_int()?;
+                        i32::try_from(v)
+                            .map_err(|_| ParseError::new(nspan, "enum number out of range"))?
                     } else {
                         next_number
+                            .ok_or_else(|| ParseError::new(t.span, "enum number out of range"))?
                     };
-                    next_number = number + 1;
-                    if matches!(
-                        self.peek().kind,
-                        TokenKind::Punct(',') | TokenKind::Punct(';')
-                    ) {
-                        self.advance();
+                    next_number = number.checked_add(1);
+                    if self.cur.at_punct(',') || self.cur.at_punct(';') {
+                        self.cur.advance();
                     }
                     values.push(EnumValueDecl {
-                        name: vname,
+                        name: vname.to_string(),
                         number,
-                        span,
+                        span: t.span,
                     });
                 }
                 other => {
-                    let span = self.peek().span;
                     return Err(ParseError::new(
-                        span,
+                        t.span,
                         format!("unexpected {other} in enum {name}"),
                     ));
                 }
             }
         }
         Ok(EnumDecl {
-            name,
+            name: name.to_string(),
             values,
-            span: t.span,
+            span: decl_span,
         })
     }
 }
@@ -337,6 +281,7 @@ impl Parser {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lexer::MAX_NESTING;
 
     const SCAN: &str = r#"
         namespace java org.apache.accumulo.core
@@ -427,5 +372,37 @@ mod tests {
         assert!(parse_thrift("struct M { x: i32 }").is_err());
         assert!(parse_thrift("struct M { 1: }").is_err());
         assert!(parse_thrift("struct M { 1: i32 x").is_err());
+    }
+
+    /// A field whose type is `depth` levels deep: `depth - 1` lists around an `i32`.
+    fn nested_lists(depth: usize) -> String {
+        let (open, close) = ("list<".repeat(depth - 1), ">".repeat(depth - 1));
+        format!("struct S {{ 1: {open}i32{close} xs }}")
+    }
+
+    #[test]
+    fn type_nesting_is_bounded() {
+        let file = parse_thrift(&nested_lists(MAX_NESTING)).unwrap();
+        assert_eq!(file.messages[0].fields[0].type_name, "i32");
+        let err = parse_thrift(&nested_lists(MAX_NESTING + 1)).unwrap_err();
+        assert!(err.message.contains("nested deeper than 64"), "{err}");
+        // Column of the innermost `i32`.
+        assert_eq!((err.span.line, err.span.col), (1, 15 + 5 * 64));
+        // Used to overflow the stack.
+        let hostile = format!("struct S {{ 1: {}", "list<".repeat(200_000));
+        assert!(parse_thrift(&hostile).is_err());
+        assert!(parse_thrift(&hostile.replace("list<", "map<i32,")).is_err());
+    }
+
+    #[test]
+    fn enum_auto_increment_is_checked() {
+        let file = parse_thrift("enum E { A = 2147483646, B }").unwrap();
+        assert_eq!(file.enums[0].values[1].number, i32::MAX);
+        // An explicit number after the maximum needs no increment.
+        assert!(parse_thrift("enum E { A = 2147483647, B = 1 }").is_ok());
+        // Used to panic in debug and wrap to `i32::MIN` in release.
+        let err = parse_thrift("enum E { A = 2147483647, B }").unwrap_err();
+        assert_eq!(err.message, "enum number out of range");
+        assert_eq!((err.span.line, err.span.col), (1, 26));
     }
 }

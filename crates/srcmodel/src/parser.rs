@@ -113,16 +113,36 @@ fn lex(input: &str) -> Result<Vec<Tok>, JavaParseError> {
     Ok(toks)
 }
 
+/// Deepest nesting of classes, blocks and expressions (counted together)
+/// the parser follows; it recurses once per level, so unbounded input would
+/// overflow the stack.
+const MAX_NESTING: usize = 64;
+
 /// Parses Java-subset source text into a [`CompilationUnit`].
 pub fn parse_java(input: &str) -> Result<CompilationUnit, JavaParseError> {
     let toks = lex(input)?;
-    let mut p = P { toks, pos: 0 };
-    p.unit()
+    let mut p = P {
+        toks,
+        pos: 0,
+        depth: 0,
+        too_deep: false,
+    };
+    let unit = p.unit();
+    if p.too_deep {
+        return Err(JavaParseError {
+            message: format!("nesting deeper than {MAX_NESTING} levels"),
+        });
+    }
+    unit
 }
 
 struct P {
     toks: Vec<Tok>,
     pos: usize,
+    /// Levels of [`P::nested`] currently open.
+    depth: usize,
+    /// Set once `depth` passed [`MAX_NESTING`]; `parse_java` reports it.
+    too_deep: bool,
 }
 
 const MODIFIERS: &[&str] = &[
@@ -147,6 +167,21 @@ impl P {
             self.pos += 1;
         }
         t
+    }
+
+    /// Runs the recursive step `f` one nesting level down. Past
+    /// [`MAX_NESTING`] it first jumps to `Eof`, where every loop of the
+    /// parser ends, so the (infallible) block and expression parsers unwind
+    /// without a `Result` of their own.
+    fn nested<T>(&mut self, f: impl FnOnce(&mut Self) -> T) -> T {
+        self.depth += 1;
+        if self.depth > MAX_NESTING {
+            self.too_deep = true;
+            self.pos = self.toks.len() - 1;
+        }
+        let out = f(self);
+        self.depth -= 1;
+        out
     }
 
     fn eat_punct(&mut self, c: char) -> bool {
@@ -347,7 +382,7 @@ impl P {
                 }
                 Tok::Ident(w) if w == "class" || w == "interface" => {
                     self.next();
-                    self.class_decl(unit)?;
+                    self.nested(|p| p.class_decl(unit))?;
                 }
                 Tok::Ident(w) if w == "enum" => {
                     self.next();
@@ -470,7 +505,7 @@ impl P {
                 Tok::Eof => return,
                 Tok::Punct('{') => {
                     self.next();
-                    self.block(out);
+                    self.nested(|p| p.block(out));
                 }
                 Tok::Ident(w) if w == "if" || w == "while" || w == "for" || w == "switch" => {
                     self.next();
@@ -609,14 +644,20 @@ impl P {
             Tok::Literal(text) => Expr::Literal(text),
             Tok::Punct('(') => {
                 // Parenthesized or cast: parse inner, continue.
-                let inner = self.expr();
+                let inner = self.nested(Self::expr);
                 self.eat_punct(')');
                 inner
             }
             _ => Expr::Opaque,
         };
-        // Chains: `.name` or `.name(args)`.
+        // Chains: `.name` or `.name(args)`. Each link nests `base` one level
+        // deeper, so a chain past the bound degrades like anything unmodelled.
+        let mut links = 0;
         while self.eat_punct('.') {
+            links += 1;
+            if links > MAX_NESTING {
+                return Expr::Opaque;
+            }
             match self.next() {
                 Tok::Ident(name) => {
                     if self.eat_punct('(') {
@@ -659,7 +700,7 @@ impl P {
             return args;
         }
         loop {
-            args.push(self.expr());
+            args.push(self.nested(Self::expr));
             match self.next() {
                 Tok::Punct(',') => continue,
                 Tok::Punct(')') => break,
@@ -829,5 +870,72 @@ mod tests {
         assert!(m.body.iter().any(
             |s| matches!(s, Stmt::Assign { name, value } if name == "x" && value.is_ordinal_call())
         ));
+    }
+
+    /// One class holding `depth` more classes, one inside the other.
+    fn nested_classes(depth: usize) -> String {
+        "class A { ".repeat(depth + 1) + &"} ".repeat(depth + 1)
+    }
+
+    /// A method body with `depth` blocks, one inside the other.
+    fn nested_blocks(depth: usize) -> String {
+        format!(
+            "class C {{ void m() {{ {} }} }}",
+            "{".repeat(depth) + &"}".repeat(depth)
+        )
+    }
+
+    /// `f(f(…f(1)…))`, `depth` calls around the literal.
+    fn nested_calls(depth: usize) -> String {
+        format!(
+            "class C {{ int m() {{ return {}1{}; }} }}",
+            "f(".repeat(depth),
+            ")".repeat(depth)
+        )
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        for shape in [nested_classes, nested_blocks, nested_calls] {
+            assert!(parse_java(&shape(MAX_NESTING)).is_ok());
+            let err = parse_java(&shape(MAX_NESTING + 1)).unwrap_err();
+            assert!(err.message.contains("nesting deeper than 64"), "{err}");
+        }
+        assert_eq!(
+            parse_java(&nested_classes(MAX_NESTING))
+                .unwrap()
+                .classes
+                .len(),
+            MAX_NESTING + 1
+        );
+        // Each of these used to overflow the stack.
+        assert!(parse_java(&"class A { ".repeat(200_000)).is_err());
+        assert!(parse_java(&format!("class C {{ void m() {{ {}", "{".repeat(200_000))).is_err());
+        assert!(parse_java(&format!(
+            "class C {{ void m() {{ x = {}",
+            "f(".repeat(200_000)
+        ))
+        .is_err());
+        assert!(parse_java(&format!(
+            "class C {{ void m() {{ x = {}",
+            "(".repeat(200_000)
+        ))
+        .is_err());
+    }
+
+    #[test]
+    fn long_chains_degrade_to_opaque() {
+        let value_of = |links: usize| {
+            let src = format!("class C {{ void m() {{ y = x{}; }} }}", ".a".repeat(links));
+            let unit = parse_java(&src).unwrap();
+            match &unit.class("C").unwrap().methods[0].body[0] {
+                Stmt::Assign { value, .. } => value.clone(),
+                other => panic!("not an assignment: {other:?}"),
+            }
+        };
+        assert!(matches!(value_of(MAX_NESTING), Expr::FieldAccess { .. }));
+        assert_eq!(value_of(MAX_NESTING + 1), Expr::Opaque);
+        // Used to build a tree too deep to drop.
+        assert_eq!(value_of(200_000), Expr::Opaque);
     }
 }

@@ -1,8 +1,9 @@
 //! Cross-crate property-based tests (proptest) over the core invariants.
 
 use ds_upgrade::core::{upgrade_pairs, VersionGap, VersionId};
-use ds_upgrade::idl::{lower, parse_proto};
+use ds_upgrade::idl::{lower, parse_proto, parse_thrift};
 use ds_upgrade::simnet::{FaultKind, HostStorage, SimRng, SimTime};
+use ds_upgrade::srcmodel::parse_java;
 use ds_upgrade::tester::{
     apply_nudge, fault_plan_for, mutate, Corpus, CorpusEntry, Durability, FaultIntensity,
     MutationOp, OpenLoopSpec, PlanNudge, RolloutPlan, Scenario, SearchInput, WorkloadPlan,
@@ -15,7 +16,52 @@ fn arb_version() -> impl Strategy<Value = VersionId> {
     (0u32..10, 0u32..25, 0u32..10).prop_map(|(ma, mi, p)| VersionId::new(ma, mi, p))
 }
 
+/// Text no grammar was written for: raw Latin-1 characters (controls, NBSP,
+/// accents), lone quotes, comments that never close, wide characters, and
+/// the openers of all three front ends repeated past every nesting bound.
+fn arb_hostile_source() -> impl Strategy<Value = String> {
+    const WORDS: &[&str] = &[
+        "message A { ",
+        "optional int32 x = 1 [",
+        "reserved 0 to 4294967295;",
+        "struct S { 1: ",
+        "list<",
+        "map<i32,",
+        "enum E { A = 2147483647, B",
+        "class A { ",
+        "void m() { ",
+        "x = f(",
+        "y.a",
+        "{",
+        "<",
+        "(",
+        "}",
+        "/*",
+        "//",
+        "\"",
+        "'",
+        "\n",
+        "日本",
+    ];
+    let fragment = prop_oneof![
+        any::<u8>().prop_map(|b| char::from(b).to_string()),
+        (0..WORDS.len()).prop_map(|i| WORDS[i].to_string()),
+        (0..WORDS.len(), 2usize..300).prop_map(|(i, n)| WORDS[i].repeat(n)),
+    ];
+    proptest::collection::vec(fragment, 0..24).prop_map(|parts| parts.concat())
+}
+
 proptest! {
+    /// The three front ends DUPChecker reads with return on any text: a
+    /// hostile schema or source file is an `Err`, never a panic, a stack
+    /// overflow or an allocation sized by a number in the input.
+    #[test]
+    fn front_ends_return_on_hostile_text(text in arb_hostile_source()) {
+        let _ = parse_proto(&text);
+        let _ = parse_thrift(&text);
+        let _ = parse_java(&text);
+    }
+
     /// Version parsing round-trips through Display.
     #[test]
     fn version_display_parse_roundtrip(v in arb_version()) {
