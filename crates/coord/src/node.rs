@@ -14,7 +14,7 @@
 //!   load (the MESOS-3834 mechanism transplanted).
 
 use bytes::Bytes;
-use dup_core::{NodeSetup, VersionId};
+use dup_core::{format_reply, split_words, NodeSetup, VersionId};
 use dup_simnet::{Ctx, Endpoint, Fatal, Process, SimDuration, SimTime, StepResult};
 use dup_wire::proto::{Reader, ValueRef, Writer};
 use dup_wire::{FieldDescriptor, FieldType, Frame, MessageDescriptor, Schema, WireError};
@@ -298,40 +298,41 @@ impl CoordNode {
     }
 
     fn handle_client(&mut self, ctx: &mut Ctx<'_>, from: Endpoint, text: &str) {
+        const NO_LEADER: Bytes = Bytes::from_static(b"ERR no leader elected");
         let reply = if let Some(reason) = &self.wedged {
-            format!("ERR leader election failed: {reason}")
+            format_reply(format_args!("ERR leader election failed: {reason}"))
         } else {
-            let parts: Vec<&str> = text.split_whitespace().collect();
-            match parts.as_slice() {
+            let mut words = [""; 3];
+            match split_words(text, &mut words) {
                 ["HEALTH"] => match self.leader {
-                    Some(_) => "OK healthy".to_string(),
-                    None => "ERR no leader elected".to_string(),
+                    Some(_) => Bytes::from_static(b"OK healthy"),
+                    None => NO_LEADER,
                 },
-                ["STAT"] => format!(
-                    "OK leader={} epoch={} zxid={}",
-                    self.leader
-                        .map(|l| l.to_string())
-                        .unwrap_or_else(|| "none".into()),
-                    self.epoch,
-                    self.zxid
-                ),
+                ["STAT"] => {
+                    let leader: &dyn std::fmt::Display = match &self.leader {
+                        Some(l) => l,
+                        None => &"none",
+                    };
+                    let (epoch, zxid) = (self.epoch, self.zxid);
+                    format_reply(format_args!("OK leader={leader} epoch={epoch} zxid={zxid}"))
+                }
                 ["SET", k, v] => {
                     if self.leader.is_none() {
-                        "ERR no leader elected".to_string()
+                        NO_LEADER
                     } else {
                         self.zxid += 1;
                         self.data.insert(k.to_string(), v.to_string());
-                        "OK".to_string()
+                        Bytes::from_static(b"OK")
                     }
                 }
                 ["GET", k] => match self.data.get(*k) {
-                    Some(v) => format!("OK {v}"),
-                    None => "ERR not found".to_string(),
+                    Some(v) => format_reply(format_args!("OK {v}")),
+                    None => Bytes::from_static(b"ERR not found"),
                 },
-                _ => format!("ERR unknown command '{text}'"),
+                _ => format_reply(format_args!("ERR unknown command '{text}'")),
             }
         };
-        ctx.send(from, reply.into_bytes().into());
+        ctx.send(from, reply);
     }
 }
 
@@ -364,8 +365,7 @@ impl Process for CoordNode {
     fn on_message(&mut self, ctx: &mut Ctx<'_>, from: Endpoint, payload: &[u8]) -> StepResult {
         match from {
             Endpoint::Client(_) => {
-                let text = String::from_utf8_lossy(payload).into_owned();
-                self.handle_client(ctx, from, &text);
+                self.handle_client(ctx, from, &String::from_utf8_lossy(payload));
                 Ok(())
             }
             Endpoint::Node(n) => {
@@ -559,6 +559,76 @@ mod tests {
         )
         .unwrap();
         sim.start_node(idx).unwrap();
+    }
+
+    /// Sends each `(node, command, reply)` row in order and demands the
+    /// reply's exact bytes.
+    fn assert_replies(sim: &mut Sim, table: &[(u32, &[u8], &str)]) {
+        for &(node, command, reply) in table {
+            let got = sim.rpc(
+                node,
+                Bytes::copy_from_slice(command),
+                SimDuration::from_secs(2),
+            );
+            assert!(
+                got.as_deref() == Some(reply.as_bytes()),
+                "node {node} <- {:?}: got {:?}, want {reply:?}",
+                String::from_utf8_lossy(command),
+                got.as_deref().map(String::from_utf8_lossy)
+            );
+        }
+    }
+
+    /// Every command shape a node answers, with its exact reply — with a
+    /// leader elected and without one — and the files they leave behind.
+    #[test]
+    fn client_replies_are_pinned() {
+        let unknown = |c: &str| format!("ERR unknown command '{c}'");
+        let too_many = "SET k v a b c d";
+        let mut sim = Sim::new(11);
+        assert_eq!(boot(&mut sim, v("3.6.0"), 3), [0, 1, 2]);
+        let table: &[(u32, &[u8], &str)] = &[
+            (0, b"HEALTH", "OK healthy"),
+            (1, b"  HEALTH\t", "OK healthy"),
+            (2, "HEALTH\u{3000}".as_bytes(), "OK healthy"),
+            (0, b"HEALTH now", &unknown("HEALTH now")),
+            (0, b"", &unknown("")),
+            (0, b"HEA\xffLTH", &unknown("HEA\u{fffd}LTH")),
+            (0, b"STAT", "OK leader=2 epoch=1 zxid=0"),
+            (0, b"STAT now", &unknown("STAT now")),
+            (0, b"SET", &unknown("SET")),
+            (0, b"SET k", &unknown("SET k")),
+            (0, b"SET k v", "OK"),
+            (0, "SET\u{3000}k2\t\tv2".as_bytes(), "OK"),
+            (0, b"SET k\xff v3", "OK"),
+            (0, b"SET k v w", &unknown("SET k v w")),
+            (0, too_many.as_bytes(), &unknown(too_many)),
+            (0, b"GET k", "OK v"),
+            (0, b" GET  k2 ", "OK v2"),
+            (0, b"GET k\xff", "OK v3"),
+            (0, b"GET nope", "ERR not found"),
+            (0, b"GET", &unknown("GET")),
+            (0, b"GET k v", &unknown("GET k v")),
+            (0, b"STAT", "OK leader=2 epoch=1 zxid=3"),
+            (1, b"GET k", "ERR not found"),
+        ];
+        assert_replies(&mut sim, table);
+        let host = sim.host_id("coord-host-0");
+        assert!(sim.host_storage_by_id(host).list("").is_empty());
+
+        // A lone node never completes an election.
+        let mut sim = Sim::new(12);
+        assert_eq!(boot(&mut sim, v("3.6.0"), 1), [0]);
+        let table: &[(u32, &[u8], &str)] = &[
+            (0, b"STAT", "OK leader=none epoch=1 zxid=0"),
+            (0, b"HEALTH", "ERR no leader elected"),
+            (0, b"SET k v", "ERR no leader elected"),
+            (0, b"GET k", "ERR not found"),
+            (0, b"STAT now", &unknown("STAT now")),
+        ];
+        assert_replies(&mut sim, table);
+        let host = sim.host_id("coord-host-0");
+        assert!(sim.host_storage_by_id(host).list("").is_empty());
     }
 
     #[test]

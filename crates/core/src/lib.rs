@@ -9,7 +9,9 @@
 //! - the failure taxonomy ([`RootCause`], [`Symptom`], [`Priority`], …)
 //!   used to classify every failure in the study and every failure the
 //!   tester exposes;
-//! - the [`SystemUnderTest`] trait, DUPTester's view of a target system.
+//! - the [`SystemUnderTest`] trait, DUPTester's view of a target system,
+//!   and [`split_words`] / [`format_reply`] for the mini systems' client
+//!   commands.
 //!
 //! # Examples
 //!
@@ -24,10 +26,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod command;
 mod sut;
 mod taxonomy;
 mod version;
 
+pub use crate::command::{format_reply, split_words};
 pub use crate::sut::{
     ClientOp, Config, NodeSetup, SystemUnderTest, TranslationTable, UnitStatement, UnitTest,
     WorkloadPhase,

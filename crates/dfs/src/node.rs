@@ -6,7 +6,8 @@
 //! checkpoint uses the versioned format in [`crate::codec`].
 
 use crate::codec::{self, layout_version, FileEntry, Namespace, Reported};
-use dup_core::{NodeSetup, VersionId};
+use bytes::Bytes;
+use dup_core::{format_reply, split_words, NodeSetup, VersionId};
 use dup_simnet::{Ctx, Endpoint, Fatal, Process, SimDuration, SimTime, StepResult};
 use dup_wire::Frame;
 use std::collections::{BTreeMap, BTreeSet};
@@ -151,9 +152,9 @@ impl NameNode {
     }
 
     fn handle_client(&mut self, ctx: &mut Ctx<'_>, from: Endpoint, text: &str) {
-        let parts: Vec<&str> = text.split_whitespace().collect();
-        let reply = match parts.as_slice() {
-            ["HEALTH"] => Some("OK healthy".to_string()),
+        let mut words = [""; 3];
+        let reply = match split_words(text, &mut words) {
+            ["HEALTH"] => Some(Bytes::from_static(b"OK healthy")),
             ["LS"] => {
                 let names: Vec<&str> = self
                     .namespace
@@ -161,16 +162,16 @@ impl NameNode {
                     .iter()
                     .map(|f| f.path.as_str())
                     .collect();
-                Some(format!("OK {}", names.join(",")))
+                Some(format_reply(format_args!("OK {}", names.join(","))))
             }
             ["WRITE", path, data] => self.cmd_write(ctx, from, path, data),
             ["READ", path] => self.cmd_read(ctx, from, path),
             ["DELETE", path] => Some(self.cmd_delete(ctx, path)),
             ["CHECK", path] => Some(self.cmd_check(path)),
-            _ => Some(format!("ERR unknown command '{text}'")),
+            _ => Some(format_reply(format_args!("ERR unknown command '{text}'"))),
         };
         if let Some(reply) = reply {
-            ctx.send(from, reply.into_bytes().into());
+            ctx.send(from, reply);
         }
     }
 
@@ -180,12 +181,12 @@ impl NameNode {
         from: Endpoint,
         path: &str,
         data: &str,
-    ) -> Option<String> {
+    ) -> Option<Bytes> {
         let targets = self.candidates(ctx);
         let targets: Vec<u32> = targets.into_iter().take(2).collect();
         if targets.is_empty() {
             ctx.error(format!("no usable DataNodes for write of {path}"));
-            return Some("ERR no usable DataNodes".to_string());
+            return Some(Bytes::from_static(b"ERR no usable DataNodes"));
         }
         let block = self.namespace.next_block.max(1);
         self.namespace.next_block = block + 1;
@@ -220,17 +221,17 @@ impl NameNode {
         None // Reply deferred until acks arrive.
     }
 
-    fn cmd_read(&mut self, ctx: &mut Ctx<'_>, from: Endpoint, path: &str) -> Option<String> {
+    fn cmd_read(&mut self, ctx: &mut Ctx<'_>, from: Endpoint, path: &str) -> Option<Bytes> {
         let Some(file) = self.namespace.files.iter().find(|f| f.path == path) else {
-            return Some("ERR not found".to_string());
+            return Some(Bytes::from_static(b"ERR not found"));
         };
         let Some(&block) = file.blocks.first() else {
-            return Some("OK ".to_string());
+            return Some(Bytes::from_static(b"OK "));
         };
         let replicas = self.live_replicas(block);
         let Some(&dn) = replicas.first() else {
             ctx.error(format!("no live replica of block {block} for {path}"));
-            return Some("ERR no live replica".to_string());
+            return Some(Bytes::from_static(b"ERR no live replica"));
         };
         self.pending_reads.insert(block, from);
         ctx.send(
@@ -245,9 +246,9 @@ impl NameNode {
         None
     }
 
-    fn cmd_delete(&mut self, ctx: &mut Ctx<'_>, path: &str) -> String {
+    fn cmd_delete(&mut self, ctx: &mut Ctx<'_>, path: &str) -> Bytes {
         let Some(pos) = self.namespace.files.iter().position(|f| f.path == path) else {
-            return "ERR not found".to_string();
+            return Bytes::from_static(b"ERR not found");
         };
         let file = self.namespace.files.remove(pos);
         for block in file.blocks {
@@ -263,21 +264,23 @@ impl NameNode {
                 }
             }
         }
-        "OK".to_string()
+        Bytes::from_static(b"OK")
     }
 
-    fn cmd_check(&self, path: &str) -> String {
+    fn cmd_check(&self, path: &str) -> Bytes {
         let Some(file) = self.namespace.files.iter().find(|f| f.path == path) else {
-            return "ERR not found".to_string();
+            return Bytes::from_static(b"ERR not found");
         };
         let target = self.replication_target();
         for &block in &file.blocks {
             let n = self.live_replicas(block).len();
             if n < target {
-                return format!("ERR under-replicated {path} replication={n} expected={target}");
+                return format_reply(format_args!(
+                    "ERR under-replicated {path} replication={n} expected={target}"
+                ));
             }
         }
-        format!("OK replication={target}")
+        format_reply(format_args!("OK replication={target}"))
     }
 
     fn handle_heartbeat(&mut self, ctx: &mut Ctx<'_>, from: u32, frame: &Frame<'_>) -> StepResult {
@@ -429,8 +432,7 @@ impl Process for NameNode {
     fn on_message(&mut self, ctx: &mut Ctx<'_>, from: Endpoint, payload: &[u8]) -> StepResult {
         match from {
             Endpoint::Client(_) => {
-                let text = String::from_utf8_lossy(payload).into_owned();
-                self.handle_client(ctx, from, &text);
+                self.handle_client(ctx, from, &String::from_utf8_lossy(payload));
                 Ok(())
             }
             Endpoint::Node(n) => {
@@ -463,7 +465,7 @@ impl Process for NameNode {
                                 p.acks.insert(n);
                                 if p.acks.len() >= p.expected.len() {
                                     let p = self.pending_writes.remove(&block).expect("present");
-                                    ctx.send(p.client, b"OK".to_vec().into());
+                                    ctx.send(p.client, Bytes::from_static(b"OK"));
                                 }
                             }
                         }
@@ -491,7 +493,7 @@ impl Process for NameNode {
                                 set.remove(&n);
                             }
                             if let Some(client) = self.pending_reads.remove(&block) {
-                                ctx.send(client, b"ERR replica lost".to_vec().into());
+                                ctx.send(client, Bytes::from_static(b"ERR replica lost"));
                             }
                         }
                         Ok(())
@@ -536,7 +538,7 @@ impl Process for NameNode {
                         "write of {} failed: no DataNode acked block {block}",
                         p.path
                     ));
-                    ctx.send(p.client, b"ERR write failed".to_vec().into());
+                    ctx.send(p.client, Bytes::from_static(b"ERR write failed"));
                 } else {
                     ctx.warn(format!(
                         "block {block} for {} acked by {}/{} DataNodes",
@@ -544,7 +546,7 @@ impl Process for NameNode {
                         p.acks.len(),
                         p.expected.len()
                     ));
-                    ctx.send(p.client, b"OK".to_vec().into());
+                    ctx.send(p.client, Bytes::from_static(b"OK"));
                 }
             }
         }
@@ -657,13 +659,12 @@ impl Process for DataNode {
             return Ok(());
         }
         if let Endpoint::Client(_) = from {
-            let text = String::from_utf8_lossy(payload);
-            let reply = if text.trim() == "HEALTH" {
-                "OK healthy".to_string()
+            let reply: &'static [u8] = if String::from_utf8_lossy(payload).trim() == "HEALTH" {
+                b"OK healthy"
             } else {
-                "ERR not the NameNode".to_string()
+                b"ERR not the NameNode"
             };
-            ctx.send(from, reply.into_bytes().into());
+            ctx.send(from, Bytes::from_static(reply));
             return Ok(());
         }
         let frame = match Frame::decode(payload) {
@@ -812,6 +813,81 @@ mod tests {
         };
         sim.install(node_idx, &to.to_string(), proc).unwrap();
         sim.start_node(node_idx).unwrap();
+    }
+
+    /// Sends each `(node, command, reply)` row in order and demands the
+    /// reply's exact bytes.
+    fn assert_replies(sim: &mut Sim, table: &[(u32, &[u8], &str)]) {
+        for &(node, command, reply) in table {
+            let got = sim.rpc(
+                node,
+                bytes::Bytes::copy_from_slice(command),
+                SimDuration::from_secs(5),
+            );
+            assert!(
+                got.as_deref() == Some(reply.as_bytes()),
+                "node {node} <- {:?}: got {:?}, want {reply:?}",
+                String::from_utf8_lossy(command),
+                got.as_deref().map(String::from_utf8_lossy)
+            );
+        }
+    }
+
+    /// Every command shape the NameNode and a DataNode answer, with its
+    /// exact reply, and the files those commands leave behind.
+    #[test]
+    fn client_replies_are_pinned() {
+        let mut sim = Sim::new(11);
+        assert_eq!(boot(&mut sim, v("3.3.0"), 3), [0, 1, 2]);
+        let unknown = |c: &str| format!("ERR unknown command '{c}'");
+        let too_many = "WRITE /a b c d e f";
+        let table: &[(u32, &[u8], &str)] = &[
+            (0, b"HEALTH", "OK healthy"),
+            (0, b"  HEALTH\t", "OK healthy"),
+            (0, "HEALTH\u{3000}".as_bytes(), "OK healthy"),
+            (0, b"HEALTH now", &unknown("HEALTH now")),
+            (0, b"", &unknown("")),
+            (0, b"HEA\xffLTH", &unknown("HEA\u{fffd}LTH")),
+            (0, b"LS", "OK "),
+            (0, b"LS /", &unknown("LS /")),
+            (0, b"WRITE", &unknown("WRITE")),
+            (0, b"WRITE /a", &unknown("WRITE /a")),
+            (0, b"WRITE /a hello", "OK"),
+            (0, "WRITE\u{3000}/b\t\tbye".as_bytes(), "OK"),
+            (0, b"WRITE /a b c", &unknown("WRITE /a b c")),
+            (0, too_many.as_bytes(), &unknown(too_many)),
+            (0, b"LS", "OK /a,/b"),
+            (0, b"READ /a", "OK hello"),
+            (0, b"READ  /b", "OK bye"),
+            (0, b"READ /zz", "ERR not found"),
+            (0, b"READ /a\xff", "ERR not found"),
+            (0, b"READ", &unknown("READ")),
+            (0, b"READ /a b", &unknown("READ /a b")),
+            (0, b"CHECK /a", "OK replication=2"),
+            (0, b"CHECK /zz", "ERR not found"),
+            (0, b"CHECK", &unknown("CHECK")),
+            (0, b"CHECK /a /b", &unknown("CHECK /a /b")),
+            (0, b"DELETE /b", "OK"),
+            (0, b"DELETE /b", "ERR not found"),
+            (0, b"DELETE", &unknown("DELETE")),
+            (0, b"DELETE /a /b", &unknown("DELETE /a /b")),
+            (0, b"LS", "OK /a"),
+            (1, b"HEALTH", "OK healthy"),
+            (1, b" HEALTH\t", "OK healthy"),
+            (2, "HEALTH\u{3000}".as_bytes(), "OK healthy"),
+            (1, b"HEALTH now", "ERR not the NameNode"),
+            (1, b"LS", "ERR not the NameNode"),
+            (1, b"", "ERR not the NameNode"),
+        ];
+        assert_replies(&mut sim, table);
+        sim.run_for(SimDuration::from_secs(1));
+        let mut files = Vec::new();
+        for i in 0..3 {
+            let host = sim.host_id(&format!("dfs-host-{i}"));
+            files.push(sim.host_storage_by_id(host).list(""));
+        }
+        let datanode = ["blocks/1", "dn_version", "trash/2"];
+        assert_eq!(files, [&[][..], &datanode, &datanode]);
     }
 
     #[test]

@@ -105,7 +105,8 @@ pub struct CaseRunner<'a> {
     /// The most recent prefix's cache entry (single-entry cache: campaign
     /// matrix order keeps same-prefix cases consecutive).
     prefix: Option<PrefixCache>,
-    /// Per-op oracle evidence, reused across cases.
+    /// The suffix's op log for the oracle, reused across cases: only the ops
+    /// that can be evidence ([`oracle::can_be_evidence`]).
     ops: Vec<OpResult>,
     /// Pooled per-case working state, recompiled/refilled in place.
     pools: CasePools,
@@ -146,9 +147,6 @@ struct PrefixData {
     first_op_time: SimTime,
     /// Messages delivered when the pre-upgrade workload started.
     msgs_at_first_op: u64,
-    /// How many [`OpResult`]s the prefix pushed; a restore truncates the
-    /// runner's op log back to this length.
-    ops_len: usize,
     /// `Some` when the prefix decided the case is invalid — the message and
     /// the digest at the point of abort. Seed-independent, so it is the
     /// verdict for *every* case sharing this prefix.
@@ -259,7 +257,6 @@ impl<'a> CaseRunner<'a> {
                 }
                 if pre.snapshot_valid {
                     self.sim.restore(&self.snapshot);
-                    self.ops.truncate(pre.data.ops_len);
                     self.sim.reseed(case.seed);
                     let (outcome, decided_early) = run_suffix(
                         &mut self.sim,
@@ -283,7 +280,6 @@ impl<'a> CaseRunner<'a> {
         if let Some(config) = self.trace {
             self.sim.enable_trace(config);
         }
-        self.ops.clear();
         let mut data = PrefixData::default();
         let prefix_verdict = run_prefix(
             &mut self.sim,
@@ -292,7 +288,6 @@ impl<'a> CaseRunner<'a> {
             pseed,
             &mut data,
             &mut self.pools.before_ops,
-            &mut self.ops,
         );
         if self.sim.budget_exhausted() {
             // A runaway prefix is not cacheable evidence of anything but its
@@ -303,7 +298,6 @@ impl<'a> CaseRunner<'a> {
         if let Err(message) = &prefix_verdict {
             data.invalid = Some((message.clone(), digest_of(&self.sim)));
         }
-        data.ops_len = self.ops.len();
         let snapshot_valid = self.use_snapshots
             && prefix_verdict.is_ok()
             && self.sim.snapshot_into(&mut self.snapshot);
@@ -611,9 +605,9 @@ fn any_genuine_crash(sim: &Sim) -> bool {
 /// `case.seed` — which is what makes the resulting simulator state sharable
 /// across a whole seed group via snapshot.
 ///
-/// Fills `data` and pushes the pre-upgrade [`OpResult`]s; returns
-/// `Err(message)` when the workload is invalid (the message is the
-/// seed-independent [`CaseOutcome::InvalidWorkload`] verdict).
+/// Fills `data`; returns `Err(message)` when the workload is invalid (the
+/// message is the seed-independent [`CaseOutcome::InvalidWorkload`]
+/// verdict).
 fn run_prefix(
     sim: &mut Sim,
     sut: &dyn SystemUnderTest,
@@ -621,7 +615,6 @@ fn run_prefix(
     pseed: u64,
     data: &mut PrefixData,
     before_ops: &mut Vec<ClientOp>,
-    ops: &mut Vec<OpResult>,
 ) -> Result<(), String> {
     let n = sut.cluster_size();
     let mut config = sut.default_config();
@@ -712,7 +705,8 @@ fn run_prefix(
     data.first_op_time = sim.now();
     data.msgs_at_first_op = sim.messages_delivered();
 
-    run_ops(&driver, sim, before_ops, false, false, ops);
+    // No op before the upgrade can be evidence, so none is recorded.
+    run_ops(&driver, sim, before_ops, false, false, &mut Vec::new());
     driver.run_for(sim, SETTLE);
 
     // If the *old* version already fails under this workload/config, the
@@ -746,6 +740,7 @@ fn run_suffix(
 ) -> (CaseOutcome, bool) {
     let n = sut.cluster_size();
     let config = &pre.config;
+    ops.clear();
 
     // The seed-dependent workload parts, streamed into the pooled phase
     // buffers. Open-loop cases compile the pooled [`WorkloadPlan`] instead
@@ -931,15 +926,8 @@ fn run_suffix(
                 );
             }
             RolloutStep::CanaryGate { node } => {
-                run_op(
-                    &driver,
-                    sim,
-                    &ClientOp::new(node, "HEALTH"),
-                    true,
-                    false,
-                    ops,
-                );
-                let answered = ops.last().is_some_and(|r| r.response.is_some());
+                let health = ClientOp::new(node, "HEALTH");
+                let answered = run_op(&driver, sim, &health, true, false, ops);
                 let crashed = sim
                     .crashed_nodes()
                     .into_iter()
@@ -1036,6 +1024,9 @@ fn find_unit_test(sut: &dyn SystemUnderTest, name: &str) -> Option<UnitTest> {
     sut.unit_tests().into_iter().find(|t| t.name == name)
 }
 
+/// Runs one client op and returns whether it was answered. The reply is
+/// classified on its bytes, and only an op that can be evidence is pushed
+/// to `out`: the others cost no command clone and no reply conversion.
 fn run_op(
     driver: &FaultDriver<'_>,
     sim: &mut Sim,
@@ -1043,22 +1034,20 @@ fn run_op(
     after_upgrade_started: bool,
     in_after_phase: bool,
     out: &mut Vec<OpResult>,
-) {
-    let response = driver
-        .rpc(
-            sim,
-            op.node,
-            op.command.clone().into_bytes().into(),
-            OP_TIMEOUT,
-        )
-        .map(|b| String::from_utf8_lossy(&b).into_owned());
-    out.push(OpResult {
-        command: op.command.clone(),
-        node: op.node,
-        response,
-        after_upgrade_started,
-        in_after_phase,
-    });
+) -> bool {
+    let request = bytes::Bytes::copy_from_slice(op.command.as_bytes());
+    let reply = driver.rpc(sim, op.node, request, OP_TIMEOUT);
+    let response = reply.as_deref();
+    if oracle::can_be_evidence(after_upgrade_started, in_after_phase, response) {
+        out.push(OpResult {
+            command: op.command.clone(),
+            node: op.node,
+            response: response.map(|b| String::from_utf8_lossy(b).into_owned()),
+            after_upgrade_started,
+            in_after_phase,
+        });
+    }
+    response.is_some()
 }
 
 fn run_ops(

@@ -219,10 +219,29 @@ pub struct OpResult {
 /// expected when some operations timed out against a node that was down for
 /// its upgrade step; the paper's oracle likewise keys on crashes, exceptions
 /// and error logs rather than semantic result checking (§6.1.1, Finding 3).
-fn is_benign_miss(response: &str) -> bool {
-    ["ERR not found", "ERR no record", "ERR no committed offset"]
-        .iter()
-        .any(|b| response.starts_with(b))
+fn is_benign_miss(response: &[u8]) -> bool {
+    let misses: [&[u8]; 3] = [
+        b"ERR not found",
+        b"ERR no record",
+        b"ERR no committed offset",
+    ];
+    misses.iter().any(|b| response.starts_with(b))
+}
+
+/// Whether an op can be evidence to [`evaluate`]: once the upgrade started,
+/// an `ERR…` reply that is not a benign miss, or no reply at all in the
+/// post-upgrade verification phase. `response` is the raw reply (`None` on
+/// timeout). The harness records only such ops; `evaluate` ignores the rest.
+pub(crate) fn can_be_evidence(
+    after_upgrade_started: bool,
+    in_after_phase: bool,
+    response: Option<&[u8]>,
+) -> bool {
+    after_upgrade_started
+        && match response {
+            Some(resp) => resp.starts_with(b"ERR") && !is_benign_miss(resp),
+            None => in_after_phase,
+        }
 }
 
 /// Storm thresholds: the window must both exceed an absolute floor and be a
@@ -259,7 +278,8 @@ pub(crate) fn storm_decided_above(max_baseline_msgs: u64) -> u64 {
 ///
 /// `log_mark` is a [`LogMark`] taken at upgrade start; `baseline_msgs` and
 /// `window_msgs` are message counts for equal-length windows before and
-/// after that point. `harness_killed` nodes are excluded from crash checks.
+/// after that point. A crash the tester injected itself — a harness kill
+/// or a fault-plan crash, recognised by its crash reason — is not evidence.
 pub fn evaluate(
     sim: &Sim,
     log_mark: LogMark,
@@ -311,28 +331,24 @@ pub fn evaluate(
     for (_, count, sample) in groups.into_iter().take(10) {
         out.push(Observation::ErrorLogs { count, sample });
     }
-    for op in ops {
-        if !op.after_upgrade_started {
-            continue;
-        }
+    let evidence = ops.iter().filter(|op| {
+        let response = op.response.as_deref().map(str::as_bytes);
+        can_be_evidence(op.after_upgrade_started, op.in_after_phase, response)
+    });
+    for op in evidence {
         match &op.response {
-            Some(resp) if resp.starts_with("ERR") && !is_benign_miss(resp) => {
-                out.push(Observation::FailedOp {
+            Some(resp) => out.push(Observation::FailedOp {
+                command: op.command.clone(),
+                response: resp.clone(),
+            }),
+            // Mid-rolling timeouts are expected (the target is down);
+            // post-upgrade timeouts against a running target are not.
+            None if sim.node_status(op.node) == NodeStatus::Running => {
+                out.push(Observation::Unresponsive {
                     command: op.command.clone(),
-                    response: resp.clone(),
                 });
             }
-            None if op.in_after_phase => {
-                // Mid-rolling timeouts are expected (the target is down);
-                // post-upgrade timeouts are not.
-                let target_running = sim.node_status(op.node) == NodeStatus::Running;
-                if target_running {
-                    out.push(Observation::Unresponsive {
-                        command: op.command.clone(),
-                    });
-                }
-            }
-            _ => {}
+            None => {}
         }
     }
     if is_storm(window_msgs, baseline_msgs) {
@@ -347,6 +363,148 @@ pub fn evaluate(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dup_simnet::{Ctx, Endpoint, Process, SimDuration, SimRng, StepResult};
+    use proptest::prelude::*;
+
+    /// Replies an op log can hold: successes, the three benign misses, other
+    /// errors, and (`None`) timeouts.
+    const REPLIES: [Option<&str>; 8] = [
+        Some("OK"),
+        Some("OK healthy"),
+        Some("ERR not found"),
+        Some("ERR no record"),
+        Some("ERR no committed offset"),
+        Some("ERR corrupt sstable row: input truncated"),
+        Some("ERR unknown command 'X'"),
+        None,
+    ];
+
+    struct Idle;
+
+    impl Process for Idle {
+        fn on_start(&mut self, _ctx: &mut Ctx<'_>) -> StepResult {
+            Ok(())
+        }
+        fn on_message(&mut self, _ctx: &mut Ctx<'_>, _from: Endpoint, _p: &[u8]) -> StepResult {
+            Ok(())
+        }
+        fn on_timer(&mut self, _ctx: &mut Ctx<'_>, _token: u64) -> StepResult {
+            Ok(())
+        }
+    }
+
+    /// Ops target nodes 0..4: 0 and 2 run, 1 is stopped, 3 does not exist.
+    fn cluster() -> Sim {
+        let mut sim = Sim::new(1);
+        for i in 0..3 {
+            let id = sim.add_node(&format!("host-{i}"), "1.0.0", Box::new(Idle));
+            sim.start_node(id).unwrap();
+        }
+        sim.run_for(SimDuration::from_millis(10));
+        sim.stop_node(1).unwrap();
+        sim
+    }
+
+    fn op(reply: usize, node: u32, after_upgrade_started: bool, in_after_phase: bool) -> OpResult {
+        OpResult {
+            command: format!("GET k{reply}"),
+            node,
+            response: REPLIES[reply].map(str::to_string),
+            after_upgrade_started,
+            in_after_phase,
+        }
+    }
+
+    /// The op rule as `evaluate` applied it to every op of a log before the
+    /// harness kept only evidence: the reference the filter is held to.
+    fn reference_op_rule(sim: &Sim, log: &[OpResult]) -> Vec<Observation> {
+        let benign = ["ERR not found", "ERR no record", "ERR no committed offset"];
+        let mut out = Vec::new();
+        for op in log.iter().filter(|op| op.after_upgrade_started) {
+            match &op.response {
+                Some(resp)
+                    if resp.starts_with("ERR") && !benign.iter().any(|b| resp.starts_with(b)) =>
+                {
+                    out.push(Observation::FailedOp {
+                        command: op.command.clone(),
+                        response: resp.clone(),
+                    });
+                }
+                None if op.in_after_phase && sim.node_status(op.node) == NodeStatus::Running => {
+                    out.push(Observation::Unresponsive {
+                        command: op.command.clone(),
+                    });
+                }
+                _ => {}
+            }
+        }
+        out
+    }
+
+    /// The theorem the harness's evidence-only op log rests on: `evaluate`
+    /// over a whole log equals `evaluate` over the ops [`can_be_evidence`]
+    /// admits — and the reference rule over the whole log — observation for
+    /// observation and in order. Returns the observations.
+    fn check_evidence_filter(sim: &Sim, log: &[OpResult]) -> Vec<Observation> {
+        let evidence: Vec<OpResult> = log
+            .iter()
+            .filter(|op| {
+                let response = op.response.as_deref().map(str::as_bytes);
+                can_be_evidence(op.after_upgrade_started, op.in_after_phase, response)
+            })
+            .cloned()
+            .collect();
+        let full = evaluate(sim, LogMark::default(), 0, 0, log);
+        assert_eq!(
+            full,
+            evaluate(sim, LogMark::default(), 0, 0, &evidence),
+            "{log:?}"
+        );
+        assert_eq!(full, reference_op_rule(sim, log), "{log:?}");
+        full
+    }
+
+    #[test]
+    fn evidence_filter_is_sound_on_seeded_logs() {
+        let sim = cluster();
+        let mut rng = SimRng::new(25);
+        let (mut failed, mut unresponsive) = (0, 0);
+        for _ in 0..2_000 {
+            let log: Vec<OpResult> = (0..rng.next_below(40))
+                .map(|_| {
+                    let reply = rng.next_below(REPLIES.len() as u64) as usize;
+                    op(
+                        reply,
+                        rng.next_below(4) as u32,
+                        rng.chance(0.5),
+                        rng.chance(0.5),
+                    )
+                })
+                .collect();
+            for o in check_evidence_filter(&sim, &log) {
+                match o {
+                    Observation::FailedOp { .. } => failed += 1,
+                    Observation::Unresponsive { .. } => unresponsive += 1,
+                    other => panic!("{other:?}"),
+                }
+            }
+        }
+        // Not vacuous: both kinds of op evidence were produced.
+        assert!(failed > 0 && unresponsive > 0, "{failed} {unresponsive}");
+    }
+
+    proptest! {
+        #[test]
+        fn evidence_filter_is_sound(
+            ops in proptest::collection::vec(
+                (0..REPLIES.len(), 0u32..4, any::<bool>(), any::<bool>()),
+                0..40,
+            ),
+        ) {
+            let log: Vec<OpResult> = ops.into_iter().map(|(r, n, a, p)| op(r, n, a, p)).collect();
+            check_evidence_filter(&cluster(), &log);
+        }
+    }
 
     #[test]
     fn signatures_strip_numbers() {

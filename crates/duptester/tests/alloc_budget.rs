@@ -1,22 +1,25 @@
-//! A deterministic allocation budget for the codec path.
+//! A deterministic allocation budget for the codec and client request paths.
 //!
 //! Every simulated message and stored file of the four mini systems passes
-//! through the runtime-schema `dup-wire` codec, so heap allocations per
-//! simulator event are a direct, noise-free measure of what that path costs:
-//! the counts below are exact and repeat from run to run, on any machine.
-//! One warm stress full-stop case on the newest release pair is run per
-//! system (the `upbench` `<system>.case_us` fixture) and its allocations per
-//! event must stay under a ceiling. Reading a received message — the
-//! handlers read field by field off the payload, with `proto::Reader` —
-//! must not allocate at all, nor must a value tree's reader taking an
-//! optional field that is absent.
+//! through the runtime-schema `dup-wire` codec, and every case drives them
+//! with client commands, so heap allocations per simulator event are a
+//! direct, noise-free measure of what those paths cost: the counts below are
+//! exact and repeat from run to run, on any machine. One warm stress
+//! full-stop case on the newest release pair is run per system (the
+//! `upbench` `<system>.case_us` fixture) and its allocations per event must
+//! stay under a ceiling. Reading a received message — the handlers read
+//! field by field off the payload, with `proto::Reader` — must not allocate
+//! at all, nor must a value tree's reader taking an optional field that is
+//! absent, nor a warm `HEALTH` round trip.
 //!
 //! The crates under test `#![forbid(unsafe_code)]`, so the counting
 //! `GlobalAlloc` lives here, as in `crates/simnet/tests/alloc_free_dispatch.rs`.
 //! This file deliberately contains exactly ONE `#[test]`: the counter is
 //! process-global, and only the test's own thread is counted.
 
-use dup_core::SystemUnderTest;
+use bytes::Bytes;
+use dup_core::{NodeSetup, SystemUnderTest};
+use dup_simnet::{Sim, SimDuration};
 use dup_tester::{CaseRunner, Durability, FaultIntensity, Scenario, TestCase, WorkloadSpec};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -86,19 +89,22 @@ fn allocs_per_event(sut: &dyn SystemUnderTest) -> f64 {
 #[test]
 fn codec_path_stays_within_its_allocation_budget() {
     COUNTED_THREAD.with(|c| c.set(true));
-    // Ceilings: the measured 1.05 / 3.17 / 8.76 / 3.42 + 10 %. With a
-    // `MessageValue` tree built for every message sent and received these
-    // read 3.66 (kvstore), 7.51 (dfs), 8.97 (mq) and 4.04 (coord); with a
-    // schema rebuilt per message and a `String` + `Vec` per field of every
-    // value, 25.4, 43.7, 11.9 and 10.8. What remains is mostly client text
-    // commands and log lines, which this budget does not target, and two
-    // allocations per message sent: its buffer and the shared handle the
-    // simulator delivers.
+    // Ceilings: the measured 0.87 / 2.88 / 3.94 / 2.64 + 10 %. With each
+    // command collected into a `Vec`, each reply a `String` copied into its
+    // bytes, mq's record paths formatted twice with zero padding and every
+    // op's result kept for the oracle, these read 1.05 (kvstore), 3.17
+    // (dfs), 8.76 (mq) and 3.42 (coord); with a `MessageValue` tree built
+    // for every message sent and received, 3.66, 7.51, 8.97 and 4.04; with
+    // a schema rebuilt per message and a `String` + `Vec` per field of every
+    // value, 25.4, 43.7, 11.9 and 10.8. What remains is two allocations per
+    // message sent (its buffer and the shared handle the simulator
+    // delivers), the storage paths and images a command writes, one per
+    // formatted reply, the harness's copy of each request, and log lines.
     let budgets: [(&dyn SystemUnderTest, f64); 4] = [
-        (&dup_kvstore::KvStoreSystem, 1.15),
-        (&dup_dfs::DfsSystem, 3.49),
-        (&dup_mq::MqSystem, 9.64),
-        (&dup_coord::CoordSystem, 3.77),
+        (&dup_kvstore::KvStoreSystem, 0.96),
+        (&dup_dfs::DfsSystem, 3.17),
+        (&dup_mq::MqSystem, 4.34),
+        (&dup_coord::CoordSystem, 2.91),
     ];
     for (sut, ceiling) in budgets {
         let measured = allocs_per_event(sut);
@@ -111,6 +117,44 @@ fn codec_path_stays_within_its_allocation_budget() {
     }
     received_messages_are_read_without_allocating();
     absent_optional_reads_allocate_nothing();
+    health_round_trips_allocate_nothing(&budgets.map(|(sut, _)| sut));
+}
+
+/// On a warm simulator — reset, so the client slot a request takes is a
+/// warm spare — a `HEALTH` round trip with a prebuilt request allocates
+/// nothing on any of the four systems: the command is split in place and
+/// the reply is static bytes.
+fn health_round_trips_allocate_nothing(suts: &[&dyn SystemUnderTest]) {
+    let counts = suts.iter().map(|sut| {
+        let version = *sut.versions().last().expect("has releases");
+        let n = sut.cluster_size();
+        let mut sim = Sim::new(1);
+        let mut allocations = 0;
+        for _warm_then_counted in 0..2 {
+            sim.reset(1);
+            for i in 0..n {
+                let process = sut.spawn(version, &NodeSetup::new(i, n));
+                let id = sim.add_node(&format!("host-{i}"), &version.to_string(), process);
+                sim.start_node(id).expect("starts");
+            }
+            sim.run_for(SimDuration::from_secs(2));
+            // Whatever else falls due within a round trip (1–5 ms each way)
+            // happens first, so only the HEALTH path is counted.
+            let round_trip = SimDuration::from_millis(10);
+            while sim.peek_time().is_some_and(|t| t <= sim.now() + round_trip) {
+                sim.step();
+            }
+            let health = Bytes::from_static(b"HEALTH");
+            let before = ALLOCATIONS.load(Ordering::Relaxed);
+            let reply = sim.rpc(0, health, SimDuration::from_secs(3));
+            allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+            assert_eq!(reply.as_deref(), Some(&b"OK healthy"[..]), "{}", sut.name());
+        }
+        allocations
+    });
+    let counts: Vec<u64> = counts.collect();
+    println!("HEALTH round trip allocations: {counts:?}");
+    assert_eq!(counts, [0; 4], "a warm HEALTH round trip allocated");
 }
 
 /// The decode side of handling one received gossip digest and one received

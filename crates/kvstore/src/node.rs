@@ -7,7 +7,7 @@
 
 use crate::codec::{self, commitlog_format, proto_version, release_id, KeyspaceDef, SchemaState};
 use bytes::Bytes;
-use dup_core::{NodeSetup, VersionId};
+use dup_core::{format_reply, split_words, NodeSetup, VersionId};
 use dup_simnet::{Ctx, Endpoint, Fatal, LogLevel, Process, SimDuration, StepResult};
 use dup_wire::Frame;
 use std::collections::BTreeMap;
@@ -49,6 +49,8 @@ pub struct KvNode {
     /// 13441 storm is a *sustained* flood, not an exponential one).
     pull_inflight_since: Option<dup_simnet::SimTime>,
     boot_counter: u64,
+    /// `commitlog/seg-b{boot_counter}`: the segment this boot appends to.
+    commitlog: String,
 }
 
 impl KvNode {
@@ -64,6 +66,7 @@ impl KvNode {
             system_tables_dirty: false,
             pull_inflight_since: None,
             boot_counter: 0,
+            commitlog: String::new(),
         }
     }
 
@@ -241,19 +244,13 @@ impl KvNode {
         Ok(())
     }
 
-    fn handle_client(&mut self, ctx: &mut Ctx<'_>, from: Endpoint, text: &str) -> StepResult {
-        let reply = self.execute_command(ctx, text);
-        ctx.send(from, reply.into_bytes().into());
-        Ok(())
-    }
-
-    fn execute_command(&mut self, ctx: &mut Ctx<'_>, text: &str) -> String {
+    fn execute_command(&mut self, ctx: &mut Ctx<'_>, text: &str) -> Bytes {
         if let Some(reason) = &self.stuck {
-            return format!("ERR node wedged: {reason}");
+            return format_reply(format_args!("ERR node wedged: {reason}"));
         }
-        let parts: Vec<&str> = text.split_whitespace().collect();
-        match parts.as_slice() {
-            ["HEALTH"] => "OK healthy".to_string(),
+        let mut words = [""; 4];
+        match split_words(text, &mut words) {
+            ["HEALTH"] => Bytes::from_static(b"OK healthy"),
             ["PUT", table, key, value] => self.cmd_put(ctx, table, key, value),
             ["GET", table, key] => self.cmd_get(ctx, table, key),
             ["CREATE_KS", name] => self.cmd_create_ks(ctx, name, "SimpleStrategy"),
@@ -263,12 +260,12 @@ impl KvNode {
             ["DROP_KS", name] => self.cmd_drop_ks(ctx, name),
             ["TRACE", "ON"] => {
                 let r = self.cmd_create_ks(ctx, "system_traces", "SimpleStrategy");
-                if r.starts_with("ERR") {
+                if r.starts_with(b"ERR") {
                     return r;
                 }
                 self.cmd_create_table(ctx, "system_traces.events", false)
             }
-            _ => format!("ERR unknown command '{text}'"),
+            _ => format_reply(format_args!("ERR unknown command '{text}'")),
         }
     }
 
@@ -276,50 +273,51 @@ impl KvNode {
         name.split_once('.')
     }
 
-    fn cmd_put(&mut self, ctx: &mut Ctx<'_>, table: &str, key: &str, value: &str) -> String {
+    fn cmd_put(&mut self, ctx: &mut Ctx<'_>, table: &str, key: &str, value: &str) -> Bytes {
         let Some((ks, t)) = Self::split_table(table) else {
-            return format!("ERR bad table name '{table}'");
+            return format_reply(format_args!("ERR bad table name '{table}'"));
         };
         if !self.state.has_table(ks, t) {
-            return format!("ERR unknown table {table}");
+            return format_reply(format_args!("ERR unknown table {table}"));
         }
         let row = codec::encode_row(self.version, value);
         ctx.storage().write(&format!("data/{table}/{key}"), row);
-        let seg = format!("commitlog/seg-b{}", self.boot_counter);
-        ctx.storage().append(&seg, value.as_bytes());
-        "OK".to_string()
+        ctx.storage().append(&self.commitlog, value.as_bytes());
+        Bytes::from_static(b"OK")
     }
 
-    fn cmd_get(&mut self, ctx: &mut Ctx<'_>, table: &str, key: &str) -> String {
+    fn cmd_get(&mut self, ctx: &mut Ctx<'_>, table: &str, key: &str) -> Bytes {
         let Some((ks, t)) = Self::split_table(table) else {
-            return format!("ERR bad table name '{table}'");
+            return format_reply(format_args!("ERR bad table name '{table}'"));
         };
         if !self.state.has_table(ks, t) {
-            return format!("ERR unknown table {table}");
+            return format_reply(format_args!("ERR unknown table {table}"));
         }
         let Some(bytes) = ctx.storage_ref().read(&format!("data/{table}/{key}")) else {
-            return "ERR not found".to_string();
+            return Bytes::from_static(b"ERR not found");
         };
         match codec::decode_row(self.version, bytes) {
-            Ok(v) => format!("OK {v}"),
+            Ok(v) => format_reply(format_args!("OK {v}")),
             Err(e) => {
                 // CASSANDRA-16257 shape: 2.1+ cannot read pre-2.1 rows.
                 ctx.error(format!("corrupt sstable row for {table}/{key}: {e}"));
-                format!("ERR corrupt sstable row: {e}")
+                format_reply(format_args!("ERR corrupt sstable row: {e}"))
             }
         }
     }
 
-    fn cmd_create_ks(&mut self, ctx: &mut Ctx<'_>, name: &str, strategy: &str) -> String {
+    fn cmd_create_ks(&mut self, ctx: &mut Ctx<'_>, name: &str, strategy: &str) -> Bytes {
         if !known_strategies(self.version).contains(&strategy) {
-            return format!("ERR unknown replication strategy '{strategy}'");
+            return format_reply(format_args!(
+                "ERR unknown replication strategy '{strategy}'"
+            ));
         }
         if let Some(ks) = self.state.keyspace_mut(name) {
             if ks.dropped {
                 ks.dropped = false;
                 ks.tables.clear();
             }
-            return "OK".to_string();
+            return Bytes::from_static(b"OK");
         }
         self.state.keyspaces.push(KeyspaceDef {
             name: name.to_string(),
@@ -328,28 +326,27 @@ impl KvNode {
             tables: Vec::new(),
         });
         self.schema_changed(ctx);
-        "OK".to_string()
+        Bytes::from_static(b"OK")
     }
 
-    fn cmd_create_table(&mut self, ctx: &mut Ctx<'_>, table: &str, compact: bool) -> String {
+    fn cmd_create_table(&mut self, ctx: &mut Ctx<'_>, table: &str, compact: bool) -> Bytes {
         let Some((ks, t)) = Self::split_table(table) else {
-            return format!("ERR bad table name '{table}'");
+            return format_reply(format_args!("ERR bad table name '{table}'"));
         };
-        let (ks, t) = (ks.to_string(), t.to_string());
-        let Some(def) = self.state.keyspace_mut(&ks) else {
-            return format!("ERR unknown keyspace {ks}");
+        let Some(def) = self.state.keyspace_mut(ks) else {
+            return format_reply(format_args!("ERR unknown keyspace {ks}"));
         };
         if def.dropped {
-            return format!("ERR keyspace {ks} was dropped");
+            return format_reply(format_args!("ERR keyspace {ks} was dropped"));
         }
-        if !def.tables.iter().any(|(name, _)| *name == t) {
-            def.tables.push((t, compact));
+        if !def.tables.iter().any(|(name, _)| name == t) {
+            def.tables.push((t.to_string(), compact));
             self.schema_changed(ctx);
         }
-        "OK".to_string()
+        Bytes::from_static(b"OK")
     }
 
-    fn cmd_drop_ks(&mut self, ctx: &mut Ctx<'_>, name: &str) -> String {
+    fn cmd_drop_ks(&mut self, ctx: &mut Ctx<'_>, name: &str) -> Bytes {
         let tombstones = self.proto >= 10; // 3.0 introduced schema tombstones.
         match self.state.keyspace_mut(name) {
             Some(ks) if tombstones => {
@@ -359,10 +356,10 @@ impl KvNode {
             Some(_) => {
                 self.state.keyspaces.retain(|k| k.name != name);
             }
-            None => return format!("ERR unknown keyspace {name}"),
+            None => return format_reply(format_args!("ERR unknown keyspace {name}")),
         }
         self.schema_changed(ctx);
-        "OK".to_string()
+        Bytes::from_static(b"OK")
     }
 
     fn schema_changed(&mut self, ctx: &mut Ctx<'_>) {
@@ -426,18 +423,18 @@ impl Process for KvNode {
             return Err(fatal);
         }
         self.boot_counter = segments + 1;
+        self.commitlog = format!("commitlog/seg-b{}", self.boot_counter);
 
         // 2. CASSANDRA-15794's trap: 4.0 writes its new-format commit log
         //    header *before* validating the schema, poisoning downgrades.
         if self.version.major >= 4 {
-            let seg = format!("commitlog/seg-b{}", self.boot_counter);
             ctx.storage().write(
-                &seg,
+                &self.commitlog,
                 Frame::new(self.proto, &own_cl.to_string(), Vec::new()).encode_to_vec(),
             );
             // The header hits disk immediately — that is what poisons the
             // downgrade even when the boot aborts a moment later.
-            ctx.flush(&seg);
+            ctx.flush(&self.commitlog);
         }
 
         // 3. Load the schema file left by the previous generation.
@@ -488,12 +485,11 @@ impl Process for KvNode {
 
         // 4. Pre-4.0 releases write their commit log marker after validation.
         if self.version.major < 4 {
-            let seg = format!("commitlog/seg-b{}", self.boot_counter);
             ctx.storage().write(
-                &seg,
+                &self.commitlog,
                 Frame::new(self.proto, &own_cl.to_string(), Vec::new()).encode_to_vec(),
             );
-            ctx.flush(&seg);
+            ctx.flush(&self.commitlog);
         }
 
         self.persist_schema(ctx);
@@ -516,8 +512,9 @@ impl Process for KvNode {
     fn on_message(&mut self, ctx: &mut Ctx<'_>, from: Endpoint, payload: &[u8]) -> StepResult {
         match from {
             Endpoint::Client(_) => {
-                let text = String::from_utf8_lossy(payload).into_owned();
-                self.handle_client(ctx, from, &text)
+                let reply = self.execute_command(ctx, &String::from_utf8_lossy(payload));
+                ctx.send(from, reply);
+                Ok(())
             }
             Endpoint::Node(n) => {
                 let frame = match Frame::decode(payload) {
@@ -626,6 +623,94 @@ mod tests {
             .map(|b| String::from_utf8_lossy(&b).into_owned())
             .unwrap_or_else(|| "TIMEOUT".to_string());
         resp
+    }
+
+    /// Sends each `(node, command, reply)` row in order and demands the
+    /// reply's exact bytes.
+    fn assert_replies(sim: &mut Sim, table: &[(u32, &[u8], &str)]) {
+        for &(node, command, reply) in table {
+            let got = sim.rpc(
+                node,
+                Bytes::copy_from_slice(command),
+                SimDuration::from_secs(2),
+            );
+            assert!(
+                got.as_deref() == Some(reply.as_bytes()),
+                "node {node} <- {:?}: got {:?}, want {reply:?}",
+                String::from_utf8_lossy(command),
+                got.as_deref().map(String::from_utf8_lossy)
+            );
+        }
+    }
+
+    /// Every command shape a node answers, with its exact reply, and the
+    /// files those commands leave behind.
+    #[test]
+    fn client_replies_are_pinned() {
+        let mut sim = Sim::new(11);
+        assert_eq!(boot_cluster(&mut sim, v("4.0.0"), 1), [0]);
+        let unknown = |c: &str| format!("ERR unknown command '{c}'");
+        let too_many = "PUT ks.t k v w x y";
+        let table: &[(u32, &[u8], &str)] = &[
+            (0, b"HEALTH", "OK healthy"),
+            (0, b"  HEALTH\t", "OK healthy"),
+            (0, "HEALTH\u{3000}".as_bytes(), "OK healthy"),
+            (0, b"HEALTH now", &unknown("HEALTH now")),
+            (0, b"", &unknown("")),
+            (0, b"HEA\xffLTH", &unknown("HEA\u{fffd}LTH")),
+            (0, b"CREATE_KS", &unknown("CREATE_KS")),
+            (0, b"CREATE_KS ks", "OK"),
+            (0, b"CREATE_KS\tks2  SimpleStrategy", "OK"),
+            (
+                0,
+                b"CREATE_KS ks3 Bogus",
+                "ERR unknown replication strategy 'Bogus'",
+            ),
+            (0, b"CREATE_KS a b c", &unknown("CREATE_KS a b c")),
+            (0, b"CREATE_TABLE", &unknown("CREATE_TABLE")),
+            (0, "CREATE_TABLE\u{3000}ks.t".as_bytes(), "OK"),
+            (0, b"CREATE_TABLE ks.c COMPACT", "OK"),
+            (
+                0,
+                b"CREATE_TABLE ks.c FOO",
+                &unknown("CREATE_TABLE ks.c FOO"),
+            ),
+            (
+                0,
+                b"CREATE_TABLE ks.c COMPACT x",
+                &unknown("CREATE_TABLE ks.c COMPACT x"),
+            ),
+            (0, b"CREATE_TABLE nodot", "ERR bad table name 'nodot'"),
+            (0, b"CREATE_TABLE nope.t", "ERR unknown keyspace nope"),
+            (0, b"PUT ks.t k v", "OK"),
+            (0, b"PUT ks.t k2  v2", "OK"),
+            (0, b"PUT ks.t k", &unknown("PUT ks.t k")),
+            (0, too_many.as_bytes(), &unknown(too_many)),
+            (0, b"PUT bad k v", "ERR bad table name 'bad'"),
+            (0, b"PUT ks.x k v", "ERR unknown table ks.x"),
+            (0, b"GET ks.t k", "OK v"),
+            (0, b"GET\tks.t\tk2", "OK v2"),
+            (0, b"GET ks.t missing", "ERR not found"),
+            (0, b"GET ks.t k\xff", "ERR not found"),
+            (0, b"GET ks.t", &unknown("GET ks.t")),
+            (0, b"GET ks.t k z", &unknown("GET ks.t k z")),
+            (0, b"GET bad k", "ERR bad table name 'bad'"),
+            (0, b"DROP_KS ks2", "OK"),
+            (0, b"CREATE_TABLE ks2.t", "ERR keyspace ks2 was dropped"),
+            (0, b"DROP_KS nope", "ERR unknown keyspace nope"),
+            (0, b"DROP_KS", &unknown("DROP_KS")),
+            (0, b"DROP_KS a b", &unknown("DROP_KS a b")),
+            (0, b"TRACE ON", "OK"),
+            (0, b"TRACE", &unknown("TRACE")),
+            (0, b"TRACE OFF", &unknown("TRACE OFF")),
+            (0, b"TRACE ON now", &unknown("TRACE ON now")),
+        ];
+        assert_replies(&mut sim, table);
+        let host = sim.host_id("kv-host-0");
+        assert_eq!(
+            sim.host_storage_by_id(host).list(""),
+            ["commitlog/seg-b1", "data/ks.t/k", "data/ks.t/k2", "schema"]
+        );
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! a `PRODUCE` appends locally and pushes replica batches to all peers.
 
 use crate::codec::{self, inter_broker_proto, ReplicaBatch};
-use dup_core::{NodeSetup, VersionId};
+use bytes::Bytes;
+use dup_core::{format_reply, split_words, NodeSetup, VersionId};
 use dup_simnet::{Ctx, Endpoint, Fatal, Process, StepResult};
 use dup_wire::Frame;
 
@@ -24,35 +25,38 @@ impl Broker {
         Broker { version, setup }
     }
 
-    fn record_path(topic: &str, idx: u64) -> String {
-        format!("log/{topic}/{idx:012}")
-    }
-
-    fn next_index(&self, ctx: &Ctx<'_>, topic: &str) -> u64 {
-        ctx.storage_ref().paths(&format!("log/{topic}/")).count() as u64
-    }
-
     fn handle_client(&mut self, ctx: &mut Ctx<'_>, from: Endpoint, text: &str) {
-        let parts: Vec<&str> = text.split_whitespace().collect();
-        let reply = match parts.as_slice() {
-            ["HEALTH"] => "OK healthy".to_string(),
+        let mut words = [""; 5];
+        let reply = match split_words(text, &mut words) {
+            ["HEALTH"] => Bytes::from_static(b"OK healthy"),
+            ["PRODUCE", topic, _]
+            | ["FETCH", topic, _]
+            | ["COMMIT", _, topic, _, _]
+            | ["OFFSET_GET", _, topic]
+                if !is_legal_topic(topic) =>
+            {
+                format_reply(format_args!("ERR invalid topic '{topic}'"))
+            }
             ["PRODUCE", topic, value] => self.cmd_produce(ctx, topic, value),
             ["FETCH", topic, idx] => self.cmd_fetch(ctx, topic, idx),
             ["COMMIT", group, topic, offset, retention] => {
                 self.cmd_commit(ctx, group, topic, offset, retention)
             }
             ["OFFSET_GET", group, topic] => self.cmd_offset_get(ctx, group, topic),
-            _ => format!("ERR unknown command '{text}'"),
+            _ => format_reply(format_args!("ERR unknown command '{text}'")),
         };
-        ctx.send(from, reply.into_bytes().into());
+        ctx.send(from, reply);
     }
 
-    fn cmd_produce(&mut self, ctx: &mut Ctx<'_>, topic: &str, value: &str) -> String {
-        let idx = self.next_index(ctx, topic);
-        ctx.storage()
-            .write(&Self::record_path(topic, idx), value.as_bytes().to_vec());
+    fn cmd_produce(&mut self, ctx: &mut Ctx<'_>, topic: &str, value: &str) -> Bytes {
+        // The topic's log prefix, counted for the next index, then extended
+        // into that record's path: one path built per produce.
+        let mut path = log_prefix(topic);
+        let idx = ctx.storage_ref().paths(&path).count() as u64;
+        push_record_index(&mut path, idx);
+        ctx.storage().write(&path, value.as_bytes());
         // Durable-on-ack: the produce reply below promises the record.
-        ctx.flush(&Self::record_path(topic, idx));
+        ctx.flush(&path);
         let batch = ReplicaBatch {
             topic: topic.to_string(),
             offset: idx,
@@ -63,16 +67,16 @@ impl Broker {
         for peer in self.setup.peers() {
             ctx.send(Endpoint::Node(peer), frame.clone());
         }
-        format!("OK {idx}")
+        format_reply(format_args!("OK {idx}"))
     }
 
-    fn cmd_fetch(&mut self, ctx: &mut Ctx<'_>, topic: &str, idx: &str) -> String {
+    fn cmd_fetch(&mut self, ctx: &mut Ctx<'_>, topic: &str, idx: &str) -> Bytes {
         let Ok(idx) = idx.parse::<u64>() else {
-            return format!("ERR bad index '{idx}'");
+            return format_reply(format_args!("ERR bad index '{idx}'"));
         };
-        match ctx.storage_ref().read(&Self::record_path(topic, idx)) {
-            Some(bytes) => format!("OK {}", String::from_utf8_lossy(bytes)),
-            None => "ERR no record".to_string(),
+        match ctx.storage_ref().read(&record_path(topic, idx)) {
+            Some(bytes) => format_reply(format_args!("OK {}", String::from_utf8_lossy(bytes))),
+            None => Bytes::from_static(b"ERR no record"),
         }
     }
 
@@ -83,9 +87,9 @@ impl Broker {
         topic: &str,
         offset: &str,
         retention: &str,
-    ) -> String {
+    ) -> Bytes {
         let (Ok(offset), Ok(retention)) = (offset.parse::<u64>(), retention.parse::<i64>()) else {
-            return "ERR bad commit arguments".to_string();
+            return Bytes::from_static(b"ERR bad commit arguments");
         };
         // Semantics drift (KAFKA-7403): old brokers translate DEFAULT (-1)
         // retention into "now + default"; 2.1.0 translates it into *no*
@@ -101,10 +105,10 @@ impl Broker {
         };
         match codec::encode_offset_record(self.version, group, topic, offset, expire_ts) {
             Ok(bytes) => {
-                ctx.storage()
-                    .write(&format!("offsets/{group}.{topic}"), bytes);
-                ctx.flush(&format!("offsets/{group}.{topic}"));
-                "OK".to_string()
+                let path = offsets_path(group, topic);
+                ctx.storage().write(&path, bytes);
+                ctx.flush(&path);
+                Bytes::from_static(b"OK")
             }
             Err(e) => {
                 // 2.1.0 with an old client: expire_ts is None but the
@@ -112,23 +116,69 @@ impl Broker {
                 ctx.error(format!(
                     "failed to persist offset commit for {group}/{topic}: {e}"
                 ));
-                "ERR offset commit failed".to_string()
+                Bytes::from_static(b"ERR offset commit failed")
             }
         }
     }
 
-    fn cmd_offset_get(&mut self, ctx: &mut Ctx<'_>, group: &str, topic: &str) -> String {
-        match ctx.storage_ref().read(&format!("offsets/{group}.{topic}")) {
+    fn cmd_offset_get(&mut self, ctx: &mut Ctx<'_>, group: &str, topic: &str) -> Bytes {
+        match ctx.storage_ref().read(&offsets_path(group, topic)) {
             Some(bytes) => match codec::decode_offset_record(self.version, bytes) {
-                Ok((offset, _)) => format!("OK {offset}"),
+                Ok((offset, _)) => format_reply(format_args!("OK {offset}")),
                 Err(e) => {
                     ctx.error(format!("corrupt offset record for {group}/{topic}: {e}"));
-                    format!("ERR corrupt offset record: {e}")
+                    format_reply(format_args!("ERR corrupt offset record: {e}"))
                 }
             },
-            None => "ERR no committed offset".to_string(),
+            None => Bytes::from_static(b"ERR no committed offset"),
         }
     }
+}
+
+/// Kafka's legal topic names: 1–249 ASCII alphanumerics, `.`, `_` and `-`.
+/// A name is a segment of its record paths, so a `/` in it would alias
+/// another topic's log.
+fn is_legal_topic(topic: &str) -> bool {
+    topic.len() <= 249
+        && topic
+            .bytes()
+            .all(|b| b.is_ascii_alphanumeric() || matches!(b, b'.' | b'_' | b'-'))
+}
+
+/// `log/{topic}/`, with room for a record index.
+fn log_prefix(topic: &str) -> String {
+    let mut path = String::with_capacity(topic.len() + 25);
+    path.push_str("log/");
+    path.push_str(topic);
+    path.push('/');
+    path
+}
+
+/// Appends `idx` zero-padded to 12 digits (`{idx:012}`, written without
+/// the padding formatter).
+fn push_record_index(path: &mut String, idx: u64) {
+    let mut digits = [b'0'; 20];
+    let mut rest = idx;
+    let mut start = digits.len();
+    while rest > 0 {
+        start -= 1;
+        digits[start] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+    }
+    let start = start.min(digits.len() - 12);
+    path.push_str(std::str::from_utf8(&digits[start..]).expect("ASCII digits"));
+}
+
+/// `log/{topic}/{idx:012}`: where record `idx` of `topic` is stored.
+fn record_path(topic: &str, idx: u64) -> String {
+    let mut path = log_prefix(topic);
+    push_record_index(&mut path, idx);
+    path
+}
+
+/// `offsets/{group}.{topic}`: where a group's committed offset is stored.
+fn offsets_path(group: &str, topic: &str) -> String {
+    format!("offsets/{group}.{topic}")
 }
 
 impl Process for Broker {
@@ -173,8 +223,7 @@ impl Process for Broker {
     fn on_message(&mut self, ctx: &mut Ctx<'_>, from: Endpoint, payload: &[u8]) -> StepResult {
         match from {
             Endpoint::Client(_) => {
-                let text = String::from_utf8_lossy(payload).into_owned();
-                self.handle_client(ctx, from, &text);
+                self.handle_client(ctx, from, &String::from_utf8_lossy(payload));
                 Ok(())
             }
             Endpoint::Node(n) => {
@@ -191,11 +240,9 @@ impl Process for Broker {
                     // changed — it just misparses.
                     match codec::decode_replica_batch(self.version, &frame.body) {
                         Ok(batch) => {
-                            ctx.storage().write(
-                                &Self::record_path(&batch.topic, batch.offset),
-                                batch.payload,
-                            );
-                            ctx.flush(&Self::record_path(&batch.topic, batch.offset));
+                            let path = record_path(&batch.topic, batch.offset);
+                            ctx.storage().write(&path, batch.payload);
+                            ctx.flush(&path);
                         }
                         Err(e) => {
                             ctx.error(format!("corrupt replica batch from broker-{n}: {e}"));
@@ -247,6 +294,149 @@ mod tests {
         )
         .map(|b| String::from_utf8_lossy(&b).into_owned())
         .unwrap_or_else(|| "TIMEOUT".to_string())
+    }
+
+    /// Sends each `(node, command, reply)` row in order and demands the
+    /// reply's exact bytes.
+    fn assert_replies(sim: &mut Sim, table: &[(u32, &[u8], &str)]) {
+        for &(node, command, reply) in table {
+            let got = sim.rpc(
+                node,
+                bytes::Bytes::copy_from_slice(command),
+                SimDuration::from_secs(2),
+            );
+            assert!(
+                got.as_deref() == Some(reply.as_bytes()),
+                "node {node} <- {:?}: got {:?}, want {reply:?}",
+                String::from_utf8_lossy(command),
+                got.as_deref().map(String::from_utf8_lossy)
+            );
+        }
+    }
+
+    fn paths(sim: &mut Sim, host: &str) -> Vec<String> {
+        let id = sim.host_id(host);
+        sim.host_storage_by_id(id).list("")
+    }
+
+    /// Every command shape a broker answers, with its exact reply, and the
+    /// files those commands leave behind.
+    #[test]
+    fn client_replies_are_pinned() {
+        let mut sim = Sim::new(11);
+        assert_eq!(boot(&mut sim, v("2.4.0"), 2, &Config::new()), [0, 1]);
+        // One record inside the 12-digit pad of a record path, one past it.
+        let host = sim.host_id("mq-host-0");
+        let storage = sim.host_storage_by_id(host);
+        storage.write("log/big/000000000007", b"seven".to_vec());
+        storage.write("log/big/1234567890123", b"far".to_vec());
+        let unknown = |c: &str| format!("ERR unknown command '{c}'");
+        let too_many = "PRODUCE events a b c d e f";
+        let long = "x".repeat(249);
+        let (legal, too_long) = (format!("PRODUCE {long} v"), format!("PRODUCE {long}x v"));
+        let table: &[(u32, &[u8], &str)] = &[
+            (0, b"HEALTH", "OK healthy"),
+            (1, b"  HEALTH\t", "OK healthy"),
+            (0, "HEALTH\u{3000}".as_bytes(), "OK healthy"),
+            (0, b"HEALTH now", &unknown("HEALTH now")),
+            (0, b"health", &unknown("health")),
+            (0, b"", &unknown("")),
+            (0, b" \t ", &unknown(" \t ")),
+            (0, b"HEA\xffLTH", &unknown("HEA\u{fffd}LTH")),
+            (0, b"PRODUCE", &unknown("PRODUCE")),
+            (0, b"PRODUCE events", &unknown("PRODUCE events")),
+            (0, b"PRODUCE events a", "OK 0"),
+            (0, b"PRODUCE\tevents  b", "OK 1"),
+            (0, "PRODUCE\u{3000}events\u{3000}c".as_bytes(), "OK 2"),
+            (0, b"PRODUCE events a b", &unknown("PRODUCE events a b")),
+            (0, too_many.as_bytes(), &unknown(too_many)),
+            (0, b"FETCH events 0", "OK a"),
+            (1, b"FETCH events 2", "OK c"),
+            (0, b"FETCH events 00", "OK a"),
+            (0, b"FETCH events +1", "OK b"),
+            (0, b"FETCH events 3", "ERR no record"),
+            (0, b"FETCH events -1", "ERR bad index '-1'"),
+            (0, b"FETCH events x", "ERR bad index 'x'"),
+            (0, b"FETCH events", &unknown("FETCH events")),
+            (0, b"FETCH events 0 1", &unknown("FETCH events 0 1")),
+            (0, b"FETCH big 7", "OK seven"),
+            (0, b"FETCH big 1234567890123", "OK far"),
+            (0, b"FETCH big 0", "ERR no record"),
+            (0, b"FETCH nothing 0", "ERR no record"),
+            (0, b"COMMIT g events 5 -1", "OK"),
+            (0, b"COMMIT g events 5 60000", "OK"),
+            (0, b"COMMIT g events x -1", "ERR bad commit arguments"),
+            (0, b"COMMIT g events 5 soon", "ERR bad commit arguments"),
+            (0, b"COMMIT g events 5", &unknown("COMMIT g events 5")),
+            (
+                0,
+                b"COMMIT g events 5 -1 x",
+                &unknown("COMMIT g events 5 -1 x"),
+            ),
+            (0, b"OFFSET_GET g events", "OK 5"),
+            (0, b"OFFSET_GET h events", "ERR no committed offset"),
+            (0, b"OFFSET_GET g", &unknown("OFFSET_GET g")),
+            (
+                0,
+                b"OFFSET_GET g events 1",
+                &unknown("OFFSET_GET g events 1"),
+            ),
+            // Topic names outside Kafka's legal set.
+            (0, b"PRODUCE a/b x", "ERR invalid topic 'a/b'"),
+            (
+                0,
+                b"FETCH ev\xffents 0",
+                "ERR invalid topic 'ev\u{fffd}ents'",
+            ),
+            (0, b"COMMIT g a/b 5 -1", "ERR invalid topic 'a/b'"),
+            (0, b"COMMIT g a/b x -1", "ERR invalid topic 'a/b'"),
+            (0, b"OFFSET_GET g a:b", "ERR invalid topic 'a:b'"),
+            (0, b"PRODUCE Ev.en_t-s9 x", "OK 0"),
+            (0, legal.as_bytes(), "OK 0"),
+            (
+                0,
+                too_long.as_bytes(),
+                &format!("ERR invalid topic '{}x'", long),
+            ),
+        ];
+        assert_replies(&mut sim, table);
+        sim.run_for(SimDuration::from_millis(100));
+        let mut replicated = vec![
+            "log/Ev.en_t-s9/000000000000".to_string(),
+            "log/events/000000000000".to_string(),
+            "log/events/000000000001".to_string(),
+            "log/events/000000000002".to_string(),
+            format!("log/{long}/000000000000"),
+        ];
+        assert_eq!(paths(&mut sim, "mq-host-1"), replicated);
+        replicated.extend(
+            [
+                "log/big/000000000007",
+                "log/big/1234567890123",
+                "offsets/g.events",
+            ]
+            .map(String::from),
+        );
+        replicated.sort();
+        assert_eq!(paths(&mut sim, "mq-host-0"), replicated);
+    }
+
+    /// A topic's name is a segment of its record paths, so a name holding a
+    /// `/` would read and extend another topic's log; Kafka's legal names
+    /// keep every topic's log its own.
+    #[test]
+    fn a_topic_cannot_alias_another_topics_log() {
+        let mut sim = Sim::new(12);
+        boot(&mut sim, v("2.4.0"), 1, &Config::new());
+        assert_replies(
+            &mut sim,
+            &[
+                (0, b"PRODUCE a/b x", "ERR invalid topic 'a/b'"),
+                (0, b"PRODUCE a y", "OK 0"),
+                (0, b"FETCH a 0", "OK y"),
+            ],
+        );
+        assert_eq!(paths(&mut sim, "mq-host-0"), ["log/a/000000000000"]);
     }
 
     #[test]
