@@ -28,11 +28,13 @@ use crate::rollout::{RolloutPlan, RolloutStep};
 use crate::scenario::Scenario;
 use crate::translator::translate;
 use crate::workload::{WorkloadPlan, WorkloadSpec};
+use bytes::Bytes;
 use dup_core::{ClientOp, Config, NodeSetup, SystemUnderTest, UnitTest, VersionId, WorkloadPhase};
 use dup_simnet::{
-    Durability, LogLevel, NodeId, Sim, SimDuration, SimSnapshot, SimTime, TraceBuffer, TraceConfig,
-    TraceSlice,
+    ClientHandle, Durability, LogLevel, NodeId, Sim, SimDuration, SimSnapshot, SimTime,
+    TraceBuffer, TraceConfig, TraceSlice,
 };
+use std::collections::VecDeque;
 
 /// One test case: a version pair, a scenario, a workload, a seed, a fault
 /// intensity, and a storage durability mode.
@@ -105,18 +107,18 @@ pub struct CaseRunner<'a> {
     /// The most recent prefix's cache entry (single-entry cache: campaign
     /// matrix order keeps same-prefix cases consecutive).
     prefix: Option<PrefixCache>,
-    /// The suffix's op log for the oracle, reused across cases: only the ops
-    /// that can be evidence ([`oracle::can_be_evidence`]).
-    ops: Vec<OpResult>,
     /// Pooled per-case working state, recompiled/refilled in place.
     pools: CasePools,
 }
 
-/// The runner's pooled per-case working state: plans recompiled in place and
+/// The runner's pooled per-case working state: plans recompiled in place,
 /// phase buffers the streaming [`SystemUnderTest::stress_ops`] API emits
-/// into, so the warm path allocates no fresh `Vec` per phase.
+/// into, and the client's in-flight set and evidence log, so the warm path
+/// allocates no fresh `Vec` per phase or per traffic step.
 #[derive(Default)]
 struct CasePools {
+    /// Every client op the case sends, in flight and settled.
+    client: Client,
     /// `sut.versions()`, which builds a `Vec` per call, asked once: every
     /// case's rollout plan is compiled against it.
     catalog: Vec<VersionId>,
@@ -135,6 +137,9 @@ struct CasePools {
     /// Reference path for the differential tests: never end a quiesce early.
     #[cfg(test)]
     uncut: bool,
+    /// How long the last case's rollout took, quiesce excluded.
+    #[cfg(test)]
+    rollout: SimDuration,
 }
 
 /// Everything the suffix needs from an executed prefix.
@@ -145,7 +150,7 @@ struct PrefixData {
     config: Config,
     /// When the pre-upgrade workload started (baseline window start).
     first_op_time: SimTime,
-    /// Messages delivered when the pre-upgrade workload started.
+    /// Cluster messages delivered when the pre-upgrade workload started.
     msgs_at_first_op: u64,
     /// `Some` when the prefix decided the case is invalid — the message and
     /// the digest at the point of abort. Seed-independent, so it is the
@@ -189,7 +194,6 @@ impl<'a> CaseRunner<'a> {
             sim: Sim::new(0),
             snapshot: SimSnapshot::new(),
             prefix: None,
-            ops: Vec::new(),
             pools: CasePools {
                 catalog: sut.versions(),
                 ..CasePools::default()
@@ -242,6 +246,7 @@ impl<'a> CaseRunner<'a> {
 
     fn execute_nudged(&mut self, case: &TestCase, nudge: Option<&PlanNudge>) -> CaseResult {
         let key = (case.from, case.workload.clone());
+        self.pools.client.clear();
 
         // Fast path: a sibling case already executed this prefix.
         if self.use_snapshots {
@@ -265,7 +270,6 @@ impl<'a> CaseRunner<'a> {
                         &pre.data,
                         nudge,
                         &mut self.pools,
-                        &mut self.ops,
                     );
                     return finalize(&mut self.sim, outcome, decided_early);
                 }
@@ -287,7 +291,7 @@ impl<'a> CaseRunner<'a> {
             case,
             pseed,
             &mut data,
-            &mut self.pools.before_ops,
+            &mut self.pools,
         );
         if self.sim.budget_exhausted() {
             // A runaway prefix is not cacheable evidence of anything but its
@@ -315,15 +319,8 @@ impl<'a> CaseRunner<'a> {
             };
         }
         self.sim.reseed(case.seed);
-        let (outcome, decided_early) = run_suffix(
-            &mut self.sim,
-            self.sut,
-            case,
-            pre,
-            nudge,
-            &mut self.pools,
-            &mut self.ops,
-        );
+        let (outcome, decided_early) =
+            run_suffix(&mut self.sim, self.sut, case, pre, nudge, &mut self.pools);
         finalize(&mut self.sim, outcome, decided_early)
     }
 }
@@ -472,11 +469,11 @@ const OPEN_LOOP_WINDOW_MS: u64 = 2_000;
 /// loop) still runs into the ceiling.
 const EVENT_BUDGET: u64 = 2_000_000;
 
-/// Drives the simulation on the harness's behalf while a fault plan is
-/// active: between events it drains [`Sim::take_pending_restart`] and brings
-/// fault-crashed nodes back — re-spawning whatever version the node was on
-/// when the plan crashed it, with the same configuration. With no plan
-/// active it degrades to the plain `Sim` driving calls.
+/// Drives the simulation on the harness's behalf: between events it drains
+/// [`Sim::take_pending_restart`] and brings fault-crashed nodes back —
+/// re-spawning whatever version the node was on when the plan crashed it,
+/// with the same configuration. With no fault plan installed nothing is ever
+/// pending, and the pump is one empty-queue check per event.
 struct FaultDriver<'a> {
     sut: &'a dyn SystemUnderTest,
     case: &'a TestCase,
@@ -485,7 +482,6 @@ struct FaultDriver<'a> {
     /// The rollout plan's version path: the versions a node may legally be
     /// on mid-case (multi-hop plans have a middle version beyond the pair).
     path: &'a [VersionId],
-    active: bool,
 }
 
 impl FaultDriver<'_> {
@@ -528,12 +524,11 @@ impl FaultDriver<'_> {
     }
 
     /// Pump-aware [`Sim::run_for`] that also stops, wherever the clock then
-    /// stands, once [`Sim::messages_delivered`] reaches `decided_at`.
-    /// Returns `true` if that is what ended it. (With no plan active nothing
-    /// is ever pending, and the pump is one empty-queue check per event.)
+    /// stands, once [`Sim::cluster_messages_delivered`] reaches
+    /// `decided_at`. Returns `true` if that is what ended it.
     fn quiesce(&self, sim: &mut Sim, duration: SimDuration, decided_at: u64) -> bool {
         let deadline = sim.now() + duration;
-        while sim.messages_delivered() < decided_at {
+        while sim.cluster_messages_delivered() < decided_at {
             self.pump(sim);
             match sim.peek_time() {
                 Some(t) if t <= deadline => {
@@ -559,36 +554,164 @@ impl FaultDriver<'_> {
             self.run_for(sim, wait);
         }
     }
+}
 
-    /// Pump-aware [`Sim::rpc`].
-    fn rpc(
-        &self,
+/// One client op in flight.
+struct Pending {
+    handle: ClientHandle,
+    /// Send time plus [`OP_TIMEOUT`].
+    deadline: SimTime,
+    node: NodeId,
+    /// The command sent, kept so an op that turns out to be evidence can
+    /// name it.
+    command: String,
+    after_upgrade_started: bool,
+    in_after_phase: bool,
+}
+
+/// The harness's client, the one path every op and reply takes. An op is
+/// sent with [`Sim::client_send`] without waiting and joins the in-flight
+/// set; it settles when its reply arrives or, unanswered, at its deadline.
+/// The set is in send order and every op waits the same [`OP_TIMEOUT`], so
+/// deadlines rise from front to back and only the front can be due. An op
+/// is sent by value: its command moves in, and on to the evidence log if the
+/// settled op can be evidence ([`oracle::can_be_evidence`]); the others cost
+/// no reply conversion.
+#[derive(Default)]
+struct Client {
+    in_flight: VecDeque<Pending>,
+    /// The settled ops that can be evidence, in send order, for the oracle.
+    evidence: Vec<OpResult>,
+}
+
+impl Client {
+    /// Forgets every op, in flight or settled. Every case starts with this,
+    /// so a case that panicked mid-step leaves the next one nothing.
+    fn clear(&mut self) {
+        self.in_flight.clear();
+        self.evidence.clear();
+    }
+
+    /// Sends `op` now and returns its deadline.
+    fn send(
+        &mut self,
         sim: &mut Sim,
-        to: NodeId,
-        payload: bytes::Bytes,
-        timeout: SimDuration,
-    ) -> Option<bytes::Bytes> {
-        if !self.active {
-            return sim.rpc(to, payload, timeout);
-        }
-        let handle = sim.client_send(to, payload);
-        let deadline = sim.now() + timeout;
-        loop {
-            if let Some(resp) = sim.poll_response(handle) {
-                return Some(resp);
+        op: ClientOp,
+        after_upgrade_started: bool,
+        in_after_phase: bool,
+    ) -> SimTime {
+        let request = Bytes::copy_from_slice(op.command.as_bytes());
+        let deadline = sim.now() + OP_TIMEOUT;
+        self.in_flight.push_back(Pending {
+            handle: sim.client_send(op.node, request),
+            deadline,
+            node: op.node,
+            command: op.command,
+            after_upgrade_started,
+            in_after_phase,
+        });
+        deadline
+    }
+
+    /// Settles the oldest op in flight if its reply is in or its deadline
+    /// is no later than `until`. In the second case the simulator runs,
+    /// pumped, to the reply or to the deadline, whichever comes first.
+    /// Returns whether the op was answered, or `None` if none settled.
+    fn settle_oldest(
+        &mut self,
+        driver: &FaultDriver<'_>,
+        sim: &mut Sim,
+        until: SimTime,
+    ) -> Option<bool> {
+        let &Pending {
+            handle, deadline, ..
+        } = self.in_flight.front()?;
+        let reply = loop {
+            if let Some(reply) = sim.poll_response(handle) {
+                break Some(reply);
             }
-            self.pump(sim);
+            if deadline > until {
+                return None;
+            }
+            driver.pump(sim);
             match sim.peek_time() {
                 Some(t) if t <= deadline => {
                     sim.step();
                 }
                 _ => {
                     sim.run_until(deadline);
-                    return sim.poll_response(handle);
+                    break sim.poll_response(handle);
                 }
             }
+        };
+        let op = self.in_flight.pop_front().expect("the oldest op settled");
+        let response = reply.as_deref();
+        if oracle::can_be_evidence(op.after_upgrade_started, op.in_after_phase, response) {
+            self.evidence.push(OpResult {
+                command: op.command,
+                node: op.node,
+                response: response.map(|b| String::from_utf8_lossy(b).into_owned()),
+                after_upgrade_started: op.after_upgrade_started,
+                in_after_phase: op.in_after_phase,
+            });
+        }
+        Some(response.is_some())
+    }
+
+    /// Settles ops oldest first for as long as the oldest is answered or due
+    /// by `until`.
+    fn settle(&mut self, driver: &FaultDriver<'_>, sim: &mut Sim, until: SimTime) {
+        while self.settle_oldest(driver, sim, until).is_some() {}
+    }
+
+    /// Settles every op in flight: returns once each has a reply or has
+    /// expired.
+    fn drain(&mut self, driver: &FaultDriver<'_>, sim: &mut Sim) {
+        if let Some(last) = self.in_flight.back().map(|op| op.deadline) {
+            self.settle(driver, sim, last);
         }
     }
+
+    /// Runs one op to completion — an in-flight set of one — and returns
+    /// whether it was answered.
+    fn run(
+        &mut self,
+        driver: &FaultDriver<'_>,
+        sim: &mut Sim,
+        op: ClientOp,
+        after_upgrade_started: bool,
+        in_after_phase: bool,
+    ) -> bool {
+        debug_assert!(self.in_flight.is_empty(), "ops are still in flight");
+        let deadline = self.send(sim, op, after_upgrade_started, in_after_phase);
+        self.settle_oldest(driver, sim, deadline) == Some(true)
+    }
+
+    /// Runs `batch` one op after another, taking each op's command.
+    fn run_all(
+        &mut self,
+        driver: &FaultDriver<'_>,
+        sim: &mut Sim,
+        batch: &mut [ClientOp],
+        after_upgrade_started: bool,
+        in_after_phase: bool,
+    ) {
+        for op in batch {
+            self.run(
+                driver,
+                sim,
+                take_op(op),
+                after_upgrade_started,
+                in_after_phase,
+            );
+        }
+    }
+}
+
+/// Moves `op` out of a pooled batch, leaving an empty command behind: each
+/// pooled op is sent once, and its buffer is refilled before the next case.
+fn take_op(op: &mut ClientOp) -> ClientOp {
+    ClientOp::new(op.node, std::mem::take(&mut op.command))
 }
 
 /// `true` if some node is crashed for a *genuine* reason — i.e. not by the
@@ -614,12 +737,13 @@ fn run_prefix(
     case: &TestCase,
     pseed: u64,
     data: &mut PrefixData,
-    before_ops: &mut Vec<ClientOp>,
+    pools: &mut CasePools,
 ) -> Result<(), String> {
     let n = sut.cluster_size();
     let mut config = sut.default_config();
 
     // Workload-specific setup, streamed into the pooled `before_ops` buffer.
+    let before_ops = &mut pools.before_ops;
     before_ops.clear();
     match &case.workload {
         // Open-loop cases share the stress prefix: the pre-upgrade stress
@@ -686,7 +810,6 @@ fn run_prefix(
         config: &config,
         cluster: n,
         path: std::slice::from_ref(&case.from),
-        active: false,
     };
 
     driver.run_for(sim, SETTLE);
@@ -703,10 +826,12 @@ fn run_prefix(
     // Baseline message-rate window starts here — at first-op time — so the
     // pre-workload boot SETTLE (mostly idle) does not deflate the rate.
     data.first_op_time = sim.now();
-    data.msgs_at_first_op = sim.messages_delivered();
+    data.msgs_at_first_op = sim.cluster_messages_delivered();
 
     // No op before the upgrade can be evidence, so none is recorded.
-    run_ops(&driver, sim, before_ops, false, false, &mut Vec::new());
+    pools
+        .client
+        .run_all(&driver, sim, &mut pools.before_ops, false, false);
     driver.run_for(sim, SETTLE);
 
     // If the *old* version already fails under this workload/config, the
@@ -736,11 +861,10 @@ fn run_suffix(
     pre: &PrefixData,
     nudge: Option<&PlanNudge>,
     pools: &mut CasePools,
-    ops: &mut Vec<OpResult>,
 ) -> (CaseOutcome, bool) {
     let n = sut.cluster_size();
     let config = &pre.config;
-    ops.clear();
+    let client = &mut pools.client;
 
     // The seed-dependent workload parts, streamed into the pooled phase
     // buffers. Open-loop cases compile the pooled [`WorkloadPlan`] instead
@@ -786,8 +910,6 @@ fn run_suffix(
         // Post-upgrade, re-check health everywhere.
         _ => after_ops.extend((0..n).map(|i| ClientOp::new(i, "HEALTH"))),
     };
-    let during_ops: &[ClientOp] = during_ops;
-    let after_ops: &[ClientOp] = after_ops;
     let open_loop = matches!(&case.workload, WorkloadSpec::OpenLoop(_));
     let wplan: &WorkloadPlan = wplan;
 
@@ -832,13 +954,12 @@ fn run_suffix(
         config,
         cluster: n,
         path: plan.path(),
-        active: case.faults != FaultIntensity::Off || case.durability != Durability::Strict,
     };
 
     // ----- the rollout itself -------------------------------------------
     let log_mark = sim.logs().mark();
     let upgrade_started = sim.now();
-    let msgs_before_window = sim.messages_delivered();
+    let msgs_before_window = sim.cluster_messages_delivered();
 
     for step in plan.steps() {
         match *step {
@@ -873,16 +994,19 @@ fn run_suffix(
             RolloutStep::Traffic { chunk, of } => {
                 // Round-robin partition of the during-upgrade workload by op
                 // index; `of` shared across the plan's traffic steps, so the
-                // steps together run each op exactly once, in order. Open-
-                // loop cases partition the plan's *window* into `of`
-                // contiguous time slices instead: step `chunk` replays the
-                // arrivals scheduled inside its slice, advancing the
-                // simulator to each arrival's offset before issuing it — the
-                // schedule, not the responses, decides when the next request
-                // fires, so a burst lands as time-localized load against
-                // whatever rollout step surrounds its slice (and `ShiftBursts`
-                // moves that load between steps). Each arrival is rendered to
-                // a client command on the fly, never materialized as a batch.
+                // steps together run each op exactly once, in order, each
+                // waiting for its reply or timeout. Open-loop cases partition
+                // the plan's *window* into `of` contiguous time slices
+                // instead: step `chunk` sends each arrival scheduled inside
+                // its slice at the arrival's offset, without waiting for
+                // earlier replies — the schedule, not the responses, decides
+                // when the next request fires, so a burst lands as
+                // time-localized load against whatever rollout step
+                // surrounds its slice (and `ShiftBursts` moves that load
+                // between steps). Replies are collected as the arrivals go
+                // out, and the step ends once every op it sent is answered or
+                // has timed out. Each arrival is rendered to a client command
+                // on the fly, never materialized as a batch.
                 let of = u64::from(of.max(1));
                 if open_loop {
                     let slice_us = (wplan.window_us() / of).max(1);
@@ -902,32 +1026,27 @@ fn run_suffix(
                         }
                         // The sim clock is millisecond-grained; arrivals
                         // sharing a millisecond fire back-to-back within it.
-                        let offset = SimDuration::from_millis((a.at_us - lo) / 1_000);
-                        driver.run_until(sim, anchor + offset);
+                        let at = anchor + SimDuration::from_millis((a.at_us - lo) / 1_000);
+                        client.settle(&driver, sim, at);
+                        driver.run_until(sim, at);
                         let op = sut.open_loop_op(a.key, a.client, a.read, case.from);
-                        run_op(&driver, sim, &op, true, false, ops);
+                        client.send(sim, op, true, false);
                     }
+                    client.drain(&driver, sim);
                 } else {
-                    for (i, op) in during_ops.iter().enumerate() {
+                    for (i, op) in during_ops.iter_mut().enumerate() {
                         if i as u64 % of == u64::from(chunk) {
-                            run_op(&driver, sim, op, true, false, ops);
+                            client.run(&driver, sim, take_op(op), true, false);
                         }
                     }
                 }
             }
             RolloutStep::Probe { node } => {
-                run_op(
-                    &driver,
-                    sim,
-                    &ClientOp::new(node, "HEALTH"),
-                    true,
-                    false,
-                    ops,
-                );
+                client.run(&driver, sim, ClientOp::new(node, "HEALTH"), true, false);
             }
             RolloutStep::CanaryGate { node } => {
                 let health = ClientOp::new(node, "HEALTH");
-                let answered = run_op(&driver, sim, &health, true, false, ops);
+                let answered = client.run(&driver, sim, health, true, false);
                 let crashed = sim
                     .crashed_nodes()
                     .into_iter()
@@ -950,8 +1069,12 @@ fn run_suffix(
     // the quiesce: a storm that dies with the rollout (a multi-hop storm
     // ends when the final hop leaves the buggy version behind) would be
     // diluted below threshold by the long quiet quiesce window.
-    let rollout_msgs = sim.messages_delivered() - msgs_before_window;
+    let rollout_msgs = sim.cluster_messages_delivered() - msgs_before_window;
     let rollout_len = sim.now().since(upgrade_started).as_millis().max(1);
+    #[cfg(test)]
+    {
+        pools.rollout = sim.now().since(upgrade_started);
+    }
     // Message-rate comparison: the baseline-window rate (first op to upgrade
     // start) projected onto the length of the window it is compared with.
     let baseline_window_msgs = msgs_before_window - pre.msgs_at_first_op;
@@ -960,10 +1083,10 @@ fn run_suffix(
     let baseline_rollout = project(rollout_len);
 
     // Decided-verdict cut: the window can only gain messages, and it ends at
-    // most `max_len` after the upgrade started (an op returns by its
-    // timeout), so past `decided_at` delivered messages — or with the
-    // rollout window already a storm — the storm rule below is certain to
-    // fire and the rest of the quiesce would add no evidence.
+    // most `max_len` after the upgrade started (an op settles by its
+    // timeout), so past `decided_at` delivered cluster messages — or with
+    // the rollout window already a storm — the storm rule below is certain
+    // to fire and the rest of the quiesce would add no evidence.
     let max_len = max_window_len(rollout_len, after_ops.len());
     let decided_at = if oracle::is_storm(rollout_msgs, baseline_rollout) {
         0
@@ -974,16 +1097,16 @@ fn run_suffix(
     let decided_at = if pools.uncut { u64::MAX } else { decided_at };
     let decided_early = driver.quiesce(sim, QUIESCE, decided_at);
     if decided_early {
-        let at = sim.messages_delivered() - msgs_before_window;
+        let at = sim.cluster_messages_delivered() - msgs_before_window;
         sim.log_sim(
             LogLevel::Info,
             format!("quiesce ended early: message storm decided at {at} window messages"),
         );
     }
-    run_ops(&driver, sim, after_ops, true, true, ops);
+    client.run_all(&driver, sim, after_ops, true, true);
     driver.run_for(sim, SETTLE);
 
-    let window_msgs = sim.messages_delivered() - msgs_before_window;
+    let window_msgs = sim.cluster_messages_delivered() - msgs_before_window;
     let window_len = sim.now().since(upgrade_started).as_millis().max(1);
     debug_assert!(window_len <= max_len, "{window_len} > {max_len}");
     let baseline_msgs = project(window_len);
@@ -1000,7 +1123,8 @@ fn run_suffix(
         (window_msgs, baseline_msgs)
     };
 
-    let observations = oracle::evaluate(sim, log_mark, baseline_msgs, window_msgs, ops);
+    let observations =
+        oracle::evaluate(sim, log_mark, baseline_msgs, window_msgs, &client.evidence);
     let outcome = if observations.is_empty() {
         CaseOutcome::Pass
     } else {
@@ -1022,45 +1146,6 @@ fn host(i: u32) -> String {
 
 fn find_unit_test(sut: &dyn SystemUnderTest, name: &str) -> Option<UnitTest> {
     sut.unit_tests().into_iter().find(|t| t.name == name)
-}
-
-/// Runs one client op and returns whether it was answered. The reply is
-/// classified on its bytes, and only an op that can be evidence is pushed
-/// to `out`: the others cost no command clone and no reply conversion.
-fn run_op(
-    driver: &FaultDriver<'_>,
-    sim: &mut Sim,
-    op: &ClientOp,
-    after_upgrade_started: bool,
-    in_after_phase: bool,
-    out: &mut Vec<OpResult>,
-) -> bool {
-    let request = bytes::Bytes::copy_from_slice(op.command.as_bytes());
-    let reply = driver.rpc(sim, op.node, request, OP_TIMEOUT);
-    let response = reply.as_deref();
-    if oracle::can_be_evidence(after_upgrade_started, in_after_phase, response) {
-        out.push(OpResult {
-            command: op.command.clone(),
-            node: op.node,
-            response: response.map(|b| String::from_utf8_lossy(b).into_owned()),
-            after_upgrade_started,
-            in_after_phase,
-        });
-    }
-    response.is_some()
-}
-
-fn run_ops(
-    driver: &FaultDriver<'_>,
-    sim: &mut Sim,
-    batch: &[ClientOp],
-    after_upgrade_started: bool,
-    in_after_phase: bool,
-    out: &mut Vec<OpResult>,
-) {
-    for op in batch {
-        run_op(driver, sim, op, after_upgrade_started, in_after_phase, out);
-    }
 }
 
 #[cfg(test)]
@@ -1169,22 +1254,26 @@ mod tests {
         cut_equals_uncut_reference(&dup_coord::CoordSystem);
     }
 
+    /// `upbench`'s open-loop workload: 10^6 logical clients at 500 req/s.
+    fn open_loop(read_pct: u8) -> WorkloadSpec {
+        WorkloadSpec::OpenLoop(OpenLoopSpec {
+            clients: 1_000_000,
+            rate_per_sec: 500,
+            read_pct,
+            ..OpenLoopSpec::small()
+        })
+    }
+
     /// A same-version "upgrade" has no storm to decide: under the heaviest
     /// adversity and the open-loop barrage no case fails and none is cut.
-    /// (hdfs-mini's precision has known bounds — injected crashes leave its
-    /// single namenode unresponsive, and a rolling restart under open-loop
-    /// traffic outlasts a datanode's heartbeat timeout — so it runs without
-    /// the adversity and, under open-loop, only has to stay storm-free.)
+    /// (hdfs-mini's precision has known bounds, so it runs without the
+    /// adversity — injected crashes leave its single namenode unresponsive —
+    /// and under open-loop only has to stay storm-free: while a restarting
+    /// datanode holds a block's only replica, reads of that block are
+    /// answered `ERR no live replica` and the namenode logs the miss as an
+    /// error.)
     #[test]
     fn same_version_cases_are_never_cut() {
-        let open_loop = |read_pct| {
-            WorkloadSpec::OpenLoop(OpenLoopSpec {
-                clients: 1_000_000,
-                rate_per_sec: 500,
-                read_pct,
-                ..OpenLoopSpec::small()
-            })
-        };
         for sut in systems() {
             let hdfs = sut.name() == "hdfs-mini";
             let version = *sut.versions().last().expect("a system has versions");
@@ -1214,6 +1303,47 @@ mod tests {
                         assert_eq!(result.outcome, CaseOutcome::Pass, "{what}");
                     }
                 }
+            }
+        }
+    }
+
+    /// Open-loop traffic never holds the rollout up: a traffic step sends
+    /// each arrival of its slice on schedule and then waits at most one
+    /// [`OP_TIMEOUT`] for the last reply. So a rolling open-loop rollout
+    /// takes no longer than the same rollout under stress traffic, plus the
+    /// arrival window, plus one timeout per traffic step.
+    #[test]
+    fn open_loop_rollout_keeps_its_schedule() {
+        let sut = &dup_kvstore::KvStoreSystem;
+        let version = *sut.versions().last().expect("a system has versions");
+        let mut runner = CaseRunner::new(sut);
+        for seed in 1..=3 {
+            let case = |workload| TestCase {
+                from: version,
+                to: version,
+                scenario: Scenario::Rolling,
+                workload,
+                seed,
+                faults: FaultIntensity::Off,
+                durability: Durability::Strict,
+            };
+            case(WorkloadSpec::Stress).run_in(&mut runner);
+            let stress = runner.pools.rollout;
+            let traffic_steps = runner.pools.plan.steps().iter();
+            let traffic_steps = traffic_steps
+                .filter(|s| matches!(s, RolloutStep::Traffic { .. }))
+                .count();
+            let bound = stress
+                + SimDuration::from_millis(OPEN_LOOP_WINDOW_MS)
+                + OP_TIMEOUT.saturating_mul(traffic_steps as u64);
+            for read_pct in [90, 10] {
+                let result = case(open_loop(read_pct)).run_in(&mut runner);
+                let rollout = runner.pools.rollout;
+                assert!(
+                    rollout <= bound,
+                    "seed {seed} m{read_pct}: rollout {rollout} > {bound}: {:?}",
+                    result.outcome
+                );
             }
         }
     }

@@ -39,11 +39,14 @@ pub enum Observation {
         /// The command.
         command: String,
     },
-    /// Cluster traffic exploded relative to the pre-upgrade baseline.
+    /// Cluster traffic — node-to-node messages; client requests and
+    /// replies are not counted — exploded relative to the pre-upgrade
+    /// baseline.
     MessageStorm {
-        /// Messages observed in the upgrade window.
+        /// Cluster messages observed in the upgrade window.
         messages: u64,
-        /// Messages observed in an equally long pre-upgrade window.
+        /// Cluster messages expected in a window that long at the
+        /// pre-upgrade rate.
         baseline: u64,
     },
     /// The harness itself panicked while executing the case (a bug in the
@@ -228,10 +231,17 @@ fn is_benign_miss(response: &[u8]) -> bool {
     misses.iter().any(|b| response.starts_with(b))
 }
 
+/// A reply that says the cluster is between leaders. Mid-rollout it is
+/// expected, like a timeout: a restarted node, or a crash the fault plan
+/// injected, starts an election, and ops sent during it are refused. Once
+/// the rollout is over, a cluster still without a leader is evidence.
+const NO_LEADER: &[u8] = b"ERR no leader elected";
+
 /// Whether an op can be evidence to [`evaluate`]: once the upgrade started,
-/// an `ERR…` reply that is not a benign miss, or no reply at all in the
-/// post-upgrade verification phase. `response` is the raw reply (`None` on
-/// timeout). The harness records only such ops; `evaluate` ignores the rest.
+/// an `ERR…` reply that is not a benign miss — nor, before the post-upgrade
+/// verification phase, a [`NO_LEADER`] refusal — or no reply at all in that
+/// phase. `response` is the raw reply (`None` on timeout). The harness
+/// records only such ops; `evaluate` ignores the rest.
 pub(crate) fn can_be_evidence(
     after_upgrade_started: bool,
     in_after_phase: bool,
@@ -239,7 +249,11 @@ pub(crate) fn can_be_evidence(
 ) -> bool {
     after_upgrade_started
         && match response {
-            Some(resp) => resp.starts_with(b"ERR") && !is_benign_miss(resp),
+            Some(resp) => {
+                resp.starts_with(b"ERR")
+                    && !is_benign_miss(resp)
+                    && (in_after_phase || !resp.starts_with(NO_LEADER))
+            }
             None => in_after_phase,
         }
 }
@@ -366,14 +380,15 @@ mod tests {
     use dup_simnet::{Ctx, Endpoint, Process, SimDuration, SimRng, StepResult};
     use proptest::prelude::*;
 
-    /// Replies an op log can hold: successes, the three benign misses, other
-    /// errors, and (`None`) timeouts.
-    const REPLIES: [Option<&str>; 8] = [
+    /// Replies an op log can hold: successes, the three benign misses, a
+    /// leaderless refusal, other errors, and (`None`) timeouts.
+    const REPLIES: [Option<&str>; 9] = [
         Some("OK"),
         Some("OK healthy"),
         Some("ERR not found"),
         Some("ERR no record"),
         Some("ERR no committed offset"),
+        Some("ERR no leader elected"),
         Some("ERR corrupt sstable row: input truncated"),
         Some("ERR unknown command 'X'"),
         None,
@@ -422,6 +437,7 @@ mod tests {
         let mut out = Vec::new();
         for op in log.iter().filter(|op| op.after_upgrade_started) {
             match &op.response {
+                Some(resp) if resp == "ERR no leader elected" && !op.in_after_phase => {}
                 Some(resp)
                     if resp.starts_with("ERR") && !benign.iter().any(|b| resp.starts_with(b)) =>
                 {

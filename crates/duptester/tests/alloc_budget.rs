@@ -7,10 +7,12 @@
 //! exact and repeat from run to run, on any machine. One warm stress
 //! full-stop case on the newest release pair is run per system (the
 //! `upbench` `<system>.case_us` fixture) and its allocations per event must
-//! stay under a ceiling. Reading a received message — the handlers read
-//! field by field off the payload, with `proto::Reader` — must not allocate
-//! at all, nor must a value tree's reader taking an optional field that is
-//! absent, nor a warm `HEALTH` round trip.
+//! stay under a ceiling, as must one warm rolling open-loop case on each of
+//! the two systems `upbench`'s `open_loop` drives. Reading a received
+//! message — the handlers read field by field off the payload, with
+//! `proto::Reader` — must not allocate at all, nor must a value tree's
+//! reader taking an optional field that is absent, nor a warm `HEALTH`
+//! round trip.
 //!
 //! The crates under test `#![forbid(unsafe_code)]`, so the counting
 //! `GlobalAlloc` lives here, as in `crates/simnet/tests/alloc_free_dispatch.rs`.
@@ -20,7 +22,9 @@
 use bytes::Bytes;
 use dup_core::{NodeSetup, SystemUnderTest};
 use dup_simnet::{Sim, SimDuration};
-use dup_tester::{CaseRunner, Durability, FaultIntensity, Scenario, TestCase, WorkloadSpec};
+use dup_tester::{
+    CaseRunner, Durability, FaultIntensity, OpenLoopSpec, Scenario, TestCase, WorkloadSpec,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -60,22 +64,29 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Allocations per simulator event of one warm stress full-stop case on
-/// `sut`'s newest release pair, seed 1, no faults.
-fn allocs_per_event(sut: &dyn SystemUnderTest) -> f64 {
+/// One case on `sut`'s newest release pair, seed 1, no faults.
+fn newest_pair_case(
+    sut: &dyn SystemUnderTest,
+    scenario: Scenario,
+    workload: WorkloadSpec,
+) -> TestCase {
     let (from, to) = match sut.versions().as_slice() {
         [.., from, to] => (*from, *to),
         _ => panic!("{} has fewer than two releases", sut.name()),
     };
-    let case = TestCase {
+    TestCase {
         from,
         to,
-        scenario: Scenario::FullStop,
-        workload: WorkloadSpec::Stress,
+        scenario,
+        workload,
         seed: 1,
         faults: FaultIntensity::Off,
         durability: Durability::Strict,
-    };
+    }
+}
+
+/// Allocations per simulator event of `case`, run warm on `sut`.
+fn allocs_per_event(sut: &dyn SystemUnderTest, case: &TestCase) -> f64 {
     let mut runner = CaseRunner::new(sut);
     // Warm the runner's pooled simulator and every lazily built schema.
     let events = case.run_in(&mut runner).digest.events_processed;
@@ -107,17 +118,48 @@ fn codec_path_stays_within_its_allocation_budget() {
         (&dup_coord::CoordSystem, 2.91),
     ];
     for (sut, ceiling) in budgets {
-        let measured = allocs_per_event(sut);
-        println!("{}: {measured:.2} allocations/event", sut.name());
-        assert!(
-            measured <= ceiling,
-            "{}: {measured:.2} allocations per event exceeds the budget of {ceiling}",
-            sut.name()
-        );
+        let case = newest_pair_case(sut, Scenario::FullStop, WorkloadSpec::Stress);
+        within_budget(sut, &case, ceiling);
+    }
+    // Open-loop rows: a rolling case under `upbench`'s 10^6-client, 500 req/s
+    // specs. Ceilings: the measured 2.27 and 5.17 + 10 %. Every arrival is
+    // sent without waiting and held in the runner's pooled in-flight set
+    // until it settles, which allocates nothing once warm: what an arrival
+    // costs is its rendered command, the copy sent, and the node's reply.
+    let open_loop = |read_pct| {
+        WorkloadSpec::OpenLoop(OpenLoopSpec {
+            clients: 1_000_000,
+            rate_per_sec: 500,
+            read_pct,
+            ..OpenLoopSpec::small()
+        })
+    };
+    let open_loop_budgets: [(&dyn SystemUnderTest, u8, f64); 2] = [
+        (&dup_kvstore::KvStoreSystem, 90, 2.50),
+        (&dup_mq::MqSystem, 10, 5.69),
+    ];
+    for (sut, read_pct, ceiling) in open_loop_budgets {
+        let case = newest_pair_case(sut, Scenario::Rolling, open_loop(read_pct));
+        within_budget(sut, &case, ceiling);
     }
     received_messages_are_read_without_allocating();
     absent_optional_reads_allocate_nothing();
     health_round_trips_allocate_nothing(&budgets.map(|(sut, _)| sut));
+}
+
+fn within_budget(sut: &dyn SystemUnderTest, case: &TestCase, ceiling: f64) {
+    let measured = allocs_per_event(sut, case);
+    println!(
+        "{} {}: {measured:.2} allocations/event",
+        sut.name(),
+        case.workload
+    );
+    assert!(
+        measured <= ceiling,
+        "{} {}: {measured:.2} allocations per event exceeds the budget of {ceiling}",
+        sut.name(),
+        case.workload
+    );
 }
 
 /// On a warm simulator — reset, so the client slot a request takes is a

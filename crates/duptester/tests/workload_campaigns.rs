@@ -1,6 +1,6 @@
 //! Open-loop workload campaigns: the workload axis end to end.
 //!
-//! Four contracts ride on this file:
+//! Five contracts ride on this file:
 //!
 //! 1. **Determinism replay** — an open-loop campaign under heavy faults and
 //!    torn durability renders a byte-identical report on 1 thread and on 4,
@@ -14,11 +14,14 @@
 //! 4. **Client-count independence** — a million-logical-client case runs in
 //!    the same arrival budget as a thousand-client one; logical clients are
 //!    arithmetic, not state.
+//! 5. **Storms under load** — CASSANDRA-13441's migration storm is reported
+//!    under open-loop traffic too: the client barrage neither stretches the
+//!    upgrade window nor counts as cluster traffic.
 
 use dup_core::VersionId;
 use dup_tester::{
-    Campaign, CaseMatrix, CaseRunner, Durability, FaultIntensity, OpenLoopSpec, Scenario, TestCase,
-    WorkloadSpec,
+    Campaign, CaseMatrix, CaseOutcome, CaseRunner, Durability, FaultIntensity, Observation,
+    OpenLoopSpec, Scenario, TestCase, WorkloadSpec,
 };
 
 fn v(s: &str) -> VersionId {
@@ -234,4 +237,36 @@ fn million_clients_cost_the_same_arrivals_as_a_thousand() {
         million.events_processed,
         small.events_processed
     );
+}
+
+#[test]
+fn migration_storm_is_reported_under_open_loop_traffic() {
+    // `upbench`'s two open-loop specs on the CASSANDRA-13441 pair, at seeds
+    // where the storm starts (it needs a schema pull the upgraded node
+    // serves, which not every seed's gossip schedule makes).
+    let spec = |read_pct| OpenLoopSpec {
+        clients: 1_000_000,
+        rate_per_sec: 500,
+        read_pct,
+        ..OpenLoopSpec::small()
+    };
+    let pinned: [(u8, &[u64]); 2] = [(90, &[1001, 1002, 1003, 1004]), (10, &[1002, 1004])];
+    let mut runner = CaseRunner::with_options(&dup_kvstore::KvStoreSystem, None, true);
+    for (read_pct, seeds) in pinned {
+        for &seed in seeds {
+            let case = TestCase {
+                from: v("3.0.0"),
+                to: v("3.11.0"),
+                scenario: Scenario::Rolling,
+                workload: WorkloadSpec::OpenLoop(spec(read_pct)),
+                seed,
+                faults: FaultIntensity::Off,
+                durability: Durability::Strict,
+            };
+            let outcome = case.run_in(&mut runner).outcome;
+            let storm = matches!(&outcome, CaseOutcome::Fail(observations)
+                if observations.iter().any(|o| matches!(o, Observation::MessageStorm { .. })));
+            assert!(storm, "m{read_pct} seed {seed}: {outcome:?}");
+        }
+    }
 }

@@ -210,6 +210,7 @@ pub struct SimSnapshot {
     client_inbox: Vec<VecDeque<Bytes>>,
     events_processed: u64,
     messages_delivered: u64,
+    cluster_messages_delivered: u64,
     faults: Option<FaultSnapshot>,
     fault_epoch: u64,
     pending_restarts: VecDeque<NodeId>,
@@ -236,6 +237,7 @@ impl Default for SimSnapshot {
             client_inbox: Vec::new(),
             events_processed: 0,
             messages_delivered: 0,
+            cluster_messages_delivered: 0,
             faults: None,
             fault_epoch: 0,
             pending_restarts: VecDeque::new(),
@@ -293,6 +295,9 @@ pub struct Sim {
     clients: usize,
     events_processed: u64,
     messages_delivered: u64,
+    /// The node-to-node share of `messages_delivered`: client requests and
+    /// replies never move it.
+    cluster_messages_delivered: u64,
     /// Scratch buffer for the per-dispatch effect queue, recycled across
     /// dispatches so steady-state dispatch performs no heap allocation.
     effects_pool: Vec<Effect>,
@@ -341,6 +346,7 @@ impl Sim {
             clients: 0,
             events_processed: 0,
             messages_delivered: 0,
+            cluster_messages_delivered: 0,
             effects_pool: Vec::new(),
             faults: None,
             fault_pool: None,
@@ -383,6 +389,7 @@ impl Sim {
         self.clients = 0;
         self.events_processed = 0;
         self.messages_delivered = 0;
+        self.cluster_messages_delivered = 0;
         self.effects_pool.clear();
         // Park rather than drop: a fresh sim has `faults: None`, and the
         // crash/fate gating tests that (`crash_materialize_host` is a no-op
@@ -470,6 +477,7 @@ impl Sim {
         }
         snap.events_processed = self.events_processed;
         snap.messages_delivered = self.messages_delivered;
+        snap.cluster_messages_delivered = self.cluster_messages_delivered;
         match &self.faults {
             Some(state) => {
                 let dst = snap.faults.get_or_insert_with(FaultSnapshot::default);
@@ -578,6 +586,7 @@ impl Sim {
         self.clients = snap.client_inbox.len();
         self.events_processed = snap.events_processed;
         self.messages_delivered = snap.messages_delivered;
+        self.cluster_messages_delivered = snap.cluster_messages_delivered;
         self.effects_pool.clear();
         match &snap.faults {
             Some(fsnap) => {
@@ -657,6 +666,13 @@ impl Sim {
     /// Total node-to-node and node-to-client messages delivered so far.
     pub fn messages_delivered(&self) -> u64 {
         self.messages_delivered
+    }
+
+    /// Node-to-node messages delivered so far: [`Sim::messages_delivered`]
+    /// without client requests and replies, so it measures cluster traffic
+    /// however hard clients drive the nodes.
+    pub fn cluster_messages_delivered(&self) -> u64 {
+        self.cluster_messages_delivered
     }
 
     /// Captured logs.
@@ -1199,6 +1215,9 @@ impl Sim {
                         if slot.status.is_running() {
                             slot.metrics.messages_received += 1;
                             self.messages_delivered += 1;
+                            if let Endpoint::Node(_) = from {
+                                self.cluster_messages_delivered += 1;
+                            }
                             self.trace_ctx = self.trace_record(
                                 event.cause,
                                 TraceEventKind::MessageDeliver {
@@ -1631,6 +1650,49 @@ mod tests {
         let resp = sim.rpc(n, Bytes::from_static(b"ping"), SimDuration::from_secs(1));
         assert_eq!(resp.as_deref(), Some(&b"ping"[..]));
         assert!(sim.node_status(n).is_running());
+    }
+
+    /// Answers each client request and tells the other node about it; says
+    /// nothing to a node.
+    struct Relay;
+
+    impl Process for Relay {
+        fn on_start(&mut self, _ctx: &mut Ctx<'_>) -> StepResult {
+            Ok(())
+        }
+        fn on_message(&mut self, ctx: &mut Ctx<'_>, from: Endpoint, payload: &[u8]) -> StepResult {
+            if let Endpoint::Client(_) = from {
+                let peer = Endpoint::Node(1 - ctx.node_id());
+                ctx.send(peer, Bytes::copy_from_slice(payload));
+                ctx.send(from, Bytes::copy_from_slice(payload));
+            }
+            Ok(())
+        }
+        fn on_timer(&mut self, _ctx: &mut Ctx<'_>, _token: u64) -> StepResult {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn client_traffic_never_moves_the_cluster_counter() {
+        let mut sim = Sim::new(1);
+        for host in ["h0", "h1"] {
+            let n = sim.add_node(host, "v1", Box::new(Relay));
+            sim.start_node(n).unwrap();
+        }
+        sim.run_for(SimDuration::from_millis(10));
+        for round in 1..=4 {
+            let node = (round % 2) as NodeId;
+            let resp = sim.rpc(node, Bytes::from_static(b"ping"), SimDuration::from_secs(1));
+            assert_eq!(resp.as_deref(), Some(&b"ping"[..]));
+            sim.run_for(SimDuration::from_millis(10));
+            // Request, reply and relay each count as delivered; only the
+            // relay is cluster traffic.
+            assert_eq!(sim.messages_delivered(), 3 * round);
+            assert_eq!(sim.cluster_messages_delivered(), round);
+        }
+        sim.reset(1);
+        assert_eq!(sim.cluster_messages_delivered(), 0);
     }
 
     #[test]

@@ -123,7 +123,8 @@ impl Process for TimerPinger {
 }
 
 /// Drives one deterministic faulted + traced mini-case on `sim` and returns
-/// a fingerprint string covering every observable surface: counters, logs,
+/// a fingerprint string covering every observable surface: counters (the
+/// cluster-only message count among them), logs,
 /// an RPC response, and a rendered trace slice (which exercises host-id
 /// interning and the causal lineage walk). Byte-equal fingerprints mean the
 /// two simulators were indistinguishable — phase 5's reset-equals-fresh
@@ -160,9 +161,10 @@ fn drive_case(sim: &mut Sim, seed: u64) -> String {
     let anchor = sim.trace_observe(Some(b));
     let slice = sim.trace().expect("trace enabled").slice(anchor);
     format!(
-        "events={} delivered={} faults={} recorded={} resp={:?}\n{}\n{}",
+        "events={} delivered={} cluster={} faults={} recorded={} resp={:?}\n{}\n{}",
         sim.events_processed(),
         sim.messages_delivered(),
+        sim.cluster_messages_delivered(),
         sim.faults_injected(),
         sim.trace().expect("trace enabled").events_recorded(),
         resp,
@@ -267,9 +269,10 @@ fn fork_suffix_fingerprint(sim: &mut Sim, fork_seed: u64) -> String {
     let anchor = sim.trace_observe(Some(1));
     let slice = sim.trace().expect("trace enabled").slice(anchor);
     format!(
-        "events={} delivered={} faults={} recorded={} resp={:?}\n{}\n{}",
+        "events={} delivered={} cluster={} faults={} recorded={} resp={:?}\n{}\n{}",
         sim.events_processed(),
         sim.messages_delivered(),
+        sim.cluster_messages_delivered(),
         sim.faults_injected(),
         sim.trace().expect("trace enabled").events_recorded(),
         resp,
