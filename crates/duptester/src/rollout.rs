@@ -550,58 +550,56 @@ impl RolloutPlan {
             plan.path
                 .push(v.parse().map_err(|e| format!("bad path version: {e:?}"))?);
         }
+        // Numbers parse straight into their field's type: an out-of-range
+        // node, version index or chunk is an error, never a wrapped value.
+        fn one<T: std::str::FromStr>(tok: &str, s: &str) -> Result<T, String> {
+            s.parse().map_err(|_| format!("step {tok}: bad number"))
+        }
+        fn two<A: std::str::FromStr, B: std::str::FromStr>(
+            tok: &str,
+            body: &str,
+            sep: char,
+        ) -> Result<(A, B), String> {
+            let (a, b) = body
+                .split_once(sep)
+                .ok_or_else(|| format!("step {tok}: expected '{sep}'"))?;
+            Ok((one(tok, a)?, one(tok, b)?))
+        }
         for tok in steps_str.split(',').filter(|t| !t.is_empty()) {
-            let (kind, body) = tok.split_at(1);
-            let two = |sep: char| -> Result<(u32, u32), String> {
-                let (a, b) = body
-                    .split_once(sep)
-                    .ok_or_else(|| format!("step {tok}: expected '{sep}'"))?;
-                Ok((
-                    a.parse().map_err(|_| format!("step {tok}: bad number"))?,
-                    b.parse().map_err(|_| format!("step {tok}: bad number"))?,
-                ))
-            };
-            let one = || -> Result<u64, String> {
-                body.parse().map_err(|_| format!("step {tok}: bad number"))
-            };
+            let mut chars = tok.chars();
+            let kind = chars.next().expect("empty tokens are skipped");
+            let body = chars.as_str();
             plan.steps.push(match kind {
-                "s" => RolloutStep::Stop {
-                    node: one()? as u32,
+                's' => RolloutStep::Stop {
+                    node: one(tok, body)?,
                 },
-                "u" => {
-                    let (node, v) = two(':')?;
-                    RolloutStep::Upgrade {
-                        node,
-                        version: v as u8,
-                    }
+                'u' => {
+                    let (node, version) = two(tok, body, ':')?;
+                    RolloutStep::Upgrade { node, version }
                 }
-                "d" => {
-                    let (node, v) = two(':')?;
-                    RolloutStep::Downgrade {
-                        node,
-                        version: v as u8,
-                    }
+                'd' => {
+                    let (node, version) = two(tok, body, ':')?;
+                    RolloutStep::Downgrade { node, version }
                 }
-                "j" => {
-                    let (node, v) = two(':')?;
-                    RolloutStep::Join {
-                        node,
-                        version: v as u8,
-                    }
+                'j' => {
+                    let (node, version) = two(tok, body, ':')?;
+                    RolloutStep::Join { node, version }
                 }
-                "l" => RolloutStep::Leave {
-                    node: one()? as u32,
+                'l' => RolloutStep::Leave {
+                    node: one(tok, body)?,
                 },
-                "w" => RolloutStep::Settle { millis: one()? },
-                "t" => {
-                    let (chunk, of) = two('/')?;
+                'w' => RolloutStep::Settle {
+                    millis: one(tok, body)?,
+                },
+                't' => {
+                    let (chunk, of) = two(tok, body, '/')?;
                     RolloutStep::Traffic { chunk, of }
                 }
-                "p" => RolloutStep::Probe {
-                    node: one()? as u32,
+                'p' => RolloutStep::Probe {
+                    node: one(tok, body)?,
                 },
-                "g" => RolloutStep::CanaryGate {
-                    node: one()? as u32,
+                'g' => RolloutStep::CanaryGate {
+                    node: one(tok, body)?,
                 },
                 other => return Err(format!("unknown step kind {other:?}")),
             });

@@ -65,6 +65,10 @@ use std::sync::Arc;
 /// (`2 · bursts + 1` segments) statically bounded.
 pub const MAX_BURSTS: u8 = 8;
 
+/// Highest base rate a spec may request: one arrival per microsecond, the
+/// plan's smallest mean gap.
+const MAX_RATE_PER_SEC: u32 = 1_000_000;
+
 /// ln 2 in Q16 fixed point, the scale factor of the integer exponential
 /// sampler.
 const LN2_Q16: u64 = 45_426;
@@ -145,7 +149,10 @@ pub struct OpenLoopSpec {
     /// arithmetic functions of the arrival index, so memory is independent
     /// of this count.
     pub clients: u64,
-    /// Base arrival rate in requests per simulated second.
+    /// Base arrival rate in requests per simulated second, at most 10⁶. The
+    /// plan spaces arrivals by a whole-microsecond mean gap, so a rate that
+    /// does not divide 10⁶ is rounded: 300 000 req/s runs at a 3 µs gap,
+    /// ≈ 333 333 req/s.
     pub rate_per_sec: u32,
     /// Burst segments per phase window (capped at [`MAX_BURSTS`]).
     pub bursts: u8,
@@ -200,16 +207,19 @@ impl OpenLoopSpec {
             zipf_s_hundredths: tail(fields.next(), 'z')?,
             read_pct: tail(fields.next(), 'm')?,
         };
-        // Reject anything `compile` would silently normalize (burst count
-        // over the cap, zero burst factor): two distinct repro strings must
-        // never denote the same plan while hashing to different prefix
-        // seeds.
+        // Reject anything `compile` would clamp into range (a rate past one
+        // arrival per microsecond, burst count over the cap, zero burst
+        // factor, more than 100 % reads): two distinct repro strings should
+        // not denote the same plan while hashing to different prefix seeds.
+        // Rates under the cap still round to whole-microsecond gaps.
         if fields.next().is_some()
             || spec.clients == 0
             || spec.rate_per_sec == 0
+            || spec.rate_per_sec > MAX_RATE_PER_SEC
             || spec.keys == 0
             || spec.bursts > MAX_BURSTS
             || spec.burst_factor == 0
+            || spec.read_pct > 100
         {
             return None;
         }
@@ -546,6 +556,12 @@ impl WorkloadPlan {
     }
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Arrivals every [`Arrivals`] iterator on this thread has drawn.
+    pub(crate) static ARRIVALS_DRAWN: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
 /// Allocation-free iterator over a plan's arrival schedule.
 #[derive(Debug, Clone)]
 pub struct Arrivals<'a> {
@@ -577,6 +593,8 @@ impl Iterator for Arrivals<'_> {
             let read = self.rng.next_below(100) < u64::from(self.plan.read_pct);
             let index = self.index;
             self.index += 1;
+            #[cfg(test)]
+            ARRIVALS_DRAWN.with(|n| n.set(n.get() + 1));
             return Some(Arrival {
                 at_us: at,
                 index,
@@ -692,9 +710,14 @@ mod tests {
             "open:c10,r100,b200,x3,k64,z120,m60",
             "open:c10,r100,b9,x3,k64,z120,m60",
             "open:c10,r100,b2,x0,k64,z120,m60",
+            "open:c10,r1000001,b2,x3,k64,z120,m60",
+            "open:c10,r100,b2,x3,k64,z120,m101",
         ] {
             assert_eq!(WorkloadSpec::parse(bad), None, "{bad:?} should not parse");
         }
+        // The largest rate and read share it accepts.
+        let spec = OpenLoopSpec::parse("c10,r1000000,b2,x3,k64,z120,m100").expect("parses");
+        assert_eq!((spec.rate_per_sec, spec.read_pct), (1_000_000, 100));
     }
 
     #[test]

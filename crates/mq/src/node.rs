@@ -6,7 +6,7 @@
 use crate::codec::{self, inter_broker_proto, ReplicaBatch};
 use bytes::Bytes;
 use dup_core::{format_reply, split_words, NodeSetup, VersionId};
-use dup_simnet::{Ctx, Endpoint, Fatal, Process, StepResult};
+use dup_simnet::{Ctx, Endpoint, Fatal, HostStorage, Process, StepResult};
 use dup_wire::Frame;
 
 /// Default offset retention when a client passes `-1` (DEFAULT).
@@ -17,12 +17,65 @@ const DEFAULT_RETENTION_MS: u64 = 86_400_000;
 pub struct Broker {
     version: VersionId,
     setup: NodeSetup,
+    next_offsets: NextOffsets,
+}
+
+/// Per topic, the number of files under `log/{topic}/`: the index the
+/// topic's next `PRODUCE` takes. A topic is counted with a walk of its log
+/// on its first `PRODUCE` after the process starts, then kept: a write adds
+/// one only when it creates a new path, so an overwrite or a replica batch
+/// landing past a gap counts exactly as the walk would. A snapshot carries
+/// it with the storage it describes.
+///
+/// The topics are kept sorted, beside their counts, so that restoring a
+/// snapshot copies into the strings already held instead of allocating.
+#[derive(Clone, Default)]
+struct NextOffsets {
+    topics: Vec<String>,
+    counts: Vec<u64>,
+}
+
+impl NextOffsets {
+    fn find(&self, topic: &str) -> Result<usize, usize> {
+        self.topics.binary_search_by(|t| t.as_str().cmp(topic))
+    }
+
+    /// `topic`'s next offset; a topic not kept yet is counted by walking
+    /// `storage` under `prefix`, its log's.
+    fn get_or_walk(&mut self, topic: &str, storage: &HostStorage, prefix: &str) -> u64 {
+        match self.find(topic) {
+            Ok(i) => self.counts[i],
+            Err(i) => {
+                let count = storage.paths(prefix).count() as u64;
+                self.topics.insert(i, topic.to_string());
+                self.counts.insert(i, count);
+                count
+            }
+        }
+    }
+
+    /// Counts one more file under `log/{topic}/`, if `topic` is kept.
+    fn count_new_file(&mut self, topic: &str) {
+        if let Ok(i) = self.find(topic) {
+            self.counts[i] += 1;
+        }
+    }
+
+    /// Becomes a copy of `src`, reusing this one's buffers.
+    fn copy_from(&mut self, src: &NextOffsets) {
+        self.topics.clone_from(&src.topics);
+        self.counts.clone_from(&src.counts);
+    }
 }
 
 impl Broker {
     /// Creates a broker of `version`.
     pub fn new(version: VersionId, setup: NodeSetup) -> Self {
-        Broker { version, setup }
+        Broker {
+            version,
+            setup,
+            next_offsets: NextOffsets::default(),
+        }
     }
 
     fn handle_client(&mut self, ctx: &mut Ctx<'_>, from: Endpoint, text: &str) {
@@ -49,12 +102,14 @@ impl Broker {
     }
 
     fn cmd_produce(&mut self, ctx: &mut Ctx<'_>, topic: &str, value: &str) -> Bytes {
-        // The topic's log prefix, counted for the next index, then extended
-        // into that record's path: one path built per produce.
+        // The topic's log prefix, extended into the next record's path: one
+        // path built per produce.
         let mut path = log_prefix(topic);
-        let idx = ctx.storage_ref().paths(&path).count() as u64;
+        let idx = self
+            .next_offsets
+            .get_or_walk(topic, ctx.storage_ref(), &path);
         push_record_index(&mut path, idx);
-        ctx.storage().write(&path, value.as_bytes());
+        self.write_record(ctx.storage(), topic, &path, value.as_bytes());
         // Durable-on-ack: the produce reply below promises the record.
         ctx.flush(&path);
         let batch = ReplicaBatch {
@@ -68,6 +123,24 @@ impl Broker {
             ctx.send(Endpoint::Node(peer), frame.clone());
         }
         format_reply(format_args!("OK {idx}"))
+    }
+
+    /// Writes record `path` of `topic`'s log, counting it in the topic's
+    /// next offset if it is a new file.
+    fn write_record(
+        &mut self,
+        storage: &mut HostStorage,
+        topic: &str,
+        path: &str,
+        contents: impl Into<Vec<u8>>,
+    ) {
+        if storage.write(path, contents) {
+            // A path is counted under every prefix it extends: a topic
+            // holding a `/` (never legal, but a peer's batch is not checked)
+            // lands in the log of the topic its first segment names.
+            let owner = topic.split_once('/').map_or(topic, |(owner, _)| owner);
+            self.next_offsets.count_new_file(owner);
+        }
     }
 
     fn cmd_fetch(&mut self, ctx: &mut Ctx<'_>, topic: &str, idx: &str) -> Bytes {
@@ -190,7 +263,10 @@ impl Process for Broker {
         let any: &dyn std::any::Any = src;
         match any.downcast_ref::<Self>() {
             Some(other) => {
-                self.clone_from(other);
+                // Field by field: the kept offsets reuse their buffers.
+                self.version = other.version;
+                self.setup.clone_from(&other.setup);
+                self.next_offsets.copy_from(&other.next_offsets);
                 true
             }
             None => false,
@@ -241,7 +317,7 @@ impl Process for Broker {
                     match codec::decode_replica_batch(self.version, &frame.body) {
                         Ok(batch) => {
                             let path = record_path(&batch.topic, batch.offset);
-                            ctx.storage().write(&path, batch.payload);
+                            self.write_record(ctx.storage(), &batch.topic, &path, batch.payload);
                             ctx.flush(&path);
                         }
                         Err(e) => {
@@ -547,5 +623,247 @@ mod tests {
         assert_eq!(cmd(&mut sim, ids[0], "FETCH events 1"), "OK b");
         assert!(sim.logs().matching("corrupt replica batch").count() == 0);
         assert!(sim.crashed_nodes().is_empty());
+    }
+
+    // ---- the kept next offset against the walk ------------------------------
+
+    thread_local! {
+        /// Kept next offsets [`Checked`] has compared with a walk on this
+        /// thread.
+        static COMPARED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    }
+
+    /// A broker that compares each kept next offset with a walk of its
+    /// topic's log before and after every callback. A client may also send
+    /// it `REPLICA <topic> <offset> <value>`: the broker then receives that
+    /// replica batch as if a peer had sent it, so a test can land a batch
+    /// past the end of a log or onto a record that exists.
+    #[derive(Clone)]
+    struct Checked(Broker);
+
+    impl Checked {
+        fn spawn(node: u32) -> Box<dyn Process> {
+            Box::new(Checked(Broker::new(v("2.4.0"), NodeSetup::new(node, 2))))
+        }
+
+        fn check(&self, ctx: &Ctx<'_>, when: &str) {
+            let kept = &self.0.next_offsets;
+            for (topic, &next) in kept.topics.iter().zip(&kept.counts) {
+                let walked = ctx.storage_ref().paths(&log_prefix(topic)).count() as u64;
+                assert_eq!(next, walked, "{when}: kept next offset of {topic:?}");
+                COMPARED.with(|c| c.set(c.get() + 1));
+            }
+        }
+    }
+
+    impl Process for Checked {
+        fn fork(&self) -> Option<Box<dyn Process>> {
+            Some(Box::new(self.clone()))
+        }
+
+        fn restore_from(&mut self, src: &dyn Process) -> bool {
+            let any: &dyn std::any::Any = src;
+            any.downcast_ref::<Self>()
+                .is_some_and(|other| self.0.restore_from(&other.0))
+        }
+
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) -> StepResult {
+            self.0.on_start(ctx)?;
+            self.check(ctx, "after start");
+            Ok(())
+        }
+
+        fn on_message(&mut self, ctx: &mut Ctx<'_>, from: Endpoint, payload: &[u8]) -> StepResult {
+            self.check(ctx, "before a message");
+            let text = String::from_utf8_lossy(payload);
+            let mut words = [""; 4];
+            if let ["REPLICA", topic, offset, value] = split_words(&text, &mut words) {
+                let batch = ReplicaBatch {
+                    topic: topic.to_string(),
+                    offset: offset.parse().expect("a record index"),
+                    payload: value.as_bytes().to_vec(),
+                };
+                let body = codec::encode_replica_batch(self.0.version, &batch);
+                let proto = inter_broker_proto(self.0.version);
+                let frame = Frame::new(proto, "replica", body).encode();
+                self.0.on_message(ctx, Endpoint::Node(9), &frame)?;
+                ctx.send(from, Bytes::from_static(b"OK"));
+            } else {
+                self.0.on_message(ctx, from, payload)?;
+            }
+            self.check(ctx, "after a message");
+            Ok(())
+        }
+
+        fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) -> StepResult {
+            self.0.on_timer(ctx, token)
+        }
+    }
+
+    /// Two checked 2.4.0 brokers on torn storage.
+    fn checked_cluster(seed: u64) -> Sim {
+        let mut sim = Sim::new(seed);
+        for i in 0..2 {
+            let host = format!("mq-host-{i}");
+            let id = sim.add_node(&host, "2.4.0", Checked::spawn(i));
+            let host = sim.host_id(&host);
+            let storage = sim.host_storage_by_id(host);
+            storage.set_durability(dup_simnet::Durability::Torn);
+            sim.start_node(id).unwrap();
+        }
+        sim
+    }
+
+    /// One step of an exactness run. A `PRODUCE` on one broker also sends
+    /// replica batches to the other, which land on offsets it may already
+    /// hold.
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        Produce {
+            node: u32,
+            topic: usize,
+        },
+        Replica {
+            node: u32,
+            topic: usize,
+            offset: u64,
+        },
+        /// Kill the node and start a fresh process on its storage.
+        Crash {
+            node: u32,
+        },
+        Snapshot,
+        /// Back to the last snapshot, storage and brokers together.
+        Restore,
+    }
+
+    /// `a/b` is no legal topic: a client cannot produce to it, but a replica
+    /// batch naming it lands inside `a`'s log.
+    const TOPICS: [&str; 4] = ["events", "audit", "a", "a/b"];
+
+    fn op_of((kind, node, topic, offset): (u64, u64, u64, u64)) -> Op {
+        let (node, topic) = (node as u32 % 2, topic as usize % TOPICS.len());
+        match kind % 6 {
+            0 | 1 => Op::Produce { node, topic },
+            2 => Op::Replica {
+                node,
+                topic,
+                offset: offset % 12,
+            },
+            3 => Op::Crash { node },
+            4 => Op::Snapshot,
+            _ => Op::Restore,
+        }
+    }
+
+    /// Runs `ops` on a checked cluster: every callback of either broker
+    /// compares its kept next offsets with the walk.
+    fn run_checked(seed: u64, ops: &[Op]) {
+        let mut sim = checked_cluster(seed);
+        let mut snapshot = None;
+        for (i, &op) in ops.iter().enumerate() {
+            match op {
+                Op::Produce { node, topic } => {
+                    cmd(&mut sim, node, &format!("PRODUCE {} p{i}", TOPICS[topic]));
+                }
+                Op::Replica {
+                    node,
+                    topic,
+                    offset,
+                } => {
+                    let text = format!("REPLICA {} {offset} r{i}", TOPICS[topic]);
+                    assert_eq!(cmd(&mut sim, node, &text), "OK", "{ops:?}");
+                }
+                Op::Crash { node } => {
+                    sim.kill_node(node).unwrap();
+                    sim.install(node, "2.4.0", Checked::spawn(node)).unwrap();
+                    sim.start_node(node).unwrap();
+                }
+                Op::Snapshot => snapshot = sim.snapshot(),
+                Op::Restore => {
+                    if let Some(snapshot) = &snapshot {
+                        sim.restore(snapshot);
+                    }
+                }
+            }
+        }
+        // Let the last replica batches land, then check both brokers once
+        // more.
+        sim.run_for(SimDuration::from_millis(100));
+        for node in 0..2 {
+            assert_eq!(cmd(&mut sim, node, "HEALTH"), "OK healthy", "{ops:?}");
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn kept_next_offsets_equal_the_walk(
+            ops in proptest::collection::vec((0u64..6, 0u64..2, 0u64..4, 0u64..12), 1..40),
+            seed in 0u64..1_000,
+        ) {
+            let ops: Vec<Op> = ops.into_iter().map(op_of).collect();
+            run_checked(seed, &ops);
+        }
+    }
+
+    #[test]
+    fn kept_next_offsets_equal_the_walk_on_seeded_runs() {
+        let mut rng = dup_simnet::SimRng::new(29);
+        let before = COMPARED.with(std::cell::Cell::get);
+        for seed in 0..200 {
+            let len = 1 + rng.next_below(60);
+            let ops: Vec<Op> = (0..len)
+                .map(|_| {
+                    op_of((
+                        rng.next_u64(),
+                        rng.next_u64(),
+                        rng.next_u64(),
+                        rng.next_u64(),
+                    ))
+                })
+                .collect();
+            run_checked(seed, &ops);
+        }
+        let compared = COMPARED.with(std::cell::Cell::get) - before;
+        assert!(
+            compared > 5_000,
+            "only {compared} kept offsets were compared"
+        );
+    }
+
+    /// A replica batch past the end of a log leaves a gap. The log then holds
+    /// fewer records than its last index + 1, and the next `PRODUCE` takes the
+    /// record count, as the walk always did. A batch onto an existing record
+    /// changes no count, and one naming `a/b` counts in `a`'s log.
+    #[test]
+    fn kept_next_offsets_follow_gaps_and_overwrites() {
+        let mut sim = checked_cluster(31);
+        let table: &[(u32, &str, &str)] = &[
+            (0, "PRODUCE events a", "OK 0"),
+            (0, "PRODUCE events b", "OK 1"),
+            // Broker 1 holds 0 and 1; a batch at 7 leaves a gap.
+            (1, "REPLICA events 7 x", "OK"),
+            (1, "PRODUCE events c", "OK 3"),
+            // An overwrite of record 3 does not move the count.
+            (1, "REPLICA events 3 y", "OK"),
+            (1, "PRODUCE events d", "OK 4"),
+            (1, "FETCH events 7", "OK x"),
+            (1, "FETCH events 3", "OK y"),
+            // Broker 0 holds 0, 1, and broker 1's 3 and 4. Its count, 4,
+            // names a record it holds, which the produce overwrites.
+            (0, "PRODUCE events e", "OK 4"),
+            (0, "PRODUCE events f", "OK 4"),
+            (0, "PRODUCE a p", "OK 0"),
+            (0, "REPLICA a/b 0 z", "OK"),
+            (0, "PRODUCE a q", "OK 2"),
+        ];
+        for &(node, command, reply) in table {
+            assert_eq!(
+                cmd(&mut sim, node, command),
+                reply,
+                "node {node} <- {command}"
+            );
+            sim.run_for(SimDuration::from_millis(50));
+        }
     }
 }

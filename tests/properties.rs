@@ -7,7 +7,7 @@ use ds_upgrade::srcmodel::parse_java;
 use ds_upgrade::tester::{
     apply_nudge, fault_plan_for, mutate, Corpus, CorpusEntry, Durability, FaultIntensity,
     MutationOp, OpenLoopSpec, PlanNudge, RolloutPlan, Scenario, SearchInput, WorkloadPlan,
-    MAX_NUDGE_SHIFT_MS, MAX_SETTLE_SHIFT_MS, PLAN_WINDOW_MS,
+    WorkloadSpec, MAX_NUDGE_SHIFT_MS, MAX_SETTLE_SHIFT_MS, PLAN_WINDOW_MS,
 };
 use ds_upgrade::wire::{proto, Frame, MessageValue, Value};
 use proptest::prelude::*;
@@ -51,7 +51,107 @@ fn arb_hostile_source() -> impl Strategy<Value = String> {
     proptest::collection::vec(fragment, 0..24).prop_map(|parts| parts.concat())
 }
 
+/// Text near the case-input grammars, drawn from `rng`: either fragments
+/// alone, or a valid rollout plan or workload spec with a few runs of digits
+/// replaced by (or fragments inserted as) grammar tokens, empty and repeated
+/// separators, numbers past every integer width, and non-ASCII characters
+/// where a step kind or a field tag belongs. Edited numbers keep many of the
+/// valid inputs valid, so the round trip is exercised, not only rejection.
+fn case_input(rng: &mut SimRng) -> String {
+    const VALID: &[&str] = &[
+        "stress",
+        "unit:testCompactTables",
+        "state:testUpdateKeyspace",
+        "open:c1000,r100,b2,x3,k64,z120,m60",
+        "c1000000,r500,b2,x3,k64,z120,m10",
+        "[1.0.0>2.0.0>3.0.0]s0,w500,u0:2,w1000,t0/6,p0,g0,j3:1,l3,d0:0",
+        "[3.11.0]",
+    ];
+    const WORDS: &[&str] = &[
+        "[", "]", ">", ",", ",,", ":", "/", ".", "1.0.0", "s", "u", "d", "j", "l", "w", "t", "p",
+        "g", "open:", "unit:", "state:", "stress", "c", "r", "b", "x", "k", "z", "m", "0", "100",
+        "101", "255", "256", "1000000", "1000001", "-1", "+2", "é", "日本", "\u{3000}", " ",
+    ];
+    let mut text = String::new();
+    let edits = if rng.chance(0.5) {
+        text.push_str(VALID[rng.next_below(VALID.len() as u64) as usize]);
+        rng.next_below(4)
+    } else {
+        1 + rng.next_below(24)
+    };
+    for _ in 0..edits {
+        let fragment = match rng.next_below(3) {
+            0 => WORDS[rng.next_below(WORDS.len() as u64) as usize].to_string(),
+            // Up to 66 bits: past `u8`, `u32` and `u64` alike.
+            1 => (u128::from(rng.next_u64()) << 2 >> rng.next_below(67)).to_string(),
+            _ => char::from(rng.next_below(256) as u8).to_string(),
+        };
+        let mut at = rng.next_below(text.len() as u64 + 1) as usize;
+        while !text.is_char_boundary(at) {
+            at -= 1;
+        }
+        let digits = text[at..].bytes().take_while(u8::is_ascii_digit).count();
+        text.replace_range(at..at + digits, &fragment);
+    }
+    text
+}
+
+/// Feeds `text` to the three case-input parsers: each returns, and every
+/// value one accepts renders back to text that parses to the same value.
+/// Returns which of them accepted it.
+fn case_input_parses_and_round_trips(text: &str) -> [bool; 3] {
+    let workload = WorkloadSpec::parse(text);
+    if let Some(spec) = &workload {
+        assert_eq!(
+            WorkloadSpec::parse(&spec.to_string()).as_ref(),
+            Some(spec),
+            "{text:?}"
+        );
+    }
+    let open_loop = OpenLoopSpec::parse(text);
+    if let Some(spec) = &open_loop {
+        assert_eq!(
+            OpenLoopSpec::parse(&spec.to_string()).as_ref(),
+            Some(spec),
+            "{text:?}"
+        );
+    }
+    let plan = RolloutPlan::parse(text);
+    if let Ok(plan) = &plan {
+        assert_eq!(
+            RolloutPlan::parse(&plan.render()).as_ref(),
+            Ok(plan),
+            "{text:?}"
+        );
+    }
+    [workload.is_some(), open_loop.is_some(), plan.is_ok()]
+}
+
+/// The seeded twin of `case_input_parsers_return_and_round_trip`: many more
+/// inputs than a proptest run draws, and each parser must have accepted a
+/// share of them.
+#[test]
+fn case_input_parsers_return_and_round_trip_on_seeded_text() {
+    let mut rng = SimRng::new(41);
+    let mut accepted = [0; 3];
+    for _ in 0..20_000 {
+        let flags = case_input_parses_and_round_trips(&case_input(&mut rng));
+        for (count, flag) in accepted.iter_mut().zip(flags) {
+            *count += usize::from(flag);
+        }
+    }
+    println!("accepted (workload, open-loop, plan): {accepted:?} of 20 000");
+    assert!(accepted.iter().all(|&n| n >= 200), "{accepted:?}");
+}
+
 proptest! {
+    /// The rollout-plan, open-loop and workload parsers return on any text
+    /// near their grammars, and round-trip every value they accept.
+    #[test]
+    fn case_input_parsers_return_and_round_trip(seed in any::<u64>()) {
+        case_input_parses_and_round_trips(&case_input(&mut SimRng::new(seed)));
+    }
+
     /// The three front ends DUPChecker reads with return on any text: a
     /// hostile schema or source file is an `Err`, never a panic, a stack
     /// overflow or an allocation sized by a number in the input.
@@ -232,7 +332,9 @@ proptest! {
             s.set_durability(Durability::Torn);
             for (op, path, data) in &ops {
                 match op {
-                    0 => s.write(path, data.clone()),
+                    0 => {
+                        s.write(path, data.clone());
+                    }
                     1 => s.append(path, data),
                     _ => s.flush(path),
                 }
