@@ -27,13 +27,13 @@
 
 use crate::campaign::matrix::{CaseMatrix, SeedGroup};
 use crate::campaign::observer::{CampaignObserver, NoopObserver};
-use crate::campaign::report::{CampaignReport, CaseStatus, FailureFold, FailureReport};
+use crate::campaign::report::{CampaignReport, CaseStatus, FailureFold};
 use crate::campaign::search::{run_search_group, SearchConfig, SearchPools, SearchReport};
 use crate::faults::{FaultIntensity, PlanNudge};
 use crate::harness::{CaseDigest, CaseOutcome, CaseResult, CaseRunner, TestCase};
 use crate::oracle::Observation;
 use crate::scenario::Scenario;
-use dup_core::{SystemUnderTest, VersionId};
+use dup_core::SystemUnderTest;
 use dup_simnet::{Durability, TraceConfig};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -179,7 +179,7 @@ impl Tally {
         &mut self,
         index: usize,
         case: &TestCase,
-        nudge: Option<&PlanNudge>,
+        nudge: &PlanNudge,
         result: &CaseResult,
         wall: Duration,
         observer: &dyn CampaignObserver,
@@ -362,8 +362,6 @@ pub struct Campaign<'a> {
     sut: &'a dyn SystemUnderTest,
     config: CampaignConfig,
     observer: Option<Box<dyn CampaignObserver>>,
-    /// `sut.versions()`, which builds a `Vec` per call, asked once.
-    catalog: Vec<VersionId>,
 }
 
 impl<'a> Campaign<'a> {
@@ -382,7 +380,6 @@ impl<'a> Campaign<'a> {
             sut,
             config,
             observer: None,
-            catalog: sut.versions(),
         }
     }
 
@@ -511,13 +508,12 @@ impl<'a> Campaign<'a> {
         for group in groups {
             failures.merge(group);
         }
-        for first in failures.firsts {
-            let (index, case) = (first.index, first.case.clone());
-            let failure =
-                FailureReport::first(system, first, &self.catalog, self.sut.cluster_size());
-            observer.on_failure_found(index, &case, &failure);
+        for (index, mut failure) in failures.firsts {
+            failure.system = system.to_string();
+            let case = &failure.spec.case;
+            observer.on_failure_found(index, case, &failure);
             if let Some(slice) = &failure.trace {
-                observer.on_trace_slice(index, &case, slice);
+                observer.on_trace_slice(index, case, slice);
             }
             report.failures.push(failure);
         }
@@ -606,7 +602,8 @@ fn run_group(
         observer.on_case_start(index, &case);
         let t0 = Instant::now();
         let result = run_contained(|| case.run_in(runner));
-        let reproduced = rec.case_done(index, &case, None, &result, t0.elapsed(), observer);
+        let none = &PlanNudge::default();
+        let reproduced = rec.case_done(index, &case, none, &result, t0.elapsed(), observer);
         if config.prune_after.is_some_and(|k| reproduced >= k) {
             break;
         }
@@ -647,8 +644,10 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 mod tests {
     use super::*;
     use crate::campaign::observer::MetricsObserver;
-    use crate::campaign::report::{dedup_key, FirstFailure};
+    use crate::campaign::report::{dedup_key, FailureReport};
+    use crate::harness::CaseSpec;
     use crate::oracle::Observation;
+    use dup_core::VersionId;
     use dup_simnet::TraceSlice;
     use std::collections::BTreeMap;
     use std::sync::{Arc, Mutex};
@@ -678,7 +677,8 @@ mod tests {
     fn group(failures: &[(usize, Vec<Observation>)]) -> FailureFold {
         let mut fold = FailureFold::default();
         for (index, observations) in failures {
-            fold.push(*index, &case(*index as u64 + 1), None, observations, None);
+            let none = &PlanNudge::default();
+            fold.push(*index, &case(*index as u64 + 1), none, observations, None);
         }
         fold
     }
@@ -738,7 +738,7 @@ mod tests {
         assert_eq!(report.system, dup_kvstore::KvStoreSystem.name());
         assert_eq!((report.cases_run, report.cases_pruned), (3, 1));
         assert_eq!(report.failures.len(), 1);
-        assert_eq!(report.failures[0].seed, 2);
+        assert_eq!(report.failures[0].spec.case.seed, 2);
         assert_eq!(report.failures[0].reproductions, 3);
     }
 
@@ -797,8 +797,7 @@ mod tests {
         let mut seen: BTreeMap<(VersionId, VersionId, String), usize> = BTreeMap::new();
         let mut callbacks = Vec::new();
         for (index, case, observations, slice) in kept {
-            let signature = dedup_key(&observations);
-            let key = (case.from, case.to, signature.clone());
+            let key = (case.from, case.to, dedup_key(&observations));
             if let Some(&at) = seen.get(&key) {
                 report.failures[at].reproductions += 1;
                 continue;
@@ -808,21 +807,12 @@ mod tests {
             if slice.is_some() {
                 callbacks.push(("slice", index));
             }
-            let first = FirstFailure {
-                index,
+            let spec = CaseSpec {
                 case,
-                nudge: None,
-                signature,
-                observations,
-                slice,
-                reproductions: 1,
+                nudge: PlanNudge::default(),
             };
-            report.failures.push(FailureReport::first(
-                sut.name(),
-                first,
-                &sut.versions(),
-                sut.cluster_size(),
-            ));
+            let first = FailureReport::first(sut.name(), spec, &observations, slice.as_ref());
+            report.failures.push(first);
         }
         report.metrics.distinct_failures = report.failures.len();
         (report, callbacks)
@@ -847,7 +837,8 @@ mod tests {
             for index in group.indices() {
                 let case = matrix.case_at(index);
                 let result = case.run_in(&mut runner);
-                tally.case_done(index, &case, None, &result, Duration::ZERO, &NoopObserver);
+                let none = &PlanNudge::default();
+                tally.case_done(index, &case, none, &result, Duration::ZERO, &NoopObserver);
             }
             folds.push(tally.finish_group());
         }
@@ -891,8 +882,10 @@ mod tests {
                     .iter()
                     .map(|f| {
                         (
-                            (f.from, f.to, f.scenario, f.workload.clone()),
-                            (f.seed, f.cause, f.signature.clone(), f.reproductions),
+                            f.spec.clone(),
+                            f.cause,
+                            f.signature.clone(),
+                            f.reproductions,
                         )
                     })
                     .collect()

@@ -32,8 +32,7 @@ pub use executor::{Campaign, CampaignBuilder, CampaignConfig};
 pub use matrix::{CaseMatrix, SeedGroup};
 pub use observer::{CampaignObserver, MetricsObserver, NoopObserver, ProgressObserver};
 pub use report::{
-    dedup_key, CampaignMetrics, CampaignReport, CaseStatus, FailureReport, RenderOptions,
-    ScenarioCounts,
+    dedup_key, CampaignMetrics, CampaignReport, CaseStatus, FailureReport, ScenarioCounts,
 };
 pub use search::{
     Corpus, CorpusEntry, Detection, MutationOp, SearchConfig, SearchInput, SearchReport,

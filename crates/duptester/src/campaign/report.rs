@@ -1,15 +1,14 @@
 //! Campaign outputs: deduplicated failures, the Table-5-style report, and
 //! per-run execution metrics.
 
-use crate::faults::{FaultIntensity, PlanNudge};
-use crate::harness::{CaseOutcome, TestCase};
+use crate::faults::PlanNudge;
+use crate::harness::{CaseOutcome, CaseSpec, TestCase};
 use crate::oracle::Observation;
 use crate::scenario::Scenario;
-use crate::workload::WorkloadSpec;
 use dup_core::VersionId;
-use dup_simnet::{Durability, TraceSlice};
+use dup_simnet::TraceSlice;
 use std::collections::btree_map::{BTreeMap, Entry};
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::time::Duration;
 
 /// One deduplicated failure found by a campaign.
@@ -17,22 +16,9 @@ use std::time::Duration;
 pub struct FailureReport {
     /// System name.
     pub system: String,
-    /// Version upgraded from.
-    pub from: VersionId,
-    /// Version upgraded to.
-    pub to: VersionId,
-    /// The scenario that first exposed it.
-    pub scenario: Scenario,
-    /// The workload that first exposed it.
-    pub workload: WorkloadSpec,
-    /// Seed of the first exposing run.
-    pub seed: u64,
-    /// Fault intensity of the first exposing run. Together with the
-    /// durability and the seed this pins the exact fault plan (a pure
-    /// function of all three).
-    pub faults: FaultIntensity,
-    /// Storage durability mode of the first exposing run.
-    pub durability: Durability,
+    /// The first exposing case, nudge included: its text is the
+    /// [`repro`](FailureReport::repro) line.
+    pub spec: CaseSpec,
     /// Dedup signature: the sorted, joined signatures of *all* observations
     /// of the first exposing case, so two failures only merge when their
     /// whole evidence sets collapse to the same signatures.
@@ -47,146 +33,69 @@ pub struct FailureReport {
     /// ending at the violating observation plus the trailing event window.
     /// `None` when the campaign ran without tracing.
     pub trace: Option<TraceSlice>,
-    /// The rendered rollout plan of the first exposing case, recorded for
-    /// extended scenarios (whose plans depend on seed and — under search —
-    /// the detecting nudge). `None` for the paper scenarios, whose plans
-    /// are pinned by `scenario` + `seed` alone.
-    pub plan: Option<String>,
 }
 
 impl FailureReport {
-    /// The report of a dedup key's first failing case, as a [`FailureFold`]
-    /// kept it. `catalog` and `cluster_size` are the system's, for the
-    /// rendered rollout plan.
+    /// The report of the first case of a dedup key, which failed with
+    /// `observations`; later cases of the key add to `reproductions`.
     pub(crate) fn first(
         system: &str,
-        first: FirstFailure,
-        catalog: &[VersionId],
-        cluster_size: u32,
+        spec: CaseSpec,
+        observations: &[Observation],
+        trace: Option<&TraceSlice>,
     ) -> FailureReport {
-        let plan =
-            crate::rollout::rendered_plan(&first.case, first.nudge.as_ref(), catalog, cluster_size);
-        let cause = first
-            .observations
-            .iter()
-            .map(|o| o.classify())
-            .find(|c| *c != "Unclassified")
-            .unwrap_or("Unclassified");
-        let case = first.case;
+        let mut cause = observations.iter().map(|o| o.classify());
         FailureReport {
             system: system.to_string(),
-            from: case.from,
-            to: case.to,
-            scenario: case.scenario,
-            workload: case.workload,
-            seed: case.seed,
-            faults: case.faults,
-            durability: case.durability,
-            signature: first.signature,
-            cause,
-            observations: first.observations,
-            reproductions: first.reproductions,
-            trace: first.slice,
-            plan,
+            spec,
+            signature: dedup_key(observations),
+            cause: cause
+                .find(|c| *c != "Unclassified")
+                .unwrap_or("Unclassified"),
+            observations: observations.to_vec(),
+            reproductions: 1,
+            trace: trace.cloned(),
         }
     }
 
-    /// One-line repro string: everything needed to re-run the first
-    /// exposing case — version pair, scenario, workload, seed, fault
-    /// intensity, and durability mode (the concrete fault plan, crash
-    /// points included, is derived from intensity + durability + seed, so
-    /// quoting them pins the whole plan).
-    ///
-    /// ```text
-    /// repro: 1.0.0->2.0.0 scenario=rolling workload=stress seed=7 faults=heavy durability=torn
-    /// ```
-    ///
-    /// Extended-scenario failures append a `plan=` segment — the rendered
-    /// [`RolloutPlan`](crate::RolloutPlan), parseable standalone via
-    /// [`RolloutPlan::parse`](crate::RolloutPlan::parse) — so rollback and
-    /// multi-hop cases replay without recompiling the plan.
+    /// The one-line repro string: `repro: ` and the [`CaseSpec`] text, which
+    /// parses back to [`spec`](FailureReport::spec).
     pub fn repro(&self) -> String {
-        let mut out = format!(
-            "repro: {}->{} scenario={} workload={} seed={} faults={} durability={}",
-            self.from,
-            self.to,
-            self.scenario,
-            self.workload,
-            self.seed,
-            self.faults,
-            self.durability
-        );
-        if let Some(plan) = &self.plan {
-            out.push_str(" plan=");
-            out.push_str(plan);
-        }
-        out
+        format!("repro: {}", self.spec)
     }
 
-    /// Renders this failure under explicit [`RenderOptions`]. The first line
-    /// is always the plain [`Display`](fmt::Display) form; the `repro:` line
-    /// and the causal trace timeline compose onto it, each indented three
-    /// spaces. Requesting the trace on an untraced failure adds nothing.
-    pub fn render(&self, options: RenderOptions) -> String {
-        let mut out = format!("{self}\n");
-        if options.repro {
-            out.push_str(&format!("   {}\n", self.repro()));
-        }
-        if options.trace {
-            if let Some(slice) = &self.trace {
-                for line in slice.render_timeline().lines() {
-                    out.push_str(&format!("   {line}\n"));
-                }
+    /// The summary line (the [`Display`](fmt::Display) form), the `repro:`
+    /// line, and the causal trace timeline when there is one, the last two
+    /// indented three spaces.
+    pub fn render(&self) -> String {
+        format!("{self}\n{}", self.evidence())
+    }
+
+    /// The `repro:` line and the trace timeline, each line indented three
+    /// spaces: what [`render`](Self::render) and a report table print under
+    /// a failure's summary.
+    fn evidence(&self) -> String {
+        let mut out = format!("   {}\n", self.repro());
+        if let Some(slice) = &self.trace {
+            for line in slice.render_timeline().lines() {
+                let _ = writeln!(out, "   {line}");
             }
         }
         out
     }
 }
 
-/// Which parts of a [`FailureReport`] to render. Compose via the
-/// constructors or set fields directly; [`RenderOptions::plain`] matches the
-/// `Display` impl exactly.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RenderOptions {
-    /// Include the one-line `repro:` string.
-    pub repro: bool,
-    /// Include the causal trace timeline, when the failure carries one.
-    pub trace: bool,
-}
-
-impl RenderOptions {
-    /// Just the one-line summary — the `Display` form.
-    pub fn plain() -> Self {
-        RenderOptions::default()
-    }
-
-    /// Summary plus the `repro:` line.
-    pub fn with_repro() -> Self {
-        RenderOptions {
-            repro: true,
-            trace: false,
-        }
-    }
-
-    /// Summary, `repro:` line, and the causal trace timeline.
-    pub fn with_trace() -> Self {
-        RenderOptions {
-            repro: true,
-            trace: true,
-        }
-    }
-}
-
 impl fmt::Display for FailureReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let case = &self.spec.case;
         write!(
             f,
             "{} {} -> {} [{} / {}] {}: {}",
             self.system,
-            self.from,
-            self.to,
-            self.scenario,
-            self.workload,
+            case.from,
+            case.to,
+            case.scenario,
+            case.workload,
             self.cause,
             self.observations
                 .first()
@@ -207,31 +116,17 @@ pub fn dedup_key(observations: &[Observation]) -> String {
     sigs.join("|")
 }
 
-/// The first failing case of one dedup key — in fold order, which the
-/// executor makes case-index order — with how many cases reproduced it.
-#[derive(Debug, Clone)]
-pub(crate) struct FirstFailure {
-    pub(crate) index: usize,
-    pub(crate) case: TestCase,
-    /// The plan perturbation the case ran under (search mutants only).
-    pub(crate) nudge: Option<PlanNudge>,
-    pub(crate) signature: String,
-    pub(crate) observations: Vec<Observation>,
-    /// The case's causal slice; `None` for untraced campaigns.
-    pub(crate) slice: Option<TraceSlice>,
-    pub(crate) reproductions: usize,
-}
-
 /// Failing cases folded by dedup key (version pair + [`dedup_key`]): the
-/// first case of each key in full, every later one as a count. A worker
-/// folds each failing case of a seed group the moment it finishes and
-/// aggregation merges the groups' folds in matrix order, so what is kept is
-/// O(distinct signatures), never O(failing cases).
+/// first case of each key as its case index and report (its system name
+/// still empty), every later one as a count. A worker folds each failing
+/// case of a seed group the moment it finishes and aggregation merges the
+/// groups' folds in matrix order, so what is kept is O(distinct
+/// signatures), never O(failing cases).
 #[derive(Debug, Clone, Default)]
 pub(crate) struct FailureFold {
     /// Dedup key -> position in `firsts`.
     slots: BTreeMap<(VersionId, VersionId, String), usize>,
-    pub(crate) firsts: Vec<FirstFailure>,
+    pub(crate) firsts: Vec<(usize, FailureReport)>,
 }
 
 impl FailureFold {
@@ -241,24 +136,21 @@ impl FailureFold {
         &mut self,
         index: usize,
         case: &TestCase,
-        nudge: Option<&PlanNudge>,
+        nudge: &PlanNudge,
         observations: &[Observation],
         slice: Option<&TraceSlice>,
     ) -> usize {
         let key = (case.from, case.to, dedup_key(observations));
         if let Some(&slot) = self.slots.get(&key) {
-            self.firsts[slot].reproductions += 1;
-            return self.firsts[slot].reproductions;
+            self.firsts[slot].1.reproductions += 1;
+            return self.firsts[slot].1.reproductions;
         }
-        self.firsts.push(FirstFailure {
-            index,
+        let spec = CaseSpec {
             case: case.clone(),
-            nudge: nudge.copied(),
-            signature: key.2.clone(),
-            observations: observations.to_vec(),
-            slice: slice.cloned(),
-            reproductions: 1,
-        });
+            nudge: *nudge,
+        };
+        let first = FailureReport::first("", spec, observations, slice);
+        self.firsts.push((index, first));
         self.slots.insert(key, self.firsts.len() - 1);
         1
     }
@@ -266,15 +158,16 @@ impl FailureFold {
     /// Folds a later fold in: its new keys append in their order, its known
     /// keys add their counts.
     pub(crate) fn merge(&mut self, later: FailureFold) {
-        for first in later.firsts {
-            let key = (first.case.from, first.case.to, first.signature.clone());
+        for (index, first) in later.firsts {
+            let case = &first.spec.case;
+            let key = (case.from, case.to, first.signature.clone());
             match self.slots.entry(key) {
                 Entry::Occupied(slot) => {
-                    self.firsts[*slot.get()].reproductions += first.reproductions
+                    self.firsts[*slot.get()].1.reproductions += first.reproductions
                 }
                 Entry::Vacant(slot) => {
                     slot.insert(self.firsts.len());
-                    self.firsts.push(first);
+                    self.firsts.push((index, first));
                 }
             }
         }
@@ -622,7 +515,7 @@ impl CampaignReport {
     pub fn failures_on(&self, from: VersionId, to: VersionId) -> Vec<&FailureReport> {
         self.failures
             .iter()
-            .filter(|f| f.from == from && f.to == to)
+            .filter(|f| (f.spec.case.from, f.spec.case.to) == (from, to))
             .collect()
     }
 
@@ -636,21 +529,17 @@ impl CampaignReport {
             "System", "From", "To", "Scenario", "Workload", "Cause"
         ));
         for f in &self.failures {
+            let case = &f.spec.case;
             out.push_str(&format!(
                 "{:<16} {:>8} {:>8} {:<14} {:<28} {}\n",
                 f.system,
-                f.from.to_string(),
-                f.to.to_string(),
-                f.scenario.to_string(),
-                f.workload.to_string(),
+                case.from.to_string(),
+                case.to.to_string(),
+                case.scenario.to_string(),
+                case.workload.to_string(),
                 f.cause
             ));
-            out.push_str(&format!("   {}\n", f.repro()));
-            if let Some(slice) = &f.trace {
-                for line in slice.render_timeline().lines() {
-                    out.push_str(&format!("   {line}\n"));
-                }
-            }
+            out.push_str(&f.evidence());
         }
         out.push_str(&format!(
             "-- {} distinct failures / {} cases ({} passed, {} invalid workloads, {} pruned)\n",
@@ -679,6 +568,9 @@ impl CampaignReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults::FaultIntensity;
+    use crate::workload::WorkloadSpec;
+    use dup_simnet::Durability;
 
     #[test]
     fn report_table_renders_counts() {
@@ -709,81 +601,77 @@ mod tests {
             .contains(&format!("{totals}, 2 cases decided early\n")));
     }
 
-    #[test]
-    fn repro_string_pins_the_case() {
-        let f = FailureReport {
+    fn failure(scenario: Scenario, nudge: PlanNudge) -> FailureReport {
+        FailureReport {
             system: "kvstore".into(),
-            from: "1.0.0".parse().unwrap(),
-            to: "2.0.0".parse().unwrap(),
-            scenario: Scenario::Rolling,
-            workload: WorkloadSpec::Stress,
-            seed: 7,
-            faults: FaultIntensity::Heavy,
-            durability: Durability::Torn,
+            spec: CaseSpec {
+                case: TestCase {
+                    from: "1.0.0".parse().unwrap(),
+                    to: "2.0.0".parse().unwrap(),
+                    scenario,
+                    workload: WorkloadSpec::Stress,
+                    seed: 7,
+                    faults: FaultIntensity::Heavy,
+                    durability: Durability::Torn,
+                },
+                nudge,
+            },
             signature: String::new(),
             cause: "Unclassified",
             observations: vec![],
             reproductions: 1,
             trace: None,
-            plan: None,
-        };
-        assert_eq!(
-            f.repro(),
-            "repro: 1.0.0->2.0.0 scenario=rolling workload=stress seed=7 faults=heavy durability=torn"
-        );
+        }
     }
 
     #[test]
-    fn repro_string_appends_the_rollout_plan() {
-        let f = FailureReport {
-            system: "kvstore".into(),
-            from: "1.0.0".parse().unwrap(),
-            to: "2.0.0".parse().unwrap(),
-            scenario: Scenario::RollbackAfterPartial,
-            workload: WorkloadSpec::Stress,
-            seed: 7,
-            faults: FaultIntensity::Off,
-            durability: Durability::Strict,
-            signature: String::new(),
-            cause: "Unclassified",
-            observations: vec![],
-            reproductions: 1,
-            trace: None,
-            plan: Some("[1.0.0>2.0.0]s0,w3600,u0:1,w2000,t0/2".to_string()),
+    fn repro_line_is_the_spec_and_parses_back() {
+        // Un-nudged lines are the ones this report has always printed.
+        let plain = failure(Scenario::Rolling, PlanNudge::default());
+        let line = "repro: 1.0.0->2.0.0 scenario=rolling workload=stress seed=7 \
+                    faults=heavy durability=torn";
+        assert_eq!(plain.repro(), line);
+        assert_eq!(line.parse(), Ok(plain.spec.clone()));
+        // A mutant's line gains its nudge.
+        let nudge = PlanNudge {
+            settle_shift_ms: -300,
+            step_swap_salt: 0x2b,
+            ..PlanNudge::default()
         };
+        let mutant = failure(Scenario::RollbackAfterPartial, nudge);
         assert_eq!(
-            f.repro(),
+            mutant.repro(),
             "repro: 1.0.0->2.0.0 scenario=rollback-after-partial workload=stress seed=7 \
-             faults=off durability=strict plan=[1.0.0>2.0.0]s0,w3600,u0:1,w2000,t0/2"
+             faults=heavy durability=torn nudge=s-300,w2b"
         );
+        assert_eq!(mutant.repro().parse(), Ok(mutant.spec.clone()));
+        // Without the label, too; and only in the canonical form.
+        assert_eq!(line[7..].parse(), Ok(plain.spec));
+        for bad in [
+            "",
+            "repro:",
+            "1.0.0->2.0.0",
+            "1.0->2.0.0 scenario=rolling workload=stress seed=7 faults=heavy durability=torn",
+            "1.0.0->2.0.0 scenario=rolling workload=stress seed=07 faults=heavy durability=torn",
+            "1.0.0->2.0.0  scenario=rolling workload=stress seed=7 faults=heavy durability=torn",
+            "1.0.0->2.0.0 workload=stress scenario=rolling seed=7 faults=heavy durability=torn",
+            "1.0.0->2.0.0 scenario=rolling workload=stress seed=7 faults=heavy durability=torn ",
+            "1.0.0->2.0.0 scenario=rolling workload=stress seed=7 faults=heavy durability=torn nudge=",
+            "1.0.0->2.0.0 scenario=rolling workload=stress seed=7 faults=heavy durability=torn x=1",
+            "1.0.0->2.0.0 scenario=rolling workload=stress seed=7 faults=heavy durability=tor",
+            "1.0.0->2.0.0 scenario=roll workload=stress seed=7 faults=heavy durability=torn",
+            "1.0.0->2.0.0 scenario=rolling workload=unit: seed=7 faults=heavy durability=torn",
+            "1.0.0->2.0.0 scenario=rolling workload=stress seed=7 faults=mild durability=torn",
+        ] {
+            assert!(bad.parse::<CaseSpec>().is_err(), "{bad:?} should not parse");
+        }
     }
 
     #[test]
-    fn render_options_compose_onto_the_plain_line() {
+    fn render_is_summary_repro_and_trace() {
         use dup_simnet::{SimTime, TraceEvent, TraceEventKind};
-        let mut f = FailureReport {
-            system: "kvstore".into(),
-            from: "1.0.0".parse().unwrap(),
-            to: "2.0.0".parse().unwrap(),
-            scenario: Scenario::Rolling,
-            workload: WorkloadSpec::Stress,
-            seed: 7,
-            faults: FaultIntensity::Heavy,
-            durability: Durability::Torn,
-            signature: String::new(),
-            cause: "Unclassified",
-            observations: vec![],
-            reproductions: 1,
-            trace: None,
-            plan: None,
-        };
-        // Plain render is exactly the Display line.
-        assert_eq!(f.render(RenderOptions::plain()), format!("{f}\n"));
-        let with_repro = f.render(RenderOptions::with_repro());
-        assert!(with_repro.starts_with(&format!("{f}\n")));
-        assert!(with_repro.contains("   repro: 1.0.0->2.0.0"));
-        // Requesting the trace on an untraced failure changes nothing.
-        assert_eq!(f.render(RenderOptions::with_trace()), with_repro);
+        let mut f = failure(Scenario::Rolling, PlanNudge::default());
+        assert_eq!(f.render(), format!("{f}\n   {}\n", f.repro()));
         f.trace = Some(TraceSlice {
             lineage: vec![TraceEvent {
                 id: 1,
@@ -795,7 +683,8 @@ mod tests {
             events_recorded: 1,
             events_dropped: 0,
         });
-        let traced = f.render(RenderOptions::with_trace());
+        let traced = f.render();
+        assert!(traced.starts_with(&format!("{f}\n   {}\n", f.repro())));
         assert!(traced.contains("   trace: 1 events recorded"));
         assert!(traced.contains("   lineage (cause -> violation):"));
         assert!(traced.contains("observation node-0"));
@@ -851,28 +740,29 @@ mod tests {
             faults: FaultIntensity::Off,
             durability: Durability::Strict,
         };
+        let none = &PlanNudge::default();
         let mut early = FailureFold::default();
-        assert_eq!(early.push(0, &case(1), None, &[crash("alpha")], None), 1);
-        assert_eq!(early.push(1, &case(2), None, &[crash("beta")], None), 1);
-        assert_eq!(early.push(2, &case(3), None, &[crash("alpha")], None), 2);
+        assert_eq!(early.push(0, &case(1), none, &[crash("alpha")], None), 1);
+        assert_eq!(early.push(1, &case(2), none, &[crash("beta")], None), 1);
+        assert_eq!(early.push(2, &case(3), none, &[crash("alpha")], None), 2);
         let mut late = FailureFold::default();
-        late.push(7, &case(8), None, &[crash("gamma")], None);
-        late.push(8, &case(9), None, &[crash("beta")], None);
+        late.push(7, &case(8), none, &[crash("gamma")], None);
+        late.push(8, &case(9), none, &[crash("beta")], None);
         // Another version pair never merges, whatever its signature.
         let other_pair = TestCase {
             to: "3.0.0".parse().unwrap(),
             ..case(10)
         };
-        late.push(9, &other_pair, None, &[crash("alpha")], None);
+        late.push(9, &other_pair, none, &[crash("alpha")], None);
 
         early.merge(late);
         let kept: Vec<_> = early
             .firsts
             .iter()
-            .map(|f| (f.index, f.case.seed, f.reproductions))
+            .map(|(index, f)| (*index, f.spec.case.seed, f.reproductions))
             .collect();
         assert_eq!(kept, [(0, 1, 2), (1, 2, 2), (7, 8, 1), (9, 10, 1)]);
-        assert_eq!(early.firsts[0].signature, dedup_key(&[crash("alpha")]));
+        assert_eq!(early.firsts[0].1.signature, dedup_key(&[crash("alpha")]));
     }
 
     #[test]

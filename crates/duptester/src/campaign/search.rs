@@ -26,12 +26,12 @@ use crate::campaign::executor::{run_contained, Tally};
 use crate::campaign::observer::CampaignObserver;
 use crate::campaign::report::{CampaignReport, CaseStatus, FailureFold};
 use crate::faults::{FaultIntensity, PlanNudge, MAX_NUDGE_SHIFT_MS};
-use crate::harness::{CaseOutcome, CaseRunner, TestCase};
+use crate::harness::{CaseOutcome, CaseRunner, CaseSpec, TestCase};
 use crate::oracle::Observation;
 use dup_core::VersionId;
 use dup_simnet::{Durability, SimRng};
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 use std::time::Instant;
 
 /// One schedule-affecting input the search can execute and mutate: the case
@@ -57,6 +57,17 @@ impl SearchInput {
             seed,
             nudge: PlanNudge::default(),
         }
+    }
+}
+
+/// `seed=<seed>`, then ` nudge=<nudge>` for a nudge that is not a no-op.
+impl fmt::Display for SearchInput {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "seed={}", self.seed)?;
+        if !self.nudge.is_noop() {
+            write!(f, " nudge={}", self.nudge)?;
+        }
+        Ok(())
     }
 }
 
@@ -247,19 +258,8 @@ impl Corpus {
         for e in self.entries.values() {
             let _ = writeln!(
                 out,
-                "digest={:#018x} seed={} action_shift_ms={} crash_shift_ms={} fate_salt={:#x} settle_shift_ms={} step_swap_salt={:#x} burst_shift_ms={} key_rank_salt={:#x} arrival_churn_salt={:#x} new_bits={} bits_set={}",
-                e.digest,
-                e.input.seed,
-                e.input.nudge.action_shift_ms,
-                e.input.nudge.crash_shift_ms,
-                e.input.nudge.fate_salt,
-                e.input.nudge.settle_shift_ms,
-                e.input.nudge.step_swap_salt,
-                e.input.nudge.burst_shift_ms,
-                e.input.nudge.key_rank_salt,
-                e.input.nudge.arrival_churn_salt,
-                e.new_bits,
-                e.bits_set,
+                "digest={:#018x} {} new_bits={} bits_set={}",
+                e.digest, e.input, e.new_bits, e.bits_set,
             );
         }
         out
@@ -329,10 +329,9 @@ pub struct Detection {
     pub group: usize,
     /// 0-based execution ordinal within the group.
     pub ordinal: usize,
-    /// The case as executed (real seed, not the matrix placeholder).
-    pub case: TestCase,
-    /// The input that produced it.
-    pub input: SearchInput,
+    /// The case as executed: its real seed, not the matrix placeholder, and
+    /// the nudge of the input that produced it.
+    pub spec: CaseSpec,
     /// The oracle's evidence.
     pub observations: Vec<Observation>,
 }
@@ -385,8 +384,7 @@ impl SearchReport {
         self.detections
             .iter()
             .filter(|d| {
-                d.case.from == from
-                    && d.case.to == to
+                (d.spec.case.from, d.spec.case.to) == (from, to)
                     && d.observations
                         .iter()
                         .any(|o| o.to_string().contains(marker))
@@ -412,18 +410,8 @@ impl SearchReport {
             for e in &g.corpus {
                 let _ = writeln!(
                     out,
-                    "  digest={:#018x} seed={} nudge=({},{},{:#x},{},{:#x},{},{:#x},{:#x}) new_bits={}",
-                    e.digest,
-                    e.input.seed,
-                    e.input.nudge.action_shift_ms,
-                    e.input.nudge.crash_shift_ms,
-                    e.input.nudge.fate_salt,
-                    e.input.nudge.settle_shift_ms,
-                    e.input.nudge.step_swap_salt,
-                    e.input.nudge.burst_shift_ms,
-                    e.input.nudge.key_rank_salt,
-                    e.input.nudge.arrival_churn_salt,
-                    e.new_bits,
+                    "  digest={:#018x} {} new_bits={}",
+                    e.digest, e.input, e.new_bits,
                 );
             }
         }
@@ -619,10 +607,10 @@ fn finish_group(
     rec
 }
 
-/// Executes one input inside the group: run (nudged when the input carries
-/// one), fold the trace into the signature, union into coverage, retain in
-/// the corpus on novelty, and record the outcome. Returns the new coverage
-/// bits the case contributed.
+/// Executes one input inside the group: run it under its nudge, fold the
+/// trace into the signature, union into coverage, retain in the corpus on
+/// novelty, and record the outcome. Returns the new coverage bits the case
+/// contributed.
 #[allow(clippy::too_many_arguments)]
 fn run_case(
     runner: &mut CaseRunner<'_>,
@@ -647,13 +635,7 @@ fn run_case(
     let t0 = Instant::now();
     // Panic containment mirrors the blind executor: one buggy case costs
     // one case.
-    let result = run_contained(|| {
-        if input.nudge.is_noop() {
-            case.run_in(runner)
-        } else {
-            runner.run_nudged(&case, &input.nudge)
-        }
-    });
+    let result = run_contained(|| runner.execute(&case, &input.nudge));
     let wall = t0.elapsed();
     rec.summary.cases_run += 1;
 
@@ -679,13 +661,15 @@ fn run_case(
 
     // Dedup keys on the case as *executed* — real seed and nudge, not the
     // matrix placeholder.
-    tally.case_done(index, &case, Some(&input.nudge), &result, wall, observer);
+    tally.case_done(index, &case, &input.nudge, &result, wall, observer);
     if let CaseOutcome::Fail(observations) = result.outcome {
         rec.detections.push(Detection {
             group: group_index,
             ordinal,
-            case,
-            input,
+            spec: CaseSpec {
+                case,
+                nudge: input.nudge,
+            },
             observations,
         });
     }

@@ -4,14 +4,14 @@
 //! expands it (together with the storage [`Durability`] axis) into a
 //! concrete [`FaultPlan`] as a *pure function* of
 //! `(intensity, durability, seed, cluster size, base time)`. That purity is
-//! the repro
-//! contract: a failure report only needs to quote the intensity, the
-//! durability, and the seed for anyone to rebuild the exact plan — drops,
-//! partition windows, crash times, crash points and all — and replay the
-//! run byte-for-byte.
+//! the repro contract: a [`CaseSpec`](crate::CaseSpec) quotes the intensity,
+//! the durability, the seed and the [`PlanNudge`], and that rebuilds the
+//! exact plan — drops, partition windows, crash times, crash points and all.
 
+use crate::rollout::MAX_SETTLE_SHIFT_MS;
 use dup_simnet::{CrashPointKind, Durability, FaultKind, FaultPlan, SimDuration, SimRng, SimTime};
 use std::fmt;
+use std::str::FromStr;
 
 /// Stream id (under the case seed) for deriving a case's fault plan. Distinct
 /// from every node stream and the network stream, so turning faults on never
@@ -49,6 +49,15 @@ impl fmt::Display for FaultIntensity {
             FaultIntensity::Heavy => "heavy",
         };
         f.write_str(s)
+    }
+}
+
+impl FromStr for FaultIntensity {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<FaultIntensity, String> {
+        let found = FaultIntensity::ALL.into_iter().find(|i| i.to_string() == s);
+        found.ok_or_else(|| format!("unknown fault intensity {s:?}"))
     }
 }
 
@@ -175,6 +184,12 @@ pub const PLAN_WINDOW_MS: u64 = 120_000;
 /// on change. Applied via [`apply_nudge`], itself a pure function, which
 /// keeps the repro contract: `(intensity, durability, seed, nudge)` rebuilds
 /// the exact perturbed plan.
+///
+/// The text form lists the non-zero fields in declaration order, tagged
+/// `a c f s w b k h`: shifts in signed decimal milliseconds, salts in
+/// lowercase hex (`a-4200,f9e37`). Parsing accepts exactly that form, with
+/// every shift inside the bound [`mutate`](crate::mutate) draws it from, so
+/// two texts never denote one nudge.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PlanNudge {
     /// Signed shift, in milliseconds, applied uniformly to every scheduled
@@ -218,14 +233,64 @@ impl PlanNudge {
     /// True when applying this nudge would return the fault plan, the
     /// rollout plan, *and* the workload plan unchanged.
     pub fn is_noop(&self) -> bool {
-        self.action_shift_ms == 0
-            && self.crash_shift_ms == 0
-            && self.fate_salt == 0
-            && self.settle_shift_ms == 0
-            && self.step_swap_salt == 0
-            && self.burst_shift_ms == 0
-            && self.key_rank_salt == 0
-            && self.arrival_churn_salt == 0
+        *self == PlanNudge::default()
+    }
+}
+
+impl fmt::Display for PlanNudge {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let fields: [(char, i128, bool); 8] = [
+            ('a', self.action_shift_ms.into(), false),
+            ('c', self.crash_shift_ms.into(), false),
+            ('f', self.fate_salt.into(), true),
+            ('s', self.settle_shift_ms.into(), false),
+            ('w', self.step_swap_salt.into(), true),
+            ('b', self.burst_shift_ms.into(), false),
+            ('k', self.key_rank_salt.into(), true),
+            ('h', self.arrival_churn_salt.into(), true),
+        ];
+        let mut sep = "";
+        for (tag, value, hex) in fields.into_iter().filter(|field| field.1 != 0) {
+            if hex {
+                write!(f, "{sep}{tag}{value:x}")?;
+            } else {
+                write!(f, "{sep}{tag}{value}")?;
+            }
+            sep = ",";
+        }
+        Ok(())
+    }
+}
+
+impl FromStr for PlanNudge {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<PlanNudge, String> {
+        let mut nudge = PlanNudge::default();
+        for field in s.split(',') {
+            let body = field.get(1..).unwrap_or_default();
+            let shift = |max: u64| body.parse::<i64>().ok().filter(|v| v.unsigned_abs() <= max);
+            let salt = || u64::from_str_radix(body, 16).ok();
+            let n = &mut nudge;
+            let parsed = match field.chars().next() {
+                Some('a') => shift(MAX_NUDGE_SHIFT_MS).map(|v| n.action_shift_ms = v),
+                Some('c') => shift(MAX_NUDGE_SHIFT_MS).map(|v| n.crash_shift_ms = v),
+                Some('f') => salt().map(|v| n.fate_salt = v),
+                Some('s') => shift(MAX_SETTLE_SHIFT_MS).map(|v| n.settle_shift_ms = v),
+                Some('w') => salt().map(|v| n.step_swap_salt = v),
+                Some('b') => shift(MAX_NUDGE_SHIFT_MS).map(|v| n.burst_shift_ms = v),
+                Some('k') => salt().map(|v| n.key_rank_salt = v),
+                Some('h') => salt().map(|v| n.arrival_churn_salt = v),
+                _ => None,
+            };
+            parsed.ok_or_else(|| format!("bad nudge field {field:?}"))?;
+        }
+        // Re-rendering rejects zero, repeated and out-of-order fields, and
+        // any spelling of a number but the one `Display` writes.
+        if s.is_empty() || nudge.to_string() != s {
+            return Err(format!("nudge {s:?} is not in canonical form"));
+        }
+        Ok(nudge)
     }
 }
 
@@ -541,5 +606,50 @@ mod tests {
         assert_eq!(nudged.seed(), plan.seed() ^ 0xDEAD_BEEF);
         assert_eq!(plan.actions(), nudged.actions());
         assert_eq!(plan.drop_probability, nudged.drop_probability);
+    }
+
+    #[test]
+    fn nudge_text_is_canonical() {
+        let nudge = PlanNudge {
+            action_shift_ms: -4_200,
+            fate_salt: 0x9e37,
+            settle_shift_ms: 2_000,
+            arrival_churn_salt: u64::MAX,
+            ..PlanNudge::default()
+        };
+        let text = "a-4200,f9e37,s2000,hffffffffffffffff";
+        assert_eq!(nudge.to_string(), text);
+        assert_eq!(text.parse(), Ok(nudge));
+        assert_eq!(PlanNudge::default().to_string(), "");
+        for bad in [
+            "",                   // zero fields
+            "a5,a5",              // repeated
+            "f1,a5",              // out of order
+            "a0",                 // a zero field
+            "a20001",             // past MAX_NUDGE_SHIFT_MS
+            "s-2001",             // past MAX_SETTLE_SHIFT_MS
+            "a+5",                // a second spelling of a5
+            "a05",                // likewise
+            "fA",                 // likewise, of fa
+            "f10000000000000000", // past u64
+            "x1",                 // unknown tag
+            "a5,",                // empty field
+            "é1",
+        ] {
+            assert!(
+                bad.parse::<PlanNudge>().is_err(),
+                "{bad:?} should not parse"
+            );
+        }
+        assert_eq!(
+            "a20000,c-20000,b-20000,s-2000"
+                .parse::<PlanNudge>()
+                .map(|n| n.burst_shift_ms),
+            Err("nudge \"a20000,c-20000,b-20000,s-2000\" is not in canonical form".into()),
+            "s comes before b"
+        );
+        assert!("a20000,c-20000,s-2000,b-20000".parse::<PlanNudge>().is_ok());
+        assert_eq!("light".parse(), Ok(FaultIntensity::Light));
+        assert!("Light".parse::<FaultIntensity>().is_err());
     }
 }

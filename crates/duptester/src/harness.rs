@@ -35,6 +35,8 @@ use dup_simnet::{
     TraceBuffer, TraceConfig, TraceSlice,
 };
 use std::collections::VecDeque;
+use std::fmt;
+use std::str::FromStr;
 
 /// One test case: a version pair, a scenario, a workload, a seed, a fault
 /// intensity, and a storage durability mode.
@@ -73,7 +75,7 @@ impl TestCase {
     /// from a re-executed one, so the result is identical whether the runner
     /// is brand new, warm from ten thousand cases, or snapshotting.
     pub fn run_in(&self, runner: &mut CaseRunner<'_>) -> CaseResult {
-        runner.execute(self)
+        runner.execute(self, &PlanNudge::default())
     }
 
     /// Convenience wrapper for one-off runs: builds a throwaway untraced
@@ -81,6 +83,93 @@ impl TestCase {
     /// runner (and [`TestCase::run_in`]) anywhere more than one case runs.
     pub fn run(&self, sut: &dyn SystemUnderTest) -> CaseOutcome {
         self.run_in(&mut CaseRunner::new(sut)).outcome
+    }
+}
+
+/// Everything that decides what a case does: the [`TestCase`] and the
+/// [`PlanNudge`] a search mutant perturbs its plans with (the default nudge
+/// for every other case). A failure report carries one, and its text is the
+/// report's `repro:` line:
+///
+/// ```text
+/// 3.11.0->4.0.0 scenario=rolling workload=stress seed=9 faults=light durability=strict nudge=a-4200,f9e37
+/// ```
+///
+/// The `nudge=` segment appears only for a nudge that is not a no-op. The
+/// fault, rollout and workload plans are pure functions of the spec and the
+/// system, so the line replays the case: parse it and call
+/// [`CaseSpec::run_in`]. Parsing accepts the line with or without its
+/// `repro: ` label and only in the form `Display` writes, so two lines
+/// never denote one case.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CaseSpec {
+    /// The case.
+    pub case: TestCase,
+    /// The perturbation of its fault, rollout and workload plans.
+    pub nudge: PlanNudge,
+}
+
+impl CaseSpec {
+    /// Runs the case under its nudge inside `runner`; with the default
+    /// nudge this is [`TestCase::run_in`].
+    pub fn run_in(&self, runner: &mut CaseRunner<'_>) -> CaseResult {
+        runner.execute(&self.case, &self.nudge)
+    }
+}
+
+impl fmt::Display for CaseSpec {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let c = &self.case;
+        write!(
+            f,
+            "{}->{} scenario={} workload={} seed={} faults={} durability={}",
+            c.from, c.to, c.scenario, c.workload, c.seed, c.faults, c.durability
+        )?;
+        if !self.nudge.is_noop() {
+            write!(f, " nudge={}", self.nudge)?;
+        }
+        Ok(())
+    }
+}
+
+impl FromStr for CaseSpec {
+    type Err = String;
+
+    fn from_str(line: &str) -> Result<CaseSpec, String> {
+        let text = line.strip_prefix("repro: ").unwrap_or(line);
+        let mut words = text.split(' ');
+        let (from, to) = (words.next())
+            .and_then(|pair| pair.split_once("->"))
+            .ok_or("expected <from>-><to>")?;
+        let version = |v: &str| v.parse().map_err(|_| format!("bad version {v:?}"));
+        let mut field = |key: &str| {
+            (words.next())
+                .and_then(|w| w.strip_prefix(key)?.strip_prefix('='))
+                .ok_or_else(|| format!("expected {key}=…"))
+        };
+        let case = TestCase {
+            from: version(from)?,
+            to: version(to)?,
+            scenario: field("scenario")?.parse()?,
+            workload: field("workload").and_then(|w| {
+                WorkloadSpec::parse(w).ok_or_else(|| format!("bad workload {w:?}"))
+            })?,
+            seed: field("seed")?.parse().map_err(|_| "bad seed")?,
+            faults: field("faults")?.parse()?,
+            durability: field("durability")?.parse()?,
+        };
+        let nudge = match words.next() {
+            Some(w) => w
+                .strip_prefix("nudge=")
+                .ok_or("expected nudge=…")?
+                .parse()?,
+            None => PlanNudge::default(),
+        };
+        let spec = CaseSpec { case, nudge };
+        if spec.to_string() != text {
+            return Err(format!("{line:?} is not a repro line in canonical form"));
+        }
+        Ok(spec)
     }
 }
 
@@ -207,27 +296,12 @@ impl<'a> CaseRunner<'a> {
         }
     }
 
-    /// The system under test this runner executes against.
-    pub fn sut(&self) -> &'a dyn SystemUnderTest {
-        self.sut
-    }
-
-    /// The trace configuration applied to every case, if any.
-    pub fn trace_config(&self) -> Option<TraceConfig> {
-        self.trace
-    }
-
     /// The reference the decided-verdict cut is tested against: every
     /// quiesce runs to its deadline, as it did before the cut existed.
     #[cfg(test)]
     pub(crate) fn uncut(mut self) -> Self {
         self.pools.uncut = true;
         self
-    }
-
-    /// Whether this runner reuses prefixes via snapshot-and-fork.
-    pub fn snapshots_enabled(&self) -> bool {
-        self.use_snapshots
     }
 
     /// The causal trace of the most recently executed case, if this runner
@@ -237,20 +311,9 @@ impl<'a> CaseRunner<'a> {
         self.sim.trace()
     }
 
-    /// Runs `case` with its fault plan perturbed by `nudge` (see
-    /// [`apply_nudge`]): identical to [`TestCase::run_in`] except the
-    /// scheduled fault times, crash-point windows, and per-message fate
-    /// stream shift as the nudge dictates. The search's mutation operators
-    /// call this; a no-op nudge reproduces the un-nudged case byte-for-byte.
-    pub fn run_nudged(&mut self, case: &TestCase, nudge: &PlanNudge) -> CaseResult {
-        self.execute_nudged(case, Some(nudge))
-    }
-
-    fn execute(&mut self, case: &TestCase) -> CaseResult {
-        self.execute_nudged(case, None)
-    }
-
-    fn execute_nudged(&mut self, case: &TestCase, nudge: Option<&PlanNudge>) -> CaseResult {
+    /// Runs `case` with its plans perturbed by `nudge`; the default nudge
+    /// perturbs nothing.
+    pub(crate) fn execute(&mut self, case: &TestCase, nudge: &PlanNudge) -> CaseResult {
         let key = (case.from, case.workload.clone());
         self.pools.client.clear();
 
@@ -865,7 +928,7 @@ fn run_suffix(
     sut: &dyn SystemUnderTest,
     case: &TestCase,
     pre: &PrefixData,
-    nudge: Option<&PlanNudge>,
+    nudge: &PlanNudge,
     pools: &mut CasePools,
 ) -> (CaseOutcome, bool) {
     let n = sut.cluster_size();
@@ -900,9 +963,7 @@ fn run_suffix(
             // The arrival schedule forks per seed like the fault plan does,
             // and the nudge's workload half perturbs it in place.
             wplan.compile(spec, case.seed, OPEN_LOOP_WINDOW_MS);
-            if let Some(nd) = nudge {
-                wplan.nudge(nd);
-            }
+            wplan.nudge(nudge);
             debug_assert!(wplan.validate().is_ok(), "{:?}", wplan.validate());
             // Post-upgrade, the stress read-back probes verify pre-upgrade
             // data survived under the open-loop barrage.
@@ -920,9 +981,8 @@ fn run_suffix(
     let wplan: &WorkloadPlan = wplan;
 
     // Compile the scenario into the pooled rollout plan — a pure function of
-    // `(scenario, pair, catalog, cluster, seed)`, so the `plan=` segment of
-    // a failure report rebuilds it exactly — and apply the plan-level half
-    // of the nudge.
+    // `(scenario, pair, catalog, cluster, seed)` — and apply the plan-level
+    // half of the nudge.
     let plan = &mut pools.plan;
     plan.compile(
         case.scenario,
@@ -932,9 +992,7 @@ fn run_suffix(
         n,
         case.seed,
     );
-    if let Some(nd) = nudge {
-        plan.nudge(nd);
-    }
+    plan.nudge(nudge);
     debug_assert!(
         plan.validate(n).is_ok(),
         "compiled plan invalid ({:?}): {plan}",
@@ -945,11 +1003,12 @@ fn run_suffix(
     // Arm the fault plan at the start of the suffix, anchored at the current
     // time, so the adversity spans the upgrade-plus-quiesce timeline. The
     // plan is a pure function of (intensity, durability, seed, cluster
-    // size, base): the repro string in a failure report rebuilds it exactly.
+    // size, base) and the nudge: a failure's repro line rebuilds it exactly.
     if let Some(fplan) = fault_plan_for(case.faults, case.durability, case.seed, n, sim.now()) {
-        let fplan = match nudge {
-            Some(n) if !n.is_noop() => apply_nudge(&fplan, n, sim.now()),
-            _ => fplan,
+        let fplan = if nudge.is_noop() {
+            fplan
+        } else {
+            apply_nudge(&fplan, nudge, sim.now())
         };
         sim.log_sim(LogLevel::Info, format!("fault plan: {}", fplan.describe()));
         sim.install_fault_plan(fplan);
@@ -1461,7 +1520,7 @@ mod tests {
                         durability: Durability::Strict,
                     };
                     let drawn_before = ARRIVALS_DRAWN.with(Cell::get);
-                    runner.run_nudged(&case, nudge);
+                    runner.execute(&case, nudge);
                     let drawn = ARRIVALS_DRAWN.with(Cell::get) - drawn_before;
                     let what = format!("{} {scenario} {nudge:?}", sut.name());
                     let (reference, redrawn) = redrawn_sends(&runner);

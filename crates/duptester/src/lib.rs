@@ -65,13 +65,13 @@ pub use crate::campaign::{
     dedup_key, Campaign, CampaignBuilder, CampaignConfig, CampaignMetrics, CampaignObserver,
     CampaignReport, CaseMatrix, CaseSignature, CaseStatus, Corpus, CorpusEntry, CoverageMap,
     Detection, FailureReport, MetricsObserver, MutationOp, NoopObserver, ProgressObserver,
-    RenderOptions, ScenarioCounts, SearchConfig, SearchInput, SearchReport, SearchRound, SeedGroup,
+    ScenarioCounts, SearchConfig, SearchInput, SearchReport, SearchRound, SeedGroup,
     SIGNATURE_BITS,
 };
 pub use crate::faults::{
     apply_nudge, fault_plan_for, FaultIntensity, PlanNudge, MAX_NUDGE_SHIFT_MS, PLAN_WINDOW_MS,
 };
-pub use crate::harness::{CaseDigest, CaseOutcome, CaseResult, CaseRunner, TestCase};
+pub use crate::harness::{CaseDigest, CaseOutcome, CaseResult, CaseRunner, CaseSpec, TestCase};
 pub use crate::oracle::{evaluate, Observation, OpResult};
 pub use crate::rollout::{RolloutPlan, RolloutStep, MAX_PATH_LEN, MAX_SETTLE_SHIFT_MS};
 pub use crate::scenario::Scenario;

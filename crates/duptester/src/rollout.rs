@@ -11,9 +11,9 @@
 //!   operator can shift settle times and swap adjacent steps within the
 //!   validity constraints ([`RolloutPlan::nudge`]), the same way it already
 //!   perturbs fault plans;
-//! - **repro** — a failing extended case's report quotes the rendered plan
-//!   (`plan=` segment), and [`RolloutPlan::parse`] round-trips it, so any
-//!   rollback or multi-hop failure replays standalone.
+//! - **repro** — the plan is a pure function of a
+//!   [`CaseSpec`](crate::CaseSpec) and the system, so a failure's repro
+//!   line rebuilds it; the `replay` example prints it.
 //!
 //! The plan is a pure function of
 //! `(scenario, from, to, catalog, cluster size, seed)` — compiled per case
@@ -532,7 +532,7 @@ impl RolloutPlan {
         Ok(())
     }
 
-    /// Renders the plan into the `plan=` grammar (see the module docs).
+    /// Renders the plan into the grammar in the module docs.
     pub fn render(&self) -> String {
         self.to_string()
     }
@@ -636,27 +636,6 @@ impl fmt::Display for RolloutPlan {
         }
         Ok(())
     }
-}
-
-/// Renders the plan `case` executed, for the repro string — `Some` only for
-/// extended scenarios, whose plans depend on the seed (and, under search,
-/// the detecting nudge). Paper-scenario plans are pinned by `scenario` +
-/// `seed` alone, so their repro strings stay exactly as they always were.
-pub(crate) fn rendered_plan(
-    case: &crate::harness::TestCase,
-    nudge: Option<&PlanNudge>,
-    catalog: &[VersionId],
-    n: u32,
-) -> Option<String> {
-    if !case.scenario.is_extended() {
-        return None;
-    }
-    let mut plan = RolloutPlan::new();
-    plan.compile(case.scenario, case.from, case.to, catalog, n, case.seed);
-    if let Some(nd) = nudge {
-        plan.nudge(nd);
-    }
-    Some(plan.render())
 }
 
 /// The middle hop for a multi-hop path: the catalog release (strictly

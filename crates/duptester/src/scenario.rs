@@ -2,6 +2,7 @@
 //! [`workload`](crate::workload) as [`WorkloadSpec`](crate::WorkloadSpec).
 
 use std::fmt;
+use std::str::FromStr;
 
 /// The upgrade scenarios DUPTester tests systematically: the paper's three
 /// ([`Scenario::paper`]) plus four rollout-plan scenarios
@@ -88,6 +89,17 @@ impl fmt::Display for Scenario {
     }
 }
 
+impl FromStr for Scenario {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Scenario, String> {
+        let found = Scenario::extended()
+            .into_iter()
+            .find(|x| x.to_string() == s);
+        found.ok_or_else(|| format!("unknown scenario {s:?}"))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -106,6 +118,10 @@ mod tests {
         assert_eq!(Scenario::RollingWithChurn.to_string(), "rolling-with-churn");
         assert_eq!(Scenario::paper().len(), 3);
         assert_eq!(Scenario::extended().len(), 7);
+        for s in Scenario::extended() {
+            assert_eq!(s.to_string().parse(), Ok(s));
+        }
+        assert!("Rolling".parse::<Scenario>().is_err());
     }
 
     #[test]

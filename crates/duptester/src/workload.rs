@@ -16,9 +16,9 @@
 //!   `ReRankHotKeys`, and `MoveArrivalChurn` operators perturb burst
 //!   timing, hot-key identity, and client churn through the widened
 //!   [`PlanNudge`], the way it already perturbs fault and rollout plans;
-//! - **repro** — the spec renders into the failure repro string
-//!   (`workload=open:…`) and [`WorkloadSpec::parse`] round-trips it, so an
-//!   open-loop failure replays standalone.
+//! - **repro** — the spec is the `workload=` field of a
+//!   [`CaseSpec`](crate::CaseSpec) line and [`WorkloadSpec::parse`]
+//!   round-trips it, so an open-loop failure replays from its line.
 //!
 //! The plan is a pure function of `(spec, seed, phase window)` — compiled
 //! per case into a pooled buffer ([`WorkloadPlan::compile`] reuses its
@@ -89,8 +89,8 @@ const MAX_OCTAVES: usize = 32;
 const ZIPF_RANGE_H: i64 = 4_100;
 
 /// Where the testing workload comes from (§6.1.2): the paper's three
-/// sources plus the open-loop plan axis. Every variant renders into the
-/// failure repro string and [`WorkloadSpec::parse`] round-trips it.
+/// sources plus the open-loop plan axis. Every variant renders into a repro
+/// line and [`WorkloadSpec::parse`] round-trips it.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum WorkloadSpec {
     /// The system's stress-testing operations with default configuration.
@@ -124,16 +124,18 @@ impl fmt::Display for WorkloadSpec {
 }
 
 impl WorkloadSpec {
-    /// Parses a rendered spec back; inverse of `Display`.
+    /// Parses a rendered spec back; inverse of `Display`. A unit-test name
+    /// is non-empty and holds no whitespace, so it fits in a repro line.
     pub fn parse(s: &str) -> Option<WorkloadSpec> {
         if s == "stress" {
             return Some(WorkloadSpec::Stress);
         }
+        let unit_name = |name: &str| !name.is_empty() && !name.contains(char::is_whitespace);
         if let Some(name) = s.strip_prefix("unit:") {
-            return (!name.is_empty()).then(|| WorkloadSpec::TranslatedUnit(name.into()));
+            return unit_name(name).then(|| WorkloadSpec::TranslatedUnit(name.into()));
         }
         if let Some(name) = s.strip_prefix("state:") {
-            return (!name.is_empty()).then(|| WorkloadSpec::UnitStateHandoff(name.into()));
+            return unit_name(name).then(|| WorkloadSpec::UnitStateHandoff(name.into()));
         }
         s.strip_prefix("open:")
             .and_then(OpenLoopSpec::parse)
@@ -698,6 +700,9 @@ mod tests {
             "",
             "unit:",
             "state:",
+            // A name with whitespace cannot sit in a repro line.
+            "unit:a b",
+            "state:a\tb",
             "open:",
             "open:c0,r100,b2,x3,k64,z120,m60",
             "open:c10,r0,b2,x3,k64,z120,m60",

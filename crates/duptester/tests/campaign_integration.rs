@@ -4,7 +4,10 @@
 //! bug with a deterministic trigger must be (re)discovered, and the clean
 //! control pairs must stay clean. They also pin down the engine contract:
 //! the report is byte-identical whatever the thread count, and observer
-//! callbacks fire exactly once per enumerated case.
+//! callbacks fire exactly once per enumerated case, and every reported
+//! failure replays from its `repro:` line.
+
+mod common;
 
 use dup_core::VersionId;
 use dup_tester::{
@@ -19,10 +22,12 @@ fn v(s: &str) -> VersionId {
 }
 
 fn quick_campaign(sut: &dyn dup_core::SystemUnderTest) -> CampaignReport {
-    Campaign::builder(sut)
+    let report = Campaign::builder(sut)
         .seeds([1])
         .scenarios([Scenario::FullStop, Scenario::Rolling])
-        .run()
+        .run();
+    common::assert_failures_replay(sut, &report);
+    report
 }
 
 #[test]

@@ -11,10 +11,12 @@
 //!    scenario: injected crashes and torn tails are the tester's own chaos,
 //!    not the system's bugs.
 //! 3. **Panic isolation** — a case whose harness execution panics costs that
-//!    one case (reported `Panicked`, with a repro string); sibling cases
-//!    complete normally.
+//!    one case (reported `Panicked`, with a repro line that panics again);
+//!    sibling cases complete normally.
 //! 4. **Watchdog** — a case that never terminates is cut off at the event
 //!    budget and reported `Hung` instead of wedging a worker thread.
+
+mod common;
 
 use dup_core::{ClientOp, NodeSetup, SystemUnderTest, VersionId, WorkloadPhase};
 use dup_simnet::{Ctx, Endpoint, Process, Sim, SimDuration, SimTime, StepResult};
@@ -77,6 +79,7 @@ fn snapshot_campaigns_match_no_snapshot_campaigns_byte_for_byte() {
             );
         }
     }
+    common::assert_failures_replay(&dup_kvstore::KvStoreSystem, &reference);
 }
 
 #[test]
@@ -92,14 +95,9 @@ fn durability_campaign_report_is_thread_count_and_rerun_invariant() {
     assert_eq!(seq.failures, par.failures);
     assert_eq!(seq.render_table(), par.render_table());
     assert_eq!(seq.render_table(), again.render_table());
-    // Every reported failure pins its durability mode in the repro string.
-    for f in &seq.failures {
-        assert!(
-            f.repro().contains("durability="),
-            "repro lacks the durability axis: {}",
-            f.repro()
-        );
-    }
+    // Every reported failure replays from its repro line, durability mode
+    // included.
+    common::assert_failures_replay(&dup_kvstore::KvStoreSystem, &seq);
 }
 
 /// The warm-runner campaign contract with everything on at once: faults,
@@ -132,6 +130,7 @@ fn traced_torn_campaign_is_identical_across_threads_and_warm_reruns() {
             other.metrics.trace_events_recorded
         );
     }
+    common::assert_failures_replay(&dup_kvstore::KvStoreSystem, &runs[0]);
 }
 
 /// One host's crash-materialized storage image: (host, file paths + bytes).
@@ -294,9 +293,9 @@ fn panicking_case_is_isolated_and_siblings_complete() {
         .iter()
         .find(|f| f.cause == "Harness Panic")
         .expect("the panic surfaces as a failure report");
-    assert_eq!(failure.seed, 2);
+    assert_eq!(failure.spec.case.seed, 2);
     assert!(failure.signature.contains("panic"), "{}", failure.signature);
-    assert!(failure.repro().contains("seed=2"), "{}", failure.repro());
+    common::assert_failures_replay(&PanickySut, &report);
     assert!(
         report.render_table().contains(&failure.repro()),
         "table lacks the panic repro"
@@ -369,5 +368,5 @@ fn runaway_case_is_cut_off_and_reported_hung() {
         .expect("the hang surfaces as a failure report");
     assert_eq!(failure.cause, "Non-termination");
     assert_eq!(failure.signature, "hung");
-    assert!(failure.repro().contains("seed=1"), "{}", failure.repro());
+    common::assert_failures_replay(&RunawaySut, &report);
 }

@@ -9,9 +9,10 @@
 //!    faults must report zero upgrade failures in every scenario: the
 //!    oracle must not mistake injected chaos for the system's own bugs.
 //! 3. **Repro strings** — every failure a faulted campaign reports carries
-//!    a one-line repro string pinning pair, scenario, workload, seed, fault
-//!    intensity, and durability mode (the concrete plan derives from the
-//!    last three).
+//!    a `repro:` line that parses back and replays the failure (the
+//!    concrete fault plan derives from the intensity, durability and seed).
+
+mod common;
 
 use dup_core::VersionId;
 use dup_simnet::SimTime;
@@ -49,6 +50,7 @@ fn faulted_campaign_report_is_thread_count_and_rerun_invariant() {
     assert_eq!(seq.sim_faults_injected, par.sim_faults_injected);
     assert_eq!(seq.render_table(), par.render_table());
     assert_eq!(seq.render_table(), again.render_table());
+    common::assert_failures_replay(&dup_kvstore::KvStoreSystem, &seq);
 }
 
 #[test]
@@ -126,15 +128,9 @@ fn faulted_failures_carry_repro_strings() {
         .run();
     let failures = report.failures_on(v("1.1.0"), v("1.2.0"));
     assert!(!failures.is_empty(), "seeded bug lost under light faults");
+    common::assert_failures_replay(&dup_kvstore::KvStoreSystem, &report);
     for f in &report.failures {
         let repro = f.repro();
-        assert!(repro.contains(&format!("{}->{}", f.from, f.to)), "{repro}");
-        assert!(
-            repro.contains(&format!("scenario={}", f.scenario)),
-            "{repro}"
-        );
-        assert!(repro.contains(&format!("seed={}", f.seed)), "{repro}");
-        assert!(repro.contains("faults=light"), "{repro}");
         assert!(
             report.render_table().contains(&repro),
             "table lacks {repro}"

@@ -14,18 +14,16 @@
 //!    3.11 schema-pull storm on the 3.0 → 3.11 → 4.0 path) is found by
 //!    `MultiHop` over the gap-2 pair and by none of the paper scenarios on
 //!    that same pair.
-//! 4. **Repro plans** — every extended-scenario failure's repro string
-//!    carries a `plan=` segment that parses back into a valid rollout plan,
-//!    and paper-scenario failures carry none.
+//! 4. **Repro lines** — every failure, extended or paper scenario, replays
+//!    from its `repro:` line, which derives the rollout plan.
 //!
 //! Rollback failure slices are also written to `target/trace-slices/` with
 //! a `rollout-` prefix so CI can upload them when a campaign test fails.
 
+mod common;
+
 use dup_core::VersionId;
-use dup_tester::{
-    Campaign, CampaignReport, Durability, FaultIntensity, RenderOptions, RolloutPlan, Scenario,
-    TraceConfig,
-};
+use dup_tester::{Campaign, CampaignReport, Durability, FaultIntensity, Scenario, TraceConfig};
 use std::path::PathBuf;
 
 fn v(s: &str) -> VersionId {
@@ -39,7 +37,7 @@ fn dump_slices(name: &str, report: &CampaignReport) {
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/trace-slices");
     std::fs::create_dir_all(&dir).expect("create target/trace-slices");
     for (i, failure) in report.failures.iter().enumerate() {
-        let rendered = failure.render(RenderOptions::with_trace());
+        let rendered = failure.render();
         std::fs::write(dir.join(format!("rollout-{name}-{i}.txt")), rendered)
             .expect("write timeline");
         if let Some(slice) = &failure.trace {
@@ -77,9 +75,10 @@ fn extended_scenario_reports_are_byte_identical_across_threads_snapshot_and_reru
     let reference = extended_campaign(1, false);
     dump_slices("heavy-torn", &reference);
     assert!(
-        reference.failures.iter().any(|f| f.plan.is_some()),
-        "the extended sweep should find at least one plan-carrying failure"
+        (reference.failures.iter()).any(|f| f.spec.case.scenario.is_extended()),
+        "the extended sweep should find at least one failure"
     );
+    common::assert_failures_replay(&dup_kvstore::KvStoreSystem, &reference);
     for (threads, snapshot) in [(4, false), (1, true), (4, true), (1, false)] {
         let other = extended_campaign(threads, snapshot);
         // FailureReport equality covers the attached slices event by event.
@@ -122,6 +121,7 @@ fn rollback_bug_found_by_rollback_scenario_and_no_paper_scenario() {
          {from}->{to}:\n{}",
         rollback.render_table()
     );
+    common::assert_failures_replay(&dup_kvstore::KvStoreSystem, &rollback);
 
     for scenario in Scenario::paper() {
         let report = scenario_campaign(scenario, false);
@@ -133,6 +133,7 @@ fn rollback_bug_found_by_rollback_scenario_and_no_paper_scenario() {
             "{scenario} must not trip the rollback-only bug:\n{}",
             report.render_table()
         );
+        common::assert_failures_replay(&dup_kvstore::KvStoreSystem, &report);
     }
 }
 
@@ -152,6 +153,7 @@ fn multi_hop_storm_found_by_multi_hop_and_no_paper_scenario_on_the_gap_two_pair(
          {from}->{to}:\n{}",
         multi_hop.render_table()
     );
+    common::assert_failures_replay(&dup_kvstore::KvStoreSystem, &multi_hop);
 
     // The storm lives only on the intermediate 3.11 release: a direct
     // 3.0 -> 4.0 upgrade never runs it, whatever the paper scenario.
@@ -166,42 +168,5 @@ fn multi_hop_storm_found_by_multi_hop_and_no_paper_scenario_on_the_gap_two_pair(
              {from}->{to}:\n{}",
             report.render_table()
         );
-    }
-}
-
-#[test]
-fn extended_failures_carry_parseable_plans_and_paper_failures_carry_none() {
-    let rollback = scenario_campaign(Scenario::RollbackAfterPartial, false);
-    assert!(!rollback.failures.is_empty(), "seeded rollback bug missing");
-    let n = 3; // kvstore cluster size
-    for failure in &rollback.failures {
-        let repro = failure.repro();
-        let rendered = failure
-            .plan
-            .as_deref()
-            .unwrap_or_else(|| panic!("extended failure without a plan: {repro}"));
-        assert!(
-            repro.contains(&format!(" plan={rendered}")),
-            "repro must embed the plan: {repro}"
-        );
-        // The recorded plan round-trips through the grammar and is a valid
-        // schedule for the cluster it ran on.
-        let parsed = RolloutPlan::parse(rendered)
-            .unwrap_or_else(|e| panic!("unparseable plan {rendered:?}: {e}"));
-        assert_eq!(parsed.render(), *rendered, "plan must round-trip");
-        parsed
-            .validate(n)
-            .unwrap_or_else(|e| panic!("invalid recorded plan {rendered:?}: {e}"));
-    }
-
-    let paper = scenario_campaign(Scenario::Rolling, false);
-    assert!(!paper.failures.is_empty(), "paper seeded bugs missing");
-    for failure in &paper.failures {
-        assert!(
-            failure.plan.is_none(),
-            "paper-scenario failure must not record a plan: {}",
-            failure.repro()
-        );
-        assert!(!failure.repro().contains(" plan="));
     }
 }

@@ -13,8 +13,13 @@
 //! or snapshotting, and a full guided run renders the identical corpus and
 //! report across thread counts, snapshot settings, and reruns.
 //!
+//! Every failure a search reports replays from its `repro:` line, those first
+//! found by a mutant included: the line carries the mutant's nudge.
+//!
 //! On failure each recall test leaves its corpus dumps under
 //! `target/search-corpus/` for CI to upload.
+
+mod common;
 
 use dup_core::{SystemUnderTest, VersionId};
 use dup_tester::{
@@ -66,6 +71,8 @@ fn assert_recall(name: &str) {
     let blind = recall_search(sut, true, 0);
     dump_corpus(&format!("{name}-guided"), &guided);
     dump_corpus(&format!("{name}-blind"), &blind);
+    common::assert_failures_replay(sut, &guided.campaign);
+    common::assert_failures_replay(sut, &blind.campaign);
 
     for bug in catalog::seeded_bugs() {
         // Scenario-gated bugs need an extended rollout plan the paper-shaped
@@ -134,6 +141,8 @@ fn recall_rollout_exclusive_bugs_guided_vs_blind() {
         let blind = run(true);
         dump_corpus(&format!("{}-rollout-guided", bug.system), &guided);
         dump_corpus(&format!("{}-rollout-blind", bug.system), &blind);
+        common::assert_failures_replay(sut, &guided.campaign);
+        common::assert_failures_replay(sut, &blind.campaign);
         let g = guided
             .cases_to_detect(from, to, bug.marker)
             .unwrap_or_else(|| panic!("guided search missed {}", bug.ticket));
@@ -194,6 +203,8 @@ fn recall_with_open_loop_workload_axis_guided_vs_blind() {
         let blind = run(true);
         dump_corpus(&format!("{name}-workload-guided"), &guided);
         dump_corpus(&format!("{name}-workload-blind"), &blind);
+        common::assert_failures_replay(sut, &guided.campaign);
+        common::assert_failures_replay(sut, &blind.campaign);
         for bug in catalog::seeded_bugs() {
             if bug.system != name || bug.timing_dependent || bug.scenario.is_some() {
                 continue;
@@ -232,8 +243,9 @@ fn recall_zookeeper_mini() {
 
 /// Detection rate at a fixed per-group budget, over `reps` repetitions each
 /// bootstrapping both modes from the same fresh seed. Light faults give the
-/// mutation operators a plan to perturb.
-fn detection_rate(ticket: &str, reps: u64) -> (u64, u64, usize, usize) {
+/// mutation operators a plan to perturb. Also returns how many reported
+/// failures a mutant found first, each replayed from its nudged line.
+fn detection_rate(ticket: &str, reps: u64) -> (u64, u64, usize, usize, usize) {
     let bug = catalog::seeded_bugs()
         .into_iter()
         .find(|b| b.ticket == ticket)
@@ -243,6 +255,7 @@ fn detection_rate(ticket: &str, reps: u64) -> (u64, u64, usize, usize) {
     let (from, to) = (bug.from_version(), bug.to_version());
     let mut hits = (0u64, 0u64);
     let mut cases = (0usize, 0usize);
+    let mut nudged = 0;
     for rep in 0..reps {
         for blind in [false, true] {
             let report = Campaign::builder(sut)
@@ -258,6 +271,7 @@ fn detection_rate(ticket: &str, reps: u64) -> (u64, u64, usize, usize) {
                 })
                 .build()
                 .run_search();
+            nudged += common::assert_failures_replay(sut, &report.campaign);
             let hit = report.cases_to_detect(from, to, bug.marker).is_some() as u64;
             if blind {
                 hits.1 += hit;
@@ -268,12 +282,14 @@ fn detection_rate(ticket: &str, reps: u64) -> (u64, u64, usize, usize) {
             }
         }
     }
-    (hits.0, hits.1, cases.0, cases.1)
+    (hits.0, hits.1, cases.0, cases.1, nudged)
 }
 
 #[test]
 fn timing_dependent_hdfs_11856_detection_rate_at_fixed_budget() {
-    let (guided_hits, blind_hits, guided_cases, blind_cases) = detection_rate("HDFS-11856", 3);
+    let (guided_hits, blind_hits, guided_cases, blind_cases, nudged) =
+        detection_rate("HDFS-11856", 3);
+    assert!(nudged > 0, "no failure was first found by a mutant");
     assert!(
         guided_hits >= blind_hits,
         "guided rate {guided_hits}/3 fell below blind rate {blind_hits}/3"
@@ -287,7 +303,8 @@ fn timing_dependent_hdfs_11856_detection_rate_at_fixed_budget() {
 
 #[test]
 fn timing_dependent_zookeeper_1805_detection_rate_at_fixed_budget() {
-    let (guided_hits, blind_hits, guided_cases, blind_cases) = detection_rate("ZOOKEEPER-1805", 3);
+    let (guided_hits, blind_hits, guided_cases, blind_cases, _) =
+        detection_rate("ZOOKEEPER-1805", 3);
     assert!(
         guided_hits >= blind_hits,
         "guided rate {guided_hits}/3 fell below blind rate {blind_hits}/3"
@@ -364,7 +381,9 @@ fn guided_search_identical_across_threads_snapshot_and_reruns() {
             .build()
             .run_search()
     };
-    let sequential = run(1, true).render_summary();
+    let first = run(1, true);
+    common::assert_failures_replay(system("kafka-mini"), &first.campaign);
+    let sequential = first.render_summary();
     let parallel = run(4, false).render_summary();
     let rerun = run(4, false).render_summary();
     assert_eq!(sequential, parallel, "thread count changed the search");

@@ -7,9 +7,11 @@
 //! Rendered slices are also written to `target/trace-slices/` so CI can
 //! upload them as artifacts when a campaign test fails.
 
+mod common;
+
 use dup_tester::{
-    Campaign, CampaignObserver, CampaignReport, Durability, FaultIntensity, RenderOptions,
-    Scenario, TestCase, TraceConfig, TraceSlice,
+    Campaign, CampaignObserver, CampaignReport, Durability, FaultIntensity, Scenario, TestCase,
+    TraceConfig, TraceSlice,
 };
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -37,7 +39,7 @@ fn slice_dir() -> PathBuf {
 fn dump_slices(prefix: &str, report: &CampaignReport) {
     let dir = slice_dir();
     for (i, failure) in report.failures.iter().enumerate() {
-        let rendered = failure.render(RenderOptions::with_trace());
+        let rendered = failure.render();
         std::fs::write(dir.join(format!("{prefix}-{i}.txt")), rendered).expect("write timeline");
         if let Some(slice) = &failure.trace {
             std::fs::write(
@@ -83,6 +85,8 @@ fn every_failure_carries_a_slice_ending_at_the_observation() {
     let table = report.render_table();
     assert!(table.contains("trace:"));
     assert!(table.contains("lineage (cause -> violation):"));
+    // Replayed untraced, every failure keeps its signature.
+    common::assert_failures_replay(&dup_kvstore::KvStoreSystem, &report);
 }
 
 #[test]
@@ -187,6 +191,7 @@ fn traced_slices_replay_under_heavy_faults_and_torn_durability() {
         assert!(!slice.is_empty());
         assert!(slice.events_dropped > 0);
     }
+    common::assert_failures_replay(&dup_kvstore::KvStoreSystem, &seq);
 }
 
 /// A single traced case replays its slice byte-for-byte, and an untraced run

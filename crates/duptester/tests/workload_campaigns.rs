@@ -9,14 +9,16 @@
 //!    open-loop traffic under heavy chaos must report zero upgrade
 //!    failures: reads of keys nothing ever wrote are benign misses, not
 //!    data loss.
-//! 3. **Repro strings** — open-loop failures pin the exact workload spec in
-//!    their repro line, and the spec round-trips through `parse`.
+//! 3. **Repro lines** — open-loop failures replay from their repro line,
+//!    which pins the exact workload spec.
 //! 4. **Client-count independence** — a million-logical-client case runs in
 //!    the same arrival budget as a thousand-client one; logical clients are
 //!    arithmetic, not state.
 //! 5. **Storms under load** — CASSANDRA-13441's migration storm is reported
 //!    under open-loop traffic too: the client barrage neither stretches the
 //!    upgrade window nor counts as cluster traffic.
+
+mod common;
 
 use dup_core::VersionId;
 use dup_tester::{
@@ -57,6 +59,7 @@ fn open_loop_campaign_identical_across_threads_snapshot_and_reruns() {
     assert_eq!(seq.render_table(), par.render_table(), "thread count");
     assert_eq!(seq.render_table(), par_snap.render_table(), "both");
     assert_eq!(seq.render_table(), rerun.render_table(), "rerun");
+    common::assert_failures_replay(&dup_kvstore::KvStoreSystem, &seq);
 }
 
 #[test]
@@ -171,8 +174,8 @@ fn open_loop_repro_strings_round_trip_and_surface_in_reports() {
         WorkloadSpec::parse("unit:testCompactTables"),
         Some(WorkloadSpec::TranslatedUnit("testCompactTables".into()))
     );
-    // An open-loop campaign over the seeded gossip-bug pair must carry the
-    // workload spec in every failure's repro line.
+    // Every failure of an open-loop campaign over the seeded gossip-bug
+    // pair replays from its repro line.
     let report = Campaign::builder(&dup_kvstore::KvStoreSystem)
         .seeds([1])
         .scenarios([Scenario::Rolling])
@@ -181,21 +184,7 @@ fn open_loop_repro_strings_round_trip_and_surface_in_reports() {
         .run();
     let failures = report.failures_on(v("1.1.0"), v("1.2.0"));
     assert!(!failures.is_empty(), "seeded bug lost under open-loop axis");
-    let open_repro = report
-        .failures
-        .iter()
-        .map(|f| f.repro())
-        .find(|r| r.contains("workload=open:"));
-    if let Some(repro) = &open_repro {
-        let token = repro
-            .split_whitespace()
-            .find_map(|t| t.strip_prefix("workload="))
-            .expect("repro carries a workload token");
-        assert!(
-            WorkloadSpec::parse(token).is_some(),
-            "repro workload token must parse: {token}"
-        );
-    }
+    common::assert_failures_replay(&dup_kvstore::KvStoreSystem, &report);
     for f in &report.failures {
         assert!(
             report.render_table().contains(&f.repro()),

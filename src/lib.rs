@@ -43,10 +43,10 @@ pub mod prelude {
     pub use dup_tester::{
         fault_plan_for, Campaign, CampaignBuilder, CampaignConfig, CampaignMetrics,
         CampaignObserver, CampaignReport, CaseOutcome, CaseResult, CaseRunner, CaseSignature,
-        CaseStatus, Corpus, CoverageMap, Durability, FailureReport, FaultIntensity,
+        CaseSpec, CaseStatus, Corpus, CoverageMap, Durability, FailureReport, FaultIntensity,
         MetricsObserver, MutationOp, NoopObserver, OpenLoopSpec, PlanNudge, ProgressObserver,
-        RenderOptions, Scenario, SearchConfig, SearchInput, SearchReport, TestCase, TraceConfig,
-        TraceSlice, WorkloadPlan, WorkloadSpec,
+        Scenario, SearchConfig, SearchInput, SearchReport, TestCase, TraceConfig, TraceSlice,
+        WorkloadPlan, WorkloadSpec,
     };
 }
 

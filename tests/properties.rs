@@ -5,7 +5,7 @@ use ds_upgrade::idl::{lower, parse_proto, parse_thrift};
 use ds_upgrade::simnet::{FaultKind, HostStorage, SimRng, SimTime};
 use ds_upgrade::srcmodel::parse_java;
 use ds_upgrade::tester::{
-    apply_nudge, fault_plan_for, mutate, Corpus, CorpusEntry, Durability, FaultIntensity,
+    apply_nudge, fault_plan_for, mutate, CaseSpec, Corpus, CorpusEntry, Durability, FaultIntensity,
     MutationOp, OpenLoopSpec, PlanNudge, RolloutPlan, Scenario, SearchInput, WorkloadPlan,
     WorkloadSpec, MAX_NUDGE_SHIFT_MS, MAX_SETTLE_SHIFT_MS, PLAN_WINDOW_MS,
 };
@@ -52,10 +52,11 @@ fn arb_hostile_source() -> impl Strategy<Value = String> {
 }
 
 /// Text near the case-input grammars, drawn from `rng`: either fragments
-/// alone, or a valid rollout plan or workload spec with a few runs of digits
-/// replaced by (or fragments inserted as) grammar tokens, empty and repeated
-/// separators, numbers past every integer width, and non-ASCII characters
-/// where a step kind or a field tag belongs. Edited numbers keep many of the
+/// alone, or a valid repro line, nudge, rollout plan or workload spec with a
+/// few runs of digits replaced by (or fragments inserted as) grammar tokens,
+/// repro-line keys, empty and repeated separators, numbers past every
+/// integer width, and non-ASCII characters where a step kind or a field tag
+/// belongs. Edited numbers keep many of the
 /// valid inputs valid, so the round trip is exercised, not only rejection.
 fn case_input(rng: &mut SimRng) -> String {
     const VALID: &[&str] = &[
@@ -66,11 +67,25 @@ fn case_input(rng: &mut SimRng) -> String {
         "c1000000,r500,b2,x3,k64,z120,m10",
         "[1.0.0>2.0.0>3.0.0]s0,w500,u0:2,w1000,t0/6,p0,g0,j3:1,l3,d0:0",
         "[3.11.0]",
+        "repro: 3.0.0->3.11.0 scenario=multi-hop workload=unit:testA seed=9 \
+         faults=light durability=torn",
+        "2.1.0->3.0.0 scenario=rolling workload=open:c10,r500,b2,x3,k64,z120,m90 seed=1001 \
+         faults=off durability=strict nudge=a-4200,c7,f9e37,s-300,w2b,b11,k1,h5",
+        "a-4200,c20000,f9e37,s-2000,w2b,b11,kff,h5",
     ];
     const WORDS: &[&str] = &[
         "[", "]", ">", ",", ",,", ":", "/", ".", "1.0.0", "s", "u", "d", "j", "l", "w", "t", "p",
         "g", "open:", "unit:", "state:", "stress", "c", "r", "b", "x", "k", "z", "m", "0", "100",
-        "101", "255", "256", "1000000", "1000001", "-1", "+2", "é", "日本", "\u{3000}", " ",
+        "101", "255", "256", "1000000", "1000001", "-1", "+2", "é", "日本", "\u{3000}", " ", "a",
+        "f", "h", "ffff", "20001", "-2000", "rolling", "heavy", "buffered",
+    ];
+    const KEYS: [&str; 6] = [
+        "->",
+        "repro: ",
+        "scenario=",
+        "faults=",
+        "durability=",
+        "nudge=",
     ];
     let mut text = String::new();
     let edits = if rng.chance(0.5) {
@@ -80,10 +95,11 @@ fn case_input(rng: &mut SimRng) -> String {
         1 + rng.next_below(24)
     };
     for _ in 0..edits {
-        let fragment = match rng.next_below(3) {
+        let fragment = match rng.next_below(4) {
             0 => WORDS[rng.next_below(WORDS.len() as u64) as usize].to_string(),
+            1 => KEYS[rng.next_below(KEYS.len() as u64) as usize].to_string(),
             // Up to 66 bits: past `u8`, `u32` and `u64` alike.
-            1 => (u128::from(rng.next_u64()) << 2 >> rng.next_below(67)).to_string(),
+            2 => (u128::from(rng.next_u64()) << 2 >> rng.next_below(67)).to_string(),
             _ => char::from(rng.next_below(256) as u8).to_string(),
         };
         let mut at = rng.next_below(text.len() as u64 + 1) as usize;
@@ -96,10 +112,10 @@ fn case_input(rng: &mut SimRng) -> String {
     text
 }
 
-/// Feeds `text` to the three case-input parsers: each returns, and every
+/// Feeds `text` to the five case-input parsers: each returns, and every
 /// value one accepts renders back to text that parses to the same value.
 /// Returns which of them accepted it.
-fn case_input_parses_and_round_trips(text: &str) -> [bool; 3] {
+fn case_input_parses_and_round_trips(text: &str) -> [bool; 5] {
     let workload = WorkloadSpec::parse(text);
     if let Some(spec) = &workload {
         assert_eq!(
@@ -124,7 +140,21 @@ fn case_input_parses_and_round_trips(text: &str) -> [bool; 3] {
             "{text:?}"
         );
     }
-    [workload.is_some(), open_loop.is_some(), plan.is_ok()]
+    let spec = text.parse::<CaseSpec>();
+    if let Ok(spec) = &spec {
+        assert_eq!(spec.to_string().parse().as_ref(), Ok(spec), "{text:?}");
+    }
+    let nudge = text.parse::<PlanNudge>();
+    if let Ok(nudge) = &nudge {
+        assert_eq!(nudge.to_string().parse().as_ref(), Ok(nudge), "{text:?}");
+    }
+    [
+        workload.is_some(),
+        open_loop.is_some(),
+        plan.is_ok(),
+        spec.is_ok(),
+        nudge.is_ok(),
+    ]
 }
 
 /// The seeded twin of `case_input_parsers_return_and_round_trip`: many more
@@ -133,20 +163,21 @@ fn case_input_parses_and_round_trips(text: &str) -> [bool; 3] {
 #[test]
 fn case_input_parsers_return_and_round_trip_on_seeded_text() {
     let mut rng = SimRng::new(41);
-    let mut accepted = [0; 3];
+    let mut accepted = [0; 5];
     for _ in 0..20_000 {
         let flags = case_input_parses_and_round_trips(&case_input(&mut rng));
         for (count, flag) in accepted.iter_mut().zip(flags) {
             *count += usize::from(flag);
         }
     }
-    println!("accepted (workload, open-loop, plan): {accepted:?} of 20 000");
+    println!("accepted (workload, open-loop, plan, repro line, nudge): {accepted:?} of 20 000");
     assert!(accepted.iter().all(|&n| n >= 200), "{accepted:?}");
 }
 
 proptest! {
-    /// The rollout-plan, open-loop and workload parsers return on any text
-    /// near their grammars, and round-trip every value they accept.
+    /// The repro-line, nudge, rollout-plan, open-loop and workload parsers
+    /// return on any text near their grammars, and round-trip every value
+    /// they accept.
     #[test]
     fn case_input_parsers_return_and_round_trip(seed in any::<u64>()) {
         case_input_parses_and_round_trips(&case_input(&mut SimRng::new(seed)));
@@ -534,7 +565,7 @@ proptest! {
 
     /// Every (scenario, cluster size, version pair, seed) in range compiles
     /// to a rollout plan that passes validation and round-trips through its
-    /// rendered `plan=` form.
+    /// rendered form.
     #[test]
     fn compiled_rollout_plans_are_valid_and_round_trip(
         seed in any::<u64>(),
