@@ -1,4 +1,4 @@
-//! # dup-bench — benchmark and reproduction harnesses
+//! # dup-bench — reproduction harnesses
 //!
 //! - `repro_tables` — regenerates Tables 1–4 and Findings 1–13 (study).
 //! - `repro_duptester` — runs the full DUPTester campaign over the four
@@ -7,8 +7,8 @@
 //!   over 7 systems) and the enum-checker yield (2 bugs + 6 vulns).
 //! - `repro_figures` — replays Figure 1 (HDFS-11856 timeline) and Figure 2
 //!   (the ReplicationLoadSink diff).
-//! - `perf_*` — criterion microbenchmarks of the substrates.
 //!
-//! Run everything with `cargo bench`.
+//! Run them all with `cargo bench`. Performance is measured by the
+//! `upbench` package (`BENCHMARK.json`), not here.
 
 #![forbid(unsafe_code)]

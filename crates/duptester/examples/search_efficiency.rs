@@ -14,8 +14,7 @@
 //! so the mutation operators have a plan to perturb.
 //!
 //! Deterministic: fixed seeds and repetition counts, no timestamps — rerun
-//! it and the file is byte-identical. Run from the repo root (or via
-//! `scripts/bench_smoke.sh`):
+//! it and the file is byte-identical. Run from the repo root:
 //!
 //! ```text
 //! cargo run --release -p dup-tester --example search_efficiency

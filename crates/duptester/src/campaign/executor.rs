@@ -596,13 +596,13 @@ fn run_group(
     user: Option<&dyn CampaignObserver>,
 ) -> FailureFold {
     let observer = user.unwrap_or(&NoopObserver);
+    let none = &PlanNudge::default();
     let mut indices = group.indices();
     for index in indices.by_ref() {
         let case = matrix.case_at(index);
         observer.on_case_start(index, &case);
         let t0 = Instant::now();
-        let result = run_contained(|| case.run_in(runner));
-        let none = &PlanNudge::default();
+        let result = run_contained(|| runner.execute(&case, none));
         let reproduced = rec.case_done(index, &case, none, &result, t0.elapsed(), observer);
         if config.prune_after.is_some_and(|k| reproduced >= k) {
             break;

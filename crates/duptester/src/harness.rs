@@ -74,8 +74,11 @@ impl TestCase {
     /// `Sim::restore` guarantees a restored prefix is byte-indistinguishable
     /// from a re-executed one, so the result is identical whether the runner
     /// is brand new, warm from ten thousand cases, or snapshotting.
+    ///
+    /// A case whose `from` or `to` is not a release of the runner's system
+    /// is not run: it returns [`CaseOutcome::InvalidWorkload`].
     pub fn run_in(&self, runner: &mut CaseRunner<'_>) -> CaseResult {
-        runner.execute(self, &PlanNudge::default())
+        runner.execute_checked(self, &PlanNudge::default())
     }
 
     /// Convenience wrapper for one-off runs: builds a throwaway untraced
@@ -111,9 +114,9 @@ pub struct CaseSpec {
 
 impl CaseSpec {
     /// Runs the case under its nudge inside `runner`; with the default
-    /// nudge this is [`TestCase::run_in`].
+    /// nudge this is [`TestCase::run_in`], version check included.
     pub fn run_in(&self, runner: &mut CaseRunner<'_>) -> CaseResult {
-        runner.execute(&self.case, &self.nudge)
+        runner.execute_checked(&self.case, &self.nudge)
     }
 }
 
@@ -232,6 +235,9 @@ struct CasePools {
     /// How many of its rollout steps the last case started.
     #[cfg(test)]
     steps_run: usize,
+    /// How many prefixes this runner has executed (cold paths taken).
+    #[cfg(test)]
+    prefixes_run: usize,
     /// The last case's open-loop sends, as (step index, arrival index).
     #[cfg(test)]
     sent: Vec<(usize, u64)>,
@@ -311,8 +317,30 @@ impl<'a> CaseRunner<'a> {
         self.sim.trace()
     }
 
+    /// [`CaseRunner::execute`] for a case from outside the matrix, such as
+    /// a parsed `repro:` line: a version this runner's system does not
+    /// release makes the case invalid, not a pass.
+    fn execute_checked(&mut self, case: &TestCase, nudge: &PlanNudge) -> CaseResult {
+        let catalog = &self.pools.catalog;
+        let stranger = [case.from, case.to]
+            .into_iter()
+            .find(|v| !catalog.contains(v));
+        match stranger {
+            None => self.execute(case, nudge),
+            Some(v) => CaseResult {
+                outcome: CaseOutcome::InvalidWorkload(format!(
+                    "{v} is not a {} release",
+                    self.sut.name()
+                )),
+                digest: CaseDigest::default(),
+                slice: None,
+            },
+        }
+    }
+
     /// Runs `case` with its plans perturbed by `nudge`; the default nudge
-    /// perturbs nothing.
+    /// perturbs nothing. Unchecked: the matrix and the search only
+    /// enumerate catalog versions.
     pub(crate) fn execute(&mut self, case: &TestCase, nudge: &PlanNudge) -> CaseResult {
         let key = (case.from, case.workload.clone());
         self.pools.client.clear();
@@ -347,6 +375,10 @@ impl<'a> CaseRunner<'a> {
 
         // Cold path: execute the prefix from a reset simulator under the
         // seed-independent prefix seed.
+        #[cfg(test)]
+        {
+            self.pools.prefixes_run += 1;
+        }
         let pseed = prefix_seed(case.from, &case.workload);
         self.sim.reset(pseed);
         self.sim.set_event_budget(EVENT_BUDGET);
@@ -1303,9 +1335,16 @@ mod tests {
         let mut replayed = CaseRunner::with_options(sut, None, false);
         let mut reference = CaseRunner::with_options(sut, None, true).uncut();
         let mut cut_cases = 0;
+        // Runs of consecutive cases sharing a prefix: `(from, workload)`.
+        let (mut prefix_runs, mut last_prefix) = (0, None);
         for index in 0..matrix.len() {
             let case = matrix.case_at(index);
             let what = format!("{} {case:?}", sut.name());
+            let prefix = Some((case.from, case.workload.clone()));
+            if prefix != last_prefix {
+                prefix_runs += 1;
+                last_prefix = prefix;
+            }
             let cut = case.run_in(&mut forked);
             let other = case.run_in(&mut replayed);
             assert_eq!(cut.outcome, other.outcome, "{what}");
@@ -1336,6 +1375,12 @@ mod tests {
             );
         }
         assert!(cut_cases * 10 < matrix.len(), "{cut_cases} cases cut");
+        // Snapshot-and-fork pays for itself: one prefix per run of siblings,
+        // where replaying from scratch pays one per case.
+        let name = sut.name();
+        assert_eq!(forked.pools.prefixes_run, prefix_runs, "{name}");
+        assert_eq!(replayed.pools.prefixes_run, matrix.len(), "{name}");
+        assert!(prefix_runs * 2 < matrix.len(), "{name}");
         cut_cases
     }
 
@@ -1359,6 +1404,46 @@ mod tests {
     #[test]
     fn cut_equals_uncut_on_coord() {
         cut_equals_uncut_reference(&dup_coord::CoordSystem);
+    }
+
+    #[test]
+    fn a_repro_line_naming_another_systems_versions_is_invalid() {
+        let tail = "scenario=rolling workload=stress seed=1 faults=off durability=strict";
+        let hdfs = format!("2.8.0->3.1.0 {tail}");
+        let cassandra = format!("3.11.0->4.0.0 {tail}");
+        let systems: [(&dyn SystemUnderTest, &str, &str); 4] = [
+            (&dup_kvstore::KvStoreSystem, &hdfs, "2.8.0"),
+            (&dup_dfs::DfsSystem, &cassandra, "3.11.0"),
+            (&dup_mq::MqSystem, &hdfs, "2.8.0"),
+            (&dup_coord::CoordSystem, &hdfs, "2.8.0"),
+        ];
+        for (sut, foreign, stranger) in systems {
+            let own = sut.versions()[0];
+            let lines = [
+                (foreign.to_string(), stranger),
+                (format!("9.9.9->10.0.0 {tail}"), "9.9.9"),
+                (format!("{own}->10.0.0 {tail}"), "10.0.0"),
+            ];
+            let mut runner = CaseRunner::new(sut);
+            for (line, stranger) in lines {
+                let spec: CaseSpec = line.parse().expect("a repro line");
+                let refused = CaseOutcome::InvalidWorkload(format!(
+                    "{stranger} is not a {} release",
+                    sut.name()
+                ));
+                assert_eq!(spec.run_in(&mut runner).outcome, refused, "{line}");
+                assert_eq!(spec.case.run_in(&mut runner).outcome, refused, "{line}");
+            }
+        }
+        // The line itself replays on the system it names.
+        let spec: CaseSpec = hdfs.parse().expect("a repro line");
+        let outcome = spec
+            .run_in(&mut CaseRunner::new(&dup_dfs::DfsSystem))
+            .outcome;
+        assert!(
+            !matches!(outcome, CaseOutcome::InvalidWorkload(_)),
+            "{outcome:?}"
+        );
     }
 
     /// `upbench`'s open-loop workload: 10^6 logical clients at 500 req/s.
