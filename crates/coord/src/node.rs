@@ -15,7 +15,7 @@
 
 use bytes::Bytes;
 use dup_core::{format_reply, split_words, NodeSetup, VersionId};
-use dup_simnet::{Ctx, Endpoint, Fatal, Process, SimDuration, SimTime, StepResult};
+use dup_simnet::{restore_clone, Ctx, Endpoint, Fatal, Process, SimDuration, SimTime, StepResult};
 use dup_wire::proto::{Reader, ValueRef, Writer};
 use dup_wire::{FieldDescriptor, FieldType, Frame, MessageDescriptor, Schema, WireError};
 use std::collections::BTreeMap;
@@ -342,14 +342,7 @@ impl Process for CoordNode {
     }
 
     fn restore_from(&mut self, src: &dyn Process) -> bool {
-        let any: &dyn std::any::Any = src;
-        match any.downcast_ref::<Self>() {
-            Some(other) => {
-                self.clone_from(other);
-                true
-            }
-            None => false,
-        }
+        restore_clone(self, src)
     }
 
     fn on_start(&mut self, ctx: &mut Ctx<'_>) -> StepResult {

@@ -8,7 +8,7 @@
 use crate::codec::{self, layout_version, FileEntry, Namespace, Reported};
 use bytes::Bytes;
 use dup_core::{format_reply, split_words, NodeSetup, VersionId};
-use dup_simnet::{Ctx, Endpoint, Fatal, Process, SimDuration, SimTime, StepResult};
+use dup_simnet::{restore_clone, Ctx, Endpoint, Fatal, Process, SimDuration, SimTime, StepResult};
 use dup_wire::Frame;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -380,14 +380,7 @@ impl Process for NameNode {
     }
 
     fn restore_from(&mut self, src: &dyn Process) -> bool {
-        let any: &dyn std::any::Any = src;
-        match any.downcast_ref::<Self>() {
-            Some(other) => {
-                self.clone_from(other);
-                true
-            }
-            None => false,
-        }
+        restore_clone(self, src)
     }
 
     fn on_start(&mut self, ctx: &mut Ctx<'_>) -> StepResult {
@@ -605,14 +598,7 @@ impl Process for DataNode {
     }
 
     fn restore_from(&mut self, src: &dyn Process) -> bool {
-        let any: &dyn std::any::Any = src;
-        match any.downcast_ref::<Self>() {
-            Some(other) => {
-                self.clone_from(other);
-                true
-            }
-            None => false,
-        }
+        restore_clone(self, src)
     }
 
     fn on_start(&mut self, ctx: &mut Ctx<'_>) -> StepResult {

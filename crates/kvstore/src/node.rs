@@ -8,7 +8,7 @@
 use crate::codec::{self, commitlog_format, proto_version, release_id, KeyspaceDef, SchemaState};
 use bytes::Bytes;
 use dup_core::{format_reply, split_words, NodeSetup, VersionId};
-use dup_simnet::{Ctx, Endpoint, Fatal, LogLevel, Process, SimDuration, StepResult};
+use dup_simnet::{restore_clone, Ctx, Endpoint, Fatal, LogLevel, Process, SimDuration, StepResult};
 use dup_wire::Frame;
 use std::collections::BTreeMap;
 
@@ -375,14 +375,7 @@ impl Process for KvNode {
     }
 
     fn restore_from(&mut self, src: &dyn Process) -> bool {
-        let any: &dyn std::any::Any = src;
-        match any.downcast_ref::<Self>() {
-            Some(other) => {
-                self.clone_from(other);
-                true
-            }
-            None => false,
-        }
+        restore_clone(self, src)
     }
 
     fn on_start(&mut self, ctx: &mut Ctx<'_>) -> StepResult {

@@ -279,7 +279,7 @@ pub(crate) enum MessageFate {
 
 /// Live injection state inside [`crate::Sim`]: the plan plus its fate stream
 /// and a counter of injections performed.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct FaultState {
     pub(crate) plan: FaultPlan,
     rng: SimRng,
@@ -348,23 +348,16 @@ impl FaultState {
         false
     }
 
-    /// Captures this state — plan, both RNG stream positions, consumed
-    /// crash-point flags, injection counter — into a pooled snapshot.
-    pub(crate) fn capture_into(&self, snap: &mut FaultSnapshot) {
-        snap.plan.copy_from(&self.plan);
-        snap.rng = self.rng.clone();
-        snap.crash_rng = self.crash_rng.clone();
-        snap.consumed.clone_from(&self.consumed);
-        snap.injected = self.injected;
-    }
-
-    /// Restores this state from a snapshot, reusing retained capacity.
-    pub(crate) fn restore_from_snapshot(&mut self, snap: &FaultSnapshot) {
-        self.plan.copy_from(&snap.plan);
-        self.rng = snap.rng.clone();
-        self.crash_rng = snap.crash_rng.clone();
-        self.consumed.clone_from(&snap.consumed);
-        self.injected = snap.injected;
+    /// Makes this state a copy of `src` — plan, both RNG stream positions
+    /// mid-run (unlike [`FaultState::reinstall`], which re-derives them from
+    /// the seed), consumed crash-point flags, injection counter — reusing
+    /// retained capacity.
+    pub(crate) fn copy_from(&mut self, src: &FaultState) {
+        self.plan.copy_from(&src.plan);
+        self.rng = src.rng.clone();
+        self.crash_rng = src.crash_rng.clone();
+        self.consumed.clone_from(&src.consumed);
+        self.injected = src.injected;
     }
 
     /// Decides the fate of one node-to-node message. First matching fault
@@ -393,31 +386,6 @@ impl FaultState {
             return MessageFate::Delay { extra };
         }
         MessageFate::Deliver
-    }
-}
-
-/// Pooled snapshot of a [`FaultState`]: the plan plus both RNG stream
-/// positions mid-run (unlike [`FaultState::reinstall`], which re-derives
-/// them from the seed), so a restored simulator continues drawing fates
-/// exactly where the snapshotted one stood.
-#[derive(Debug)]
-pub(crate) struct FaultSnapshot {
-    plan: FaultPlan,
-    rng: SimRng,
-    crash_rng: SimRng,
-    consumed: Vec<bool>,
-    injected: u64,
-}
-
-impl Default for FaultSnapshot {
-    fn default() -> Self {
-        FaultSnapshot {
-            plan: FaultPlan::new(0),
-            rng: SimRng::new(0),
-            crash_rng: SimRng::new(0),
-            consumed: Vec::new(),
-            injected: 0,
-        }
     }
 }
 

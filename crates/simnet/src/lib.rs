@@ -79,7 +79,7 @@ pub use crate::faults::{
 pub use crate::log::{LogBuffer, LogLevel, LogMark, LogRecord};
 pub use crate::net::Network;
 pub use crate::node::{NodeMetrics, NodeStatus};
-pub use crate::process::{Ctx, Endpoint, Fatal, NodeId, Process, StepResult};
+pub use crate::process::{restore_clone, Ctx, Endpoint, Fatal, NodeId, Process, StepResult};
 pub use crate::rng::SimRng;
 pub use crate::sim::{ClientHandle, Sim, SimError, SimSnapshot};
 pub use crate::storage::{Durability, HostId, HostStorage, StorageMap};

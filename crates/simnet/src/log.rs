@@ -111,14 +111,6 @@ impl LogBuffer {
         Self::default()
     }
 
-    /// Empties the buffer while keeping the record vec's capacity — the
-    /// log half of `Sim::reset`. Observationally identical to a fresh
-    /// buffer afterwards.
-    pub(crate) fn reset(&mut self) {
-        self.records.clear();
-        self.level_counts = [0; LogLevel::COUNT];
-    }
-
     /// Appends a record.
     pub fn push(&mut self, record: LogRecord) {
         self.level_counts[record.level.index()] += 1;
@@ -127,8 +119,7 @@ impl LogBuffer {
 
     /// Makes this buffer byte-identical to `src`, reusing retained record
     /// capacity (element-wise `clone_from`, so message strings keep their
-    /// allocations when they fit). Used by `Sim::snapshot`/`Sim::restore`
-    /// in both directions.
+    /// allocations when they fit).
     pub(crate) fn copy_from(&mut self, src: &LogBuffer) {
         self.records.truncate(src.records.len());
         for (dst, s) in self.records.iter_mut().zip(&src.records) {

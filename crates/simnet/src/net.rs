@@ -44,14 +44,13 @@ impl Network {
         Self::default()
     }
 
-    /// Restores the default model and heals every partition, keeping the
-    /// partition vec's capacity — the network half of `Sim::reset`.
-    pub(crate) fn reset(&mut self) {
-        let defaults = Network::default();
-        self.base_latency = defaults.base_latency;
-        self.jitter = defaults.jitter;
-        self.drop_probability = defaults.drop_probability;
-        self.partitions.clear();
+    /// Makes this model a copy of `src`, reusing the partition vec's
+    /// capacity.
+    pub(crate) fn copy_from(&mut self, src: &Network) {
+        self.base_latency = src.base_latency;
+        self.jitter = src.jitter;
+        self.drop_probability = src.drop_probability;
+        self.partitions.clone_from(&src.partitions);
     }
 
     /// Partitions `a` from `b` (both directions). Idempotent.
@@ -73,17 +72,6 @@ impl Network {
     /// Heals all partitions.
     pub fn heal_all(&mut self) {
         self.partitions.clear();
-    }
-
-    /// The partitioned pairs, for snapshot capture.
-    pub(crate) fn partition_pairs(&self) -> &[(NodeId, NodeId)] {
-        &self.partitions
-    }
-
-    /// Overwrites the partition set from a snapshot, reusing capacity.
-    pub(crate) fn restore_partitions(&mut self, pairs: &[(NodeId, NodeId)]) {
-        self.partitions.clear();
-        self.partitions.extend_from_slice(pairs);
     }
 
     /// Returns `true` if `a` and `b` are partitioned from each other.

@@ -73,6 +73,47 @@ pub(crate) struct NodeSlot {
     pub metrics: NodeMetrics,
 }
 
+impl NodeSlot {
+    /// A slot with no process, for [`NodeSlot::copy_from`] to fill.
+    pub(crate) fn empty() -> Self {
+        NodeSlot {
+            host: HostId::from_index(0),
+            version_label: String::new(),
+            process: None,
+            status: NodeStatus::Idle,
+            generation: 0,
+            rng: SimRng::new(0),
+            crash_reason: None,
+            metrics: NodeMetrics::default(),
+        }
+    }
+
+    /// Makes this slot a copy of `src`, reusing its strings and its process
+    /// ([`Process::restore_from`]) where it can, else [`Process::fork`]ing
+    /// `src`'s. Returns `false` if that process cannot fork.
+    pub(crate) fn copy_from(&mut self, src: &NodeSlot) -> bool {
+        self.host = src.host;
+        self.version_label.clone_from(&src.version_label);
+        self.status = src.status;
+        self.generation = src.generation;
+        self.rng = src.rng.clone();
+        self.crash_reason.clone_from(&src.crash_reason);
+        self.metrics = src.metrics;
+        let Some(theirs) = src.process.as_deref() else {
+            self.process = None;
+            return true;
+        };
+        let reused = self
+            .process
+            .as_deref_mut()
+            .is_some_and(|mine| mine.restore_from(theirs));
+        if !reused {
+            self.process = theirs.fork();
+        }
+        self.process.is_some()
+    }
+}
+
 impl fmt::Debug for NodeSlot {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("NodeSlot")

@@ -182,12 +182,15 @@ impl<'a> Ctx<'a> {
 /// Any handler may return [`Fatal`] to crash the node; a panic inside a
 /// handler is caught by the simulator and treated identically.
 ///
-/// The `Any` supertrait (and thus `'static`) exists for snapshot-and-fork:
-/// [`Process::fork`] captures a node's in-memory state into a
-/// [`crate::SimSnapshot`], and [`Process::restore_from`] writes a captured
-/// state back into a live process of the same concrete type without
-/// reallocating it. Both have no-op defaults, so ordinary (non-snapshotted)
-/// processes implement only the three handlers.
+/// The `Any` supertrait (and thus `'static`) exists for snapshot-and-fork,
+/// which copies a node's in-memory state between a live simulator and a
+/// [`crate::SimSnapshot`] in both directions: [`Process::restore_from`]
+/// writes `src`'s state into a process of the same concrete type without
+/// reallocating it, and [`Process::fork`] is the fallback when there is no
+/// such process to write into. Both have no-op defaults, so ordinary
+/// (non-snapshotted) processes implement only the three handlers; a
+/// `Clone` process implements them as `Some(Box::new(self.clone()))` and
+/// [`restore_clone`]`(self, src)`.
 pub trait Process: std::any::Any {
     /// Called once when the node starts (fresh start or post-upgrade restart).
     fn on_start(&mut self, ctx: &mut Ctx<'_>) -> StepResult;
@@ -213,14 +216,23 @@ pub trait Process: std::any::Any {
         None
     }
 
-    /// Restores this process in place from `src`, reusing existing heap
+    /// Makes this process a copy of `src` in place, reusing existing heap
     /// capacity where possible. Returns `false` (the default) when the
-    /// states are not the same concrete type or in-place restore is
-    /// unsupported; the simulator then falls back to [`Process::fork`]`()`
-    /// on the snapshot side.
+    /// states are not the same concrete type or in-place copying is
+    /// unsupported; the simulator then falls back to `src`'s
+    /// [`Process::fork`].
     fn restore_from(&mut self, _src: &dyn Process) -> bool {
         false
     }
+}
+
+/// [`Process::restore_from`] for a `Clone` process: `dst.clone_from(src)`
+/// when `src` has `dst`'s concrete type, else `false`.
+pub fn restore_clone<P: Process + Clone>(dst: &mut P, src: &dyn Process) -> bool {
+    let any: &dyn std::any::Any = src;
+    any.downcast_ref::<P>()
+        .map(|src| dst.clone_from(src))
+        .is_some()
 }
 
 #[cfg(test)]

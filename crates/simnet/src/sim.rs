@@ -4,17 +4,21 @@
 //! per-host persistent storage, and the captured logs. All execution is
 //! deterministic in the seed: events are ordered by `(time, sequence)` and all
 //! randomness is drawn from split streams of one root RNG.
+//!
+//! One private `Sim::copy_from` copies that state into retained capacity; it
+//! is all of [`Sim::reset`] (copy a fresh `Sim`), [`Sim::snapshot_into`]
+//! (copy into a [`SimSnapshot`], a `Sim` that is never stepped) and
+//! [`Sim::restore`] (copy back out).
 
 use crate::faults::{
-    CrashPointKind, FaultKind, FaultPlan, FaultSnapshot, FaultState, MessageFate,
-    FAULT_CRASH_REASON,
+    CrashPointKind, FaultKind, FaultPlan, FaultState, MessageFate, FAULT_CRASH_REASON,
 };
 use crate::log::{LogBuffer, LogLevel, LogRecord};
 use crate::net::Network;
 use crate::node::{NodeMetrics, NodeSlot, NodeStatus};
 use crate::process::{Ctx, Effect, Endpoint, NodeId, Process};
 use crate::rng::SimRng;
-use crate::storage::{HostId, HostStorage, StorageMap, StorageSnapshot};
+use crate::storage::{HostId, HostStorage, StorageMap};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{TraceBuffer, TraceConfig, TraceEventKind};
 use bytes::Bytes;
@@ -121,130 +125,17 @@ impl Ord for QueuedEvent {
     }
 }
 
-/// Snapshot of one node slot: everything in [`NodeSlot`] with the live
-/// process replaced by a [`Process::fork`]ed copy.
-struct NodeSnapshot {
-    host: HostId,
-    version_label: String,
-    process: Option<Box<dyn Process>>,
-    status: NodeStatus,
-    generation: u64,
-    rng: SimRng,
-    crash_reason: Option<String>,
-    metrics: NodeMetrics,
-}
-
-impl NodeSnapshot {
-    fn empty() -> Self {
-        NodeSnapshot {
-            host: HostId::from_index(0),
-            version_label: String::new(),
-            process: None,
-            status: NodeStatus::Idle,
-            generation: 0,
-            rng: SimRng::new(0),
-            crash_reason: None,
-            metrics: NodeMetrics::default(),
-        }
-    }
-
-    /// Writes `src`'s state into this pooled slot. Returns `false` — snapshot
-    /// impossible — if the slot holds a live process that does not support
-    /// [`Process::fork`].
-    fn capture_from(&mut self, src: &NodeSlot) -> bool {
-        self.host = src.host;
-        self.version_label.clone_from(&src.version_label);
-        self.status = src.status;
-        self.generation = src.generation;
-        self.rng = src.rng.clone();
-        self.crash_reason.clone_from(&src.crash_reason);
-        self.metrics = src.metrics;
-        match src.process.as_deref() {
-            Some(live) => {
-                // Prefer restoring into the process retained from the last
-                // capture (no allocation); fall back to a fresh fork.
-                let reused = match self.process.as_deref_mut() {
-                    Some(saved) => saved.restore_from(live),
-                    None => false,
-                };
-                if !reused {
-                    match live.fork() {
-                        Some(forked) => self.process = Some(forked),
-                        None => return false,
-                    }
-                }
-            }
-            None => self.process = None,
-        }
-        true
-    }
-}
-
-/// A resumable snapshot of a [`Sim`]'s complete logical state, produced by
-/// [`Sim::snapshot`] and consumed by [`Sim::restore`].
-///
-/// The buffer is pooled: re-capturing into an existing snapshot
-/// ([`Sim::snapshot_into`]) and restoring into a warm simulator both write
-/// into retained capacity, so in steady state neither direction touches the
-/// allocator. This is what lets a campaign runner execute a shared case
-/// prefix once, snapshot, and then fork many seed-divergent suffixes off the
-/// same snapshot at ~the cost of a `memcpy`.
-pub struct SimSnapshot {
-    seed: u64,
-    now: SimTime,
-    seq: u64,
-    /// The event queue flattened in the heap's internal order. Restore
-    /// re-heapifies; pop order is unaffected because event ordering is total
-    /// on the unique `(time, seq)` key.
-    queue: Vec<QueuedEvent>,
-    nodes: Vec<NodeSnapshot>,
-    storage: StorageSnapshot,
-    net_base_latency: SimDuration,
-    net_jitter: SimDuration,
-    net_drop_probability: f64,
-    partitions: Vec<(NodeId, NodeId)>,
-    logs: LogBuffer,
-    net_rng: SimRng,
-    /// Issued client inboxes (the live prefix only; warm spares are not
-    /// observable state). `len()` is the issued-client count.
-    client_inbox: Vec<VecDeque<Bytes>>,
-    events_processed: u64,
-    messages_delivered: u64,
-    cluster_messages_delivered: u64,
-    faults: Option<FaultSnapshot>,
-    fault_epoch: u64,
-    pending_restarts: VecDeque<NodeId>,
-    event_budget: Option<u64>,
-    trace: Option<TraceBuffer>,
-    trace_ctx: u64,
-}
+/// A resumable snapshot of a [`Sim`]'s complete logical state: a simulator
+/// that is never stepped, written by [`Sim::snapshot_into`] and read by
+/// [`Sim::restore`]. Both directions copy into retained capacity, so in
+/// steady state neither touches the allocator: a campaign runner executes a
+/// shared case prefix once, snapshots it, and forks many seed-divergent
+/// suffixes off it at ~the cost of a `memcpy`.
+pub struct SimSnapshot(Sim);
 
 impl Default for SimSnapshot {
     fn default() -> Self {
-        SimSnapshot {
-            seed: 0,
-            now: SimTime::ZERO,
-            seq: 0,
-            queue: Vec::new(),
-            nodes: Vec::new(),
-            storage: StorageSnapshot::default(),
-            net_base_latency: SimDuration::from_millis(0),
-            net_jitter: SimDuration::from_millis(0),
-            net_drop_probability: 0.0,
-            partitions: Vec::new(),
-            logs: LogBuffer::new(),
-            net_rng: SimRng::new(0),
-            client_inbox: Vec::new(),
-            events_processed: 0,
-            messages_delivered: 0,
-            cluster_messages_delivered: 0,
-            faults: None,
-            fault_epoch: 0,
-            pending_restarts: VecDeque::new(),
-            event_budget: None,
-            trace: None,
-            trace_ctx: 0,
-        }
+        SimSnapshot(Sim::new(0))
     }
 }
 
@@ -256,16 +147,16 @@ impl SimSnapshot {
 
     /// The simulated time at which the snapshot was taken.
     pub fn taken_at(&self) -> SimTime {
-        self.now
+        self.0.now
     }
 }
 
 impl fmt::Debug for SimSnapshot {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SimSnapshot")
-            .field("now", &self.now)
-            .field("nodes", &self.nodes.len())
-            .field("queued_events", &self.queue.len())
+            .field("now", &self.0.now)
+            .field("nodes", &self.0.nodes.len())
+            .field("queued_events", &self.0.queue.len())
             .finish_non_exhaustive()
     }
 }
@@ -360,51 +251,15 @@ impl Sim {
     }
 
     /// Arena-style reset: returns the simulator to the state `Sim::new(seed)`
-    /// would produce, but keeps every pooled allocation — the event queue,
-    /// storage and inbox slabs, the effect scratch buffer, and (parked for
-    /// the next [`Sim::install_fault_plan`] / [`Sim::enable_trace`]) the
-    /// fault state and trace ring. In steady state this touches the
-    /// allocator zero times, which is what makes warm per-worker simulators
-    /// cheaper than constructing a fresh `Sim` per case.
-    ///
-    /// The reset-equals-fresh contract: after `reset(s)`, every observable
-    /// behaviour — event order, RNG streams, host-id assignment, client
-    /// handles, digests, trace slices — is byte-identical to a fresh
-    /// `Sim::new(s)` driven the same way. Tests assert this; any new `Sim`
-    /// field must be restored here or the contract (and campaign report
-    /// byte-identity across warm workers) breaks.
+    /// would produce — it copies one (`Sim::copy_from`) — but keeps every
+    /// pooled allocation: the event queue, storage and inbox slabs, the
+    /// effect scratch buffer, and (parked for the next
+    /// [`Sim::install_fault_plan`] / [`Sim::enable_trace`]) the fault state
+    /// and trace ring. In steady state this touches the allocator zero
+    /// times, which is what makes warm per-worker simulators cheaper than
+    /// constructing a fresh `Sim` per case.
     pub fn reset(&mut self, seed: u64) {
-        self.seed = seed;
-        self.now = SimTime::ZERO;
-        self.seq = 0;
-        self.queue.clear();
-        self.nodes.clear();
-        self.storage.reset();
-        self.net.reset();
-        self.logs.reset();
-        self.net_rng = SimRng::new(seed).split(u64::MAX);
-        for inbox in &mut self.client_inbox {
-            inbox.clear();
-        }
-        self.clients = 0;
-        self.events_processed = 0;
-        self.messages_delivered = 0;
-        self.cluster_messages_delivered = 0;
-        self.effects_pool.clear();
-        // Park rather than drop: a fresh sim has `faults: None`, and the
-        // crash/fate gating tests that (`crash_materialize_host` is a no-op
-        // without a plan), so the state cannot stay in `faults` — but its
-        // allocations are worth keeping for the next plan install.
-        if let Some(f) = self.faults.take() {
-            self.fault_pool = Some(f);
-        }
-        self.fault_epoch = 0;
-        self.pending_restarts.clear();
-        self.event_budget = None;
-        if let Some(t) = self.trace.take() {
-            self.trace_pool = Some(t);
-        }
-        self.trace_ctx = 0;
+        self.copy_from(&Sim::new(seed));
     }
 
     // ----- snapshot & fork --------------------------------------------------
@@ -416,212 +271,115 @@ impl Sim {
     /// For repeated captures, allocate the buffer once and use
     /// [`Sim::snapshot_into`], which reuses its capacity.
     pub fn snapshot(&self) -> Option<SimSnapshot> {
-        let mut snap = SimSnapshot::default();
+        let mut snap = SimSnapshot::new();
         self.snapshot_into(&mut snap).then_some(snap)
     }
 
-    /// Captures the simulator's state into a pooled snapshot buffer,
-    /// overwriting whatever it held. Returns `false` (leaving the buffer's
-    /// contents unspecified) if any live process does not support
-    /// [`Process::fork`].
-    ///
-    /// In steady state — re-capturing a similarly shaped world into a warm
-    /// buffer — this performs no heap allocation: strings, vecs, storage
-    /// images, and forked processes are all written into retained capacity.
+    /// Captures the simulator's state into a pooled snapshot buffer
+    /// (`Sim::copy_from` into the snapshot), overwriting whatever it held.
+    /// Returns `false` (leaving the buffer's contents unspecified) if any
+    /// live process does not support [`Process::fork`]. In steady state —
+    /// re-capturing a similarly shaped world into a warm buffer — this
+    /// performs no heap allocation.
     pub fn snapshot_into(&self, snap: &mut SimSnapshot) -> bool {
-        snap.seed = self.seed;
-        snap.now = self.now;
-        snap.seq = self.seq;
-        snap.queue.clear();
-        snap.queue
-            .extend(self.queue.iter().map(|Reverse(e)| e.clone()));
-        if snap.nodes.len() > self.nodes.len() {
-            snap.nodes.truncate(self.nodes.len());
-        }
-        for (dst, src) in snap.nodes.iter_mut().zip(&self.nodes) {
-            if !dst.capture_from(src) {
-                return false;
-            }
-        }
-        for src in &self.nodes[snap.nodes.len()..] {
-            let mut dst = NodeSnapshot::empty();
-            if !dst.capture_from(src) {
-                return false;
-            }
-            snap.nodes.push(dst);
-        }
-        self.storage.capture_into(&mut snap.storage);
-        snap.net_base_latency = self.net.base_latency;
-        snap.net_jitter = self.net.jitter;
-        snap.net_drop_probability = self.net.drop_probability;
-        snap.partitions.clear();
-        snap.partitions
-            .extend_from_slice(self.net.partition_pairs());
-        snap.logs.copy_from(&self.logs);
-        snap.net_rng = self.net_rng.clone();
-        // Only the issued prefix is observable; warm spare slots are not
-        // part of the logical state.
-        if snap.client_inbox.len() > self.clients {
-            snap.client_inbox.truncate(self.clients);
-        }
-        let common = snap.client_inbox.len();
-        for (dst, src) in snap
-            .client_inbox
-            .iter_mut()
-            .zip(&self.client_inbox[..common])
-        {
-            dst.clone_from(src);
-        }
-        for src in &self.client_inbox[common..self.clients] {
-            snap.client_inbox.push(src.clone());
-        }
-        snap.events_processed = self.events_processed;
-        snap.messages_delivered = self.messages_delivered;
-        snap.cluster_messages_delivered = self.cluster_messages_delivered;
-        match &self.faults {
-            Some(state) => {
-                let dst = snap.faults.get_or_insert_with(FaultSnapshot::default);
-                state.capture_into(dst);
-            }
-            None => snap.faults = None,
-        }
-        snap.fault_epoch = self.fault_epoch;
-        snap.pending_restarts.clone_from(&self.pending_restarts);
-        snap.event_budget = self.event_budget;
-        match &self.trace {
-            Some(t) => match snap.trace.as_mut() {
-                Some(dst) => dst.copy_from(t),
-                None => snap.trace = Some(t.clone()),
-            },
-            None => snap.trace = None,
-        }
-        snap.trace_ctx = self.trace_ctx;
-        true
+        snap.0.copy_from(self)
     }
 
-    /// Restores the simulator to the exact state captured in `snap`,
-    /// overwriting the current state while reusing every retained
-    /// allocation (the restore analog of [`Sim::reset`]).
-    ///
-    /// The restore-equals-fresh contract: after `restore(&s)`, every
-    /// observable behaviour — event order, RNG streams, storage digests,
-    /// client handles, logs, trace slices — is byte-identical to the
-    /// simulator that produced `s` continuing from the capture point, which
-    /// in turn is byte-identical to a fresh `Sim` driven through the same
-    /// history. Tests assert this; any new `Sim` field must be captured in
-    /// [`Sim::snapshot_into`] and restored here or the contract (and
-    /// snapshot-mode campaign report byte-identity) breaks.
-    ///
-    /// In steady state — restoring the same snapshot into the same warm
-    /// simulator repeatedly, as the campaign runner does per seed — this
-    /// performs no heap allocation.
+    /// Restores the simulator to the exact state captured in `snap`
+    /// (`Sim::copy_from` out of the snapshot), reusing every retained
+    /// allocation: the simulator continues exactly as the one that produced
+    /// `snap` did from the capture point. In steady state — restoring the
+    /// same snapshot into the same warm simulator repeatedly, as the
+    /// campaign runner does per seed — this performs no heap allocation.
     pub fn restore(&mut self, snap: &SimSnapshot) {
-        self.seed = snap.seed;
-        self.now = snap.now;
-        self.seq = snap.seq;
-        // Reuse the heap's backing vec; re-heapifying cannot change pop
-        // order because event ordering is total on the unique (time, seq).
-        let mut heap_vec = std::mem::take(&mut self.queue).into_vec();
-        heap_vec.clear();
-        heap_vec.extend(snap.queue.iter().map(|e| Reverse(e.clone())));
-        self.queue = BinaryHeap::from(heap_vec);
-        if self.nodes.len() > snap.nodes.len() {
-            self.nodes.truncate(snap.nodes.len());
+        let forked = self.copy_from(&snap.0);
+        debug_assert!(forked, "a captured snapshot holds forkable processes");
+    }
+
+    /// Makes this simulator a copy of `src`'s complete logical state,
+    /// writing into retained capacity: the one copy behind [`Sim::reset`],
+    /// [`Sim::snapshot_into`] and [`Sim::restore`]. Returns `false`, with
+    /// the copy unfinished, if a live process of `src` cannot
+    /// [`Process::fork`].
+    ///
+    /// The copy-equals-source contract: afterwards every observable —
+    /// event order, RNG streams, host-id assignment, client handles,
+    /// storage, logs, counters, trace slices — is byte-identical to `src`
+    /// driven the same way. `src` is destructured below, so a new `Sim`
+    /// field does not compile until it is copied here or named a pool:
+    /// `effects_pool`, the parked `fault_pool`/`trace_pool` and inbox slots
+    /// past `clients` hold allocations, never state.
+    fn copy_from(&mut self, src: &Sim) -> bool {
+        let Sim {
+            seed,
+            now,
+            seq,
+            queue,
+            nodes,
+            storage,
+            net,
+            logs,
+            net_rng,
+            client_inbox,
+            clients,
+            events_processed,
+            messages_delivered,
+            cluster_messages_delivered,
+            effects_pool: _,
+            faults,
+            fault_pool: _,
+            fault_epoch,
+            pending_restarts,
+            event_budget,
+            trace,
+            trace_pool: _,
+            trace_ctx,
+        } = src;
+        self.seed = *seed;
+        self.now = *now;
+        self.seq = *seq;
+        // An element-wise copy of the same valid heap array; pop order is
+        // total on the unique (time, seq) key anyway.
+        self.queue.clone_from(queue);
+        self.storage.copy_from(storage);
+        self.net.copy_from(net);
+        self.logs.copy_from(logs);
+        self.net_rng = net_rng.clone();
+        // Only the issued prefix is state. Slots past it become warm spares
+        // that must read empty when their ids are re-issued.
+        if self.client_inbox.len() < *clients {
+            self.client_inbox.resize_with(*clients, VecDeque::new);
         }
-        for (slot, saved) in self.nodes.iter_mut().zip(&snap.nodes) {
-            slot.host = saved.host;
-            slot.version_label.clone_from(&saved.version_label);
-            slot.status = saved.status;
-            slot.generation = saved.generation;
-            slot.rng = saved.rng.clone();
-            slot.crash_reason.clone_from(&saved.crash_reason);
-            slot.metrics = saved.metrics;
-            match saved.process.as_deref() {
-                Some(sp) => {
-                    let reused = match slot.process.as_deref_mut() {
-                        Some(live) => live.restore_from(sp),
-                        None => false,
-                    };
-                    if !reused {
-                        slot.process = sp.fork();
-                    }
-                }
-                None => slot.process = None,
-            }
-        }
-        for saved in &snap.nodes[self.nodes.len()..] {
-            self.nodes.push(NodeSlot {
-                host: saved.host,
-                version_label: saved.version_label.clone(),
-                process: saved.process.as_deref().and_then(Process::fork),
-                status: saved.status,
-                generation: saved.generation,
-                rng: saved.rng.clone(),
-                crash_reason: saved.crash_reason.clone(),
-                metrics: saved.metrics,
-            });
-        }
-        self.storage.restore_from_snapshot(&snap.storage);
-        self.net.base_latency = snap.net_base_latency;
-        self.net.jitter = snap.net_jitter;
-        self.net.drop_probability = snap.net_drop_probability;
-        self.net.restore_partitions(&snap.partitions);
-        self.logs.copy_from(&snap.logs);
-        self.net_rng = snap.net_rng.clone();
-        let common = self.client_inbox.len().min(snap.client_inbox.len());
-        for (dst, src) in self.client_inbox[..common]
-            .iter_mut()
-            .zip(&snap.client_inbox[..common])
-        {
+        let (live, spare) = self.client_inbox.split_at_mut(*clients);
+        for (dst, src) in live.iter_mut().zip(client_inbox) {
             dst.clone_from(src);
         }
-        for src in &snap.client_inbox[common..] {
-            self.client_inbox.push(src.clone());
-        }
-        // Slots past the snapshot's issued prefix become warm spares again;
-        // they must read as empty when their ids are re-issued.
-        for spare in &mut self.client_inbox[snap.client_inbox.len()..] {
-            spare.clear();
-        }
-        self.clients = snap.client_inbox.len();
-        self.events_processed = snap.events_processed;
-        self.messages_delivered = snap.messages_delivered;
-        self.cluster_messages_delivered = snap.cluster_messages_delivered;
-        self.effects_pool.clear();
-        match &snap.faults {
-            Some(fsnap) => {
-                let state = match self.faults.take().or_else(|| self.fault_pool.take()) {
-                    Some(state) => state,
-                    None => FaultState::new(FaultPlan::new(0)),
-                };
-                let mut state = state;
-                state.restore_from_snapshot(fsnap);
-                self.faults = Some(state);
-            }
-            None => {
-                if let Some(f) = self.faults.take() {
-                    self.fault_pool = Some(f);
-                }
-            }
-        }
-        self.fault_epoch = snap.fault_epoch;
-        self.pending_restarts.clone_from(&snap.pending_restarts);
-        self.event_budget = snap.event_budget;
-        match &snap.trace {
-            Some(src) => match self.trace.take().or_else(|| self.trace_pool.take()) {
-                Some(mut t) => {
-                    t.copy_from(src);
-                    self.trace = Some(t);
-                }
-                None => self.trace = Some(src.clone()),
-            },
-            None => {
-                if let Some(t) = self.trace.take() {
-                    self.trace_pool = Some(t);
-                }
-            }
-        }
-        self.trace_ctx = snap.trace_ctx;
+        spare.iter_mut().for_each(VecDeque::clear);
+        self.clients = *clients;
+        self.events_processed = *events_processed;
+        self.messages_delivered = *messages_delivered;
+        self.cluster_messages_delivered = *cluster_messages_delivered;
+        copy_pooled(
+            &mut self.faults,
+            &mut self.fault_pool,
+            faults.as_ref(),
+            FaultState::copy_from,
+        );
+        self.fault_epoch = *fault_epoch;
+        self.pending_restarts.clone_from(pending_restarts);
+        self.event_budget = *event_budget;
+        copy_pooled(
+            &mut self.trace,
+            &mut self.trace_pool,
+            trace.as_ref(),
+            TraceBuffer::copy_from,
+        );
+        self.trace_ctx = *trace_ctx;
+        self.nodes.resize_with(nodes.len(), NodeSlot::empty);
+        self.nodes
+            .iter_mut()
+            .zip(nodes)
+            .all(|(dst, src)| dst.copy_from(src))
     }
 
     /// Rebinds the root seed without disturbing any existing state: node
@@ -1607,10 +1365,36 @@ fn panic_message(panic: &Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
+/// Makes `live` a copy of `src` with `copy`, reusing `live`'s value or the
+/// one parked in `pool`. A `None` source parks `live`'s value in `pool`:
+/// the copy must read `None` (crash and fate gating test for it), but the
+/// allocations are worth keeping for the next install.
+fn copy_pooled<T: Clone>(
+    live: &mut Option<T>,
+    pool: &mut Option<T>,
+    src: Option<&T>,
+    copy: fn(&mut T, &T),
+) {
+    match src {
+        Some(src) => match live.take().or_else(|| pool.take()) {
+            Some(mut t) => {
+                copy(&mut t, src);
+                *live = Some(t);
+            }
+            None => *live = Some(src.clone()),
+        },
+        None => {
+            if let Some(t) = live.take() {
+                *pool = Some(t);
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::process::StepResult;
+    use crate::process::{restore_clone, StepResult};
 
     /// Echoes every message back to its sender, optionally crashing on a
     /// magic payload.
@@ -2363,14 +2147,7 @@ mod tests {
             Some(Box::new(self.clone()))
         }
         fn restore_from(&mut self, src: &dyn Process) -> bool {
-            let any: &dyn std::any::Any = src;
-            match any.downcast_ref::<Self>() {
-                Some(other) => {
-                    self.clone_from(other);
-                    true
-                }
-                None => false,
-            }
+            restore_clone(self, src)
         }
         fn on_start(&mut self, ctx: &mut Ctx<'_>) -> StepResult {
             ctx.set_timer(SimDuration::from_millis(40), 0);
@@ -2507,12 +2284,26 @@ mod tests {
 
     #[test]
     fn restore_discards_post_snapshot_state() {
+        fn files(sim: &Sim, host: HostId) -> Vec<(String, Vec<u8>)> {
+            let storage = sim.host_storage_by_id_ref(host).expect("touched");
+            let read = |p: &str| (p.to_string(), storage.read(p).unwrap().to_vec());
+            storage.paths("").map(read).collect()
+        }
         let mut sim = forkable_world(13);
+        let fa = sim.host_id("fa");
+        sim.host_storage_by_id(fa).write("keep", "k");
+        sim.host_storage_by_id(fa).write("doomed", "d");
+        let want_files = files(&sim, fa);
         let snap = sim.snapshot().unwrap();
         let want = suffix_fingerprint(&mut sim);
 
-        // Wreck the world after the snapshot: crash a node, add another,
-        // issue clients, install a new plan. Restore must erase all of it.
+        // Wreck the world after the snapshot: rewrite storage and intern a
+        // new host, crash a node, add another, issue clients, install a new
+        // plan. Restore must erase all of it.
+        assert!(sim.host_storage_by_id(fa).delete("doomed"));
+        sim.host_storage_by_id(fa).write("newcomer", "n");
+        let late = sim.host_id("late");
+        sim.host_storage_by_id(late).write("junk", "j");
         sim.kill_node(0).unwrap();
         let extra = sim.add_node("extra", "vx", Box::new(ForkPinger::new(0)));
         sim.start_node(extra).unwrap();
@@ -2526,6 +2317,22 @@ mod tests {
 
         sim.restore(&snap);
         assert_eq!(sim.node_count(), 2);
+        let restored = files(&sim, fa);
+        assert!(restored.iter().any(|(p, _)| p == "doomed"));
+        assert!(!restored.iter().any(|(p, _)| p == "newcomer"));
+        assert_eq!(restored, want_files);
         assert_eq!(suffix_fingerprint(&mut sim), want);
+
+        // A cold simulator whose interning diverges from the snapshot's
+        // rebuilds it: `fa` gets its captured id back.
+        let mut cold = Sim::new(0);
+        let zz = cold.host_id("zz");
+        cold.host_id("fb");
+        cold.host_storage_by_id(zz).write("stale", "s");
+        cold.restore(&snap);
+        assert_eq!(cold.host_id("fa"), fa);
+        assert_eq!(cold.node_host(0), "fa");
+        assert_eq!(files(&cold, fa), want_files);
+        assert_eq!(suffix_fingerprint(&mut cold), want);
     }
 }

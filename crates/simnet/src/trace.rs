@@ -553,7 +553,8 @@ impl TraceBuffer {
     /// the ring storage. Stale slot contents are unreachable afterwards:
     /// every accessor derives liveness from `next_id`, and slots are
     /// overwritten in id order before an id that maps to them is ever handed
-    /// out again. Performs no allocation — the arena half of `Sim::reset`.
+    /// out again. Performs no allocation, so `Sim::enable_trace` recycles a
+    /// ring for free.
     pub(crate) fn reset(&mut self) {
         self.cursor = 0;
         self.next_id = 1;

@@ -8,8 +8,8 @@
 //! and a second test running on a parallel test thread would pollute it.
 
 use dup_simnet::{
-    Ctx, Durability, Endpoint, FaultKind, FaultPlan, HostStorage, Process, Sim, SimDuration,
-    SimRng, SimSnapshot, StepResult, TraceConfig,
+    restore_clone, Ctx, Durability, Endpoint, FaultKind, FaultPlan, HostStorage, Process, Sim,
+    SimDuration, SimRng, SimSnapshot, StepResult, TraceConfig,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -199,14 +199,7 @@ impl Process for ForkTimerPinger {
         Some(Box::new(self.clone()))
     }
     fn restore_from(&mut self, src: &dyn Process) -> bool {
-        let any: &dyn std::any::Any = src;
-        match any.downcast_ref::<Self>() {
-            Some(other) => {
-                self.clone_from(other);
-                true
-            }
-            None => false,
-        }
+        restore_clone(self, src)
     }
     fn on_start(&mut self, ctx: &mut Ctx<'_>) -> StepResult {
         ctx.set_timer(SimDuration::from_millis(10), 1);
