@@ -30,9 +30,10 @@ use crate::campaign::observer::{CampaignObserver, NoopObserver};
 use crate::campaign::report::{CampaignReport, CaseStatus, FailureFold};
 use crate::campaign::search::{run_search_group, SearchConfig, SearchPools, SearchReport};
 use crate::faults::{FaultIntensity, PlanNudge};
-use crate::harness::{CaseDigest, CaseOutcome, CaseResult, CaseRunner, TestCase};
+use crate::harness::{CaseDigest, CaseOutcome, CaseResult, CaseRunner};
 use crate::oracle::Observation;
 use crate::scenario::Scenario;
+use crate::spec::TestCase;
 use dup_core::SystemUnderTest;
 use dup_simnet::{Durability, TraceConfig};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -645,8 +646,8 @@ mod tests {
     use super::*;
     use crate::campaign::observer::MetricsObserver;
     use crate::campaign::report::{dedup_key, FailureReport};
-    use crate::harness::CaseSpec;
     use crate::oracle::Observation;
+    use crate::spec::CaseSpec;
     use dup_core::VersionId;
     use dup_simnet::TraceSlice;
     use std::collections::BTreeMap;

@@ -15,8 +15,8 @@
 
 use crate::campaign::CampaignConfig;
 use crate::faults::FaultIntensity;
-use crate::harness::TestCase;
 use crate::scenario::Scenario;
+use crate::spec::TestCase;
 use crate::workload::WorkloadSpec;
 use dup_core::{upgrade_pairs, SystemUnderTest, VersionId};
 use dup_simnet::Durability;
@@ -53,7 +53,7 @@ impl SeedGroup {
 }
 
 /// The sweep's axes, from which any case index decodes arithmetically.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct MatrixShape {
     pairs: Vec<(VersionId, VersionId)>,
     scenarios: Vec<Scenario>,
@@ -102,15 +102,11 @@ impl MatrixShape {
     }
 }
 
-/// The campaign sweep: either an arithmetic description of the full
-/// enumeration ([`CaseMatrix::enumerate`], O(axes + groups) memory) or an
-/// explicit case list ([`CaseMatrix::from_cases`]).
+/// The campaign sweep: an arithmetic description of the full enumeration
+/// ([`CaseMatrix::enumerate`], O(axes + groups) memory).
 #[derive(Debug, Clone, Default)]
 pub struct CaseMatrix {
-    /// `Some` for enumerated (lazy) matrices; `None` for explicit ones.
-    shape: Option<MatrixShape>,
-    /// Explicit cases; empty when `shape` is `Some`.
-    cases: Vec<TestCase>,
+    shape: MatrixShape,
     groups: Vec<SeedGroup>,
     len: usize,
 }
@@ -158,51 +154,13 @@ impl CaseMatrix {
                 })
                 .collect(),
         };
-        CaseMatrix {
-            shape: Some(shape),
-            cases: Vec::new(),
-            groups,
-            len,
-        }
+        CaseMatrix { shape, groups, len }
     }
 
-    /// Builds a matrix from explicit cases, grouping consecutive cases that
-    /// differ only in seed. Useful for targeted sweeps and tests.
-    pub fn from_cases(cases: Vec<TestCase>) -> CaseMatrix {
-        let mut groups: Vec<SeedGroup> = Vec::new();
-        for (i, case) in cases.iter().enumerate() {
-            let extends = groups.last().map(|g| {
-                let prev = &cases[i - 1];
-                g.start + g.len == i
-                    && prev.from == case.from
-                    && prev.to == case.to
-                    && prev.scenario == case.scenario
-                    && prev.workload == case.workload
-                    && prev.faults == case.faults
-                    && prev.durability == case.durability
-            });
-            match (groups.last_mut(), extends) {
-                (Some(g), Some(true)) => g.len += 1,
-                _ => groups.push(SeedGroup { start: i, len: 1 }),
-            }
-        }
-        let len = cases.len();
-        CaseMatrix {
-            shape: None,
-            cases,
-            groups,
-            len,
-        }
-    }
-
-    /// The case at `index` (stable enumeration order). Decoded
-    /// arithmetically for enumerated matrices, cloned for explicit ones;
-    /// either way the cost is O(1) and a workload `Arc` bump.
+    /// The case at `index` (stable enumeration order), decoded
+    /// arithmetically: the cost is O(1) and a workload `Arc` bump.
     pub fn case_at(&self, index: usize) -> TestCase {
-        match &self.shape {
-            Some(shape) => shape.case_at(index),
-            None => self.cases[index].clone(),
-        }
+        self.shape.case_at(index)
     }
 
     /// All cases in stable index order, produced on demand.
@@ -251,22 +209,19 @@ impl CaseMatrix {
 mod tests {
     use super::*;
     use crate::scenario::Scenario;
-    use dup_core::VersionId;
+    use crate::workload::OpenLoopSpec;
 
-    fn v(s: &str) -> VersionId {
-        s.parse().unwrap()
-    }
-
-    fn case(from: &str, to: &str, scenario: Scenario, seed: u64) -> TestCase {
-        TestCase {
-            from: v(from),
-            to: v(to),
-            scenario,
-            workload: WorkloadSpec::Stress,
-            seed,
-            faults: crate::faults::FaultIntensity::Off,
-            durability: dup_simnet::Durability::Strict,
-        }
+    /// kvstore's `scenarios` under its stress and small open-loop
+    /// workloads, over `seeds`.
+    fn matrix(scenarios: &[Scenario], seeds: &[u64]) -> CaseMatrix {
+        let sut = &dup_kvstore::KvStoreSystem;
+        let config = crate::campaign::Campaign::builder(sut)
+            .seeds(seeds.iter().copied())
+            .scenarios(scenarios.iter().copied())
+            .unit_tests(false)
+            .workloads([OpenLoopSpec::small()])
+            .into_config();
+        CaseMatrix::enumerate(sut, &config)
     }
 
     #[test]
@@ -346,10 +301,33 @@ mod tests {
         for (i, expected) in eager.iter().enumerate() {
             assert_eq!(&lazy.case_at(i), expected, "case {i} diverges");
         }
-        // And grouping matches the eager grouper exactly.
-        let from_eager = CaseMatrix::from_cases(eager);
-        assert_eq!(lazy.groups(), from_eager.groups());
-        assert_eq!(lazy.batches(), from_eager.batches());
+        // And grouping matches the eager grouper exactly: consecutive
+        // cases that differ only in seed form a group, and consecutive
+        // groups that share a pair and a scenario form a batch.
+        let mut groups: Vec<SeedGroup> = Vec::new();
+        let mut batches: Vec<std::ops::Range<usize>> = Vec::new();
+        for (i, case) in eager.iter().enumerate() {
+            let prev = i.checked_sub(1).map(|p| &eager[p]);
+            let key = |c: &TestCase| (c.from, c.to, c.scenario);
+            let same_batch = prev.is_some_and(|p| key(p) == key(case));
+            let same_group = same_batch
+                && prev.is_some_and(|p| {
+                    (&p.workload, p.faults, p.durability)
+                        == (&case.workload, case.faults, case.durability)
+                });
+            match groups.last_mut() {
+                Some(g) if same_group => g.len += 1,
+                _ => {
+                    match batches.last_mut() {
+                        Some(b) if same_batch => b.end += 1,
+                        _ => batches.push(groups.len()..groups.len() + 1),
+                    }
+                    groups.push(SeedGroup { start: i, len: 1 });
+                }
+            }
+        }
+        assert_eq!(lazy.groups(), groups);
+        assert_eq!(lazy.batches(), batches);
     }
 
     #[test]
@@ -364,8 +342,7 @@ mod tests {
             .into_config();
         let m = CaseMatrix::enumerate(sut, &config);
         assert!(m.len() >= 1_000_000, "only {} cases", m.len());
-        // Lazy backing: no cases materialized, groups table is O(groups).
-        assert!(m.cases.is_empty());
+        // The groups table is O(groups).
         assert_eq!(m.groups().len(), m.len() / 20_000);
         // Every group covers exactly the seed axis.
         let g = m.groups()[m.groups().len() / 2];
@@ -388,42 +365,52 @@ mod tests {
 
     #[test]
     fn batches_merge_groups_by_pair_and_scenario() {
-        let cases = vec![
-            // Two groups sharing (pair, scenario) — one batch.
-            case("1.0.0", "2.0.0", Scenario::FullStop, 1),
-            case("1.0.0", "2.0.0", Scenario::FullStop, 2),
-            // Scenario changes — new batch.
-            case("1.0.0", "2.0.0", Scenario::Rolling, 1),
-            // Pair changes — new batch.
-            case("2.0.0", "3.0.0", Scenario::Rolling, 1),
-            case("2.0.0", "3.0.0", Scenario::Rolling, 2),
-        ];
-        // Seeds 1 and 2 of each run fold into one group already; force
-        // distinct groups per seed by alternating workloads instead.
-        let mut cases = cases;
-        cases[1].workload = WorkloadSpec::TranslatedUnit("t".into());
-        cases[4].workload = WorkloadSpec::TranslatedUnit("t".into());
-        let m = CaseMatrix::from_cases(cases);
-        assert_eq!(m.groups().len(), 5);
-        let batches = m.batches();
-        assert_eq!(batches, vec![0..2, 2..3, 3..5]);
-        // Batches tile the group list exactly, in order.
-        assert_eq!(batches.iter().map(|b| b.len()).sum::<usize>(), 5);
+        // Two workloads make two groups per (pair, scenario): one batch.
+        // With one scenario, neighbouring batches differ in the pair alone.
+        for scenarios in [
+            &[Scenario::FullStop, Scenario::Rolling][..],
+            &[Scenario::Rolling],
+        ] {
+            let m = matrix(scenarios, &[1, 2]);
+            let batch_count = m.len() / 4;
+            let pairs = batch_count / scenarios.len();
+            assert!(pairs > 1, "{pairs} pairs");
+            assert_eq!(m.groups().len(), 2 * batch_count);
+            let batches = m.batches();
+            let expected: Vec<_> = (0..batch_count).map(|b| 2 * b..2 * b + 2).collect();
+            assert_eq!(batches, expected);
+            // Each batch shares its pair and scenario, and its neighbour differs.
+            let key = |g: usize| {
+                let c = m.case_at(m.groups()[g].start);
+                (c.from, c.to, c.scenario)
+            };
+            for b in &batches {
+                assert!(b.clone().all(|g| key(g) == key(b.start)));
+            }
+            assert!(batches
+                .windows(2)
+                .all(|w| key(w[0].start) != key(w[1].start)));
+        }
         assert!(CaseMatrix::default().batches().is_empty());
     }
 
     #[test]
-    fn from_cases_groups_seed_runs() {
-        let cases = vec![
-            case("1.0.0", "2.0.0", Scenario::FullStop, 1),
-            case("1.0.0", "2.0.0", Scenario::FullStop, 2),
-            case("1.0.0", "2.0.0", Scenario::Rolling, 1),
-            case("2.0.0", "3.0.0", Scenario::Rolling, 1),
-        ];
-        let m = CaseMatrix::from_cases(cases);
-        assert_eq!(m.groups().len(), 3);
-        assert_eq!(m.groups()[0], SeedGroup { start: 0, len: 2 });
-        assert_eq!(m.groups()[1], SeedGroup { start: 2, len: 1 });
-        assert_eq!(m.groups()[2], SeedGroup { start: 3, len: 1 });
+    fn groups_are_seed_runs() {
+        for seeds in [&[7][..], &[1, 2, 3]] {
+            let m = matrix(&[Scenario::FullStop, Scenario::Rolling], seeds);
+            let n = seeds.len();
+            assert_eq!(m.groups().len() * n, m.len());
+            for (g, group) in m.groups().iter().enumerate() {
+                assert_eq!((group.start, group.len), (g * n, n));
+                // The cases of a group differ in their seed alone.
+                let first = m.case_at(group.start);
+                for (i, index) in group.indices().enumerate() {
+                    let mut case = m.case_at(index);
+                    assert_eq!(case.seed, seeds[i]);
+                    case.seed = first.seed;
+                    assert_eq!(case, first);
+                }
+            }
+        }
     }
 }

@@ -11,7 +11,7 @@
 
 use crate::campaign::report::{CampaignMetrics, CaseStatus, FailureReport};
 use crate::campaign::search::SearchRound;
-use crate::harness::TestCase;
+use crate::spec::TestCase;
 use dup_simnet::TraceSlice;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};

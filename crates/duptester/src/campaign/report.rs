@@ -2,9 +2,10 @@
 //! per-run execution metrics.
 
 use crate::faults::PlanNudge;
-use crate::harness::{CaseOutcome, CaseSpec, TestCase};
+use crate::harness::CaseOutcome;
 use crate::oracle::Observation;
 use crate::scenario::Scenario;
+use crate::spec::{CaseSpec, TestCase};
 use dup_core::VersionId;
 use dup_simnet::TraceSlice;
 use std::collections::btree_map::{BTreeMap, Entry};

@@ -26,8 +26,9 @@ use crate::campaign::executor::{run_contained, Tally};
 use crate::campaign::observer::CampaignObserver;
 use crate::campaign::report::{CampaignReport, CaseStatus, FailureFold};
 use crate::faults::{FaultIntensity, PlanNudge, MAX_NUDGE_SHIFT_MS};
-use crate::harness::{CaseOutcome, CaseRunner, CaseSpec, TestCase};
+use crate::harness::{CaseOutcome, CaseRunner};
 use crate::oracle::Observation;
+use crate::spec::{CaseSpec, TestCase};
 use dup_core::VersionId;
 use dup_simnet::{Durability, SimRng};
 use std::collections::BTreeMap;

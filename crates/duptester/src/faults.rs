@@ -7,9 +7,16 @@
 //! the repro contract: a [`CaseSpec`](crate::CaseSpec) quotes the intensity,
 //! the durability, the seed and the [`PlanNudge`], and that rebuilds the
 //! exact plan — drops, partition windows, crash times, crash points and all.
+//!
+//! A case's [`FaultDriver`] runs the simulator while such a plan is armed:
+//! it brings the nodes the plan crashed back at their version.
 
 use crate::rollout::MAX_SETTLE_SHIFT_MS;
-use dup_simnet::{CrashPointKind, Durability, FaultKind, FaultPlan, SimDuration, SimRng, SimTime};
+use dup_core::{Config, NodeSetup, SystemUnderTest, VersionId};
+use dup_simnet::{
+    CrashPointKind, Durability, FaultKind, FaultPlan, NodeId, Process, Sim, SimDuration, SimRng,
+    SimTime,
+};
 use std::fmt;
 use std::str::FromStr;
 
@@ -336,6 +343,113 @@ pub fn apply_nudge(plan: &FaultPlan, nudge: &PlanNudge, base: SimTime) -> FaultP
         );
     }
     out
+}
+
+/// Drives the simulation on the harness's behalf: between events it drains
+/// [`Sim::take_pending_restart`] and brings fault-crashed nodes back —
+/// re-spawning whatever version the node was on when the plan crashed it,
+/// with the same configuration. With no fault plan installed nothing is ever
+/// pending, and the pump is one empty-queue check per event.
+pub(crate) struct FaultDriver<'a> {
+    pub(crate) sut: &'a dyn SystemUnderTest,
+    /// The configuration every node of the case boots with.
+    pub(crate) config: &'a Config,
+    /// The rollout plan's version path, the from-version first: the
+    /// versions a node may legally be on mid-case (multi-hop plans have a
+    /// middle version beyond the pair).
+    pub(crate) path: &'a [VersionId],
+}
+
+impl FaultDriver<'_> {
+    /// A process of `version` for `node`. A node past the initial cluster
+    /// joined it, and sees one more member.
+    pub(crate) fn spawn(&self, node: NodeId, version: VersionId) -> Box<dyn Process> {
+        let n = self.sut.cluster_size();
+        let mut setup = NodeSetup::new(node, if node >= n { n + 1 } else { n });
+        setup.config = self.config.clone();
+        self.sut.spawn(version, &setup)
+    }
+
+    /// Restarts every fault-crashed node whose scheduled comeback is due.
+    fn pump(&self, sim: &mut Sim) {
+        while let Some(node) = sim.take_pending_restart() {
+            // Re-check: the harness may have upgraded (and restarted) the
+            // node itself since the restart was queued.
+            if !sim.is_fault_crashed(node) {
+                continue;
+            }
+            // Re-spawn whatever path version the node was on when the plan
+            // crashed it (only the fault plan crashes get pumped, so genuine
+            // downgrade failures persist as oracle evidence).
+            let version = sim
+                .node_version(node)
+                .parse::<VersionId>()
+                .ok()
+                .filter(|v| self.path.contains(v))
+                .unwrap_or(self.path[0]);
+            let process = self.spawn(node, version);
+            if sim.install(node, &version.to_string(), process).is_ok() {
+                let _ = sim.start_node(node);
+            }
+        }
+    }
+
+    /// The one pumped stepping loop: runs `sim` event by event up to
+    /// `deadline`, pumping before each event, until `done` holds (asked
+    /// before each pump). Returns `true` if `done` ended it; otherwise the
+    /// clock stands at `deadline`.
+    pub(crate) fn step_until(
+        &self,
+        sim: &mut Sim,
+        deadline: SimTime,
+        mut done: impl FnMut(&mut Sim) -> bool,
+    ) -> bool {
+        loop {
+            if done(sim) {
+                return true;
+            }
+            self.pump(sim);
+            match sim.peek_time() {
+                Some(t) if t <= deadline => {
+                    sim.step();
+                }
+                _ => {
+                    sim.run_until(deadline);
+                    return false;
+                }
+            }
+        }
+    }
+
+    /// Pump-aware [`Sim::run_for`].
+    pub(crate) fn run_for(&self, sim: &mut Sim, duration: SimDuration) {
+        self.quiesce(sim, duration, u64::MAX);
+    }
+
+    /// Pump-aware [`Sim::run_for`] that also stops, wherever the clock then
+    /// stands, once [`Sim::cluster_messages_delivered`] reaches
+    /// `decided_at`. Returns `true` if that is what ended it.
+    pub(crate) fn quiesce(&self, sim: &mut Sim, duration: SimDuration, decided_at: u64) -> bool {
+        let deadline = sim.now() + duration;
+        let decided = self.step_until(sim, deadline, |sim| {
+            sim.cluster_messages_delivered() >= decided_at
+        });
+        if !decided {
+            self.pump(sim);
+        }
+        decided
+    }
+
+    /// Pump-aware [`Sim::run_until`]: advances to `deadline`, a no-op when
+    /// the deadline already passed (time never rewinds). The open-loop
+    /// traffic steps use this to hold each arrival until its scheduled
+    /// time.
+    pub(crate) fn run_until(&self, sim: &mut Sim, deadline: SimTime) {
+        let wait = deadline.since(sim.now());
+        if wait > SimDuration::ZERO {
+            self.run_for(sim, wait);
+        }
+    }
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
-//! The test-case runner: boots a cluster of the old version in the
-//! simulator, compiles the case's scenario into an explicit [`RolloutPlan`],
-//! drives the workload through the plan's steps, and hands the evidence to
-//! the oracle.
+//! The case runner: executes one [`TestCase`] in a warm simulator. It
+//! boots a cluster of the old version, compiles the case's scenario into an
+//! explicit [`RolloutPlan`], drives the workload through the plan's steps,
+//! and hands the evidence to the oracle.
 //!
 //! # Snapshot-and-fork execution
 //!
@@ -22,159 +22,17 @@
 //! re-running the prefix from scratch, so results are identical whether
 //! snapshotting is on or off — only the per-case cost changes.
 
-use crate::faults::{apply_nudge, fault_plan_for, FaultIntensity, PlanNudge};
-use crate::oracle::{self, Observation, OpResult};
+use crate::client::{take_op, Client, OP_TIMEOUT};
+use crate::faults::{apply_nudge, fault_plan_for, FaultDriver, PlanNudge};
+use crate::oracle::{self, Observation};
 use crate::rollout::{RolloutPlan, RolloutStep};
-use crate::scenario::Scenario;
+use crate::spec::{CaseSpec, TestCase};
 use crate::translator::translate;
 use crate::workload::{WorkloadPlan, WorkloadSpec};
-use bytes::Bytes;
-use dup_core::{ClientOp, Config, NodeSetup, SystemUnderTest, UnitTest, VersionId, WorkloadPhase};
+use dup_core::{ClientOp, Config, SystemUnderTest, UnitTest, VersionId, WorkloadPhase};
 use dup_simnet::{
-    ClientHandle, Durability, LogLevel, NodeId, Sim, SimDuration, SimSnapshot, SimTime,
-    TraceBuffer, TraceConfig, TraceSlice,
+    LogLevel, Sim, SimDuration, SimSnapshot, SimTime, TraceBuffer, TraceConfig, TraceSlice,
 };
-use std::collections::VecDeque;
-use std::fmt;
-use std::str::FromStr;
-
-/// One test case: a version pair, a scenario, a workload, a seed, a fault
-/// intensity, and a storage durability mode.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TestCase {
-    /// The version upgraded *from*.
-    pub from: VersionId,
-    /// The version upgraded *to*.
-    pub to: VersionId,
-    /// Upgrade scenario.
-    pub scenario: Scenario,
-    /// Workload specification.
-    pub workload: WorkloadSpec,
-    /// Simulation seed (only matters for the ~11% timing-dependent bugs).
-    pub seed: u64,
-    /// Injected-fault intensity; the concrete plan is a pure function of
-    /// `(faults, durability, seed, cluster size, suffix start time)` via
-    /// [`fault_plan_for`].
-    pub faults: FaultIntensity,
-    /// Storage durability mode the case's hosts run under. Non-strict modes
-    /// buffer writes until an explicit flush and let the crash materializer
-    /// drop or tear the unflushed tail on every crash.
-    pub durability: Durability,
-}
-
-impl TestCase {
-    /// Runs this case inside `runner`: executes (or restores from snapshot)
-    /// the seed-independent prefix — boot the old-version cluster at `from`,
-    /// settle, run the pre-upgrade workload — then forks into this case's
-    /// seed via [`Sim::reseed`] and drives the seed-dependent suffix: fault
-    /// plan, upgrade scenario, quiesce, oracle.
-    ///
-    /// This is *the* case-execution entry point — `Sim::reset` guarantees a
-    /// reset simulator is byte-indistinguishable from a fresh one, and
-    /// `Sim::restore` guarantees a restored prefix is byte-indistinguishable
-    /// from a re-executed one, so the result is identical whether the runner
-    /// is brand new, warm from ten thousand cases, or snapshotting.
-    ///
-    /// A case whose `from` or `to` is not a release of the runner's system
-    /// is not run: it returns [`CaseOutcome::InvalidWorkload`].
-    pub fn run_in(&self, runner: &mut CaseRunner<'_>) -> CaseResult {
-        runner.execute_checked(self, &PlanNudge::default())
-    }
-
-    /// Convenience wrapper for one-off runs: builds a throwaway untraced
-    /// [`CaseRunner`] and returns just the outcome. Prefer a long-lived
-    /// runner (and [`TestCase::run_in`]) anywhere more than one case runs.
-    pub fn run(&self, sut: &dyn SystemUnderTest) -> CaseOutcome {
-        self.run_in(&mut CaseRunner::new(sut)).outcome
-    }
-}
-
-/// Everything that decides what a case does: the [`TestCase`] and the
-/// [`PlanNudge`] a search mutant perturbs its plans with (the default nudge
-/// for every other case). A failure report carries one, and its text is the
-/// report's `repro:` line:
-///
-/// ```text
-/// 3.11.0->4.0.0 scenario=rolling workload=stress seed=9 faults=light durability=strict nudge=a-4200,f9e37
-/// ```
-///
-/// The `nudge=` segment appears only for a nudge that is not a no-op. The
-/// fault, rollout and workload plans are pure functions of the spec and the
-/// system, so the line replays the case: parse it and call
-/// [`CaseSpec::run_in`]. Parsing accepts the line with or without its
-/// `repro: ` label and only in the form `Display` writes, so two lines
-/// never denote one case.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CaseSpec {
-    /// The case.
-    pub case: TestCase,
-    /// The perturbation of its fault, rollout and workload plans.
-    pub nudge: PlanNudge,
-}
-
-impl CaseSpec {
-    /// Runs the case under its nudge inside `runner`; with the default
-    /// nudge this is [`TestCase::run_in`], version check included.
-    pub fn run_in(&self, runner: &mut CaseRunner<'_>) -> CaseResult {
-        runner.execute_checked(&self.case, &self.nudge)
-    }
-}
-
-impl fmt::Display for CaseSpec {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let c = &self.case;
-        write!(
-            f,
-            "{}->{} scenario={} workload={} seed={} faults={} durability={}",
-            c.from, c.to, c.scenario, c.workload, c.seed, c.faults, c.durability
-        )?;
-        if !self.nudge.is_noop() {
-            write!(f, " nudge={}", self.nudge)?;
-        }
-        Ok(())
-    }
-}
-
-impl FromStr for CaseSpec {
-    type Err = String;
-
-    fn from_str(line: &str) -> Result<CaseSpec, String> {
-        let text = line.strip_prefix("repro: ").unwrap_or(line);
-        let mut words = text.split(' ');
-        let (from, to) = (words.next())
-            .and_then(|pair| pair.split_once("->"))
-            .ok_or("expected <from>-><to>")?;
-        let version = |v: &str| v.parse().map_err(|_| format!("bad version {v:?}"));
-        let mut field = |key: &str| {
-            (words.next())
-                .and_then(|w| w.strip_prefix(key)?.strip_prefix('='))
-                .ok_or_else(|| format!("expected {key}=…"))
-        };
-        let case = TestCase {
-            from: version(from)?,
-            to: version(to)?,
-            scenario: field("scenario")?.parse()?,
-            workload: field("workload").and_then(|w| {
-                WorkloadSpec::parse(w).ok_or_else(|| format!("bad workload {w:?}"))
-            })?,
-            seed: field("seed")?.parse().map_err(|_| "bad seed")?,
-            faults: field("faults")?.parse()?,
-            durability: field("durability")?.parse()?,
-        };
-        let nudge = match words.next() {
-            Some(w) => w
-                .strip_prefix("nudge=")
-                .ok_or("expected nudge=…")?
-                .parse()?,
-            None => PlanNudge::default(),
-        };
-        let spec = CaseSpec { case, nudge };
-        if spec.to_string() != text {
-            return Err(format!("{line:?} is not a repro line in canonical form"));
-        }
-        Ok(spec)
-    }
-}
 
 /// A reusable case-execution context: the system under test, the campaign's
 /// trace configuration, and a warm [`Sim`] whose pooled allocations (event
@@ -327,14 +185,10 @@ impl<'a> CaseRunner<'a> {
             .find(|v| !catalog.contains(v));
         match stranger {
             None => self.execute(case, nudge),
-            Some(v) => CaseResult {
-                outcome: CaseOutcome::InvalidWorkload(format!(
-                    "{v} is not a {} release",
-                    self.sut.name()
-                )),
-                digest: CaseDigest::default(),
-                slice: None,
-            },
+            Some(v) => {
+                let message = format!("{v} is not a {} release", self.sut.name());
+                invalid(message, CaseDigest::default())
+            }
         }
     }
 
@@ -345,84 +199,90 @@ impl<'a> CaseRunner<'a> {
         let key = (case.from, case.workload.clone());
         self.pools.client.clear();
 
-        // Fast path: a sibling case already executed this prefix.
-        if self.use_snapshots {
-            if let Some(pre) = self.prefix.as_ref().filter(|p| p.key == key) {
-                if let Some((message, digest)) = &pre.data.invalid {
-                    // The invalid verdict is seed-independent: replaying the
-                    // prefix for this seed would abort identically.
-                    return CaseResult {
-                        outcome: CaseOutcome::InvalidWorkload(message.clone()),
-                        digest: *digest,
-                        slice: None,
-                    };
+        // A sibling case already executed this prefix: restore its snapshot,
+        // or reuse its invalid verdict, which is seed-independent.
+        let cached = (self.prefix.as_ref()).filter(|p| self.use_snapshots && p.key == key);
+        match cached {
+            Some(pre) if pre.snapshot_valid => self.sim.restore(&self.snapshot),
+            Some(pre) if pre.data.invalid.is_some() => {}
+            _ => {
+                // Execute the prefix from a reset simulator under the
+                // seed-independent prefix seed.
+                #[cfg(test)]
+                {
+                    self.pools.prefixes_run += 1;
                 }
-                if pre.snapshot_valid {
-                    self.sim.restore(&self.snapshot);
-                    self.sim.reseed(case.seed);
-                    let (outcome, decided_early) = run_suffix(
-                        &mut self.sim,
-                        self.sut,
-                        case,
-                        &pre.data,
-                        nudge,
-                        &mut self.pools,
-                    );
-                    return finalize(&mut self.sim, outcome, decided_early);
+                let pseed = prefix_seed(case.from, &case.workload);
+                self.sim.reset(pseed);
+                self.sim.set_event_budget(EVENT_BUDGET);
+                if let Some(config) = self.trace {
+                    self.sim.enable_trace(config);
                 }
+                let prefix = run_prefix(&mut self.sim, self.sut, case, pseed, &mut self.pools);
+                if self.sim.budget_exhausted() {
+                    // A runaway prefix is not cacheable evidence of anything
+                    // but its own non-termination; report the hang without
+                    // caching.
+                    self.prefix = None;
+                    return finalize(&mut self.sim, CaseOutcome::Pass, false);
+                }
+                let data = prefix.unwrap_or_else(|message| PrefixData {
+                    invalid: Some((message, digest_of(&self.sim))),
+                    ..PrefixData::default()
+                });
+                let snapshot_valid = self.use_snapshots
+                    && data.invalid.is_none()
+                    && self.sim.snapshot_into(&mut self.snapshot);
+                self.prefix = Some(PrefixCache {
+                    key,
+                    snapshot_valid,
+                    data,
+                });
             }
         }
-
-        // Cold path: execute the prefix from a reset simulator under the
-        // seed-independent prefix seed.
-        #[cfg(test)]
-        {
-            self.pools.prefixes_run += 1;
-        }
-        let pseed = prefix_seed(case.from, &case.workload);
-        self.sim.reset(pseed);
-        self.sim.set_event_budget(EVENT_BUDGET);
-        if let Some(config) = self.trace {
-            self.sim.enable_trace(config);
-        }
-        let mut data = PrefixData::default();
-        let prefix_verdict = run_prefix(
-            &mut self.sim,
-            self.sut,
-            case,
-            pseed,
-            &mut data,
-            &mut self.pools,
-        );
-        if self.sim.budget_exhausted() {
-            // A runaway prefix is not cacheable evidence of anything but its
-            // own non-termination; report the hang without caching.
-            self.prefix = None;
-            return finalize(&mut self.sim, CaseOutcome::Pass, false);
-        }
-        if let Err(message) = &prefix_verdict {
-            data.invalid = Some((message.clone(), digest_of(&self.sim)));
-        }
-        let snapshot_valid = self.use_snapshots
-            && prefix_verdict.is_ok()
-            && self.sim.snapshot_into(&mut self.snapshot);
-        self.prefix = Some(PrefixCache {
-            key,
-            snapshot_valid,
-            data,
-        });
-        let pre = &self.prefix.as_ref().expect("just cached").data;
+        let pre = &self.prefix.as_ref().expect("prefix cached").data;
         if let Some((message, digest)) = &pre.invalid {
-            return CaseResult {
-                outcome: CaseOutcome::InvalidWorkload(message.clone()),
-                digest: *digest,
-                slice: None,
-            };
+            return invalid(message.clone(), *digest);
         }
         self.sim.reseed(case.seed);
         let (outcome, decided_early) =
             run_suffix(&mut self.sim, self.sut, case, pre, nudge, &mut self.pools);
         finalize(&mut self.sim, outcome, decided_early)
+    }
+}
+
+impl TestCase {
+    /// Runs this case inside `runner`: executes (or restores from snapshot)
+    /// the seed-independent prefix — boot the old-version cluster at `from`,
+    /// settle, run the pre-upgrade workload — then forks into this case's
+    /// seed via [`Sim::reseed`](dup_simnet::Sim::reseed) and drives the
+    /// seed-dependent suffix: fault plan, upgrade scenario, quiesce, oracle.
+    ///
+    /// This is *the* case-execution entry point — `Sim::reset` guarantees a
+    /// reset simulator is byte-indistinguishable from a fresh one, and
+    /// `Sim::restore` guarantees a restored prefix is byte-indistinguishable
+    /// from a re-executed one, so the result is identical whether the runner
+    /// is brand new, warm from ten thousand cases, or snapshotting.
+    ///
+    /// A case whose `from` or `to` is not a release of the runner's system
+    /// is not run: it returns [`CaseOutcome::InvalidWorkload`].
+    pub fn run_in(&self, runner: &mut CaseRunner<'_>) -> CaseResult {
+        runner.execute_checked(self, &PlanNudge::default())
+    }
+
+    /// Convenience wrapper for one-off runs: builds a throwaway untraced
+    /// [`CaseRunner`] and returns just the outcome. Prefer a long-lived
+    /// runner (and [`TestCase::run_in`]) anywhere more than one case runs.
+    pub fn run(&self, sut: &dyn SystemUnderTest) -> CaseOutcome {
+        self.run_in(&mut CaseRunner::new(sut)).outcome
+    }
+}
+
+impl CaseSpec {
+    /// Runs the case under its nudge inside `runner`; with the default
+    /// nudge this is [`TestCase::run_in`], version check included.
+    pub fn run_in(&self, runner: &mut CaseRunner<'_>) -> CaseResult {
+        runner.execute_checked(&self.case, &self.nudge)
     }
 }
 
@@ -441,6 +301,15 @@ fn prefix_seed(from: VersionId, workload: &WorkloadSpec) -> u64 {
     let hash = eat(0xcbf2_9ce4_8422_2325, from.to_string().as_bytes());
     let hash = eat(hash, &[0xFF]);
     eat(hash, workload.to_string().as_bytes())
+}
+
+/// The result of a case that was not run because its workload is invalid.
+fn invalid(message: String, digest: CaseDigest) -> CaseResult {
+    CaseResult {
+        outcome: CaseOutcome::InvalidWorkload(message),
+        digest,
+        slice: None,
+    }
 }
 
 /// The end-of-case bookkeeping shared by every execution path: the event
@@ -555,7 +424,6 @@ const SETTLE: SimDuration = SimDuration::from_secs(2);
 /// can still reach: from there a `MessageStorm` is certain whatever happens
 /// next, so pumping the storm further buys no evidence.
 const QUIESCE: SimDuration = SimDuration::from_secs(75);
-const OP_TIMEOUT: SimDuration = SimDuration::from_secs(3);
 /// The logical phase window an open-loop [`WorkloadPlan`] compiles over:
 /// it sizes the during-upgrade arrival schedule (rate × window arrivals,
 /// plus bursts), independent of how long the rollout steps actually take.
@@ -569,251 +437,6 @@ const OPEN_LOOP_WINDOW_MS: u64 = 2_000;
 /// as the `MessageStorm` it is; a runaway that delivers no messages (a timer
 /// loop) still runs into the ceiling.
 const EVENT_BUDGET: u64 = 2_000_000;
-
-/// Drives the simulation on the harness's behalf: between events it drains
-/// [`Sim::take_pending_restart`] and brings fault-crashed nodes back —
-/// re-spawning whatever version the node was on when the plan crashed it,
-/// with the same configuration. With no fault plan installed nothing is ever
-/// pending, and the pump is one empty-queue check per event.
-struct FaultDriver<'a> {
-    sut: &'a dyn SystemUnderTest,
-    case: &'a TestCase,
-    config: &'a Config,
-    cluster: u32,
-    /// The rollout plan's version path: the versions a node may legally be
-    /// on mid-case (multi-hop plans have a middle version beyond the pair).
-    path: &'a [VersionId],
-}
-
-impl FaultDriver<'_> {
-    /// Restarts every fault-crashed node whose scheduled comeback is due.
-    fn pump(&self, sim: &mut Sim) {
-        while let Some(node) = sim.take_pending_restart() {
-            // Re-check: the harness may have upgraded (and restarted) the
-            // node itself since the restart was queued.
-            if !sim.is_fault_crashed(node) {
-                continue;
-            }
-            // Re-spawn whatever path version the node was on when the plan
-            // crashed it (only the fault plan crashes get pumped, so genuine
-            // downgrade failures persist as oracle evidence).
-            let version = sim
-                .node_version(node)
-                .parse::<VersionId>()
-                .ok()
-                .filter(|v| self.path.contains(v))
-                .unwrap_or(self.case.from);
-            let size = if node >= self.cluster {
-                self.cluster + 1
-            } else {
-                self.cluster
-            };
-            let mut setup = NodeSetup::new(node, size);
-            setup.config = self.config.clone();
-            if sim
-                .install(node, &version.to_string(), self.sut.spawn(version, &setup))
-                .is_ok()
-            {
-                let _ = sim.start_node(node);
-            }
-        }
-    }
-
-    /// Pump-aware [`Sim::run_for`].
-    fn run_for(&self, sim: &mut Sim, duration: SimDuration) {
-        self.quiesce(sim, duration, u64::MAX);
-    }
-
-    /// Pump-aware [`Sim::run_for`] that also stops, wherever the clock then
-    /// stands, once [`Sim::cluster_messages_delivered`] reaches
-    /// `decided_at`. Returns `true` if that is what ended it.
-    fn quiesce(&self, sim: &mut Sim, duration: SimDuration, decided_at: u64) -> bool {
-        let deadline = sim.now() + duration;
-        while sim.cluster_messages_delivered() < decided_at {
-            self.pump(sim);
-            match sim.peek_time() {
-                Some(t) if t <= deadline => {
-                    sim.step();
-                }
-                _ => {
-                    sim.run_until(deadline);
-                    self.pump(sim);
-                    return false;
-                }
-            }
-        }
-        true
-    }
-
-    /// Pump-aware [`Sim::run_until`]: advances to `deadline`, a no-op when
-    /// the deadline already passed (time never rewinds). The open-loop
-    /// traffic steps use this to hold each arrival until its scheduled
-    /// time.
-    fn run_until(&self, sim: &mut Sim, deadline: SimTime) {
-        let wait = deadline.since(sim.now());
-        if wait > SimDuration::ZERO {
-            self.run_for(sim, wait);
-        }
-    }
-}
-
-/// One client op in flight.
-struct Pending {
-    handle: ClientHandle,
-    /// Send time plus [`OP_TIMEOUT`].
-    deadline: SimTime,
-    node: NodeId,
-    /// The command sent, kept so an op that turns out to be evidence can
-    /// name it.
-    command: String,
-    after_upgrade_started: bool,
-    in_after_phase: bool,
-}
-
-/// The harness's client, the one path every op and reply takes. An op is
-/// sent with [`Sim::client_send`] without waiting and joins the in-flight
-/// set; it settles when its reply arrives or, unanswered, at its deadline.
-/// The set is in send order and every op waits the same [`OP_TIMEOUT`], so
-/// deadlines rise from front to back and only the front can be due. An op
-/// is sent by value: its command moves in, and on to the evidence log if the
-/// settled op can be evidence ([`oracle::can_be_evidence`]); the others cost
-/// no reply conversion.
-#[derive(Default)]
-struct Client {
-    in_flight: VecDeque<Pending>,
-    /// The settled ops that can be evidence, in send order, for the oracle.
-    evidence: Vec<OpResult>,
-}
-
-impl Client {
-    /// Forgets every op, in flight or settled. Every case starts with this,
-    /// so a case that panicked mid-step leaves the next one nothing.
-    fn clear(&mut self) {
-        self.in_flight.clear();
-        self.evidence.clear();
-    }
-
-    /// Sends `op` now and returns its deadline.
-    fn send(
-        &mut self,
-        sim: &mut Sim,
-        op: ClientOp,
-        after_upgrade_started: bool,
-        in_after_phase: bool,
-    ) -> SimTime {
-        let request = Bytes::copy_from_slice(op.command.as_bytes());
-        let deadline = sim.now() + OP_TIMEOUT;
-        self.in_flight.push_back(Pending {
-            handle: sim.client_send(op.node, request),
-            deadline,
-            node: op.node,
-            command: op.command,
-            after_upgrade_started,
-            in_after_phase,
-        });
-        deadline
-    }
-
-    /// Settles the oldest op in flight if its reply is in or its deadline
-    /// is no later than `until`. In the second case the simulator runs,
-    /// pumped, to the reply or to the deadline, whichever comes first.
-    /// Returns whether the op was answered, or `None` if none settled.
-    fn settle_oldest(
-        &mut self,
-        driver: &FaultDriver<'_>,
-        sim: &mut Sim,
-        until: SimTime,
-    ) -> Option<bool> {
-        let &Pending {
-            handle, deadline, ..
-        } = self.in_flight.front()?;
-        let reply = loop {
-            if let Some(reply) = sim.poll_response(handle) {
-                break Some(reply);
-            }
-            if deadline > until {
-                return None;
-            }
-            driver.pump(sim);
-            match sim.peek_time() {
-                Some(t) if t <= deadline => {
-                    sim.step();
-                }
-                _ => {
-                    sim.run_until(deadline);
-                    break sim.poll_response(handle);
-                }
-            }
-        };
-        let op = self.in_flight.pop_front().expect("the oldest op settled");
-        let response = reply.as_deref();
-        if oracle::can_be_evidence(op.after_upgrade_started, op.in_after_phase, response) {
-            self.evidence.push(OpResult {
-                command: op.command,
-                node: op.node,
-                response: response.map(|b| String::from_utf8_lossy(b).into_owned()),
-                after_upgrade_started: op.after_upgrade_started,
-                in_after_phase: op.in_after_phase,
-            });
-        }
-        Some(response.is_some())
-    }
-
-    /// Settles ops oldest first for as long as the oldest is answered or due
-    /// by `until`.
-    fn settle(&mut self, driver: &FaultDriver<'_>, sim: &mut Sim, until: SimTime) {
-        while self.settle_oldest(driver, sim, until).is_some() {}
-    }
-
-    /// Settles every op in flight: returns once each has a reply or has
-    /// expired.
-    fn drain(&mut self, driver: &FaultDriver<'_>, sim: &mut Sim) {
-        if let Some(last) = self.in_flight.back().map(|op| op.deadline) {
-            self.settle(driver, sim, last);
-        }
-    }
-
-    /// Runs one op to completion — an in-flight set of one — and returns
-    /// whether it was answered.
-    fn run(
-        &mut self,
-        driver: &FaultDriver<'_>,
-        sim: &mut Sim,
-        op: ClientOp,
-        after_upgrade_started: bool,
-        in_after_phase: bool,
-    ) -> bool {
-        debug_assert!(self.in_flight.is_empty(), "ops are still in flight");
-        let deadline = self.send(sim, op, after_upgrade_started, in_after_phase);
-        self.settle_oldest(driver, sim, deadline) == Some(true)
-    }
-
-    /// Runs `batch` one op after another, taking each op's command.
-    fn run_all(
-        &mut self,
-        driver: &FaultDriver<'_>,
-        sim: &mut Sim,
-        batch: &mut [ClientOp],
-        after_upgrade_started: bool,
-        in_after_phase: bool,
-    ) {
-        for op in batch {
-            self.run(
-                driver,
-                sim,
-                take_op(op),
-                after_upgrade_started,
-                in_after_phase,
-            );
-        }
-    }
-}
-
-/// Moves `op` out of a pooled batch, leaving an empty command behind: each
-/// pooled op is sent once, and its buffer is refilled before the next case.
-fn take_op(op: &mut ClientOp) -> ClientOp {
-    ClientOp::new(op.node, std::mem::take(&mut op.command))
-}
 
 /// `true` if some node is crashed for a *genuine* reason — i.e. not by the
 /// fault plan (whose crashes are injected, expected, and exempt).
@@ -829,17 +452,15 @@ fn any_genuine_crash(sim: &Sim) -> bool {
 /// `case.seed` — which is what makes the resulting simulator state sharable
 /// across a whole seed group via snapshot.
 ///
-/// Fills `data`; returns `Err(message)` when the workload is invalid (the
-/// message is the seed-independent [`CaseOutcome::InvalidWorkload`]
-/// verdict).
+/// Returns `Err(message)` when the workload is invalid (the message is the
+/// seed-independent [`CaseOutcome::InvalidWorkload`] verdict).
 fn run_prefix(
     sim: &mut Sim,
     sut: &dyn SystemUnderTest,
     case: &TestCase,
     pseed: u64,
-    data: &mut PrefixData,
     pools: &mut CasePools,
-) -> Result<(), String> {
+) -> Result<PrefixData, String> {
     let n = sut.cluster_size();
     let mut config = sut.default_config();
 
@@ -857,61 +478,46 @@ fn run_prefix(
                 before_ops.push(op)
             });
         }
-        WorkloadSpec::TranslatedUnit(name) => {
-            let Some(test) = find_unit_test(sut, name) else {
+        WorkloadSpec::TranslatedUnit(name) | WorkloadSpec::UnitStateHandoff(name) => {
+            let Some(mut test) = find_unit_test(sut, name) else {
                 return Err(format!("no unit test named {name}"));
             };
-            let translation = translate(&test, &sut.translation(), 0);
-            if !translation.is_usable() {
-                return Err(format!("unit test {name} is fully untranslatable"));
-            }
-            for (k, v) in &test.config {
-                config.insert(k.clone(), v.clone());
-            }
-            before_ops.extend(translation.ops);
-        }
-        WorkloadSpec::UnitStateHandoff(name) => {
-            let Some(test) = find_unit_test(sut, name) else {
-                return Err(format!("no unit test named {name}"));
-            };
-            for (k, v) in &test.config {
-                config.insert(k.clone(), v.clone());
-            }
-            // Execute the unit test in place against node 0's storage, as
-            // the original in-JVM test would.
-            let storage_host = sim.host_id(&host(0));
-            let storage = sim.host_storage_by_id(storage_host);
-            for stmt in &test.statements {
-                if let Err(e) = sut.run_unit_statement(case.from, stmt, storage) {
-                    return Err(format!("unit test {name} cannot run in place: {e}"));
+            config.append(&mut test.config);
+            if let WorkloadSpec::TranslatedUnit(_) = case.workload {
+                let translation = translate(&test, &sut.translation(), 0);
+                if !translation.is_usable() {
+                    return Err(format!("unit test {name} is fully untranslatable"));
+                }
+                before_ops.extend(translation.ops);
+            } else {
+                // Execute the unit test in place against node 0's storage,
+                // as the original in-JVM test would.
+                let storage_host = sim.host_id(&host(0));
+                let storage = sim.host_storage_by_id(storage_host);
+                for stmt in &test.statements {
+                    if let Err(e) = sut.run_unit_statement(case.from, stmt, storage) {
+                        return Err(format!("unit test {name} cannot run in place: {e}"));
+                    }
                 }
             }
         }
     };
 
-    // Boot the old-version cluster.
-    for i in 0..n {
-        let mut setup = NodeSetup::new(i, n);
-        setup.config = config.clone();
-        let id = sim.add_node(
-            &host(i),
-            &case.from.to_string(),
-            sut.spawn(case.from, &setup),
-        );
-        if sim.start_node(id).is_err() {
-            return Err("node failed to start".to_string());
-        }
-    }
-
     // No fault plan yet: the plan is seed-dependent, so it belongs to the
     // suffix. The prefix driver never has injected crashes to pump.
     let driver = FaultDriver {
         sut,
-        case,
         config: &config,
-        cluster: n,
         path: std::slice::from_ref(&case.from),
     };
+
+    // Boot the old-version cluster.
+    for i in 0..n {
+        let id = sim.add_node(&host(i), &case.from.to_string(), driver.spawn(i, case.from));
+        if sim.start_node(id).is_err() {
+            return Err("node failed to start".to_string());
+        }
+    }
 
     driver.run_for(sim, SETTLE);
     if let WorkloadSpec::UnitStateHandoff(name) = &case.workload {
@@ -926,8 +532,8 @@ fn run_prefix(
 
     // Baseline message-rate window starts here — at first-op time — so the
     // pre-workload boot SETTLE (mostly idle) does not deflate the rate.
-    data.first_op_time = sim.now();
-    data.msgs_at_first_op = sim.cluster_messages_delivered();
+    let first_op_time = sim.now();
+    let msgs_at_first_op = sim.cluster_messages_delivered();
 
     // No op before the upgrade can be evidence, so none is recorded.
     pools
@@ -942,8 +548,12 @@ fn run_prefix(
         return Err("workload or configuration crashes the old version too".to_string());
     }
 
-    data.config = config;
-    Ok(())
+    Ok(PrefixData {
+        config,
+        first_op_time,
+        msgs_at_first_op,
+        invalid: None,
+    })
 }
 
 /// The seed-dependent half of a case, entered with the simulator at the end
@@ -964,7 +574,6 @@ fn run_suffix(
     pools: &mut CasePools,
 ) -> (CaseOutcome, bool) {
     let n = sut.cluster_size();
-    let config = &pre.config;
     let client = &mut pools.client;
 
     // The seed-dependent workload parts, streamed into the pooled phase
@@ -977,39 +586,33 @@ fn run_suffix(
     during_ops.clear();
     after_ops.clear();
     match &case.workload {
-        WorkloadSpec::Stress => {
-            sut.stress_ops(
-                case.seed,
-                WorkloadPhase::DuringUpgrade,
-                case.from,
-                &mut |op| during_ops.push(op),
-            );
-            sut.stress_ops(
-                case.seed,
-                WorkloadPhase::AfterUpgrade,
-                case.from,
-                &mut |op| after_ops.push(op),
-            );
-        }
+        WorkloadSpec::Stress => sut.stress_ops(
+            case.seed,
+            WorkloadPhase::DuringUpgrade,
+            case.from,
+            &mut |op| during_ops.push(op),
+        ),
         WorkloadSpec::OpenLoop(spec) => {
             // The arrival schedule forks per seed like the fault plan does,
             // and the nudge's workload half perturbs it in place.
             wplan.compile(spec, case.seed, OPEN_LOOP_WINDOW_MS);
             wplan.nudge(nudge);
             debug_assert!(wplan.validate().is_ok(), "{:?}", wplan.validate());
-            // Post-upgrade, the stress read-back probes verify pre-upgrade
-            // data survived under the open-loop barrage.
-            sut.stress_ops(
-                case.seed,
-                WorkloadPhase::AfterUpgrade,
-                case.from,
-                &mut |op| after_ops.push(op),
-            );
         }
         // Post-upgrade, re-check health everywhere.
         _ => after_ops.extend((0..n).map(|i| ClientOp::new(i, "HEALTH"))),
     };
     let open_loop = matches!(&case.workload, WorkloadSpec::OpenLoop(_));
+    if open_loop || matches!(case.workload, WorkloadSpec::Stress) {
+        // Post-upgrade, the stress read-back probes verify pre-upgrade data
+        // survived, under the open-loop barrage too.
+        sut.stress_ops(
+            case.seed,
+            WorkloadPhase::AfterUpgrade,
+            case.from,
+            &mut |op| after_ops.push(op),
+        );
+    }
     let wplan: &WorkloadPlan = wplan;
 
     // Compile the scenario into the pooled rollout plan — a pure function of
@@ -1047,9 +650,7 @@ fn run_suffix(
     }
     let driver = FaultDriver {
         sut,
-        case,
-        config,
-        cluster: n,
+        config: &pre.config,
         path: plan.path(),
     };
 
@@ -1088,10 +689,7 @@ fn run_suffix(
             }
             RolloutStep::Upgrade { node, version } | RolloutStep::Downgrade { node, version } => {
                 let v = plan.version(version);
-                let size = if node >= n { n + 1 } else { n };
-                let mut setup = NodeSetup::new(node, size);
-                setup.config = config.clone();
-                let process = sut.spawn(v, &setup);
+                let process = driver.spawn(node, v);
                 let installed = if matches!(step, RolloutStep::Downgrade { .. }) {
                     sim.install_downgrade(node, &v.to_string(), process)
                 } else {
@@ -1103,9 +701,7 @@ fn run_suffix(
             }
             RolloutStep::Join { node, version } => {
                 let v = plan.version(version);
-                let mut setup = NodeSetup::new(node, n + 1);
-                setup.config = config.clone();
-                let id = sim.add_node(&host(node), &v.to_string(), sut.spawn(v, &setup));
+                let id = sim.add_node(&host(node), &v.to_string(), driver.spawn(node, v));
                 let _ = sim.start_node(id);
             }
             RolloutStep::Traffic { chunk, of } => {
@@ -1290,9 +886,13 @@ fn find_unit_test(sut: &dyn SystemUnderTest, name: &str) -> Option<UnitTest> {
 mod tests {
     use super::*;
     use crate::campaign::{dedup_key, Campaign, CaseMatrix};
+    use crate::faults::FaultIntensity;
     use crate::oracle::project_baseline;
+    use crate::scenario::Scenario;
+    use crate::spec::CaseSpec;
     use crate::workload::{OpenLoopSpec, ARRIVALS_DRAWN};
-    use dup_simnet::{Ctx, Endpoint, Process, StepResult};
+    use dup_core::NodeSetup;
+    use dup_simnet::{Ctx, Durability, Endpoint, Process, StepResult};
     use proptest::prelude::*;
     use std::cell::Cell;
 

@@ -52,11 +52,13 @@
 
 pub mod campaign;
 pub mod catalog;
+mod client;
 mod faults;
 mod harness;
 mod oracle;
 mod rollout;
 mod scenario;
+mod spec;
 mod translator;
 mod workload;
 
@@ -71,10 +73,11 @@ pub use crate::campaign::{
 pub use crate::faults::{
     apply_nudge, fault_plan_for, FaultIntensity, PlanNudge, MAX_NUDGE_SHIFT_MS, PLAN_WINDOW_MS,
 };
-pub use crate::harness::{CaseDigest, CaseOutcome, CaseResult, CaseRunner, CaseSpec, TestCase};
+pub use crate::harness::{CaseDigest, CaseOutcome, CaseResult, CaseRunner};
 pub use crate::oracle::{evaluate, Observation, OpResult};
 pub use crate::rollout::{RolloutPlan, RolloutStep, MAX_PATH_LEN, MAX_SETTLE_SHIFT_MS};
 pub use crate::scenario::Scenario;
+pub use crate::spec::{CaseSpec, TestCase};
 pub use crate::translator::{translate, Translation};
 pub use crate::workload::{
     Arrival, Arrivals, OpenLoopSpec, WorkloadPlan, WorkloadSpec, MAX_BURSTS,

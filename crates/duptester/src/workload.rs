@@ -101,7 +101,7 @@ pub enum WorkloadSpec {
     /// matrix materializes share one allocation per unit test instead of
     /// cloning the `String` per case.
     ///
-    /// [`TestCase`]: crate::harness::TestCase
+    /// [`TestCase`]: crate::spec::TestCase
     TranslatedUnit(Arc<str>),
     /// A unit test executed in place against the old version's storage; the
     /// cluster then starts from the persistent state it left (§6.1.2,

@@ -352,21 +352,31 @@ impl SystemUnderTest for RunawaySut {
 
 #[test]
 fn runaway_case_is_cut_off_and_reported_hung() {
-    let report = Campaign::builder(&RunawaySut)
-        .seeds([1])
-        .scenarios([Scenario::FullStop])
-        .unit_tests(false)
-        .threads(1)
-        .run();
-    assert_eq!(report.cases_run, 1);
-    assert_eq!(report.metrics.per_scenario[&Scenario::FullStop].hung, 1);
-    // A timer loop delivers no messages, so no storm verdict ends it early.
-    assert_eq!(report.cases_decided_early, 0);
-    let failure = report
-        .failures
-        .first()
-        .expect("the hang surfaces as a failure report");
-    assert_eq!(failure.cause, "Non-termination");
-    assert_eq!(failure.signature, "hung");
-    common::assert_failures_replay(&RunawaySut, &report);
+    // Three seeds share one prefix, and that prefix runs away. A runaway
+    // prefix is never cached, so every sibling runs it again: snapshotting
+    // on and off must agree case for case.
+    let run = |snapshot| {
+        Campaign::builder(&RunawaySut)
+            .seeds([1, 2, 3])
+            .scenarios([Scenario::FullStop])
+            .unit_tests(false)
+            .snapshot(snapshot)
+            .threads(1)
+            .run()
+    };
+    let (forked, replayed) = (run(true), run(false));
+    for report in [&forked, &replayed] {
+        assert_eq!(report.cases_run, 3);
+        assert_eq!(report.metrics.per_scenario[&Scenario::FullStop].hung, 3);
+        // A timer loop delivers no messages, so no storm verdict ends it early.
+        assert_eq!(report.cases_decided_early, 0);
+        let failure = report
+            .failures
+            .first()
+            .expect("the hang surfaces as a failure report");
+        assert_eq!(failure.cause, "Non-termination");
+        assert_eq!(failure.signature, "hung");
+        common::assert_failures_replay(&RunawaySut, report);
+    }
+    assert_eq!(forked.render_table(), replayed.render_table());
 }

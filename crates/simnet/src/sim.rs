@@ -613,31 +613,20 @@ impl Sim {
                 // A shutdown handler may itself crash the node; only mark
                 // stopped if it survived.
                 if self.nodes[node as usize].status == NodeStatus::Running {
-                    let host = self.nodes[node as usize].host;
                     // An armed mid-upgrade crash point fires here: the old
                     // version has shut down, and the host dies before the
                     // next version boots.
                     let fired = self.faults.as_mut().is_some_and(|f| {
                         f.take_crash_point(node, CrashPointKind::MidUpgrade, self.now)
                     });
-                    let slot = &mut self.nodes[node as usize];
-                    slot.process = None;
                     if fired {
-                        slot.status = NodeStatus::Crashed;
-                        slot.crash_reason = Some(FAULT_CRASH_REASON.to_string());
-                        let generation = slot.generation;
-                        self.logs.push(LogRecord {
-                            time: self.now,
-                            node: Some(node),
-                            generation,
-                            level: LogLevel::Warn,
-                            message: format!("crash point: node {node} crashed mid-upgrade"),
-                        });
-                        let crash_id =
-                            self.trace_record(stop_id, TraceEventKind::NodeCrash { node });
-                        self.crash_materialize_host(host, crash_id);
+                        let message = format!("crash point: node {node} crashed mid-upgrade");
+                        self.fault_crash(node, message, stop_id);
                     } else {
+                        let slot = &mut self.nodes[node as usize];
+                        slot.process = None;
                         slot.status = NodeStatus::Stopped;
+                        let host = slot.host;
                         // A graceful stop syncs buffered storage (a clean
                         // daemon exit flushes before the container is torn
                         // down).
@@ -680,18 +669,8 @@ impl Sim {
         version_label: &str,
         process: Box<dyn Process>,
     ) -> Result<(), SimError> {
-        let slot = self.slot_mut(node)?;
-        if slot.status == NodeStatus::Running || slot.status == NodeStatus::Starting {
-            return Err(SimError::BadStatus {
-                node,
-                status: slot.status,
-                op: "install over",
-            });
-        }
-        slot.process = Some(process);
-        slot.version_label = version_label.to_string();
-        self.trace_record(0, TraceEventKind::NodeUpgrade { node });
-        Ok(())
+        let traced = TraceEventKind::NodeUpgrade { node };
+        self.install_traced(node, version_label, process, traced)
     }
 
     /// Installs an *older* process version into a stopped, crashed, or idle
@@ -706,6 +685,19 @@ impl Sim {
         version_label: &str,
         process: Box<dyn Process>,
     ) -> Result<(), SimError> {
+        let traced = TraceEventKind::NodeDowngrade { node };
+        self.install_traced(node, version_label, process, traced)
+    }
+
+    /// The body of [`Sim::install`] and [`Sim::install_downgrade`], which
+    /// differ only in the trace event `traced` they record.
+    fn install_traced(
+        &mut self,
+        node: NodeId,
+        version_label: &str,
+        process: Box<dyn Process>,
+        traced: TraceEventKind,
+    ) -> Result<(), SimError> {
         let slot = self.slot_mut(node)?;
         if slot.status == NodeStatus::Running || slot.status == NodeStatus::Starting {
             return Err(SimError::BadStatus {
@@ -716,7 +708,7 @@ impl Sim {
         }
         slot.process = Some(process);
         slot.version_label = version_label.to_string();
-        self.trace_record(0, TraceEventKind::NodeDowngrade { node });
+        self.trace_record(0, traced);
         Ok(())
     }
 
@@ -812,46 +804,76 @@ impl Sim {
             FaultKind::Heal(a, b) => self.net.heal(a, b),
             FaultKind::HealAll => self.net.heal_all(),
             FaultKind::Crash(n) => {
-                let Some(slot) = self.nodes.get_mut(n as usize) else {
-                    return;
-                };
-                if !matches!(slot.status, NodeStatus::Running | NodeStatus::Starting) {
+                let status = self.node_status(n);
+                if !matches!(status, NodeStatus::Running | NodeStatus::Starting) {
                     return;
                 }
-                slot.status = NodeStatus::Crashed;
-                slot.crash_reason = Some(FAULT_CRASH_REASON.to_string());
-                slot.process = None;
-                let host = slot.host;
-                self.logs.push(LogRecord {
-                    time: self.now,
-                    node: Some(n),
-                    generation: self.nodes[n as usize].generation,
-                    level: LogLevel::Warn,
-                    message: format!("fault injection: crashed node {n}"),
-                });
-                let ctx = self.trace_ctx;
-                let crash_id = self.trace_record(ctx, TraceEventKind::NodeCrash { node: n });
-                self.crash_materialize_host(host, crash_id);
+                let message = format!("fault injection: crashed node {n}");
+                self.fault_crash(n, message, self.trace_ctx);
             }
             FaultKind::Restart(n) => {
-                if !self.is_fault_crashed(n) {
+                if !self.restart_due(n, "fault injection", self.trace_ctx) {
                     return; // Never restart a genuinely crashed node.
                 }
-                self.pending_restarts.push_back(n);
-                self.logs.push(LogRecord {
-                    time: self.now,
-                    node: Some(n),
-                    generation: self.nodes[n as usize].generation,
-                    level: LogLevel::Warn,
-                    message: format!("fault injection: restart of node {n} due"),
-                });
-                let ctx = self.trace_ctx;
-                self.trace_record(ctx, TraceEventKind::NodeRestartDue { node: n });
             }
         }
         if let Some(f) = self.faults.as_mut() {
             f.injected += 1;
         }
+    }
+
+    /// Crashes `node`: the one crash sequence behind a handler's fatal
+    /// return or panic, a scheduled fault crash and both crash points. Marks
+    /// the slot crashed for `reason`, logs `message` at `level`, records the
+    /// crash under the trace id `parent` and resolves the host's unflushed
+    /// storage. Returns the crash's trace id.
+    fn crash_node(
+        &mut self,
+        node: NodeId,
+        reason: String,
+        level: LogLevel,
+        message: String,
+        parent: u64,
+    ) -> u64 {
+        let slot = &mut self.nodes[node as usize];
+        slot.status = NodeStatus::Crashed;
+        slot.crash_reason = Some(reason);
+        slot.process = None;
+        let (host, generation) = (slot.host, slot.generation);
+        self.logs.push(LogRecord {
+            time: self.now,
+            node: Some(node),
+            generation,
+            level,
+            message,
+        });
+        let crash_id = self.trace_record(parent, TraceEventKind::NodeCrash { node });
+        self.crash_materialize_host(host, crash_id);
+        crash_id
+    }
+
+    /// A crash the fault plan injects, which [`Sim::is_fault_crashed`] exempts.
+    fn fault_crash(&mut self, node: NodeId, message: String, parent: u64) -> u64 {
+        let reason = FAULT_CRASH_REASON.to_string();
+        self.crash_node(node, reason, LogLevel::Warn, message, parent)
+    }
+
+    /// Queues `node` for the harness to restart if the fault plan crashed
+    /// it, logging that `what` made its restart due. Returns whether it did.
+    fn restart_due(&mut self, node: NodeId, what: &str, parent: u64) -> bool {
+        if !self.is_fault_crashed(node) {
+            return false;
+        }
+        self.pending_restarts.push_back(node);
+        self.logs.push(LogRecord {
+            time: self.now,
+            node: Some(node),
+            generation: self.nodes[node as usize].generation,
+            level: LogLevel::Warn,
+            message: format!("{what}: restart of node {node} due"),
+        });
+        self.trace_record(parent, TraceEventKind::NodeRestartDue { node });
+        true
     }
 
     /// Resolves a host's unflushed storage against the plan's
@@ -1036,16 +1058,8 @@ impl Sim {
                 }
             }
             EventKind::PointRestart { node, epoch } => {
-                if epoch == self.fault_epoch && self.is_fault_crashed(node) {
-                    self.pending_restarts.push_back(node);
-                    self.logs.push(LogRecord {
-                        time: self.now,
-                        node: Some(node),
-                        generation: self.nodes[node as usize].generation,
-                        level: LogLevel::Warn,
-                        message: format!("crash point: restart of node {node} due"),
-                    });
-                    self.trace_record(event.cause, TraceEventKind::NodeRestartDue { node });
+                if epoch == self.fault_epoch {
+                    self.restart_due(node, "crash point", event.cause);
                 }
             }
         }
@@ -1250,8 +1264,8 @@ impl Sim {
         let slot = &mut self.nodes[node as usize];
         slot.metrics.messages_sent += sent;
 
-        let mut crashed = false;
-        match result {
+        // A crash's reason and its log message.
+        let crash = match result {
             Ok(Ok(())) => {
                 if stop_requested {
                     slot.status = NodeStatus::Stopped;
@@ -1259,40 +1273,19 @@ impl Sim {
                 } else {
                     slot.process = Some(process);
                 }
+                None
             }
-            Ok(Err(fatal)) => {
-                slot.status = NodeStatus::Crashed;
-                slot.crash_reason = Some(fatal.message.clone());
-                self.logs.push(LogRecord {
-                    time: self.now,
-                    node: Some(node),
-                    generation,
-                    level: LogLevel::Fatal,
-                    message: fatal.message,
-                });
-                crashed = true;
-            }
+            Ok(Err(fatal)) => Some((fatal.message.clone(), fatal.message)),
             Err(panic) => {
                 let msg = panic_message(&panic);
-                let slot = &mut self.nodes[node as usize];
-                slot.status = NodeStatus::Crashed;
-                slot.crash_reason = Some(msg.clone());
-                self.logs.push(LogRecord {
-                    time: self.now,
-                    node: Some(node),
-                    generation,
-                    level: LogLevel::Fatal,
-                    message: format!("panic: {msg}"),
-                });
-                crashed = true;
+                Some((msg.clone(), format!("panic: {msg}")))
             }
-        }
+        };
 
-        if crashed {
-            // A dying process never got to fsync: resolve its unflushed
-            // state now, before anything can observe the storage.
-            let crash_id = self.trace_record(dispatch_ctx, TraceEventKind::NodeCrash { node });
-            self.crash_materialize_host(host, crash_id);
+        if let Some((reason, message)) = crash {
+            // A dying process never got to fsync: the crash resolves its
+            // unflushed state now, before anything can observe the storage.
+            self.crash_node(node, reason, LogLevel::Fatal, message, dispatch_ctx);
         } else if stop_requested {
             // A graceful self-stop syncs buffered storage, like stop_node.
             let stop_id = self.trace_record(dispatch_ctx, TraceEventKind::NodeStop { node });
@@ -1307,28 +1300,13 @@ impl Sim {
         {
             // An armed unflushed-write crash point fires: the handler left
             // dirty bytes behind and the host dies before flushing them.
-            if let Some(f) = self.faults.as_mut() {
+            let restart = self.faults.as_mut().map_or(SimDuration::from_secs(2), |f| {
                 f.take_crash_point(node, CrashPointKind::UnflushedWrite, self.now);
-            }
-            let restart = self
-                .faults
-                .as_ref()
-                .map(|f| f.plan.crash_point_restart)
-                .unwrap_or(SimDuration::from_secs(2));
-            let epoch = self.fault_epoch;
-            let slot = &mut self.nodes[node as usize];
-            slot.status = NodeStatus::Crashed;
-            slot.crash_reason = Some(FAULT_CRASH_REASON.to_string());
-            slot.process = None;
-            self.logs.push(LogRecord {
-                time: self.now,
-                node: Some(node),
-                generation,
-                level: LogLevel::Warn,
-                message: format!("crash point: node {node} crashed with unflushed writes"),
+                f.plan.crash_point_restart
             });
-            let crash_id = self.trace_record(dispatch_ctx, TraceEventKind::NodeCrash { node });
-            self.crash_materialize_host(host, crash_id);
+            let epoch = self.fault_epoch;
+            let message = format!("crash point: node {node} crashed with unflushed writes");
+            let crash_id = self.fault_crash(node, message, dispatch_ctx);
             self.schedule(
                 self.now + restart,
                 crash_id,
