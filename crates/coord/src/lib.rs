@@ -17,5 +17,5 @@
 mod node;
 mod sut;
 
-pub use crate::node::CoordNode;
+pub use crate::node::{CoordNode, SNAPSHOT, VOTE};
 pub use crate::sut::CoordSystem;

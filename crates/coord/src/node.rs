@@ -15,11 +15,11 @@
 
 use bytes::Bytes;
 use dup_core::{format_reply, split_words, NodeSetup, VersionId};
+use dup_idl::SchemaHistory;
 use dup_simnet::{restore_clone, Ctx, Endpoint, Fatal, Process, SimDuration, SimTime, StepResult};
 use dup_wire::proto::{Reader, ValueRef, Writer};
-use dup_wire::{FieldDescriptor, FieldType, Frame, MessageDescriptor, Schema, WireError};
+use dup_wire::{Frame, Schema, WireError};
 use std::collections::BTreeMap;
-use std::sync::{LazyLock, OnceLock};
 
 const TOKEN_ELECTION: u64 = 1;
 const TOKEN_LEADER_PING: u64 = 2;
@@ -28,54 +28,18 @@ const ELECTION_TICK: SimDuration = SimDuration::from_millis(500);
 const PING_INTERVAL: SimDuration = SimDuration::from_millis(500);
 const PING_TIMEOUT: SimDuration = SimDuration::from_secs(2);
 
-fn vote_schema() -> &'static Schema {
-    static SCHEMA: LazyLock<Schema> = LazyLock::new(build_vote_schema);
-    &SCHEMA
-}
+/// The leader-election vote (one shape in every release).
+pub static VOTE: SchemaHistory<VersionId, 1> =
+    SchemaHistory::new([(V3_4, include_str!("../proto/vote-3.4.0.proto"))]);
 
-fn build_vote_schema() -> Schema {
-    Schema::new().with_message(
-        MessageDescriptor::new("Vote")
-            .with(FieldDescriptor::required(1, "node", FieldType::Uint32))
-            .with(FieldDescriptor::required(
-                2,
-                "peer_epoch",
-                FieldType::Uint64,
-            ))
-            .with(FieldDescriptor::required(3, "zxid", FieldType::Uint64)),
-    )
-}
+/// The snapshot checkpoint: 3.6 adds a required `checkpoint_id`.
+pub static SNAPSHOT: SchemaHistory<VersionId, 2> = SchemaHistory::new([
+    (V3_4, include_str!("../proto/snapshot-3.4.0.proto")),
+    (V3_6, include_str!("../proto/snapshot-3.6.0.proto")),
+]);
 
-/// Snapshot schema: 3.6 adds `required checkpoint_id` (the MESOS-3834 shape).
-/// Built once per distinct shape.
-fn snapshot_schema(v: VersionId) -> &'static Schema {
-    static SHAPES: [OnceLock<Schema>; 2] = [const { OnceLock::new() }; 2];
-    let shape = usize::from(v >= VersionId::new(3, 6, 0));
-    SHAPES[shape].get_or_init(|| build_snapshot_schema(v))
-}
-
-fn build_snapshot_schema(v: VersionId) -> Schema {
-    let mut m = MessageDescriptor::new("Snapshot")
-        .with(FieldDescriptor::required(1, "epoch", FieldType::Uint64))
-        .with(FieldDescriptor::required(2, "zxid", FieldType::Uint64))
-        .with(FieldDescriptor::repeated(
-            3,
-            "entries",
-            FieldType::Message("Entry".into()),
-        ));
-    if v >= VersionId::new(3, 6, 0) {
-        m = m.with(FieldDescriptor::required(
-            4,
-            "checkpoint_id",
-            FieldType::Uint64,
-        ));
-    }
-    Schema::new().with_message(m).with_message(
-        MessageDescriptor::new("Entry")
-            .with(FieldDescriptor::required(1, "key", FieldType::Str))
-            .with(FieldDescriptor::required(2, "value", FieldType::Str)),
-    )
-}
+const V3_4: VersionId = VersionId::new(3, 4, 0);
+const V3_6: VersionId = VersionId::new(3, 6, 0);
 
 /// A checkpoint's epoch, zxid and entries.
 type Checkpoint = (u64, u64, Vec<(String, String)>);
@@ -105,8 +69,8 @@ fn read_snapshot(schema: &Schema, body: &[u8]) -> Result<Checkpoint, WireError> 
 }
 
 /// The `(peer_epoch, zxid, node)` a vote carries.
-fn read_vote(body: &[u8]) -> Result<(u64, u64, u32), WireError> {
-    let mut vote = Reader::new(vote_schema(), "Vote", body)?;
+fn read_vote(v: VersionId, body: &[u8]) -> Result<(u64, u64, u32), WireError> {
+    let mut vote = Reader::new(VOTE.at(v), "Vote", body)?;
     let mut v = (0, 0, 0);
     while let Some((field, value)) = vote.next()? {
         match (field.name.as_str(), value) {
@@ -193,7 +157,7 @@ impl CoordNode {
 
     fn write_vote(&self, out: &mut Vec<u8>) -> Result<(), WireError> {
         let (e, z, n) = self.cast_vote();
-        let mut vote = Writer::new(vote_schema(), "Vote", out)?;
+        let mut vote = Writer::new(VOTE.at(self.version), "Vote", out)?;
         vote.put("node", ValueRef::U32(n))?;
         vote.put("peer_epoch", ValueRef::U64(e))?;
         vote.put("zxid", ValueRef::U64(z))?;
@@ -265,7 +229,7 @@ impl CoordNode {
     }
 
     fn write_snapshot(&self, out: &mut Vec<u8>) -> Result<(), WireError> {
-        let mut snap = Writer::new(snapshot_schema(self.version), "Snapshot", out)?;
+        let mut snap = Writer::new(SNAPSHOT.at(self.version), "Snapshot", out)?;
         snap.put("epoch", ValueRef::U64(self.epoch))?;
         snap.put("zxid", ValueRef::U64(self.zxid))?;
         for (k, v) in &self.data {
@@ -275,7 +239,7 @@ impl CoordNode {
                 Ok(())
             })?;
         }
-        if self.version >= VersionId::new(3, 6, 0) {
+        if self.version >= V3_6 {
             snap.put("checkpoint_id", ValueRef::U64(self.zxid + 1))?;
         }
         snap.finish()
@@ -289,7 +253,7 @@ impl CoordNode {
             .map_err(|e| Fatal::new(format!("corrupt snapshot container: {e}")))?;
         // MESOS-3834 shape: the new version assumes every checkpoint has the
         // id field; old checkpoints do not.
-        let (epoch, zxid, entries) = read_snapshot(snapshot_schema(self.version), &frame.body)
+        let (epoch, zxid, entries) = read_snapshot(SNAPSHOT.at(self.version), &frame.body)
             .map_err(|e| Fatal::new(format!("cannot load checkpoint: {e}")))?;
         self.epoch = epoch;
         self.zxid = zxid;
@@ -371,7 +335,7 @@ impl Process for CoordNode {
                 };
                 match frame.kind {
                     "vote" => {
-                        let Ok(v) = read_vote(&frame.body) else {
+                        let Ok(v) = read_vote(self.version, &frame.body) else {
                             ctx.warn(format!("malformed vote from node-{n}"));
                             return Ok(());
                         };
@@ -470,7 +434,7 @@ mod tests {
             .set("node", Value::U32(n))
             .set("peer_epoch", Value::U64(e))
             .set("zxid", Value::U64(z));
-        proto::encode(vote_schema(), &vote).unwrap()
+        proto::encode(VOTE.at(node.version), &vote).unwrap()
     }
 
     fn tree_snapshot(node: &CoordNode) -> Vec<u8> {
@@ -486,7 +450,7 @@ mod tests {
                 .set("value", Value::Str(v.clone()));
             snap.push_mut("entries", Value::Msg(entry));
         }
-        proto::encode(snapshot_schema(node.version), &snap).unwrap()
+        proto::encode(SNAPSHOT.at(node.version), &snap).unwrap()
     }
 
     #[test]
@@ -505,13 +469,12 @@ mod tests {
                 let vote = node.vote_frame();
                 let body = tree_vote(&node);
                 assert_eq!(vote[..], Frame::new(1, "vote", &body[..]).encode()[..]);
-                assert_eq!(read_vote(&body), Ok(node.cast_vote()));
+                assert_eq!(read_vote(version, &body), Ok(node.cast_vote()));
 
                 let mut snapshot = Vec::new();
                 node.write_snapshot(&mut snapshot).unwrap();
                 assert_eq!(snapshot, tree_snapshot(&node), "{version}");
-                let (epoch, zxid, read) =
-                    read_snapshot(snapshot_schema(version), &snapshot).unwrap();
+                let (epoch, zxid, read) = read_snapshot(SNAPSHOT.at(version), &snapshot).unwrap();
                 assert_eq!((epoch, zxid), (node.epoch, node.zxid));
                 assert_eq!(read, node.data.clone().into_iter().collect::<Vec<_>>());
             }
@@ -622,14 +585,6 @@ mod tests {
         assert_replies(&mut sim, table);
         let host = sim.host_id("coord-host-0");
         assert!(sim.host_storage_by_id(host).list("").is_empty());
-    }
-
-    #[test]
-    fn static_schemas_equal_freshly_built_ones() {
-        for v in crate::CoordSystem::release_history() {
-            assert_eq!(*snapshot_schema(v), build_snapshot_schema(v), "{v}");
-        }
-        assert_eq!(*vote_schema(), build_vote_schema());
     }
 
     #[test]

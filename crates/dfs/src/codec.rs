@@ -16,11 +16,9 @@
 //!   `NVDIMM` on a 3.3 NameNode.
 
 use dup_core::VersionId;
+use dup_idl::SchemaHistory;
 use dup_wire::proto::{Reader, ValueRef, Writer};
-use dup_wire::{
-    EnumDescriptor, FieldDescriptor, FieldType, Frame, MessageDescriptor, Schema, WireError,
-};
-use std::sync::{LazyLock, OnceLock};
+use dup_wire::{Frame, WireError};
 
 /// Marker byte prefixed to compressed fsimage bodies.
 pub const COMPRESSION_MARKER: u8 = 0xC0;
@@ -69,39 +67,23 @@ pub struct Namespace {
     pub next_block: u64,
 }
 
-/// The fsimage body schema (all versions), built once.
-fn fsimage_schema() -> &'static Schema {
-    static SCHEMA: LazyLock<Schema> = LazyLock::new(build_fsimage_schema);
-    &SCHEMA
-}
+/// The fsimage checkpoint body (one shape in every release).
+pub static FSIMAGE: SchemaHistory<VersionId, 1> =
+    SchemaHistory::new([(V0_20, include_str!("../proto/fsimage-0.20.0.proto"))]);
 
-fn build_fsimage_schema() -> Schema {
-    Schema::new()
-        .with_message(
-            MessageDescriptor::new("FsImage")
-                .with(FieldDescriptor::repeated(
-                    1,
-                    "files",
-                    FieldType::Message("FileEntry".into()),
-                ))
-                .with(FieldDescriptor::required(
-                    2,
-                    "next_inode",
-                    FieldType::Uint64,
-                ))
-                .with(FieldDescriptor::required(
-                    3,
-                    "next_block",
-                    FieldType::Uint64,
-                )),
-        )
-        .with_message(
-            MessageDescriptor::new("FileEntry")
-                .with(FieldDescriptor::required(1, "path", FieldType::Str))
-                .with(FieldDescriptor::repeated(2, "blocks", FieldType::Uint64))
-                .with(FieldDescriptor::optional(3, "inode", FieldType::Uint64)),
-        )
-}
+/// The DataNode heartbeat and block report, with the StorageType enum it
+/// carries.
+pub static HEARTBEAT: SchemaHistory<VersionId, 4> = SchemaHistory::new([
+    (V0_20, include_str!("../proto/heartbeat-0.20.0.proto")),
+    (V3_0, include_str!("../proto/heartbeat-3.1.0.proto")),
+    (V3_2, include_str!("../proto/heartbeat-3.2.0.proto")),
+    (V3_3, include_str!("../proto/heartbeat-3.3.0.proto")),
+]);
+
+const V0_20: VersionId = VersionId::new(0, 20, 0);
+const V3_0: VersionId = VersionId::new(3, 0, 0);
+const V3_2: VersionId = VersionId::new(3, 2, 0);
+const V3_3: VersionId = VersionId::new(3, 3, 0);
 
 /// Serializes `ns` as release `v` would: stamped with `v`'s LayoutVersion,
 /// compressed iff the release actually implements compression, inodes
@@ -115,7 +97,7 @@ pub fn encode_fsimage(v: VersionId, ns: &Namespace) -> Result<Vec<u8>, WireError
     if implements_compression {
         out.push(COMPRESSION_MARKER);
     }
-    let mut img = Writer::new(fsimage_schema(), "FsImage", &mut out)?;
+    let mut img = Writer::new(FSIMAGE.at(v), "FsImage", &mut out)?;
     for f in &ns.files {
         img.message("files", |e| {
             e.put("path", ValueRef::Str(&f.path))?;
@@ -203,7 +185,7 @@ pub fn decode_fsimage(v: VersionId, bytes: &[u8]) -> Result<DecodedImage, FsImag
     } else if body.first() == Some(&COMPRESSION_MARKER) {
         body = &body[1..];
     }
-    let mut ns = read_fsimage(body).map_err(FsImageError::Wire)?;
+    let mut ns = read_fsimage(v, body).map_err(FsImageError::Wire)?;
     if own_lv >= INODES_SINCE_LV {
         if layout >= INODES_SINCE_LV {
             // Same-era image: inodes are mandatory.
@@ -231,8 +213,8 @@ pub fn decode_fsimage(v: VersionId, bytes: &[u8]) -> Result<DecodedImage, FsImag
     })
 }
 
-fn read_fsimage(body: &[u8]) -> Result<Namespace, WireError> {
-    let mut img = Reader::new(fsimage_schema(), "FsImage", body)?;
+fn read_fsimage(v: VersionId, body: &[u8]) -> Result<Namespace, WireError> {
+    let mut img = Reader::new(FSIMAGE.at(v), "FsImage", body)?;
     let mut ns = Namespace::default();
     while let Some((field, value)) = img.next()? {
         match (field.name.as_str(), value) {
@@ -263,77 +245,13 @@ fn read_file_entry(mut file: Reader<'_>) -> Result<FileEntry, WireError> {
     })
 }
 
-/// The StorageType enum as release `v` declares it.
-///
-/// 3.3 inserts `NVDIMM` in the middle (HDFS-15624).
-pub fn storage_type_enum(v: VersionId) -> &'static EnumDescriptor {
-    heartbeat_schema(v)
-        .enum_desc("StorageType")
-        .expect("every heartbeat schema declares StorageType")
-}
-
-fn build_storage_type_enum(v: VersionId) -> EnumDescriptor {
-    if v.major > 3 || (v.major == 3 && v.minor >= 3) {
-        EnumDescriptor::new(
-            "StorageType",
-            &[
-                ("DISK", 0),
-                ("SSD", 1),
-                ("NVDIMM", 2),
-                ("ARCHIVE", 3),
-                ("PROVIDED", 4),
-            ],
-        )
-    } else {
-        EnumDescriptor::new(
-            "StorageType",
-            &[("DISK", 0), ("SSD", 1), ("ARCHIVE", 2), ("PROVIDED", 3)],
-        )
-    }
-}
-
-/// The ARCHIVE member's number in `v`'s enum.
+/// The ARCHIVE member's number in `v`'s StorageType enum.
 pub fn archive_number(v: VersionId) -> i32 {
-    storage_type_enum(v)
-        .number_of("ARCHIVE")
-        .expect("every release declares ARCHIVE")
-}
-
-/// The heartbeat/block-report schema of release `v`, built once per
-/// distinct shape.
-pub fn heartbeat_schema(v: VersionId) -> &'static Schema {
-    static SHAPES: [OnceLock<Schema>; 4] = [const { OnceLock::new() }; 4];
-    let shape = match (v.major, v.minor) {
-        (..=2, _) => 0,
-        (3, ..=1) => 1,
-        (3, 2) => 2,
-        _ => 3, // 3.3 and later
-    };
-    SHAPES[shape].get_or_init(|| build_heartbeat_schema(v))
-}
-
-fn build_heartbeat_schema(v: VersionId) -> Schema {
-    let mut m = MessageDescriptor::new("Heartbeat")
-        .with(FieldDescriptor::required(1, "node", FieldType::Uint32))
-        .with(FieldDescriptor::repeated(2, "blocks", FieldType::Uint64));
-    if v.major >= 3 {
-        m = m.with(FieldDescriptor::repeated(
-            3,
-            "storages",
-            FieldType::Enum("StorageType".into()),
-        ));
-    }
-    if v.major > 3 || (v.major == 3 && v.minor >= 2) {
-        // HDFS-14726: a *required* member added to a live message.
-        m = m.with(FieldDescriptor::required(
-            4,
-            "committedTxnId",
-            FieldType::Uint64,
-        ));
-    }
-    Schema::new()
-        .with_message(m)
-        .with_enum(build_storage_type_enum(v))
+    HEARTBEAT
+        .at(v)
+        .enum_desc("StorageType")
+        .and_then(|storage| storage.number_of("ARCHIVE"))
+        .expect("every release declares StorageType.ARCHIVE")
 }
 
 /// Appends the heartbeat DataNode `node` of release `v` sends — its block
@@ -345,16 +263,16 @@ pub fn write_heartbeat(
     committed_txn: u64,
     out: &mut Vec<u8>,
 ) -> Result<(), WireError> {
-    let mut hb = Writer::new(heartbeat_schema(v), "Heartbeat", out)?;
+    let mut hb = Writer::new(HEARTBEAT.at(v), "Heartbeat", out)?;
     hb.put("node", ValueRef::U32(node))?;
     for id in blocks {
         hb.put("blocks", ValueRef::U64(id))?;
     }
-    if v.major >= 3 {
+    if v >= V3_0 {
         hb.put("storages", ValueRef::Enum(0))?; // DISK
         hb.put("storages", ValueRef::Enum(archive_number(v)))?;
     }
-    if v >= VersionId::new(3, 2, 0) {
+    if v >= V3_2 {
         hb.put("committedTxnId", ValueRef::U64(committed_txn))?;
     }
     hb.finish()
@@ -378,7 +296,7 @@ pub enum Reported {
 /// heartbeat it cannot parse to the end, so the whole payload is walked
 /// here, before the caller reads a field.
 pub fn decode_heartbeat(v: VersionId, body: &[u8]) -> Result<Heartbeat<'_>, WireError> {
-    let fields = Reader::new(heartbeat_schema(v), "Heartbeat", body)?;
+    let fields = Reader::new(HEARTBEAT.at(v), "Heartbeat", body)?;
     Ok(Heartbeat(fields.checked()?))
 }
 
@@ -426,7 +344,7 @@ mod tests {
             }
             img.push_mut("files", Value::Msg(e));
         }
-        let mut body = proto::encode(fsimage_schema(), &img).unwrap();
+        let mut body = proto::encode(FSIMAGE.at(v), &img).unwrap();
         if lv >= COMPRESSED_SINCE_LV && !(v.major == 0 && v.minor == 20) {
             body.insert(0, COMPRESSION_MARKER);
         }
@@ -447,7 +365,7 @@ mod tests {
         if v >= VersionId::new(3, 2, 0) {
             hb.put("committedTxnId", Value::U64(txn));
         }
-        proto::encode(heartbeat_schema(v), &hb).unwrap()
+        proto::encode(HEARTBEAT.at(v), &hb).unwrap()
     }
 
     fn streamed_heartbeat(v: VersionId, node: u32, blocks: &[u64], txn: u64) -> Vec<u8> {
@@ -568,12 +486,12 @@ mod tests {
 
     #[test]
     fn hdfs_14726_required_txn_id_breaks_old_heartbeats() {
-        let old = heartbeat_schema(v("3.1.0"));
+        let old = HEARTBEAT.at(v("3.1.0"));
         let hb = MessageValue::new("Heartbeat")
             .set("node", Value::U32(1))
             .push("storages", Value::Enum(0));
         let bytes = proto::encode(old, &hb).unwrap();
-        let new = heartbeat_schema(v("3.2.0"));
+        let new = HEARTBEAT.at(v("3.2.0"));
         let err = proto::decode(new, "Heartbeat", &bytes).unwrap_err();
         // The text flows into failure signatures, and so into report digests.
         assert_eq!(
@@ -589,30 +507,28 @@ mod tests {
     }
 
     #[test]
-    fn static_schemas_equal_freshly_built_ones() {
-        for v in crate::DfsSystem::release_history() {
-            assert_eq!(*heartbeat_schema(v), build_heartbeat_schema(v), "{v}");
-            assert_eq!(*storage_type_enum(v), build_storage_type_enum(v), "{v}");
-        }
-        assert_eq!(*fsimage_schema(), build_fsimage_schema());
-    }
-
-    #[test]
     fn hdfs_15624_archive_shifts_to_nvdimm() {
         assert_eq!(archive_number(v("3.2.0")), 2);
         assert_eq!(archive_number(v("3.3.0")), 3);
         // A 3.2 ARCHIVE report decodes on 3.3 — as NVDIMM.
-        let old = heartbeat_schema(v("3.2.0"));
+        let old = HEARTBEAT.at(v("3.2.0"));
         let hb = MessageValue::new("Heartbeat")
             .set("node", Value::U32(1))
             .set("committedTxnId", Value::U64(1))
             .push("storages", Value::Enum(archive_number(v("3.2.0"))));
         let bytes = proto::encode(old, &hb).unwrap();
-        let new = heartbeat_schema(v("3.3.0"));
+        let new = HEARTBEAT.at(v("3.3.0"));
         let decoded = proto::decode(new, "Heartbeat", &bytes).unwrap();
         let got = decoded.get_all("storages")[0].clone();
         assert_eq!(got, Value::Enum(2));
-        assert_eq!(storage_type_enum(v("3.3.0")).name_of(2), Some("NVDIMM"));
+        assert_eq!(
+            HEARTBEAT
+                .at(v("3.3.0"))
+                .enum_desc("StorageType")
+                .unwrap()
+                .name_of(2),
+            Some("NVDIMM")
+        );
         // The other direction fails outright: 3.3's PROVIDED (4) is past the
         // end of 3.2's enum. The text flows into failure signatures.
         let hb = MessageValue::new("Heartbeat")
@@ -630,7 +546,7 @@ mod tests {
 
     #[test]
     fn pre_3_heartbeats_have_no_storages() {
-        let s = heartbeat_schema(v("2.7.0"));
+        let s = HEARTBEAT.at(v("2.7.0"));
         assert!(s
             .message("Heartbeat")
             .unwrap()

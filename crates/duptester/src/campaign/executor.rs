@@ -14,7 +14,7 @@
 //! replays each seed group's shared warmup prefix from a snapshot instead
 //! of re-executing it. Seeds of a group run in order on one worker, which
 //! keeps dedup-aware seed pruning deterministic; every case is folded into
-//! its worker's [`Tally`] the moment it finishes — counters and metrics
+//! its worker's `Tally` the moment it finishes — counters and metrics
 //! summed per worker, failures deduplicated per group on the spot, so
 //! result memory is O(groups × distinct failure signatures), never O(cases)
 //! or O(failing cases) — and the groups' failures are merged afterwards
@@ -308,7 +308,7 @@ impl<'a> CampaignBuilder<'a> {
     }
 
     /// Enables causal trace recording for every case: each distinct failure
-    /// report carries a bounded [`TraceSlice`] whose lineage chain ends at
+    /// report carries a bounded [`TraceSlice`](dup_simnet::TraceSlice) whose lineage chain ends at
     /// the violating observation, and observers see it via
     /// [`CampaignObserver::on_trace_slice`].
     pub fn trace(mut self, config: TraceConfig) -> Self {

@@ -3,8 +3,8 @@
 //! A blind campaign sweeps fresh seeds and hopes one of them lands in the
 //! tiny corner of the interleaving space where an upgrade failure hides
 //! (paper §6). This module searches instead: every executed case's causal
-//! trace folds into a [`CaseSignature`](crate::campaign::CaseSignature),
-//! a per-group [`CoverageMap`](crate::campaign::CoverageMap) accumulates
+//! trace folds into a [`CaseSignature`],
+//! a per-group [`CoverageMap`] accumulates
 //! which structural event pairs have been seen, and inputs that reached
 //! *new* coverage enter a [`Corpus`] whose entries are then perturbed by
 //! seeded [`MutationOp`]s — shifting fault times, re-rolling per-message
@@ -304,7 +304,7 @@ impl Default for SearchConfig {
 }
 
 /// What one mutation round accomplished; delivered to
-/// [`CampaignObserver::on_search_round`](crate::campaign::CampaignObserver::on_search_round).
+/// [`CampaignObserver::on_search_round`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SearchRound {
     /// The seed group (matrix order) the round ran in.

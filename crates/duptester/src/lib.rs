@@ -24,7 +24,7 @@
 //!   with torn-tail crashes — with state-triggered crash points that kill
 //!   nodes mid-upgrade or between a write and its flush.
 //!
-//! The failure [`oracle`] keys on crashes, fatal/error logs, failed or
+//! The failure oracle ([`evaluate`]) keys on crashes, fatal/error logs, failed or
 //! unanswered client operations, and message storms — the observable
 //! symptoms Finding 3 says cover 70% of real upgrade failures.
 //!

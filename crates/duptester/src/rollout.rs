@@ -149,9 +149,9 @@ pub enum RolloutStep {
     },
 }
 
-/// A validated, seeded rollout schedule over a version path. See the
-/// [module docs](self) for the grammar and the compile/nudge/repro
-/// contract.
+/// A validated, seeded rollout schedule over a version path. See
+/// [`RolloutPlan::parse`] for its text grammar, and [`RolloutPlan::compile`]
+/// and [`RolloutPlan::nudge`] for the compile/nudge/repro contract.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RolloutPlan {
     path: Vec<VersionId>,

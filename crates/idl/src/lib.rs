@@ -6,9 +6,10 @@
 //! which preserves declaration order, `reserved` statements, and source
 //! spans — the raw material of the four compatibility rules.
 //!
-//! [`lower`] converts an AST into a runtime [`dup_wire::Schema`] so the same
-//! protocol text that the checker analyzes statically can also be *executed*
-//! by the miniature systems.
+//! [`lower`] converts an AST into a runtime [`dup_wire::Schema`], and
+//! [`SchemaHistory`] maps each release of a mini system to the checked-in
+//! `.proto` text of the format it runs: the protocol text the checker
+//! analyzes statically is the text the miniature systems *execute*.
 //!
 //! # Examples
 //!
@@ -27,6 +28,7 @@
 #![warn(missing_docs)]
 
 mod ast;
+mod history;
 mod lexer;
 mod lower;
 mod proto_parser;
@@ -35,6 +37,7 @@ mod thrift_parser;
 pub use crate::ast::{
     EnumDecl, EnumValueDecl, FieldDecl, FieldLabel, IdlFile, MessageDecl, SyntaxKind,
 };
+pub use crate::history::SchemaHistory;
 pub use crate::lexer::{ParseError, Span};
 pub use crate::lower::lower;
 pub use crate::proto_parser::parse_proto;

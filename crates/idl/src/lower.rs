@@ -2,8 +2,8 @@
 //!
 //! This is how a protocol file becomes an executable codec: parse it, lower
 //! it, and use the resulting schema with [`dup_wire::proto`] or
-//! [`dup_wire::thrift`]. Today only tests, benches and examples do; the mini
-//! systems still build their per-version schemas in code.
+//! [`dup_wire::thrift`]. The mini systems reach it through
+//! [`crate::SchemaHistory`], which lowers each release's format once.
 
 use crate::ast::{FieldLabel, IdlFile};
 use crate::lexer::{ParseError, Span};

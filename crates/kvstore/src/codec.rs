@@ -15,11 +15,9 @@
 //!   mechanism that blocks downgrade in CASSANDRA-15794.
 
 use dup_core::VersionId;
+use dup_idl::SchemaHistory;
 use dup_wire::proto::{Reader, ValueRef, Writer};
-use dup_wire::{
-    EnumDescriptor, FieldDescriptor, FieldType, Frame, MessageDescriptor, Schema, WireError,
-};
-use std::sync::{LazyLock, OnceLock};
+use dup_wire::{Frame, WireError};
 
 /// Messaging protocol identifiers per release (the CASSANDRA-5102 lesson:
 /// these were allocated densely, leaving no room between 1.2 and 2.0).
@@ -55,7 +53,7 @@ pub fn proto_from_release(release: u32) -> u32 {
 
 /// Schema-file/pull format id: format A (`1`) before 2.0, format B (`2`) after.
 pub fn schema_format(v: VersionId) -> u32 {
-    if v.major < 2 {
+    if v < V2_0 {
         1
     } else {
         2
@@ -74,64 +72,31 @@ pub fn commitlog_format(v: VersionId) -> u32 {
 
 /// Data-row file format: raw bytes before 2.1, framed from 2.1 on.
 pub fn data_rows_framed(v: VersionId) -> bool {
-    v > VersionId::new(2, 0, u32::MAX) || (v.major == 2 && v.minor >= 1) || v.major >= 3
+    v >= V2_1
 }
 
-/// The gossip digest schema of `v`, built once per distinct shape.
-///
-/// Tag 3 is `schema_id: uint64` in 1.1 and `schema_uuid: string` from 1.2 —
-/// same tag, different wire type (CASSANDRA-4195). From 2.1 the digest also
-/// carries the sender's protocol version (the CASSANDRA-6678 fix).
-pub fn gossip_schema(v: VersionId) -> &'static Schema {
-    static SHAPES: [OnceLock<Schema>; 3] = [const { OnceLock::new() }; 3];
-    let shape = if v.major == 1 && v.minor == 1 {
-        0
-    } else if proto_version(v) < 8 {
-        1
-    } else {
-        2
-    };
-    SHAPES[shape].get_or_init(|| build_gossip_schema(v))
-}
+const V1_1: VersionId = VersionId::new(1, 1, 0);
+const V1_2: VersionId = VersionId::new(1, 2, 0);
+const V2_0: VersionId = VersionId::new(2, 0, 0);
+const V2_1: VersionId = VersionId::new(2, 1, 0);
 
-fn build_gossip_schema(v: VersionId) -> Schema {
-    let mut m = MessageDescriptor::new("GossipDigest")
-        .with(FieldDescriptor::required(
-            1,
-            "generation",
-            FieldType::Uint64,
-        ))
-        .with(FieldDescriptor::required(2, "schema_ts", FieldType::Uint64));
-    if v.major == 1 && v.minor == 1 {
-        m = m.with(FieldDescriptor::required(3, "schema_id", FieldType::Uint64));
-    } else {
-        m = m.with(FieldDescriptor::required(3, "schema_uuid", FieldType::Str));
-    }
-    if proto_version(v) >= 8 {
-        m = m.with(FieldDescriptor::optional(
-            4,
-            "proto_version",
-            FieldType::Uint32,
-        ));
-    }
-    Schema::new().with_message(m)
-}
+/// The gossip digest each release sends and reads.
+pub static GOSSIP: SchemaHistory<VersionId, 3> = SchemaHistory::new([
+    (V1_1, include_str!("../proto/gossip-1.1.0.proto")),
+    (V1_2, include_str!("../proto/gossip-1.2.0.proto")),
+    (V2_1, include_str!("../proto/gossip-2.1.0.proto")),
+]);
 
-/// The handshake message (all versions).
-pub fn handshake_schema() -> &'static Schema {
-    static SCHEMA: LazyLock<Schema> = LazyLock::new(build_handshake_schema);
-    &SCHEMA
-}
+/// The connection handshake (one shape in every release).
+pub static HANDSHAKE: SchemaHistory<VersionId, 1> =
+    SchemaHistory::new([(V1_1, include_str!("../proto/handshake-1.1.0.proto"))]);
 
-fn build_handshake_schema() -> Schema {
-    Schema::new().with_message(
-        MessageDescriptor::new("Handshake").with(FieldDescriptor::required(
-            1,
-            "proto_version",
-            FieldType::Uint32,
-        )),
-    )
-}
+/// The schema file and schema-pull payload: format A before 2.0, format B
+/// from 2.0 on.
+pub static SCHEMA_FILE: SchemaHistory<VersionId, 2> = SchemaHistory::new([
+    (V1_1, include_str!("../proto/schema_file-1.1.0.proto")),
+    (V2_0, include_str!("../proto/schema_file-2.0.0.proto")),
+]);
 
 /// `{:08x}-{:04x}` of a schema timestamp's hash and a protocol version,
 /// rendered without a heap allocation: a digest carries one, and a storm
@@ -179,7 +144,7 @@ pub fn write_gossip(
     out: &mut Vec<u8>,
 ) -> Result<(), WireError> {
     let proto = proto_version(v);
-    let mut digest = Writer::new(gossip_schema(v), "GossipDigest", out)?;
+    let mut digest = Writer::new(GOSSIP.at(v), "GossipDigest", out)?;
     digest.put("generation", ValueRef::U64(generation))?;
     digest.put("schema_ts", ValueRef::U64(schema_ts))?;
     if v.major == 1 && v.minor == 1 {
@@ -205,7 +170,7 @@ pub struct PeerDigest {
 
 /// Reads a gossip digest with release `v`'s descriptor.
 pub fn decode_gossip(v: VersionId, body: &[u8]) -> Result<PeerDigest, WireError> {
-    let mut fields = Reader::new(gossip_schema(v), "GossipDigest", body)?;
+    let mut fields = Reader::new(GOSSIP.at(v), "GossipDigest", body)?;
     let mut digest = PeerDigest {
         schema_ts: 0,
         proto_version: None,
@@ -222,14 +187,14 @@ pub fn decode_gossip(v: VersionId, body: &[u8]) -> Result<PeerDigest, WireError>
 
 /// Appends release `v`'s handshake to `out`.
 pub fn write_handshake(v: VersionId, out: &mut Vec<u8>) -> Result<(), WireError> {
-    let mut hs = Writer::new(handshake_schema(), "Handshake", out)?;
+    let mut hs = Writer::new(HANDSHAKE.at(v), "Handshake", out)?;
     hs.put("proto_version", ValueRef::U32(proto_version(v)))?;
     hs.finish()
 }
 
-/// The protocol version a handshake announces.
-pub fn decode_handshake(body: &[u8]) -> Result<Option<u32>, WireError> {
-    let mut hs = Reader::new(handshake_schema(), "Handshake", body)?;
+/// The protocol version a handshake announces, read as release `v` reads it.
+pub fn decode_handshake(v: VersionId, body: &[u8]) -> Result<Option<u32>, WireError> {
+    let mut hs = Reader::new(HANDSHAKE.at(v), "Handshake", body)?;
     let mut announced = None;
     while let Some((field, value)) = hs.next()? {
         if let ("proto_version", ValueRef::U32(pv)) = (field.name.as_str(), value) {
@@ -237,65 +202,6 @@ pub fn decode_handshake(body: &[u8]) -> Result<Option<u32>, WireError> {
         }
     }
     Ok(announced)
-}
-
-/// The schema-file format of `v`, built once per format.
-///
-/// Format A (pre-2.0): `Keyspace { name=1, repeated Table tables=2 }`.
-/// Format B (2.0+): `Keyspace { strategy=1 required, name=2, dropped=3,
-/// repeated Table tables=4 }` — `name` moved off tag 1, so a format-A reader
-/// fed format-B bytes fails with a type mismatch or missing field.
-pub fn schema_file_schema(v: VersionId) -> &'static Schema {
-    static SHAPES: [OnceLock<Schema>; 2] = [const { OnceLock::new() }; 2];
-    let shape = if schema_format(v) == 1 { 0 } else { 1 };
-    SHAPES[shape].get_or_init(|| build_schema_file_schema(v))
-}
-
-fn build_schema_file_schema(v: VersionId) -> Schema {
-    let (ks, table);
-    if schema_format(v) == 1 {
-        table = MessageDescriptor::new("Table").with(FieldDescriptor::required(
-            1,
-            "name",
-            FieldType::Str,
-        ));
-        ks = MessageDescriptor::new("Keyspace")
-            .with(FieldDescriptor::required(1, "name", FieldType::Str))
-            .with(FieldDescriptor::repeated(
-                2,
-                "tables",
-                FieldType::Message("Table".into()),
-            ));
-    } else {
-        table = MessageDescriptor::new("Table")
-            .with(FieldDescriptor::required(1, "name", FieldType::Str))
-            .with(FieldDescriptor::optional(2, "compact", FieldType::Bool));
-        ks = MessageDescriptor::new("Keyspace")
-            .with(FieldDescriptor::required(1, "strategy", FieldType::Str))
-            .with(FieldDescriptor::required(2, "name", FieldType::Str))
-            .with(FieldDescriptor::optional(3, "dropped", FieldType::Bool))
-            .with(FieldDescriptor::repeated(
-                4,
-                "tables",
-                FieldType::Message("Table".into()),
-            ));
-    }
-    Schema::new()
-        .with_message(
-            MessageDescriptor::new("SchemaFile")
-                .with(FieldDescriptor::required(1, "timestamp", FieldType::Uint64))
-                .with(FieldDescriptor::repeated(
-                    2,
-                    "keyspaces",
-                    FieldType::Message("Keyspace".into()),
-                )),
-        )
-        .with_message(ks)
-        .with_message(table)
-        .with_enum(EnumDescriptor::new(
-            "SchemaKind",
-            &[("TABLES", 0), ("VIEWS", 1)],
-        ))
 }
 
 /// In-memory schema state shared by all versions.
@@ -354,7 +260,7 @@ pub fn write_schema_state(
 ) -> Result<(), WireError> {
     let fmt = schema_format(v);
     Frame::header(release_id(v), "schema_file", out);
-    let mut file = Writer::new(schema_file_schema(v), "SchemaFile", out)?;
+    let mut file = Writer::new(SCHEMA_FILE.at(v), "SchemaFile", out)?;
     file.put("timestamp", ValueRef::U64(state.timestamp))?;
     for ks in &state.keyspaces {
         // Format A has nowhere to put tombstones; dropped keyspaces are
@@ -408,42 +314,18 @@ impl DecodedSchema {
 pub fn decode_schema_state(v: VersionId, bytes: &[u8]) -> Result<DecodedSchema, WireError> {
     let frame = Frame::decode(bytes)?;
     let writer_release = frame.version;
-    let own_fmt = schema_format(v);
     // Releases before 2.0.0 wrote format A; 2.0.0 and later wrote format B.
-    let written_fmt = if writer_release < 20_000 { 1 } else { 2 };
-    if written_fmt == own_fmt {
-        let state = decode_with_format(v, own_fmt, &frame.body)?;
-        return Ok(DecodedSchema {
-            state,
-            writer_release,
-        });
-    }
-    if own_fmt == 2 && written_fmt == 1 {
-        // Legacy converter: read format A, default the strategy.
-        let state = decode_with_format(v, 1, &frame.body)?;
-        return Ok(DecodedSchema {
-            state,
-            writer_release,
-        });
-    }
-    // A format-A reader fed format-B bytes: decode with its own descriptor
-    // and fail the way 1.x actually failed — no version check, just a parse
-    // error (paper §4.1.1, "missing deserialization functions").
-    let state = decode_with_format(v, 1, &frame.body)?;
-    Ok(DecodedSchema {
-        state,
-        writer_release,
-    })
-}
-
-fn decode_with_format(v: VersionId, fmt: u32, body: &[u8]) -> Result<SchemaState, WireError> {
-    let schema = if fmt == schema_format(v) {
-        schema_file_schema(v)
+    // A format-A file is read with format A's descriptor: 2.0+'s legacy
+    // converter, which defaults the strategy. Otherwise `v` reads with its
+    // own, so a format-A reader fed format-B bytes fails the way 1.x
+    // actually failed — no version check, just a parse error (paper §4.1.1,
+    // "missing deserialization functions").
+    let schema = if writer_release < release_id(V2_0) {
+        SCHEMA_FILE.at(V1_1)
     } else {
-        // The legacy (or mismatched) descriptor: any pre-2.0 release's view.
-        schema_file_schema(VersionId::new(1, 2, 0))
+        SCHEMA_FILE.at(v)
     };
-    let mut file = Reader::new(schema, "SchemaFile", body)?;
+    let mut file = Reader::new(schema, "SchemaFile", &frame.body)?;
     let mut state = SchemaState::default();
     while let Some((field, value)) = file.next()? {
         match (field.name.as_str(), value) {
@@ -452,7 +334,10 @@ fn decode_with_format(v: VersionId, fmt: u32, body: &[u8]) -> Result<SchemaState
             _ => {}
         }
     }
-    Ok(state)
+    Ok(DecodedSchema {
+        state,
+        writer_release,
+    })
 }
 
 fn read_keyspace(mut ks: Reader<'_>) -> Result<KeyspaceDef, WireError> {
@@ -540,7 +425,7 @@ mod tests {
             }
             file.push_mut("keyspaces", Value::Msg(kv));
         }
-        let body = proto::encode(schema_file_schema(v), &file).unwrap();
+        let body = proto::encode(SCHEMA_FILE.at(v), &file).unwrap();
         Frame::new(release_id(v), "schema_file", body).encode_to_vec()
     }
 
@@ -560,7 +445,7 @@ mod tests {
         if proto >= 8 {
             digest.put("proto_version", Value::U32(proto));
         }
-        proto::encode(gossip_schema(v), &digest).unwrap()
+        proto::encode(GOSSIP.at(v), &digest).unwrap()
     }
 
     /// Timestamps whose hash is short, fills eight digits, and wraps.
@@ -596,8 +481,8 @@ mod tests {
             let mut hs = Vec::new();
             write_handshake(v, &mut hs).unwrap();
             let tree = MessageValue::new("Handshake").set("proto_version", Value::U32(proto));
-            assert_eq!(hs, proto::encode(handshake_schema(), &tree).unwrap());
-            assert_eq!(decode_handshake(&hs), Ok(Some(proto)));
+            assert_eq!(hs, proto::encode(HANDSHAKE.at(v), &tree).unwrap());
+            assert_eq!(decode_handshake(v, &hs), Ok(Some(proto)));
         }
     }
 
@@ -683,13 +568,13 @@ mod tests {
     fn gossip_digest_incompatible_between_1_1_and_1_2() {
         // CASSANDRA-4195: 1.2 writes a string UUID at tag 3; 1.1 expects a
         // varint there and fails with a wire-type mismatch.
-        let new = gossip_schema(V12);
+        let new = GOSSIP.at(V12);
         let digest = MessageValue::new("GossipDigest")
             .set("generation", Value::U64(1))
             .set("schema_ts", Value::U64(5))
             .set("schema_uuid", Value::Str("3f0c-11".into()));
         let bytes = proto::encode(new, &digest).unwrap();
-        let old = gossip_schema(V11);
+        let old = GOSSIP.at(V11);
         let err = proto::decode(old, "GossipDigest", &bytes).unwrap_err();
         assert!(matches!(err, WireError::TypeMismatch { .. }));
         // A 1.1 handler reading a 1.2 node's digest meets the same error.
@@ -704,26 +589,15 @@ mod tests {
     }
 
     #[test]
-    fn static_schemas_equal_freshly_built_ones() {
-        for v in crate::KvStoreSystem::release_history() {
-            assert_eq!(*gossip_schema(v), build_gossip_schema(v), "gossip {v}");
-            assert_eq!(
-                *schema_file_schema(v),
-                build_schema_file_schema(v),
-                "schema file {v}"
-            );
-        }
-        assert_eq!(*handshake_schema(), build_handshake_schema());
-    }
-
-    #[test]
     fn gossip_carries_version_only_from_2_1() {
-        assert!(gossip_schema(V20)
+        assert!(GOSSIP
+            .at(V20)
             .message("GossipDigest")
             .unwrap()
             .field_by_name("proto_version")
             .is_none());
-        assert!(gossip_schema(V21)
+        assert!(GOSSIP
+            .at(V21)
             .message("GossipDigest")
             .unwrap()
             .field_by_name("proto_version")

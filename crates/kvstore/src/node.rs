@@ -519,7 +519,7 @@ impl Process for KvNode {
                 };
                 match frame.kind {
                     "handshake" => {
-                        if let Ok(Some(pv)) = codec::decode_handshake(&frame.body) {
+                        if let Ok(Some(pv)) = codec::decode_handshake(self.version, &frame.body) {
                             self.peer_versions.insert(n, pv);
                         }
                         Ok(())

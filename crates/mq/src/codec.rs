@@ -10,11 +10,9 @@
 //!   other's batches.
 
 use dup_core::VersionId;
+use dup_idl::SchemaHistory;
 use dup_wire::proto::{Reader, ValueRef, Writer};
-use dup_wire::{
-    decode_varint, encode_varint, FieldDescriptor, FieldType, MessageDescriptor, Schema, WireError,
-};
-use std::sync::OnceLock;
+use dup_wire::{decode_varint, encode_varint, WireError};
 
 /// The inter-broker protocol id. Deliberately NOT bumped between 2.3 and
 /// 2.4 — that is the KAFKA-10173 bug.
@@ -27,32 +25,15 @@ pub fn inter_broker_proto(v: VersionId) -> u32 {
     }
 }
 
-/// `true` if `v` writes offset records with an *optional* expiry (2.3+).
-pub fn offsets_expiry_optional(v: VersionId) -> bool {
-    v >= VersionId::new(2, 3, 0)
-}
+/// The on-disk committed-offset record: the expiry is required before 2.3
+/// and optional from 2.3 on.
+pub static OFFSETS: SchemaHistory<VersionId, 2> = SchemaHistory::new([
+    (V0_11, include_str!("../proto/offsets-0.11.0.proto")),
+    (V2_3, include_str!("../proto/offsets-2.3.0.proto")),
+]);
 
-/// The on-disk offset record schema of `v`, built once per distinct shape.
-pub fn offsets_schema(v: VersionId) -> &'static Schema {
-    static SHAPES: [OnceLock<Schema>; 2] = [const { OnceLock::new() }; 2];
-    let shape = usize::from(offsets_expiry_optional(v));
-    SHAPES[shape].get_or_init(|| build_offsets_schema(v))
-}
-
-fn build_offsets_schema(v: VersionId) -> Schema {
-    let expire = if offsets_expiry_optional(v) {
-        FieldDescriptor::optional(4, "expire_ts", FieldType::Uint64)
-    } else {
-        FieldDescriptor::required(4, "expire_ts", FieldType::Uint64)
-    };
-    Schema::new().with_message(
-        MessageDescriptor::new("OffsetRecord")
-            .with(FieldDescriptor::required(1, "group", FieldType::Str))
-            .with(FieldDescriptor::required(2, "topic", FieldType::Str))
-            .with(FieldDescriptor::required(3, "offset", FieldType::Uint64))
-            .with(expire),
-    )
-}
+const V0_11: VersionId = VersionId::new(0, 11, 0);
+const V2_3: VersionId = VersionId::new(2, 3, 0);
 
 /// Serializes one committed offset as `v` writes it.
 pub fn encode_offset_record(
@@ -63,7 +44,7 @@ pub fn encode_offset_record(
     expire_ts: Option<u64>,
 ) -> Result<Vec<u8>, WireError> {
     let mut out = Vec::with_capacity(group.len() + topic.len() + 24);
-    let mut rec = Writer::new(offsets_schema(v), "OffsetRecord", &mut out)?;
+    let mut rec = Writer::new(OFFSETS.at(v), "OffsetRecord", &mut out)?;
     rec.put("group", ValueRef::Str(group))?;
     rec.put("topic", ValueRef::Str(topic))?;
     rec.put("offset", ValueRef::U64(offset))?;
@@ -76,7 +57,7 @@ pub fn encode_offset_record(
 
 /// Reads one committed offset as `v` reads it.
 pub fn decode_offset_record(v: VersionId, bytes: &[u8]) -> Result<(u64, Option<u64>), WireError> {
-    let mut rec = Reader::new(offsets_schema(v), "OffsetRecord", bytes)?;
+    let mut rec = Reader::new(OFFSETS.at(v), "OffsetRecord", bytes)?;
     let (mut offset, mut expire) = (0, None);
     while let Some((field, value)) = rec.next()? {
         match (field.name.as_str(), value) {
@@ -161,13 +142,14 @@ impl std::error::Error for BatchError {}
 /// Decodes a replica batch with `v`'s reader.
 pub fn decode_replica_batch(v: VersionId, bytes: &[u8]) -> Result<ReplicaBatch, BatchError> {
     let (tlen, used) = decode_varint(bytes).map_err(|_| BatchError::Truncated)?;
-    let mut pos = used;
-    let tlen = tlen as usize;
-    if bytes.len() < pos + tlen {
-        return Err(BatchError::Truncated);
-    }
-    let topic = String::from_utf8_lossy(&bytes[pos..pos + tlen]).into_owned();
-    pos += tlen;
+    // A hostile or torn length prefix may be near `u64::MAX`: slice with a
+    // checked length, never `used + tlen`.
+    let topic = usize::try_from(tlen)
+        .ok()
+        .and_then(|tlen| bytes[used..].get(..tlen))
+        .ok_or(BatchError::Truncated)?;
+    let mut pos = used + topic.len();
+    let topic = String::from_utf8_lossy(topic).into_owned();
     if v >= VersionId::new(2, 4, 0) {
         let (offset, used) = decode_varint(&bytes[pos..]).map_err(|_| BatchError::Truncated)?;
         pos += used;
@@ -228,7 +210,7 @@ mod tests {
         if let Some(e) = expire_ts {
             rec.put("expire_ts", Value::U64(e));
         }
-        proto::encode(offsets_schema(v), &rec)
+        proto::encode(OFFSETS.at(v), &rec)
     }
 
     #[test]
@@ -247,13 +229,6 @@ mod tests {
                     }
                 }
             }
-        }
-    }
-
-    #[test]
-    fn static_schemas_equal_freshly_built_ones() {
-        for v in crate::MqSystem::release_history() {
-            assert_eq!(*offsets_schema(v), build_offsets_schema(v), "{v}");
         }
     }
 
@@ -346,5 +321,20 @@ mod tests {
             decode_replica_batch(v("2.3.0"), &[]),
             Err(BatchError::Truncated)
         );
+    }
+
+    #[test]
+    fn a_topic_length_near_u64_max_is_truncated_not_a_panic() {
+        // A ten-byte varint prefix that decodes to 2^64 - 1.
+        let mut hostile = vec![0xff; 9];
+        hostile.push(0x01);
+        hostile.extend([0; 16]);
+        for ver in crate::MqSystem::release_history() {
+            assert_eq!(
+                decode_replica_batch(ver, &hostile),
+                Err(BatchError::Truncated),
+                "release {ver}"
+            );
+        }
     }
 }

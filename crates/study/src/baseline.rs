@@ -12,7 +12,7 @@ pub struct BaselineStats {
     pub cassandra_urgent_pct: f64,
     /// % Low among Cassandra non-upgrade bugs.
     pub cassandra_low_pct: f64,
-    /// % catastrophic among all failures, from Yuan et al. (OSDI '14) [80].
+    /// % catastrophic among all failures, from Yuan et al. (OSDI '14) \[80\].
     pub catastrophic_pct: f64,
 }
 

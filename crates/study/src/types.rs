@@ -156,7 +156,7 @@ pub struct StudyFailure {
     pub priority: StudyPriority,
     /// End-user symptom (Table 2 row).
     pub symptom: Symptom,
-    /// Affects all or a majority of users (the [80] definition).
+    /// Affects all or a majority of users (the \[80\] definition).
     pub catastrophic: bool,
     /// Catastrophic *and* caught after release (Table 2, last column).
     pub catastrophic_in_production: bool,

@@ -7,6 +7,9 @@
 # - client requests: a command is borrowed (`String::from_utf8_lossy`
 #   without `.into_owned()`) and split with `dup_core::split_words`, not
 #   collected into a `Vec`.
+# - schemas: every wire and storage format is declared as `.proto` text
+#   under `crates/<system>/proto/`, read through `dup_idl::SchemaHistory`;
+#   no descriptor is built in Rust.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -32,5 +35,11 @@ if [ -n "$hits" ]; then
   echo "$hits" >&2
   status=1
 fi
-[ "$status" -eq 0 ] && echo "mini systems: streaming codec, borrowed client commands"
+hits=$(scan 'FieldDescriptor::|MessageDescriptor::new|EnumDescriptor::new')
+if [ -n "$hits" ]; then
+  echo "schema descriptors built in a mini system's production code:" >&2
+  echo "$hits" >&2
+  status=1
+fi
+[ "$status" -eq 0 ] && echo "mini systems: streaming codec, borrowed client commands, .proto schemas"
 exit "$status"

@@ -6,6 +6,7 @@ use ds_upgrade::core::VersionId;
 use ds_upgrade::idl::{lower, parse_proto};
 use ds_upgrade::prelude::{CaseOutcome, Scenario, TestCase, WorkloadSpec};
 use ds_upgrade::simnet::{Sim, SimDuration};
+use ds_upgrade::tester::catalog::seeded_bugs;
 use ds_upgrade::wire::{proto, MessageValue, Value, WireError};
 
 fn v(s: &str) -> VersionId {
@@ -37,6 +38,114 @@ fn checker_prediction_matches_runtime_behaviour() {
     .unwrap();
     let err = proto::decode(&new_schema, "Checkpoint", &bytes).unwrap_err();
     assert!(matches!(err, WireError::MissingRequired { field, .. } if field == "id"));
+}
+
+/// DUPChecker run over the `.proto` text the mini systems execute, on every
+/// consecutive release pair, predicts exactly the seeded bugs whose
+/// mechanism is a declared-format change: every ERROR sits on a pair with a
+/// seeded bug, and the one WARN is on a pair DUPTester reports clean.
+#[test]
+fn checker_agrees_with_the_catalog_on_the_executed_formats() {
+    use ds_upgrade::coord::{CoordSystem, SNAPSHOT, VOTE};
+    use ds_upgrade::dfs::{codec as dfs, DfsSystem};
+    use ds_upgrade::kvstore::{codec as kv, KvStoreSystem};
+    use ds_upgrade::mq::{codec as mq, MqSystem};
+    type Source = fn(VersionId) -> &'static str;
+    let systems: [(&str, Vec<VersionId>, &[Source]); 4] = [
+        (
+            "cassandra-mini",
+            KvStoreSystem::release_history(),
+            &[
+                |v| kv::GOSSIP.source_at(v),
+                |v| kv::HANDSHAKE.source_at(v),
+                |v| kv::SCHEMA_FILE.source_at(v),
+            ],
+        ),
+        (
+            "hdfs-mini",
+            DfsSystem::release_history(),
+            &[
+                |v| dfs::FSIMAGE.source_at(v),
+                |v| dfs::HEARTBEAT.source_at(v),
+            ],
+        ),
+        (
+            "kafka-mini",
+            MqSystem::release_history(),
+            &[|v| mq::OFFSETS.source_at(v)],
+        ),
+        (
+            "zookeeper-mini",
+            CoordSystem::release_history(),
+            &[|v| VOTE.source_at(v), |v| SNAPSHOT.source_at(v)],
+        ),
+    ];
+    let mut found = Vec::new();
+    for (system, releases, families) in &systems {
+        for pair in releases.windows(2) {
+            for source in *families {
+                let old = parse_proto(source(pair[0])).unwrap();
+                let new = parse_proto(source(pair[1])).unwrap();
+                for violation in compare_files(&old, &new) {
+                    found.push((*system, pair[0], pair[1], violation));
+                }
+            }
+        }
+    }
+    let rendered: Vec<String> = found
+        .iter()
+        .map(|(system, from, to, violation)| format!("{system} {from}->{to} {violation}"))
+        .collect();
+    assert_eq!(
+        rendered,
+        [
+            "cassandra-mini 1.1.0->1.2.0 ERROR GossipDigest.schema_id: required member removed",
+            "cassandra-mini 1.1.0->1.2.0 ERROR GossipDigest.schema_uuid: required member added",
+            "cassandra-mini 1.2.0->2.0.0 ERROR Keyspace.name: tag changed 1 -> 2",
+            "cassandra-mini 1.2.0->2.0.0 ERROR Keyspace.tables: tag changed 2 -> 4",
+            "cassandra-mini 1.2.0->2.0.0 ERROR Keyspace.strategy: required member added",
+            "hdfs-mini 3.1.0->3.2.0 ERROR Heartbeat.committedTxnId: required member added",
+            "hdfs-mini 3.2.0->3.3.0 ERROR enum StorageType.ARCHIVE: number changed 2 -> 3",
+            "hdfs-mini 3.2.0->3.3.0 ERROR enum StorageType.PROVIDED: number changed 3 -> 4",
+            "kafka-mini 2.1.0->2.3.0 WARN  OffsetRecord.expire_ts: required changed to non-required",
+            "zookeeper-mini 3.5.0->3.6.0 ERROR Snapshot.checkpoint_id: required member added",
+        ]
+    );
+    // The seeded bugs (on the paper's scenarios) of a system's release pair.
+    let bugs = seeded_bugs();
+    let tickets_on = |system: &str, from: VersionId, to: VersionId| -> Vec<&str> {
+        bugs.iter()
+            .filter(|b| b.scenario.is_none() && b.system == system)
+            .filter(|b| (b.from_version(), b.to_version()) == (from, to))
+            .map(|b| b.ticket)
+            .collect()
+    };
+    let mut predicted = Vec::new();
+    for (system, from, to, violation) in &found {
+        let tickets = tickets_on(system, *from, *to);
+        match violation.severity() {
+            Severity::Error => {
+                assert!(
+                    !tickets.is_empty(),
+                    "ERROR on a pair without a seeded bug: {violation}"
+                );
+                predicted.extend(tickets);
+            }
+            // A WARN sits on a pair with no seeded bug: a control pair.
+            Severity::Warning => assert_eq!(tickets, Vec::<&str>::new(), "{violation}"),
+        }
+    }
+    predicted.dedup();
+    assert_eq!(
+        predicted,
+        [
+            "CASSANDRA-4195",
+            "CASSANDRA-6678",
+            "HDFS-14726",
+            "HDFS-15624",
+            "MESOS-3834 (shape)"
+        ]
+    );
 }
 
 /// Finding 9 in action: the consecutive-pair strategy finds a bug that a

@@ -1,7 +1,10 @@
 //! Cross-crate property-based tests (proptest) over the core invariants.
 
 use ds_upgrade::core::{upgrade_pairs, VersionGap, VersionId};
+use ds_upgrade::dfs::{codec as dfs_codec, DfsSystem};
 use ds_upgrade::idl::{lower, parse_proto, parse_thrift};
+use ds_upgrade::kvstore::{codec as kv_codec, KvStoreSystem};
+use ds_upgrade::mq::{codec as mq_codec, MqSystem};
 use ds_upgrade::simnet::{FaultKind, HostStorage, SimRng, SimTime};
 use ds_upgrade::srcmodel::parse_java;
 use ds_upgrade::tester::{
@@ -281,6 +284,38 @@ proptest! {
         let _ = proto::decode(&schema, "Record", &bytes);
         let _ = ds_upgrade::wire::thrift::decode(&schema, "Record", &bytes);
         let _ = Frame::decode(&bytes);
+    }
+
+    /// No mini-system decoder panics on arbitrary bytes at any release: a
+    /// torn or hostile peer frame or storage file surfaces as an error. The
+    /// bytes also go in behind a well-formed frame header, so that the body
+    /// decoders see them, and beside a replica batch whose topic length is
+    /// 2^64 - 1, which random bytes all but never hit.
+    #[test]
+    fn mini_system_decoders_return_on_garbage(
+        bytes in proptest::collection::vec(any::<u8>(), 0..128),
+        stamp in prop_oneof![0u32..80, 10_000u32..45_000],
+    ) {
+        let framed = Frame::new(stamp, "garbage", &bytes[..]).encode_to_vec();
+        let hostile_batch = [&[0xff; 9][..], &[0x01], &[0; 16]].concat();
+        for input in [&bytes[..], &framed[..], &hostile_batch[..]] {
+            for v in KvStoreSystem::release_history() {
+                let _ = kv_codec::decode_gossip(v, input);
+                let _ = kv_codec::decode_handshake(v, input);
+                let _ = kv_codec::decode_schema_state(v, input);
+                let _ = kv_codec::decode_row(v, input);
+            }
+            for v in DfsSystem::release_history() {
+                let _ = dfs_codec::decode_fsimage(v, input);
+                if let Ok(heartbeat) = dfs_codec::decode_heartbeat(v, input) {
+                    heartbeat.for_each(|_| {});
+                }
+            }
+            for v in MqSystem::release_history() {
+                let _ = mq_codec::decode_offset_record(v, input);
+                let _ = mq_codec::decode_replica_batch(v, input);
+            }
+        }
     }
 
     /// Host storage behaves like a map with prefix listing.
