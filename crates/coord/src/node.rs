@@ -418,7 +418,7 @@ impl Process for CoordNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dup_simnet::Sim;
+    use dup_simnet::{FaultKind, FaultPlan, Sim};
     use dup_wire::{proto, MessageValue, Value};
 
     fn v(s: &str) -> VersionId {
@@ -686,8 +686,9 @@ mod tests {
             .and_then(|s| s.strip_prefix("leader="))
             .and_then(|s| s.parse().ok())
             .unwrap();
-        sim.kill_node(leader).unwrap();
+        sim.install_fault_plan(FaultPlan::new(6).schedule(sim.now(), FaultKind::Crash(leader)));
         sim.run_for(SimDuration::from_secs(5));
+        assert!(sim.is_fault_crashed(leader));
         let other = ids.iter().copied().find(|&i| i != leader).unwrap();
         assert_eq!(cmd(&mut sim, other, "HEALTH"), "OK healthy");
     }

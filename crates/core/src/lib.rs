@@ -6,9 +6,9 @@
 //! - [`VersionId`] / [`VersionGap`] — release numbering and Table 4 gap
 //!   classification, plus [`upgrade_pairs`] implementing Finding 9's
 //!   consecutive-pair enumeration;
-//! - the failure taxonomy ([`RootCause`], [`Symptom`], [`Priority`], …)
-//!   used to classify every failure in the study and every failure the
-//!   tester exposes;
+//! - the study's failure taxonomy ([`RootCause`], [`Symptom`],
+//!   [`Priority`], …), which `dup-study` uses to classify every studied
+//!   failure;
 //! - the [`SystemUnderTest`] trait, DUPTester's view of a target system,
 //!   and [`split_words`] / [`format_reply`] for the mini systems' client
 //!   commands.
@@ -38,6 +38,5 @@ pub use crate::sut::{
 };
 pub use crate::taxonomy::{
     CassandraPriority, DataMedium, IncompatCategory, Priority, RootCause, Symptom, UpgradeKind,
-    WorkloadCoverage,
 };
 pub use crate::version::{upgrade_pairs, VersionGap, VersionId, VersionParseError};

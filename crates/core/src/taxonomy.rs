@@ -184,39 +184,6 @@ pub enum RootCause {
     BrokenDependency,
 }
 
-impl RootCause {
-    /// Short label used in Table 5-style reports.
-    pub fn short_label(&self) -> &'static str {
-        match self {
-            RootCause::IncompatibleInteraction { category, .. } => {
-                if category.is_syntax() {
-                    "Data-syntax Incomp."
-                } else {
-                    "Data-semantics Incomp."
-                }
-            }
-            RootCause::BrokenUpgradeOperation => "Broken Upgrade Op.",
-            RootCause::Misconfiguration => "Misconfiguration",
-            RootCause::BrokenDependency => "Broken Dependency",
-        }
-    }
-}
-
-/// How the failure-triggering workload relates to existing test assets (§5.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum WorkloadCoverage {
-    /// Stress-testing operations with default configuration suffice.
-    StressDefault,
-    /// Needs a non-default configuration that an existing unit test covers.
-    ConfigCoveredByUnitTest,
-    /// Needs a non-default configuration not covered anywhere.
-    ConfigUncovered,
-    /// Needs special operations that existing unit tests cover.
-    OpsCoveredByUnitTest,
-    /// Needs special operations not covered anywhere.
-    OpsUncovered,
-}
-
 /// Which upgrade scenario exposes a failure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum UpgradeKind {
@@ -253,28 +220,6 @@ mod tests {
         assert!(IncompatCategory::SyntaxSystemSpecific.is_syntax());
         assert!(!IncompatCategory::SemanticsOther.is_syntax());
         assert!(!IncompatCategory::SemanticsIncompleteVersionHandling.is_syntax());
-    }
-
-    #[test]
-    fn root_cause_short_labels_match_table_5() {
-        let syntax = RootCause::IncompatibleInteraction {
-            medium: DataMedium::NetworkMessage,
-            category: IncompatCategory::SyntaxSerializationLib,
-        };
-        assert_eq!(syntax.short_label(), "Data-syntax Incomp.");
-        let semantics = RootCause::IncompatibleInteraction {
-            medium: DataMedium::PersistentStorage,
-            category: IncompatCategory::SemanticsIncompleteVersionHandling,
-        };
-        assert_eq!(semantics.short_label(), "Data-semantics Incomp.");
-        assert_eq!(
-            RootCause::BrokenUpgradeOperation.short_label(),
-            "Broken Upgrade Op."
-        );
-        assert_eq!(
-            RootCause::BrokenDependency.short_label(),
-            "Broken Dependency"
-        );
     }
 
     #[test]

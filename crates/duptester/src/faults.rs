@@ -544,7 +544,6 @@ mod tests {
                         assert_ne!(a, b, "self-partition in {:?}", action.kind);
                     }
                     FaultKind::Crash(n) | FaultKind::Restart(n) => assert!(n < 3),
-                    FaultKind::HealAll => {}
                 }
                 assert!(action.at.as_millis() <= 58_000);
             }

@@ -177,19 +177,19 @@ impl<'a> CaseRunner<'a> {
 
     /// [`CaseRunner::execute`] for a case from outside the matrix, such as
     /// a parsed `repro:` line: a version this runner's system does not
-    /// release makes the case invalid, not a pass.
+    /// release, or a `to` older than `from`, makes the case invalid, not a
+    /// pass. (`from == to` is the same-version precision case and runs.)
     fn execute_checked(&mut self, case: &TestCase, nudge: &PlanNudge) -> CaseResult {
         let catalog = &self.pools.catalog;
         let stranger = [case.from, case.to]
             .into_iter()
             .find(|v| !catalog.contains(v));
-        match stranger {
-            None => self.execute(case, nudge),
-            Some(v) => {
-                let message = format!("{v} is not a {} release", self.sut.name());
-                invalid(message, CaseDigest::default())
-            }
-        }
+        let message = match stranger {
+            Some(v) => format!("{v} is not a {} release", self.sut.name()),
+            None if case.to < case.from => format!("{} predates {}", case.to, case.from),
+            None => return self.execute(case, nudge),
+        };
+        invalid(message, CaseDigest::default())
     }
 
     /// Runs `case` with its plans perturbed by `nudge`; the default nudge
@@ -1018,19 +1018,23 @@ mod tests {
             (&dup_coord::CoordSystem, &hdfs, "2.8.0"),
         ];
         for (sut, foreign, stranger) in systems {
-            let own = sut.versions()[0];
+            let (own, newer) = (sut.versions()[0], sut.versions()[1]);
+            let not_released = |v: &str| format!("{v} is not a {} release", sut.name());
             let lines = [
-                (foreign.to_string(), stranger),
-                (format!("9.9.9->10.0.0 {tail}"), "9.9.9"),
-                (format!("{own}->10.0.0 {tail}"), "10.0.0"),
+                (foreign.to_string(), not_released(stranger)),
+                (format!("9.9.9->10.0.0 {tail}"), not_released("9.9.9")),
+                (format!("{own}->10.0.0 {tail}"), not_released("10.0.0")),
+                // The system's own releases, reversed: a rollback is a
+                // rollout plan, not a pair.
+                (
+                    format!("{newer}->{own} {tail}"),
+                    format!("{own} predates {newer}"),
+                ),
             ];
             let mut runner = CaseRunner::new(sut);
-            for (line, stranger) in lines {
+            for (line, message) in lines {
                 let spec: CaseSpec = line.parse().expect("a repro line");
-                let refused = CaseOutcome::InvalidWorkload(format!(
-                    "{stranger} is not a {} release",
-                    sut.name()
-                ));
+                let refused = CaseOutcome::InvalidWorkload(message);
                 assert_eq!(spec.run_in(&mut runner).outcome, refused, "{line}");
                 assert_eq!(spec.case.run_in(&mut runner).outcome, refused, "{line}");
             }
@@ -1303,6 +1307,7 @@ mod tests {
     /// rollout has settled: 200 messages bounce between the two nodes forever.
     struct Flooder {
         new_version: bool,
+        peer: Endpoint,
     }
 
     impl Process for Flooder {
@@ -1321,9 +1326,8 @@ mod tests {
             Ok(())
         }
         fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: u64) -> StepResult {
-            let peer = Endpoint::Node(1 - ctx.node_id());
             for _ in 0..200 {
-                ctx.send(peer, bytes::Bytes::from_static(b"PING"));
+                ctx.send(self.peer, bytes::Bytes::from_static(b"PING"));
             }
             Ok(())
         }
@@ -1341,9 +1345,10 @@ mod tests {
         fn cluster_size(&self) -> u32 {
             2
         }
-        fn spawn(&self, version: VersionId, _setup: &NodeSetup) -> Box<dyn Process> {
+        fn spawn(&self, version: VersionId, setup: &NodeSetup) -> Box<dyn Process> {
             Box::new(Flooder {
                 new_version: version.to_string() == "2.0.0",
+                peer: Endpoint::Node(1 - setup.index),
             })
         }
         fn stress_ops(

@@ -292,8 +292,8 @@ pub(crate) fn storm_decided_above(max_baseline_msgs: u64) -> u64 {
 ///
 /// `log_mark` is a [`LogMark`] taken at upgrade start; `baseline_msgs` and
 /// `window_msgs` are message counts for equal-length windows before and
-/// after that point. A crash the tester injected itself — a harness kill
-/// or a fault-plan crash, recognised by its crash reason — is not evidence.
+/// after that point. A crash the tester injected itself — a fault-plan
+/// crash, recognised by its crash reason — is not evidence.
 pub fn evaluate(
     sim: &Sim,
     log_mark: LogMark,
@@ -304,10 +304,9 @@ pub fn evaluate(
     let mut out = Vec::new();
     for node in sim.crashed_nodes() {
         let reason = sim.crash_reason(node).unwrap_or("unknown").to_string();
-        if reason == "killed by harness" || reason == dup_simnet::FAULT_CRASH_REASON {
-            // Harness kills and fault-plan crashes are both injected by the
-            // tester itself; only crashes the system caused are upgrade
-            // failure evidence.
+        if reason == dup_simnet::FAULT_CRASH_REASON {
+            // The fault plan's crashes are the tester's own; only crashes
+            // the system caused are upgrade failure evidence.
             continue;
         }
         out.push(Observation::NodeCrash {

@@ -339,7 +339,7 @@ impl Process for Broker {
 mod tests {
     use super::*;
     use dup_core::Config;
-    use dup_simnet::{Sim, SimDuration};
+    use dup_simnet::{Durability, FaultKind, FaultPlan, Sim, SimDuration};
 
     fn v(s: &str) -> VersionId {
         s.parse().unwrap()
@@ -775,7 +775,13 @@ mod tests {
                     assert_eq!(cmd(&mut sim, node, &text), "OK", "{ops:?}");
                 }
                 Op::Crash { node } => {
-                    sim.kill_node(node).unwrap();
+                    // A one-action plan crashes the broker now, keeping the
+                    // cluster's torn durability.
+                    let mut plan = FaultPlan::new(seed).schedule(sim.now(), FaultKind::Crash(node));
+                    plan.durability = Durability::Torn;
+                    sim.install_fault_plan(plan);
+                    sim.run_for(SimDuration::ZERO);
+                    assert!(sim.is_fault_crashed(node), "{ops:?}");
                     sim.install(node, "2.4.0", Checked::spawn(node)).unwrap();
                     sim.start_node(node).unwrap();
                 }

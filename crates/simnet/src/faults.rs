@@ -12,7 +12,7 @@
 //! Message fates are decided inside the simulator's allocation-free dispatch
 //! loop; steady-state injection performs no heap allocation (asserted by
 //! `tests/alloc_free_dispatch.rs`). Client traffic is never faulted, matching
-//! [`crate::Network`]'s rule that the harness plays a co-located test driver.
+//! the network model's rule that the harness plays a co-located test driver.
 //!
 //! Nodes crashed by the plan carry the crash reason [`FAULT_CRASH_REASON`],
 //! which failure oracles use to tell injected chaos from genuine failures.
@@ -24,7 +24,7 @@ use crate::time::{SimDuration, SimTime};
 use std::fmt;
 
 /// Crash reason recorded on nodes crashed by an injected fault, so oracles
-/// can exempt them (like `"killed by harness"` for deliberate kills).
+/// can exempt them: the tester caused these crashes itself.
 pub const FAULT_CRASH_REASON: &str = "crashed by fault injection";
 
 /// Stream id under the plan seed for the per-message fate stream.
@@ -42,8 +42,6 @@ pub enum FaultKind {
     Partition(NodeId, NodeId),
     /// Heal the partition between two nodes.
     Heal(NodeId, NodeId),
-    /// Heal every partition.
-    HealAll,
     /// Crash a node (no shutdown hook), recording [`FAULT_CRASH_REASON`].
     Crash(NodeId),
     /// Restart a node previously crashed by [`FaultKind::Crash`]. The
@@ -57,7 +55,6 @@ impl fmt::Display for FaultKind {
         match self {
             FaultKind::Partition(a, b) => write!(f, "part({a},{b})"),
             FaultKind::Heal(a, b) => write!(f, "heal({a},{b})"),
-            FaultKind::HealAll => write!(f, "heal-all"),
             FaultKind::Crash(n) => write!(f, "crash({n})"),
             FaultKind::Restart(n) => write!(f, "restart({n})"),
         }

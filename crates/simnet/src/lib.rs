@@ -11,11 +11,11 @@
 //!   ([`Sim::install`]);
 //! - per-host persistent storage that outlives process generations
 //!   ([`HostStorage`]), reproducing DUPTester's shared host directories;
-//! - a simple network model with latency jitter, message loss, and
-//!   partitions ([`Network`]);
-//! - deterministic fault injection — seeded per-message drop / duplicate /
-//!   delay-spike / reorder plus scheduled partitions and crash-then-restart
-//!   ([`FaultPlan`], [`Sim::install_fault_plan`]);
+//! - a simple network model: a base latency plus seeded jitter;
+//! - deterministic fault injection, the one way a run breaks the cluster —
+//!   seeded per-message drop / duplicate / delay-spike / reorder plus
+//!   scheduled partitions and crash-then-restart ([`FaultPlan`],
+//!   [`Sim::install_fault_plan`]);
 //! - a crash-durability model: writes buffer until an explicit flush, and a
 //!   seeded crash materializer drops or tears the unflushed tail on every
 //!   crash ([`Durability`], [`Ctx::flush`]), with state-triggered
@@ -77,8 +77,7 @@ pub use crate::faults::{
     CrashPoint, CrashPointKind, FaultKind, FaultPlan, ScheduledFault, FAULT_CRASH_REASON,
 };
 pub use crate::log::{LogBuffer, LogLevel, LogMark, LogRecord};
-pub use crate::net::Network;
-pub use crate::node::{NodeMetrics, NodeStatus};
+pub use crate::node::NodeStatus;
 pub use crate::process::{restore_clone, Ctx, Endpoint, Fatal, NodeId, Process, StepResult};
 pub use crate::rng::SimRng;
 pub use crate::sim::{ClientHandle, Sim, SimError, SimSnapshot};

@@ -150,11 +150,6 @@ impl LogBuffer {
         self.records.is_empty()
     }
 
-    /// Returns records at `level` or above.
-    pub fn at_or_above(&self, level: LogLevel) -> impl Iterator<Item = &LogRecord> {
-        self.records.iter().filter(move |r| r.level >= level)
-    }
-
     /// Returns records whose message contains `needle`.
     pub fn matching<'a>(&'a self, needle: &'a str) -> impl Iterator<Item = &'a LogRecord> {
         self.records
@@ -245,7 +240,7 @@ mod tests {
         buf.push(rec(LogLevel::Error, "failed to parse fsimage", 10));
         buf.push(rec(LogLevel::Fatal, "aborting", 20));
 
-        assert_eq!(buf.at_or_above(LogLevel::Error).count(), 2);
+        assert_eq!(buf.count_at_or_above(LogLevel::Error), 2);
         assert_eq!(buf.matching("fsimage").count(), 1);
         assert!(buf.has_at_or_above(LogLevel::Fatal));
         assert_eq!(buf.since(SimTime::from_millis(10)).count(), 2);
@@ -286,7 +281,7 @@ mod tests {
         ] {
             assert_eq!(
                 buf.count_at_or_above(level),
-                buf.at_or_above(level).count(),
+                buf.records().iter().filter(|r| r.level >= level).count(),
                 "{level}"
             );
         }

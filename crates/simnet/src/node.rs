@@ -19,9 +19,9 @@ pub enum NodeStatus {
     Starting,
     /// Process is live and receiving events.
     Running,
-    /// Stopped gracefully (by the harness or by the process itself).
+    /// Stopped gracefully by the harness.
     Stopped,
-    /// Terminated by a fatal error, a panic, or a hard kill.
+    /// Terminated by a fatal error, a panic, or an injected fault.
     Crashed,
 }
 
@@ -45,18 +45,6 @@ impl fmt::Display for NodeStatus {
     }
 }
 
-/// Per-node traffic counters, used by performance-degradation oracles
-/// (e.g. the CASSANDRA-13441 schema-migration storm).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct NodeMetrics {
-    /// Node-to-node and client messages delivered to this node.
-    pub messages_received: u64,
-    /// Messages this node sent (before any loss).
-    pub messages_sent: u64,
-    /// Timer events dispatched to this node.
-    pub timers_fired: u64,
-}
-
 /// One container slot in the simulated cluster.
 ///
 /// The slot stores the *interned* host id, not the host name: the event
@@ -70,7 +58,6 @@ pub(crate) struct NodeSlot {
     pub generation: u64,
     pub rng: SimRng,
     pub crash_reason: Option<String>,
-    pub metrics: NodeMetrics,
 }
 
 impl NodeSlot {
@@ -84,7 +71,6 @@ impl NodeSlot {
             generation: 0,
             rng: SimRng::new(0),
             crash_reason: None,
-            metrics: NodeMetrics::default(),
         }
     }
 
@@ -98,7 +84,6 @@ impl NodeSlot {
         self.generation = src.generation;
         self.rng = src.rng.clone();
         self.crash_reason.clone_from(&src.crash_reason);
-        self.metrics = src.metrics;
         let Some(theirs) = src.process.as_deref() else {
             self.process = None;
             return true;
@@ -136,13 +121,5 @@ mod tests {
         assert_eq!(NodeStatus::Crashed.to_string(), "crashed");
         assert!(NodeStatus::Running.is_running());
         assert!(!NodeStatus::Stopped.is_running());
-    }
-
-    #[test]
-    fn metrics_default_to_zero() {
-        let m = NodeMetrics::default();
-        assert_eq!(m.messages_received, 0);
-        assert_eq!(m.messages_sent, 0);
-        assert_eq!(m.timers_fired, 0);
     }
 }

@@ -73,7 +73,6 @@ pub type StepResult = Result<(), Fatal>;
 pub(crate) enum Effect {
     Send { to: Endpoint, payload: Bytes },
     SetTimer { delay: SimDuration, token: u64 },
-    StopSelf,
 }
 
 /// The handler-side view of the simulation world.
@@ -96,11 +95,6 @@ impl<'a> Ctx<'a> {
         self.now
     }
 
-    /// This node's id.
-    pub fn node_id(&self) -> NodeId {
-        self.node
-    }
-
     /// This node's endpoint, for use as a reply address.
     pub fn me(&self) -> Endpoint {
         Endpoint::Node(self.node)
@@ -115,11 +109,6 @@ impl<'a> Ctx<'a> {
     /// [`Process::on_timer`]. Timers do not survive restarts or upgrades.
     pub fn set_timer(&mut self, delay: SimDuration, token: u64) {
         self.effects.push(Effect::SetTimer { delay, token });
-    }
-
-    /// Requests a graceful stop of this node after the current handler.
-    pub fn stop_self(&mut self) {
-        self.effects.push(Effect::StopSelf);
     }
 
     /// This node's persistent storage (survives restarts and upgrades).
@@ -271,12 +260,10 @@ mod tests {
         };
         ctx.send(Endpoint::Node(0), Bytes::from_static(b"hi"));
         ctx.set_timer(SimDuration::from_secs(1), 7);
-        ctx.stop_self();
         ctx.info("hello");
         assert_eq!(ctx.me(), Endpoint::Node(2));
-        assert_eq!(ctx.node_id(), 2);
         assert_eq!(ctx.now().as_millis(), 10);
-        assert_eq!(effects.len(), 3);
+        assert_eq!(effects.len(), 2);
         assert_eq!(logs.len(), 1);
     }
 }

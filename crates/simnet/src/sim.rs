@@ -15,7 +15,7 @@ use crate::faults::{
 };
 use crate::log::{LogBuffer, LogLevel, LogRecord};
 use crate::net::Network;
-use crate::node::{NodeMetrics, NodeSlot, NodeStatus};
+use crate::node::{NodeSlot, NodeStatus};
 use crate::process::{Ctx, Effect, Endpoint, NodeId, Process};
 use crate::rng::SimRng;
 use crate::storage::{HostId, HostStorage, StorageMap};
@@ -41,11 +41,6 @@ pub enum SimError {
         /// The operation that was attempted.
         op: &'static str,
     },
-    /// `run_until_idle` exceeded its event budget (likely a livelock or storm).
-    Runaway {
-        /// Number of events processed before giving up.
-        events: u64,
-    },
 }
 
 impl fmt::Display for SimError {
@@ -54,9 +49,6 @@ impl fmt::Display for SimError {
             SimError::UnknownNode(n) => write!(f, "unknown node {n}"),
             SimError::BadStatus { node, status, op } => {
                 write!(f, "cannot {op} node {node} while {status}")
-            }
-            SimError::Runaway { events } => {
-                write!(f, "simulation did not quiesce after {events} events")
             }
         }
     }
@@ -144,11 +136,6 @@ impl SimSnapshot {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// The simulated time at which the snapshot was taken.
-    pub fn taken_at(&self) -> SimTime {
-        self.0.now
-    }
 }
 
 impl fmt::Debug for SimSnapshot {
@@ -169,8 +156,8 @@ pub struct Sim {
     queue: BinaryHeap<Reverse<QueuedEvent>>,
     nodes: Vec<NodeSlot>,
     storage: StorageMap,
-    /// The network model; mutate directly to inject partitions or loss.
-    pub net: Network,
+    /// The network model: latency, and the partitions the fault plan cuts.
+    net: Network,
     logs: LogBuffer,
     net_rng: SimRng,
     /// Client inboxes, a slab indexed by client id: [`Sim::client_send`]
@@ -230,7 +217,7 @@ impl Sim {
             queue: BinaryHeap::new(),
             nodes: Vec::new(),
             storage: StorageMap::new(),
-            net: Network::new(),
+            net: Network::default(),
             logs: LogBuffer::new(),
             net_rng: root.split(u64::MAX),
             client_inbox: Vec::new(),
@@ -516,14 +503,8 @@ impl Sim {
             generation: 0,
             rng: SimRng::new(self.seed).split(u64::from(id)),
             crash_reason: None,
-            metrics: NodeMetrics::default(),
         });
         id
-    }
-
-    /// Number of node slots (including stopped/crashed ones).
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
     }
 
     /// The status of `node`.
@@ -547,21 +528,6 @@ impl Sim {
         self.nodes
             .get(node as usize)
             .and_then(|s| s.crash_reason.as_deref())
-    }
-
-    /// Per-node traffic counters.
-    pub fn node_metrics(&self, node: NodeId) -> NodeMetrics {
-        self.nodes
-            .get(node as usize)
-            .map(|s| s.metrics)
-            .unwrap_or_default()
-    }
-
-    /// Ids of nodes currently `Running`.
-    pub fn running_nodes(&self) -> Vec<NodeId> {
-        (0..self.nodes.len() as NodeId)
-            .filter(|&n| self.nodes[n as usize].status.is_running())
-            .collect()
     }
 
     /// Ids of nodes currently `Crashed`.
@@ -644,19 +610,6 @@ impl Sim {
             }
             NodeStatus::Stopped | NodeStatus::Crashed => Ok(()),
         }
-    }
-
-    /// Kills `node` without running its shutdown hook (simulates `kill -9` /
-    /// container teardown).
-    pub fn kill_node(&mut self, node: NodeId) -> Result<(), SimError> {
-        let slot = self.slot_mut(node)?;
-        slot.status = NodeStatus::Crashed;
-        slot.crash_reason = Some("killed by harness".to_string());
-        slot.process = None;
-        let host = slot.host;
-        let kill_id = self.trace_record(0, TraceEventKind::NodeKill { node });
-        self.crash_materialize_host(host, kill_id);
-        Ok(())
     }
 
     /// Installs a new process (typically a different software version) into a
@@ -770,11 +723,6 @@ impl Sim {
         };
     }
 
-    /// The installed fault plan, if any.
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.faults.as_ref().map(|f| &f.plan)
-    }
-
     /// Total faults injected so far: per-message fates (drops, duplicates,
     /// delays, reorders) plus applied scheduled actions.
     pub fn faults_injected(&self) -> u64 {
@@ -802,7 +750,6 @@ impl Sim {
         match kind {
             FaultKind::Partition(a, b) => self.net.partition(a, b),
             FaultKind::Heal(a, b) => self.net.heal(a, b),
-            FaultKind::HealAll => self.net.heal_all(),
             FaultKind::Crash(n) => {
                 let status = self.node_status(n);
                 if !matches!(status, NodeStatus::Running | NodeStatus::Starting) {
@@ -822,8 +769,9 @@ impl Sim {
         }
     }
 
-    /// Crashes `node`: the one crash sequence behind a handler's fatal
-    /// return or panic, a scheduled fault crash and both crash points. Marks
+    /// Crashes `node`: the one crash sequence behind every crash — a
+    /// handler's fatal return or panic, a scheduled fault crash and both
+    /// crash points. Marks
     /// the slot crashed for `reason`, logs `message` at `level`, records the
     /// crash under the trace id `parent` and resolves the host's unflushed
     /// storage. Returns the crash's trace id.
@@ -878,7 +826,7 @@ impl Sim {
 
     /// Resolves a host's unflushed storage against the plan's
     /// crash-materializer stream. Called on **every** crash — scheduled
-    /// fault, harness kill, genuine process failure, crash point — so the
+    /// fault, genuine process failure, crash point — so the
     /// recovery image is always crash-consistent. A no-op without a plan
     /// (no plan means strict durability: nothing is ever unflushed).
     /// `parent` is the trace id of the crash that triggered it.
@@ -993,7 +941,6 @@ impl Sim {
                 Endpoint::Node(n) => {
                     if let Some(slot) = self.nodes.get_mut(n as usize) {
                         if slot.status.is_running() {
-                            slot.metrics.messages_received += 1;
                             self.messages_delivered += 1;
                             if let Endpoint::Node(_) = from {
                                 self.cluster_messages_delivered += 1;
@@ -1037,7 +984,6 @@ impl Sim {
             } => {
                 let slot = &mut self.nodes[node as usize];
                 if slot.generation == generation && slot.status.is_running() {
-                    slot.metrics.timers_fired += 1;
                     self.trace_ctx =
                         self.trace_record(event.cause, TraceEventKind::TimerFire { node, token });
                     self.dispatch(node, DispatchKind::Timer { token });
@@ -1084,18 +1030,6 @@ impl Sim {
     pub fn run_for(&mut self, duration: SimDuration) {
         let deadline = self.now + duration;
         self.run_until(deadline);
-    }
-
-    /// Runs until no events remain, with an event budget to catch storms.
-    pub fn run_until_idle(&mut self, max_events: u64) -> Result<(), SimError> {
-        let mut n = 0;
-        while self.step() {
-            n += 1;
-            if n >= max_events {
-                return Err(SimError::Runaway { events: n });
-            }
-        }
-        Ok(())
     }
 
     /// The timestamp of the next queued event. Reports `None` once the
@@ -1167,18 +1101,14 @@ impl Sim {
             }))
         };
 
-        let slot = &mut self.nodes[node as usize];
-        slot.rng = rng;
+        self.nodes[node as usize].rng = rng;
 
         // Everything this handler produced is causally parented to the
         // event that dispatched it.
         let dispatch_ctx = self.trace_ctx;
-        let mut stop_requested = false;
-        let mut sent = 0u64;
         for effect in effects.drain(..) {
             match effect {
                 Effect::Send { to, payload } => {
-                    sent += 1;
                     let send_id = self.trace_record(
                         dispatch_ctx,
                         TraceEventKind::MessageSend {
@@ -1192,7 +1122,7 @@ impl Sim {
                     {
                         // Only node-to-node traffic is subject to injected
                         // faults; replies to clients always go through, like
-                        // partition/loss exemption in `Network::route`.
+                        // the partition exemption in `Network::route`.
                         let fate = match (&mut self.faults, to) {
                             (Some(f), Endpoint::Node(_)) => f.message_fate(),
                             _ => MessageFate::Deliver,
@@ -1257,22 +1187,14 @@ impl Sim {
                         },
                     );
                 }
-                Effect::StopSelf => stop_requested = true,
             }
         }
         self.effects_pool = effects;
-        let slot = &mut self.nodes[node as usize];
-        slot.metrics.messages_sent += sent;
 
         // A crash's reason and its log message.
         let crash = match result {
             Ok(Ok(())) => {
-                if stop_requested {
-                    slot.status = NodeStatus::Stopped;
-                    // Process already taken out; drop it.
-                } else {
-                    slot.process = Some(process);
-                }
+                self.nodes[node as usize].process = Some(process);
                 None
             }
             Ok(Err(fatal)) => Some((fatal.message.clone(), fatal.message)),
@@ -1286,11 +1208,6 @@ impl Sim {
             // A dying process never got to fsync: the crash resolves its
             // unflushed state now, before anything can observe the storage.
             self.crash_node(node, reason, LogLevel::Fatal, message, dispatch_ctx);
-        } else if stop_requested {
-            // A graceful self-stop syncs buffered storage, like stop_node.
-            let stop_id = self.trace_record(dispatch_ctx, TraceEventKind::NodeStop { node });
-            self.trace_record(stop_id, TraceEventKind::StorageFlush { host });
-            self.storage.by_id_mut(host).flush_all();
         } else if self
             .faults
             .as_ref()
@@ -1414,9 +1331,9 @@ mod tests {
         assert!(sim.node_status(n).is_running());
     }
 
-    /// Answers each client request and tells the other node about it; says
+    /// Answers each client request and tells its peer node about it; says
     /// nothing to a node.
-    struct Relay;
+    struct Relay(NodeId);
 
     impl Process for Relay {
         fn on_start(&mut self, _ctx: &mut Ctx<'_>) -> StepResult {
@@ -1424,8 +1341,7 @@ mod tests {
         }
         fn on_message(&mut self, ctx: &mut Ctx<'_>, from: Endpoint, payload: &[u8]) -> StepResult {
             if let Endpoint::Client(_) = from {
-                let peer = Endpoint::Node(1 - ctx.node_id());
-                ctx.send(peer, Bytes::copy_from_slice(payload));
+                ctx.send(Endpoint::Node(self.0), Bytes::copy_from_slice(payload));
                 ctx.send(from, Bytes::copy_from_slice(payload));
             }
             Ok(())
@@ -1438,8 +1354,8 @@ mod tests {
     #[test]
     fn client_traffic_never_moves_the_cluster_counter() {
         let mut sim = Sim::new(1);
-        for host in ["h0", "h1"] {
-            let n = sim.add_node(host, "v1", Box::new(Relay));
+        for (host, peer) in [("h0", 1), ("h1", 0)] {
+            let n = sim.add_node(host, "v1", Box::new(Relay(peer)));
             sim.start_node(n).unwrap();
         }
         sim.run_for(SimDuration::from_millis(10));
@@ -1570,40 +1486,6 @@ mod tests {
     }
 
     #[test]
-    fn kill_skips_shutdown_hook() {
-        /// Writes a tombstone on graceful shutdown.
-        struct Flusher;
-        impl Process for Flusher {
-            fn on_start(&mut self, _: &mut Ctx<'_>) -> StepResult {
-                Ok(())
-            }
-            fn on_message(&mut self, _: &mut Ctx<'_>, _: Endpoint, _: &[u8]) -> StepResult {
-                Ok(())
-            }
-            fn on_timer(&mut self, _: &mut Ctx<'_>, _: u64) -> StepResult {
-                Ok(())
-            }
-            fn on_shutdown(&mut self, ctx: &mut Ctx<'_>) -> StepResult {
-                ctx.storage().write("clean", b"yes".to_vec());
-                Ok(())
-            }
-        }
-        let mut sim = Sim::new(1);
-        let a = sim.add_node("ha", "v1", Box::new(Flusher));
-        let b = sim.add_node("hb", "v1", Box::new(Flusher));
-        sim.start_node(a).unwrap();
-        sim.start_node(b).unwrap();
-        sim.run_for(SimDuration::from_millis(5));
-        sim.stop_node(a).unwrap();
-        sim.kill_node(b).unwrap();
-        let ha = sim.node_host_id(a).unwrap();
-        let hb = sim.node_host_id(b).unwrap();
-        assert!(sim.host_storage_by_id_ref(ha).unwrap().exists("clean"));
-        assert!(!sim.host_storage_by_id_ref(hb).unwrap().exists("clean"));
-        assert_eq!(sim.node_status(b), NodeStatus::Crashed);
-    }
-
-    #[test]
     fn identical_seeds_produce_identical_runs() {
         fn run(seed: u64) -> (u64, String) {
             let mut sim = Sim::new(seed);
@@ -1618,51 +1500,27 @@ mod tests {
     }
 
     #[test]
-    fn runaway_detection_trips() {
-        /// Two nodes ping-ponging forever.
-        struct PingPong(NodeId);
-        impl Process for PingPong {
-            fn on_start(&mut self, ctx: &mut Ctx<'_>) -> StepResult {
-                ctx.send(Endpoint::Node(self.0), Bytes::from_static(b"p"));
-                Ok(())
-            }
-            fn on_message(&mut self, ctx: &mut Ctx<'_>, from: Endpoint, _: &[u8]) -> StepResult {
-                ctx.send(from, Bytes::from_static(b"p"));
-                Ok(())
-            }
-            fn on_timer(&mut self, _: &mut Ctx<'_>, _: u64) -> StepResult {
-                Ok(())
-            }
-        }
-        let mut sim = Sim::new(3);
-        let a = sim.add_node("a", "v", Box::new(PingPong(1)));
-        let b = sim.add_node("b", "v", Box::new(PingPong(0)));
-        sim.start_node(a).unwrap();
-        sim.start_node(b).unwrap();
-        let err = sim.run_until_idle(1000).unwrap_err();
-        assert!(matches!(err, SimError::Runaway { events: 1000 }));
-    }
-
-    #[test]
     fn rpc_response_at_exact_deadline_is_returned() {
         // Regression: a response whose Deliver event lands exactly on the
-        // rpc deadline must be drained and returned, not dropped. With
-        // jitter zeroed, latencies are exact: request delivery at +1 ms,
-        // response delivery at +2 ms — so a 2 ms timeout is the edge.
-        let mut sim = Sim::new(5);
-        sim.net.jitter = SimDuration::ZERO;
-        let n = sim.add_node("h0", "v1", Box::new(Echo));
-        sim.start_node(n).unwrap();
-        sim.run_for(SimDuration::from_millis(10));
-        let resp = sim.rpc(n, Bytes::from_static(b"edge"), SimDuration::from_millis(2));
+        // rpc deadline must be drained and returned, not dropped. Twin
+        // simulators with one seed draw the same latencies, so the round
+        // trip measured on one is exact on the others.
+        let edge = |timeout: SimDuration| {
+            let mut sim = Sim::new(5);
+            let n = started_echo(&mut sim);
+            let sent = sim.now();
+            let resp = sim.rpc(n, Bytes::from_static(b"edge"), timeout);
+            (resp, sim.now().since(sent), sim.node_status(n))
+        };
+        let (resp, round_trip, _) = edge(SimDuration::from_secs(1));
+        assert_eq!(resp.as_deref(), Some(&b"edge"[..]));
+        let (resp, _, _) = edge(round_trip);
         assert_eq!(resp.as_deref(), Some(&b"edge"[..]));
         // One millisecond less and the deadline cuts the response off.
-        let resp = sim.rpc(n, Bytes::from_static(b"late"), SimDuration::from_millis(1));
+        let (resp, waited, status) = edge(round_trip - SimDuration::from_millis(1));
         assert!(resp.is_none());
-        // The timed-out response is still in the inbox afterwards, not lost:
-        // it can be drained once simulated time catches up.
-        sim.run_for(SimDuration::from_millis(5));
-        assert!(sim.node_status(n).is_running());
+        assert_eq!(waited + SimDuration::from_millis(1), round_trip);
+        assert!(status.is_running());
     }
 
     #[test]
@@ -1875,7 +1733,7 @@ mod tests {
         let (mut sim, a, b) = pinger_pair(6);
         let plan = FaultPlan::new(3)
             .schedule(SimTime::from_millis(1000), FaultKind::Partition(a, b))
-            .schedule(SimTime::from_millis(3000), FaultKind::HealAll);
+            .schedule(SimTime::from_millis(3000), FaultKind::Heal(b, a));
         sim.install_fault_plan(plan);
         sim.run_for(SimDuration::from_millis(1500));
         assert!(sim.net.is_partitioned(a, b));
@@ -1900,7 +1758,7 @@ mod tests {
         sim.run_for(SimDuration::from_secs(3));
         assert!(sim.node_status(a).is_running());
         assert_eq!(sim.faults_injected(), 0);
-        assert!(sim.fault_plan().is_some());
+        assert!(sim.faults.is_some());
     }
 
     #[test]
@@ -2170,7 +2028,7 @@ mod tests {
     fn suffix_fingerprint(sim: &mut Sim) -> String {
         sim.net.partition(0, 1);
         sim.run_for(SimDuration::from_millis(300));
-        sim.net.heal_all();
+        sim.net.heal(0, 1);
         sim.run_for(SimDuration::from_millis(700));
         let resp = sim.rpc(0, Bytes::from_static(b"probe"), SimDuration::from_secs(1));
         let anchor = sim.trace_observe(Some(1));
@@ -2206,7 +2064,7 @@ mod tests {
         // both runs must match the fresh run byte for byte.
         let mut sim = forkable_world(77);
         let snap = sim.snapshot().expect("world is forkable");
-        assert_eq!(snap.taken_at(), sim.now());
+        assert_eq!(snap.0.now(), sim.now());
         let first = suffix_fingerprint(&mut sim);
         assert_eq!(first, want, "suffix after snapshot capture diverged");
         for round in 0..3 {
@@ -2233,7 +2091,7 @@ mod tests {
         assert!(sim.snapshot_into(&mut snap));
         sim.restore(&snap);
         sim.restore(&snap); // Double restore is idempotent.
-        assert_eq!(sim.now(), snap.taken_at());
+        assert_eq!(sim.now(), snap.0.now());
         // The original pre-capture suffix is gone; the recaptured world
         // replays its own suffix deterministically.
         let a = suffix_fingerprint(&mut sim);
@@ -2276,25 +2134,25 @@ mod tests {
         let want = suffix_fingerprint(&mut sim);
 
         // Wreck the world after the snapshot: rewrite storage and intern a
-        // new host, crash a node, add another, issue clients, install a new
-        // plan. Restore must erase all of it.
+        // new host, add a node, install a new plan that crashes another,
+        // issue clients. Restore must erase all of it.
         assert!(sim.host_storage_by_id(fa).delete("doomed"));
         sim.host_storage_by_id(fa).write("newcomer", "n");
         let late = sim.host_id("late");
         sim.host_storage_by_id(late).write("junk", "j");
-        sim.kill_node(0).unwrap();
         let extra = sim.add_node("extra", "vx", Box::new(ForkPinger::new(0)));
         sim.start_node(extra).unwrap();
-        let mut plan = FaultPlan::new(999);
+        let mut plan = FaultPlan::new(999).schedule(sim.now(), FaultKind::Crash(0));
         plan.drop_probability = 1.0;
         sim.install_fault_plan(plan);
         sim.run_for(SimDuration::from_secs(2));
+        assert_eq!(sim.crashed_nodes(), vec![0]);
         let h = sim.client_send(1, Bytes::from_static(b"junk"));
         sim.run_for(SimDuration::from_secs(1));
         let _ = sim.poll_response(h);
 
         sim.restore(&snap);
-        assert_eq!(sim.node_count(), 2);
+        assert_eq!(sim.nodes.len(), 2);
         let restored = files(&sim, fa);
         assert!(restored.iter().any(|(p, _)| p == "doomed"));
         assert!(!restored.iter().any(|(p, _)| p == "newcomer"));

@@ -132,14 +132,9 @@ pub enum TraceEventKind {
         /// Its new generation.
         generation: u64,
     },
-    /// A node was stopped gracefully (by the harness or by itself).
+    /// A node was stopped gracefully by the harness.
     NodeStop {
         /// The stopping node.
-        node: NodeId,
-    },
-    /// The harness killed a node without its shutdown hook.
-    NodeKill {
-        /// The killed node.
         node: NodeId,
     },
     /// A node crashed: fatal handler error, handler panic, injected crash,
@@ -225,7 +220,6 @@ impl TraceEventKind {
             | TraceEventKind::TimerFire { node, .. }
             | TraceEventKind::NodeStart { node, .. }
             | TraceEventKind::NodeStop { node }
-            | TraceEventKind::NodeKill { node }
             | TraceEventKind::NodeCrash { node }
             | TraceEventKind::NodeUpgrade { node }
             | TraceEventKind::NodeDowngrade { node }
@@ -237,7 +231,8 @@ impl TraceEventKind {
 
     /// Packs the kind into the compact ring representation: a tag byte plus
     /// three scalar fields. Inlined into the record hot path, where the
-    /// encoding is a handful of register moves.
+    /// encoding is a handful of register moves. Tags 9 and 15 belong to
+    /// retired kinds and stay unused, so no structural token moves.
     #[inline(always)]
     fn pack(self) -> (u8, u64, u64, u32) {
         match self {
@@ -256,14 +251,12 @@ impl TraceEventKind {
             TraceEventKind::TimerFire { node, token } => (6, token, 0, node),
             TraceEventKind::NodeStart { node, generation } => (7, generation, 0, node),
             TraceEventKind::NodeStop { node } => (8, 0, 0, node),
-            TraceEventKind::NodeKill { node } => (9, 0, 0, node),
             TraceEventKind::NodeCrash { node } => (10, 0, 0, node),
             TraceEventKind::NodeUpgrade { node } => (11, 0, 0, node),
             TraceEventKind::NodeRestartDue { node } => (12, 0, 0, node),
             TraceEventKind::FaultAction { kind } => match kind {
                 FaultKind::Partition(a, b) => (13, a as u64, b as u64, 0),
                 FaultKind::Heal(a, b) => (14, a as u64, b as u64, 0),
-                FaultKind::HealAll => (15, 0, 0, 0),
                 FaultKind::Crash(node) => (16, 0, 0, node),
                 FaultKind::Restart(node) => (17, 0, 0, node),
             },
@@ -316,7 +309,6 @@ impl TraceEventKind {
                 generation: a,
             },
             8 => TraceEventKind::NodeStop { node: c },
-            9 => TraceEventKind::NodeKill { node: c },
             10 => TraceEventKind::NodeCrash { node: c },
             11 => TraceEventKind::NodeUpgrade { node: c },
             12 => TraceEventKind::NodeRestartDue { node: c },
@@ -325,9 +317,6 @@ impl TraceEventKind {
             },
             14 => TraceEventKind::FaultAction {
                 kind: FaultKind::Heal(a as NodeId, b as NodeId),
-            },
-            15 => TraceEventKind::FaultAction {
-                kind: FaultKind::HealAll,
             },
             16 => TraceEventKind::FaultAction {
                 kind: FaultKind::Crash(c),
@@ -441,7 +430,6 @@ impl fmt::Display for TraceEventKind {
                 write!(f, "node-start node-{node} gen={generation}")
             }
             TraceEventKind::NodeStop { node } => write!(f, "node-stop node-{node}"),
-            TraceEventKind::NodeKill { node } => write!(f, "node-kill node-{node}"),
             TraceEventKind::NodeCrash { node } => write!(f, "node-crash node-{node}"),
             TraceEventKind::NodeUpgrade { node } => write!(f, "install node-{node}"),
             TraceEventKind::NodeDowngrade { node } => write!(f, "downgrade node-{node}"),

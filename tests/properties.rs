@@ -1,6 +1,7 @@
 //! Cross-crate property-based tests (proptest) over the core invariants.
 
-use ds_upgrade::core::{upgrade_pairs, VersionGap, VersionId};
+use ds_upgrade::coord::CoordSystem;
+use ds_upgrade::core::{upgrade_pairs, SystemUnderTest, VersionGap, VersionId};
 use ds_upgrade::dfs::{codec as dfs_codec, DfsSystem};
 use ds_upgrade::idl::{lower, parse_proto, parse_thrift};
 use ds_upgrade::kvstore::{codec as kv_codec, KvStoreSystem};
@@ -8,9 +9,10 @@ use ds_upgrade::mq::{codec as mq_codec, MqSystem};
 use ds_upgrade::simnet::{FaultKind, HostStorage, SimRng, SimTime};
 use ds_upgrade::srcmodel::parse_java;
 use ds_upgrade::tester::{
-    apply_nudge, fault_plan_for, mutate, CaseSpec, Corpus, CorpusEntry, Durability, FaultIntensity,
-    MutationOp, OpenLoopSpec, PlanNudge, RolloutPlan, Scenario, SearchInput, WorkloadPlan,
-    WorkloadSpec, MAX_NUDGE_SHIFT_MS, MAX_SETTLE_SHIFT_MS, PLAN_WINDOW_MS,
+    apply_nudge, fault_plan_for, mutate, CaseOutcome, CaseRunner, CaseSpec, Corpus, CorpusEntry,
+    Durability, FaultIntensity, MutationOp, OpenLoopSpec, PlanNudge, RolloutPlan, Scenario,
+    SearchInput, WorkloadPlan, WorkloadSpec, MAX_NUDGE_SHIFT_MS, MAX_SETTLE_SHIFT_MS,
+    PLAN_WINDOW_MS,
 };
 use ds_upgrade::wire::{proto, Frame, MessageValue, Value};
 use proptest::prelude::*;
@@ -175,6 +177,58 @@ fn case_input_parsers_return_and_round_trip_on_seeded_text() {
     }
     println!("accepted (workload, open-loop, plan, repro line, nudge): {accepted:?} of 20 000");
     assert!(accepted.iter().all(|&n| n >= 200), "{accepted:?}");
+}
+
+/// Every repro line that parses runs to an outcome and never panics the
+/// harness: two catalog versions in either order or equal, any scenario,
+/// stress, a real and an unknown unit test (translated or handed off) or an
+/// open loop, any fault intensity and durability. A reversed pair is
+/// refused as `InvalidWorkload`. Eight seeded lines per system keep the
+/// debug suite fast.
+#[test]
+fn every_parsed_repro_line_runs_to_an_outcome() {
+    let systems: [&dyn SystemUnderTest; 4] = [&KvStoreSystem, &DfsSystem, &MqSystem, &CoordSystem];
+    let mut rng = SimRng::new(35);
+    for sut in systems {
+        let versions = sut.versions();
+        let real = sut.unit_tests().first().map(|t| t.name.clone());
+        let real = real.unwrap_or_else(|| "none".to_string());
+        let workloads = [
+            "stress".to_string(),
+            format!("unit:{real}"),
+            "unit:noSuchTest".to_string(),
+            format!("state:{real}"),
+            "state:noSuchTest".to_string(),
+            format!("open:{}", OpenLoopSpec::small()),
+        ];
+        let mut runner = CaseRunner::new(sut);
+        for i in 0..8 {
+            let a = *rng.pick(&versions).unwrap();
+            let b = *rng.pick(&versions).unwrap();
+            let (from, to) = match i % 4 {
+                // Reversed whenever the draw gives two versions.
+                0 => (a.max(b), a.min(b)),
+                1 => (a, a),
+                _ => (a, b),
+            };
+            let line = format!(
+                "repro: {from}->{to} scenario={} workload={} seed={} faults={} durability={}",
+                rng.pick(&Scenario::extended()).unwrap(),
+                rng.pick(&workloads).unwrap(),
+                rng.next_below(3),
+                rng.pick(&FaultIntensity::ALL).unwrap(),
+                rng.pick(&Durability::ALL).unwrap(),
+            );
+            let spec: CaseSpec = line.parse().unwrap_or_else(|e| panic!("{line}: {e}"));
+            let outcome = spec.run_in(&mut runner).outcome;
+            if to < from {
+                assert!(
+                    matches!(outcome, CaseOutcome::InvalidWorkload(_)),
+                    "{line}: {outcome:?}"
+                );
+            }
+        }
+    }
 }
 
 proptest! {
@@ -469,7 +523,6 @@ proptest! {
                     prop_assert_ne!(a, b);
                 }
                 FaultKind::Crash(x) | FaultKind::Restart(x) => prop_assert!(x < nodes),
-                FaultKind::HealAll => {}
             }
             prop_assert!(action.at.as_millis() <= 58_000);
         }
