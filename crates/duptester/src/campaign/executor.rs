@@ -96,30 +96,10 @@ impl CampaignConfig {
         &self.seeds
     }
 
-    /// The scenario axis.
-    pub fn scenarios(&self) -> &[Scenario] {
-        &self.scenarios
-    }
-
-    /// The fault-intensity axis.
-    pub fn faults(&self) -> &[FaultIntensity] {
-        &self.fault_intensities
-    }
-
-    /// The durability axis.
-    pub fn durabilities(&self) -> &[Durability] {
-        &self.durabilities
-    }
-
     /// The open-loop workload axis (empty unless
     /// [`CampaignBuilder::workloads`] added specs).
     pub fn workloads(&self) -> &[crate::workload::OpenLoopSpec] {
         &self.workloads
-    }
-
-    /// The worker thread count (`0` means one per available CPU).
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// The trace configuration, if tracing is enabled.
@@ -384,11 +364,6 @@ impl<'a> Campaign<'a> {
         }
     }
 
-    /// The configuration this campaign runs with.
-    pub fn config(&self) -> &CampaignConfig {
-        &self.config
-    }
-
     /// Runs the full sweep. Deterministic for a given configuration: the
     /// returned report (failures, order, counts, signatures, rendered
     /// table) does not depend on the thread count.
@@ -644,8 +619,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::observer::MetricsObserver;
-    use crate::campaign::report::{dedup_key, FailureReport};
+    use crate::campaign::report::{dedup_key, CampaignMetrics, FailureReport};
     use crate::oracle::Observation;
     use crate::spec::CaseSpec;
     use dup_core::VersionId;
@@ -902,12 +876,12 @@ mod tests {
         assert_eq!(storms, 2, "both storm bugs are caught, through the cut");
     }
 
-    /// Logs every callback as `(name, case index)` and keeps a
-    /// [`MetricsObserver`] fed on the side.
+    /// Logs every callback as `(name, case index)` and folds the metrics
+    /// callbacks carry into a locked [`CampaignMetrics`] on the side.
     #[derive(Default)]
     struct Recording {
         log: Mutex<Vec<(&'static str, usize)>>,
-        metrics: MetricsObserver,
+        metrics: Mutex<CampaignMetrics>,
     }
 
     impl Recording {
@@ -926,11 +900,12 @@ mod tests {
         }
         fn on_case_done(&self, index: usize, case: &TestCase, status: CaseStatus, wall: Duration) {
             self.log.lock().unwrap().push(("done", index));
-            self.metrics.on_case_done(index, case, status, wall);
+            let mut metrics = self.metrics.lock().unwrap();
+            metrics.record_case(index, case.scenario, status, wall);
         }
-        fn on_failure_found(&self, index: usize, case: &TestCase, failure: &FailureReport) {
+        fn on_failure_found(&self, index: usize, _: &TestCase, _: &FailureReport) {
             self.log.lock().unwrap().push(("failure", index));
-            self.metrics.on_failure_found(index, case, failure);
+            self.metrics.lock().unwrap().record_distinct_failure();
         }
         fn on_trace_slice(&self, index: usize, _: &TestCase, _: &TraceSlice) {
             self.log.lock().unwrap().push(("slice", index));
@@ -1022,7 +997,7 @@ mod tests {
                     // what a locked collector saw case by case — `slowest`
                     // and its tie-break included. (No callback carries the
                     // trace counters.)
-                    let mut collected = seen.metrics.snapshot();
+                    let mut collected = seen.metrics.lock().unwrap().clone();
                     collected.threads_used = report.metrics.threads_used;
                     collected.campaign_wall = report.metrics.campaign_wall;
                     collected.trace_events_recorded = report.metrics.trace_events_recorded;

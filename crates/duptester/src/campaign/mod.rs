@@ -11,7 +11,7 @@
 //!   case execution per group, merging per-group failures by index so
 //!   parallel runs report byte-identically to sequential ones;
 //! - [`observer`] — the [`CampaignObserver`] callbacks plus the bundled
-//!   [`ProgressObserver`] and [`MetricsObserver`];
+//!   [`ProgressObserver`];
 //! - [`report`] — [`CampaignReport`], [`FailureReport`], and the per-run
 //!   [`CampaignMetrics`];
 //! - [`coverage`] — trace-derived [`CaseSignature`]s and the accumulated
@@ -30,7 +30,7 @@ pub mod search;
 pub use coverage::{CaseSignature, CoverageMap, SIGNATURE_BITS};
 pub use executor::{Campaign, CampaignBuilder, CampaignConfig};
 pub use matrix::{CaseMatrix, SeedGroup};
-pub use observer::{CampaignObserver, MetricsObserver, NoopObserver, ProgressObserver};
+pub use observer::{CampaignObserver, NoopObserver, ProgressObserver};
 pub use report::{
     dedup_key, CampaignMetrics, CampaignReport, CaseStatus, FailureReport, ScenarioCounts,
 };

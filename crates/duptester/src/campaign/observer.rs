@@ -1,5 +1,5 @@
 //! Per-case execution observability: the [`CampaignObserver`] trait plus the
-//! bundled [`ProgressObserver`] and [`MetricsObserver`].
+//! bundled [`ProgressObserver`].
 //!
 //! Observers are shared across executor threads, so every callback takes
 //! `&self` and implementations synchronize internally (atomics or a mutex).
@@ -9,12 +9,12 @@
 //! per *distinct* (post-dedup) failure, once every case is done and the
 //! report is final, in case index order.
 
-use crate::campaign::report::{CampaignMetrics, CaseStatus, FailureReport};
+use crate::campaign::report::{CaseStatus, FailureReport};
 use crate::campaign::search::SearchRound;
 use crate::spec::TestCase;
 use dup_simnet::TraceSlice;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Callbacks into a running campaign. All methods default to no-ops, so an
@@ -132,54 +132,6 @@ impl CampaignObserver for ProgressObserver {
     }
 }
 
-/// Collects [`CampaignMetrics`] from observer callbacks. The engine itself
-/// takes no lock per case — each worker folds metrics into the seed-group
-/// record it owns and the report merges them — so attach one of these (via
-/// `Campaign::builder(..).observer(..)`) only if you want live metrics
-/// without waiting for the report.
-#[derive(Debug, Default)]
-pub struct MetricsObserver {
-    metrics: Mutex<CampaignMetrics>,
-}
-
-impl MetricsObserver {
-    /// A fresh, empty collector.
-    pub fn new() -> Self {
-        MetricsObserver::default()
-    }
-
-    /// A copy of the metrics collected so far.
-    pub fn snapshot(&self) -> CampaignMetrics {
-        self.metrics.lock().expect("metrics lock").clone()
-    }
-
-    /// Accumulates one executed case's trace counters. No observer callback
-    /// carries them (the report's metrics sum them from every case digest),
-    /// so a caller with digests at hand feeds them here.
-    pub fn record_trace(&self, recorded: u64, dropped: u64) {
-        self.metrics
-            .lock()
-            .expect("metrics lock")
-            .record_trace_counts(recorded, dropped);
-    }
-}
-
-impl CampaignObserver for MetricsObserver {
-    fn on_case_done(&self, index: usize, case: &TestCase, status: CaseStatus, wall: Duration) {
-        self.metrics
-            .lock()
-            .expect("metrics lock")
-            .record_case(index, case.scenario, status, wall);
-    }
-
-    fn on_failure_found(&self, _index: usize, _case: &TestCase, _failure: &FailureReport) {
-        self.metrics
-            .lock()
-            .expect("metrics lock")
-            .record_distinct_failure();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -199,19 +151,6 @@ mod tests {
     }
 
     #[test]
-    fn metrics_observer_accumulates() {
-        let obs = MetricsObserver::new();
-        let c = case();
-        obs.on_case_start(0, &c);
-        obs.on_case_done(0, &c, CaseStatus::Failed, Duration::from_millis(3));
-        obs.on_case_done(1, &c, CaseStatus::Pruned, Duration::ZERO);
-        let m = obs.snapshot();
-        assert_eq!(m.failing_cases, 1);
-        assert_eq!(m.pruned_seeds, 1);
-        assert_eq!(m.per_scenario[&Scenario::Rolling].failed, 1);
-    }
-
-    #[test]
     fn progress_observer_counts() {
         let obs = ProgressObserver::new(1000);
         let c = case();
@@ -223,20 +162,10 @@ mod tests {
 
     #[test]
     fn arc_observer_delegates() {
-        let inner = Arc::new(MetricsObserver::new());
+        let inner = Arc::new(ProgressObserver::new(1000));
         let as_trait: &dyn CampaignObserver = &inner;
         as_trait.on_case_done(0, &case(), CaseStatus::Passed, Duration::ZERO);
-        assert_eq!(inner.snapshot().per_scenario[&Scenario::Rolling].passed, 1);
-    }
-
-    #[test]
-    fn metrics_observer_accumulates_trace_counts() {
-        let obs = MetricsObserver::new();
-        obs.record_trace(100, 3);
-        obs.record_trace(50, 0);
-        let m = obs.snapshot();
-        assert_eq!(m.trace_events_recorded, 150);
-        assert_eq!(m.trace_events_dropped, 3);
+        assert_eq!(inner.cases_done(), 1);
     }
 
     #[test]

@@ -5,6 +5,28 @@ use crate::types::{CaughtWhen, GapClass, StudyFailure, StudyPriority, StudySyste
 use dup_core::{CassandraPriority, DataMedium, IncompatCategory, Priority, RootCause, Symptom};
 use std::fmt::Write as _;
 
+/// The paper's Table 1, in [`StudySystem::ALL`] order.
+const PAPER_TABLE1: [usize; 8] = [44, 13, 38, 7, 1, 8, 8, 4];
+
+/// The paper's Table 2 rows (all, catastrophic, catastrophic in production),
+/// in [`table2`] order. The paper prints the Unknown row's zeros as "–".
+const PAPER_TABLE2: [(usize, usize, usize); 7] = [
+    (34, 34, 18),
+    (16, 16, 10),
+    (20, 15, 12),
+    (10, 4, 4),
+    (12, 7, 3),
+    (24, 6, 4),
+    (7, 0, 0),
+];
+
+/// The paper's Table 3, in [`table3`] order.
+const PAPER_TABLE3: [usize; 6] = [7, 2, 41, 6, 16, 5];
+
+/// The paper's Table 4, in [`table4`] order. It has no row for the records
+/// without version information.
+const PAPER_TABLE4: [usize; 7] = [3, 37, 3, 8, 31, 6, 32];
+
 /// Table 1: failures per system.
 pub fn table1(ds: &[StudyFailure]) -> Vec<(StudySystem, usize)> {
     StudySystem::ALL
@@ -13,11 +35,12 @@ pub fn table1(ds: &[StudyFailure]) -> Vec<(StudySystem, usize)> {
         .collect()
 }
 
-/// Renders Table 1.
+/// Renders Table 1 as a markdown table, the paper's counts beside the
+/// measured ones.
 pub fn render_table1(ds: &[StudyFailure]) -> String {
-    let mut out = String::from("Table 1. Numbers of upgrade failures analyzed.\n");
-    for (system, count) in table1(ds) {
-        let _ = writeln!(out, "  {system:<10} {count:>3}");
+    let mut out = String::from("| System | Paper | Measured |\n|---|---|---|\n");
+    for ((system, count), paper) in table1(ds).iter().zip(PAPER_TABLE1) {
+        let _ = writeln!(out, "| {system} | {paper} | {count} |");
     }
     out
 }
@@ -62,33 +85,25 @@ pub fn table2(ds: &[StudyFailure]) -> Vec<SymptomRow> {
     .collect()
 }
 
-/// Renders Table 2.
+/// Renders Table 2 as a markdown table: all / catastrophic / catastrophic
+/// in production per symptom, the paper's beside the measured.
 pub fn render_table2(ds: &[StudyFailure]) -> String {
-    let mut out = String::from(
-        "Table 2. Symptoms of failures observed by end-users or operators.\n\
-         (All / Catastrophic / Catastrophic in Production)\n",
-    );
-    let rows = table2(ds);
-    for row in &rows {
-        let _ = writeln!(
-            out,
-            "  {:<58} {:>3} {:>3} {:>4}",
-            row.symptom.label(),
-            row.all,
-            row.catastrophic,
-            row.catastrophic_in_production
-        );
+    fn triple((all, cat, prod): (usize, usize, usize)) -> String {
+        format!("{all}/{cat}/{prod}")
     }
-    let _ = writeln!(
-        out,
-        "  {:<58} {:>3} {:>3} {:>4}",
-        "Total",
-        rows.iter().map(|r| r.all).sum::<usize>(),
-        rows.iter().map(|r| r.catastrophic).sum::<usize>(),
-        rows.iter()
-            .map(|r| r.catastrophic_in_production)
-            .sum::<usize>()
-    );
+    fn add(t: (usize, usize, usize), r: (usize, usize, usize)) -> (usize, usize, usize) {
+        (t.0 + r.0, t.1 + r.1, t.2 + r.2)
+    }
+    let mut out = String::from("| Symptom | Paper | Measured |\n|---|---|---|\n");
+    let (mut paper_total, mut total) = ((0, 0, 0), (0, 0, 0));
+    for (row, paper) in table2(ds).iter().zip(PAPER_TABLE2) {
+        let measured = (row.all, row.catastrophic, row.catastrophic_in_production);
+        let (p, m) = (triple(paper), triple(measured));
+        let _ = writeln!(out, "| {} | {p} | {m} |", row.symptom.label());
+        (paper_total, total) = (add(paper_total, paper), add(total, measured));
+    }
+    let (p, m) = (triple(paper_total), triple(total));
+    let _ = writeln!(out, "| **Total** | **{p}** | **{m}** |");
     out
 }
 
@@ -114,21 +129,23 @@ pub fn table3(ds: &[StudyFailure]) -> Vec<(IncompatCategory, usize)> {
     .collect()
 }
 
-/// Renders Table 3.
+/// Renders Table 3 as a markdown table, the paper's counts beside the
+/// measured ones.
 pub fn render_table3(ds: &[StudyFailure]) -> String {
-    let mut out = String::from("Table 3. Incompatible cross-version interaction categories.\n");
+    let mut out = String::from("| Category | Paper | Measured |\n|---|---|---|\n");
     let rows = table3(ds);
-    for (cat, count) in &rows {
+    for ((cat, count), paper) in rows.iter().zip(PAPER_TABLE3) {
         let kind = if cat.is_syntax() {
-            "Syntax   "
+            "Syntax"
         } else {
             "Semantics"
         };
-        let _ = writeln!(out, "  {kind} {:<40} {count:>3}", cat.label());
+        let _ = writeln!(out, "| {kind}: {} | {paper} | {count} |", cat.label());
     }
     let _ = writeln!(
         out,
-        "  total {:>47}",
+        "| **Total** | **{}** | **{}** |",
+        PAPER_TABLE3.iter().sum::<usize>(),
         rows.iter().map(|(_, c)| c).sum::<usize>()
     );
     out
@@ -151,7 +168,8 @@ pub fn table4(ds: &[StudyFailure]) -> Vec<(GapClass, usize)> {
     .collect()
 }
 
-/// Renders Table 4.
+/// Renders Table 4 as a markdown table, the paper's counts beside the
+/// measured ones.
 pub fn render_table4(ds: &[StudyFailure]) -> String {
     let labels = [
         "major gap 2",
@@ -163,9 +181,12 @@ pub fn render_table4(ds: &[StudyFailure]) -> String {
         "any -> particular new version",
         "version not reported",
     ];
-    let mut out = String::from("Table 4. Gaps between software versions required to expose.\n");
-    for ((_, count), label) in table4(ds).iter().zip(labels) {
-        let _ = writeln!(out, "  {label:<32} {count:>3}");
+    let mut out = String::from("| Gap | Paper | Measured |\n|---|---|---|\n");
+    for (i, ((_, count), label)) in table4(ds).iter().zip(labels).enumerate() {
+        let paper = PAPER_TABLE4
+            .get(i)
+            .map_or("—".to_string(), usize::to_string);
+        let _ = writeln!(out, "| {label} | {paper} | {count} |");
     }
     out
 }
@@ -348,68 +369,103 @@ pub fn findings(ds: &[StudyFailure]) -> Findings {
     }
 }
 
-/// Renders the findings with the paper's claims alongside.
+/// Renders the findings as a markdown table, each with the paper's claim
+/// beside the measured value.
 pub fn render_findings(ds: &[StudyFailure]) -> String {
     let f = findings(ds);
     let b = baseline::NON_UPGRADE;
-    let mut out = String::from("Findings (measured vs paper claim):\n");
-    let mut line = |text: String| {
-        let _ = writeln!(out, "  {text}");
-    };
-    line(format!(
-        "F1  Blocker {:.0}% vs non-upgrade {:.0}% (paper: 38% vs 10%); high {:.0}% vs {:.0}% (53% vs 20%)",
-        f.blocker_pct, b.blocker_pct, f.high_priority_pct, b.high_priority_pct
-    ));
-    line(format!(
-        "F1c Cassandra Urgent {:.0}% / Low {:.0}% vs non-upgrade {:.0}% / {:.0}% (18%/7% vs 6%/41%)",
-        f.cassandra_urgent_pct, f.cassandra_low_pct, b.cassandra_urgent_pct, b.cassandra_low_pct
-    ));
-    line(format!(
-        "F2  catastrophic {:.0}% vs {:.0}% among all bugs [80] (paper: 67% vs 24%)",
-        f.catastrophic_pct, b.catastrophic_pct
-    ));
-    line(format!(
-        "F3  easy-to-observe symptoms {:.0}% (paper: 70%)",
-        f.easy_to_observe_pct
-    ));
-    line(format!(
-        "F4  caught after release {}/{} = {:.0}% (paper: 70/112 = 63%)",
-        f.caught_after_release,
-        f.with_release_info,
-        pct(f.caught_after_release, f.with_release_info)
-    ));
-    line(format!(
-        "F5  incompatible interaction {:.0}% (paper: ~63%)",
-        f.incompatibility_pct
-    ));
-    line(format!(
-        "§4.1 persistent medium {:.0}% / syntax {:.0}% of incompatibilities (paper: 60% / ~65%)",
-        f.persistent_medium_pct, f.syntax_pct
-    ));
-    line(format!(
-        "F9  consecutive versions expose {:.0}% of known-gap failures (paper: >80%)",
-        f.consecutive_pct
-    ));
-    line(format!(
-        "F10 max nodes {} ; single node {:.0}% (paper: 3 ; 57%)",
-        f.max_nodes, f.single_node_pct
-    ));
-    line(format!(
-        "F11 deterministic {:.0}% (paper: ~89%)",
-        f.deterministic_pct
-    ));
-    line(format!(
-        "F12 stress+default triggers {:.0}% (paper: 50%)",
-        f.stress_default_pct
-    ));
-    line(format!(
-        "F13 non-default config {:.0}% of failures, {:.0}% of those unit-test covered (paper: 7% / 78%)",
-        f.config_pct, f.config_covered_pct
-    ));
-    line(format!(
-        "§5.2 special ops {:.0}% of failures, {:.0}% of those unit-test covered (paper: ~1/3 / ~60%)",
-        f.special_ops_pct, f.ops_covered_pct
-    ));
+    let rows = [
+        (
+            "F1 Blocker, upgrade vs non-upgrade",
+            "38% vs 10%",
+            format!("{:.0}% vs {:.0}%", f.blocker_pct, b.blocker_pct),
+        ),
+        (
+            "F1 high priority, upgrade vs non-upgrade",
+            "53% vs 20%",
+            format!("{:.0}% vs {:.0}%", f.high_priority_pct, b.high_priority_pct),
+        ),
+        (
+            "F1 Cassandra Urgent / Low, upgrade vs non-upgrade",
+            "18% / 7% vs 6% / 41%",
+            format!(
+                "{:.0}% / {:.0}% vs {:.0}% / {:.0}%",
+                f.cassandra_urgent_pct,
+                f.cassandra_low_pct,
+                b.cassandra_urgent_pct,
+                b.cassandra_low_pct
+            ),
+        ),
+        (
+            "F2 catastrophic, upgrade vs all bugs [80]",
+            "67% vs 24%",
+            format!("{:.0}% vs {:.0}%", f.catastrophic_pct, b.catastrophic_pct),
+        ),
+        (
+            "F3 easy-to-observe symptoms",
+            "70%",
+            format!("{:.0}%", f.easy_to_observe_pct),
+        ),
+        (
+            "F4 caught after release",
+            "70 of 112 (63%)",
+            format!(
+                "{} of {} ({:.0}%)",
+                f.caught_after_release,
+                f.with_release_info,
+                pct(f.caught_after_release, f.with_release_info)
+            ),
+        ),
+        (
+            "F5 incompatible cross-version interaction",
+            "~63%",
+            format!("{:.0}%", f.incompatibility_pct),
+        ),
+        (
+            "§4.1 incompatibilities on persistent storage",
+            "60%",
+            format!("{:.0}%", f.persistent_medium_pct),
+        ),
+        (
+            "§4.1 syntax (vs semantics) incompatibilities",
+            "~65%",
+            format!("{:.0}%", f.syntax_pct),
+        ),
+        (
+            "F9 consecutive versions expose, of known-gap",
+            ">80%",
+            format!("{:.0}%", f.consecutive_pct),
+        ),
+        (
+            "F10 max nodes; single node",
+            "3; 57%",
+            format!("{}; {:.0}%", f.max_nodes, f.single_node_pct),
+        ),
+        (
+            "F11 deterministic",
+            "~89%",
+            format!("{:.0}%", f.deterministic_pct),
+        ),
+        (
+            "F12 stress + default config triggers",
+            "50%",
+            format!("{:.0}%", f.stress_default_pct),
+        ),
+        (
+            "F13 non-default config; of those unit-test covered",
+            "7%; 78%",
+            format!("{:.0}%; {:.0}%", f.config_pct, f.config_covered_pct),
+        ),
+        (
+            "§5.2 special operations; of those unit-test covered",
+            "~1/3; ~60%",
+            format!("{:.0}%; {:.0}%", f.special_ops_pct, f.ops_covered_pct),
+        ),
+    ];
+    let mut out = String::from("| Finding | Paper | Measured |\n|---|---|---|\n");
+    for (finding, paper, measured) in rows {
+        let _ = writeln!(out, "| {finding} | {paper} | {measured} |");
+    }
     out
 }
 
@@ -423,7 +479,7 @@ mod tests {
         let ds = dataset();
         let t = table1(&ds);
         let counts: Vec<usize> = t.iter().map(|(_, c)| *c).collect();
-        assert_eq!(counts, vec![44, 13, 38, 7, 1, 8, 8, 4]);
+        assert_eq!(counts, PAPER_TABLE1);
         assert_eq!(counts.iter().sum::<usize>(), 123);
     }
 
@@ -435,18 +491,7 @@ mod tests {
             .iter()
             .map(|r| (r.all, r.catastrophic, r.catastrophic_in_production))
             .collect();
-        assert_eq!(
-            triples,
-            vec![
-                (34, 34, 18),
-                (16, 16, 10),
-                (20, 15, 12),
-                (10, 4, 4),
-                (12, 7, 3),
-                (24, 6, 4),
-                (7, 0, 0),
-            ]
-        );
+        assert_eq!(triples, PAPER_TABLE2);
         assert_eq!(rows.iter().map(|r| r.catastrophic).sum::<usize>(), 82);
         assert_eq!(
             rows.iter()
@@ -460,7 +505,7 @@ mod tests {
     fn table3_matches_the_paper() {
         let ds = dataset();
         let counts: Vec<usize> = table3(&ds).iter().map(|(_, c)| *c).collect();
-        assert_eq!(counts, vec![7, 2, 41, 6, 16, 5]);
+        assert_eq!(counts, PAPER_TABLE3);
         assert_eq!(counts.iter().sum::<usize>(), 77);
     }
 
@@ -468,7 +513,8 @@ mod tests {
     fn table4_matches_the_paper() {
         let ds = dataset();
         let counts: Vec<usize> = table4(&ds).iter().map(|(_, c)| *c).collect();
-        assert_eq!(counts, vec![3, 37, 3, 8, 31, 6, 32, 3]);
+        assert_eq!(counts[..7], PAPER_TABLE4);
+        assert_eq!(counts[7], 3, "records without version information");
     }
 
     #[test]
@@ -504,12 +550,13 @@ mod tests {
     #[test]
     fn renders_are_complete() {
         let ds = dataset();
-        assert!(render_table1(&ds).contains("Cassandra"));
-        assert!(render_table2(&ds).contains("Whole cluster down"));
-        assert!(render_table3(&ds).contains("serialization lib"));
-        assert!(render_table4(&ds).contains("minor gap 1"));
+        assert!(render_table1(&ds).contains("| Cassandra | 44 | 44 |\n"));
+        assert!(render_table2(&ds).contains("| Whole cluster down | 34/34/18 | 34/34/18 |\n"));
+        assert!(render_table2(&ds).ends_with("| **Total** | **123/82/51** | **123/82/51** |\n"));
+        assert!(render_table3(&ds).ends_with("| **Total** | **77** | **77** |\n"));
+        assert!(render_table4(&ds).ends_with("| version not reported | — | 3 |\n"));
         let f = render_findings(&ds);
-        assert!(f.contains("F11"));
+        assert!(f.contains("| F11 deterministic | ~89% | 89% |\n"));
         assert!(f.contains("F13"));
     }
 }

@@ -8,7 +8,8 @@
 //!   records the paper names carry real ticket ids, the rest are flagged
 //!   `reconstructed` (the paper publishes only aggregate statistics).
 //! - [`table1`]–[`table4`] and [`findings`] — Tables 1–4 and Findings 1–13,
-//!   with render functions for the report harness.
+//!   with markdown renderers that set the paper's values beside the
+//!   measured ones (`examples/paper.rs` writes them into EXPERIMENTS.md).
 //! - [`baseline::NON_UPGRADE`] — the published non-upgrade comparison stats.
 //!
 //! # Examples

@@ -44,9 +44,9 @@ pub mod prelude {
         fault_plan_for, Campaign, CampaignBuilder, CampaignConfig, CampaignMetrics,
         CampaignObserver, CampaignReport, CaseOutcome, CaseResult, CaseRunner, CaseSignature,
         CaseSpec, CaseStatus, Corpus, CoverageMap, Durability, FailureReport, FaultIntensity,
-        MetricsObserver, MutationOp, NoopObserver, OpenLoopSpec, PlanNudge, ProgressObserver,
-        Scenario, SearchConfig, SearchInput, SearchReport, TestCase, TraceConfig, TraceSlice,
-        WorkloadPlan, WorkloadSpec,
+        MutationOp, NoopObserver, OpenLoopSpec, PlanNudge, ProgressObserver, Scenario,
+        SearchConfig, SearchInput, SearchReport, TestCase, TraceConfig, TraceSlice, WorkloadPlan,
+        WorkloadSpec,
     };
 }
 
