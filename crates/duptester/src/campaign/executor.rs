@@ -140,9 +140,9 @@ impl Default for CampaignConfig {
 /// A worker's running tally, folded case by case: outcome counts, digest
 /// sums and metrics over every seed group the worker has run, and the
 /// failures of the group it is running, by dedup key. A finished group
-/// leaves only its [`FailureFold`] behind — one kept case per distinct
-/// failure signature, however many of its seeds failed — so result memory
-/// is O(workers + groups × distinct signatures).
+/// leaves only its [`FailureFold`] behind — one kept case per dedup key
+/// and a count per variant, however many of its seeds failed — so result
+/// memory is O(workers + groups × distinct variants).
 #[derive(Debug, Default)]
 pub(crate) struct Tally {
     /// Counters and metrics (`failures` stays empty). Sums, so it does not
@@ -619,7 +619,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::report::{dedup_key, CampaignMetrics, FailureReport};
+    use crate::campaign::report::{dedup_key, variant_key, CampaignMetrics, FailureReport};
     use crate::oracle::Observation;
     use crate::spec::CaseSpec;
     use dup_core::VersionId;
@@ -679,20 +679,25 @@ mod tests {
     }
 
     #[test]
-    fn aggregation_keys_on_all_observation_signatures() {
-        // Two failing cases share their *first* observation but differ in
-        // the second: they must surface as two distinct failures (the old
-        // first-signature keying silently merged them).
+    fn aggregation_keys_on_the_first_symptom() {
+        let errlog = |sample: &str| Observation::ErrorLogs {
+            count: 1,
+            sample: sample.to_string(),
+        };
+        // Cases 0, 1 and 3 share their first error and differ in what
+        // follows: one failure with two variants. Case 2 leads with another
+        // error: a failure of its own.
         let failures = group(&[
-            (0, vec![crash("shared root symptom"), crash("beta effect")]),
-            (1, vec![crash("shared root symptom"), crash("gamma effect")]),
-            (2, vec![crash("beta effect"), crash("shared root symptom")]),
+            (0, vec![errlog("shared root"), errlog("beta effect")]),
+            (1, vec![errlog("shared root"), errlog("gamma effect")]),
+            (2, vec![errlog("beta effect"), errlog("shared root")]),
+            (3, vec![errlog("shared root"), errlog("beta effect")]),
         ]);
         let report = aggregate(CampaignReport::default(), vec![failures]);
         assert_eq!(report.failures.len(), 2, "{:#?}", report.failures);
-        // Case 3 has the same *set* as case 1 (order-insensitive): a dedup hit.
-        assert_eq!(report.failures[0].reproductions, 2);
-        assert_eq!(report.failures[1].reproductions, 1);
+        assert_eq!(report.failures[0].reproductions(), 3);
+        assert_eq!(report.failures[0].variants.len(), 2);
+        assert_eq!(report.failures[1].reproductions(), 1);
         assert_eq!(report.metrics.distinct_failures, 2);
     }
 
@@ -714,7 +719,7 @@ mod tests {
         assert_eq!((report.cases_run, report.cases_pruned), (3, 1));
         assert_eq!(report.failures.len(), 1);
         assert_eq!(report.failures[0].spec.case.seed, 2);
-        assert_eq!(report.failures[0].reproductions, 3);
+        assert_eq!(report.failures[0].reproductions(), 3);
     }
 
     /// The aggregation this engine ran before it folded results where they
@@ -774,7 +779,8 @@ mod tests {
         for (index, case, observations, slice) in kept {
             let key = (case.from, case.to, dedup_key(&observations));
             if let Some(&at) = seen.get(&key) {
-                report.failures[at].reproductions += 1;
+                let variants = &mut report.failures[at].variants;
+                *variants.entry(variant_key(&observations)).or_insert(0) += 1;
                 continue;
             }
             seen.insert(key, report.failures.len());
@@ -860,7 +866,7 @@ mod tests {
                             f.spec.clone(),
                             f.cause,
                             f.signature.clone(),
-                            f.reproductions,
+                            f.variants.clone(),
                         )
                     })
                     .collect()
@@ -978,7 +984,7 @@ mod tests {
                     assert_eq!(report.cases_invalid, expected.cases_invalid, "{what}");
                     assert_eq!(report.cases_pruned, expected.cases_pruned, "{what}");
                     let reproductions: usize =
-                        report.failures.iter().map(|f| f.reproductions).sum();
+                        report.failures.iter().map(|f| f.reproductions()).sum();
                     // Everything but the wall-clocks is the reference's.
                     let (m, e) = (&report.metrics, &expected.metrics);
                     assert_eq!(reproductions, m.failing_cases, "{what}");

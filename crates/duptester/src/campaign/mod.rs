@@ -32,7 +32,8 @@ pub use executor::{Campaign, CampaignBuilder, CampaignConfig};
 pub use matrix::{CaseMatrix, SeedGroup};
 pub use observer::{CampaignObserver, NoopObserver, ProgressObserver};
 pub use report::{
-    dedup_key, CampaignMetrics, CampaignReport, CaseStatus, FailureReport, ScenarioCounts,
+    dedup_key, variant_key, CampaignMetrics, CampaignReport, CaseStatus, FailureReport,
+    ScenarioCounts,
 };
 pub use search::{
     Corpus, CorpusEntry, Detection, MutationOp, SearchConfig, SearchInput, SearchReport,

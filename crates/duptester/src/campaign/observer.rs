@@ -34,7 +34,7 @@ pub trait CampaignObserver: Send + Sync {
     }
 
     /// A distinct failure entered the report. `index` is the first exposing
-    /// case and `failure` is final, `reproductions` included. Fires during
+    /// case and `failure` is final, `variants` included. Fires during
     /// aggregation, in case-index order.
     fn on_failure_found(&self, index: usize, case: &TestCase, failure: &FailureReport) {
         let _ = (index, case, failure);

@@ -20,16 +20,16 @@ pub struct FailureReport {
     /// The first exposing case, nudge included: its text is the
     /// [`repro`](FailureReport::repro) line.
     pub spec: CaseSpec,
-    /// Dedup signature: the sorted, joined signatures of *all* observations
-    /// of the first exposing case, so two failures only merge when their
-    /// whole evidence sets collapse to the same signatures.
+    /// Dedup signature: the [`dedup_key`] of the first exposing case, its
+    /// first symptom. Every case of the report shares it.
     pub signature: String,
     /// Heuristic root-cause label (Table 5 vocabulary).
     pub cause: &'static str,
     /// The evidence.
     pub observations: Vec<Observation>,
-    /// How many (scenario, workload, seed) combinations reproduced it.
-    pub reproductions: usize,
+    /// The symptom variants the report absorbed: each [`variant_key`] (a
+    /// case's whole evidence set) and how many of its cases had it.
+    pub variants: BTreeMap<String, usize>,
     /// Causal trace slice of the first exposing case: the lineage chain
     /// ending at the violating observation plus the trailing event window.
     /// `None` when the campaign ran without tracing.
@@ -38,7 +38,7 @@ pub struct FailureReport {
 
 impl FailureReport {
     /// The report of the first case of a dedup key, which failed with
-    /// `observations`; later cases of the key add to `reproductions`.
+    /// `observations`; later cases of the key add to `variants`.
     pub(crate) fn first(
         system: &str,
         spec: CaseSpec,
@@ -54,9 +54,19 @@ impl FailureReport {
                 .find(|c| *c != "Unclassified")
                 .unwrap_or("Unclassified"),
             observations: observations.to_vec(),
-            reproductions: 1,
+            variants: BTreeMap::from([(variant_key(observations), 1)]),
             trace: trace.cloned(),
         }
+    }
+
+    /// How many cases reproduced it, over all its variants.
+    pub fn reproductions(&self) -> usize {
+        self.variants.values().sum()
+    }
+
+    /// Counts `n` more cases of `variant`.
+    fn add_variant(&mut self, variant: String, n: usize) {
+        *self.variants.entry(variant).or_insert(0) += n;
     }
 
     /// The one-line repro string: `repro: ` and the [`CaseSpec`] text, which
@@ -72,11 +82,17 @@ impl FailureReport {
         format!("{self}\n{}", self.evidence())
     }
 
-    /// The `repro:` line and the trace timeline, each line indented three
-    /// spaces: what [`render`](Self::render) and a report table print under
-    /// a failure's summary.
+    /// The `repro:` line, the variants when there is more than one, and the
+    /// trace timeline, each line indented three spaces: what
+    /// [`render`](Self::render) and a report table print under a failure's
+    /// summary.
     fn evidence(&self) -> String {
         let mut out = format!("   {}\n", self.repro());
+        if self.variants.len() > 1 {
+            for (variant, n) in &self.variants {
+                let _ = writeln!(out, "   variant x{n}: {variant}");
+            }
+        }
         if let Some(slice) = &self.trace {
             for line in slice.render_timeline().lines() {
                 let _ = writeln!(out, "   {line}");
@@ -106,11 +122,26 @@ impl fmt::Display for FailureReport {
     }
 }
 
-/// The dedup key for a case's evidence: every observation's signature,
-/// sorted, deduplicated, and joined. Keying on the full set (rather than the
-/// first observation only) keeps two distinct failures whose leading
-/// symptoms collide from being silently merged.
+/// The dedup key for a case's evidence: the signature of its first symptom.
+/// That is its first [`Observation::ErrorLogs`], the earliest ERROR/FATAL
+/// record after the upgrade mark (the oracle groups records in log order),
+/// or, for a case with no error record (a storm, a failed op, a hang, a
+/// harness panic), its first observation. One bug seen with different
+/// follow-on errors is one failure; the follow-ons tell its
+/// [`variant_key`]s apart.
 pub fn dedup_key(observations: &[Observation]) -> String {
+    let first_error = observations
+        .iter()
+        .find(|o| matches!(o, Observation::ErrorLogs { .. }));
+    first_error
+        .or(observations.first())
+        .map(Observation::signature)
+        .unwrap_or_default()
+}
+
+/// The variant key for a case's evidence: every observation's signature,
+/// sorted, deduplicated, and joined. A report counts its cases per variant.
+pub fn variant_key(observations: &[Observation]) -> String {
     let mut sigs: Vec<String> = observations.iter().map(|o| o.signature()).collect();
     sigs.sort();
     sigs.dedup();
@@ -119,10 +150,10 @@ pub fn dedup_key(observations: &[Observation]) -> String {
 
 /// Failing cases folded by dedup key (version pair + [`dedup_key`]): the
 /// first case of each key as its case index and report (its system name
-/// still empty), every later one as a count. A worker folds each failing
-/// case of a seed group the moment it finishes and aggregation merges the
-/// groups' folds in matrix order, so what is kept is O(distinct
-/// signatures), never O(failing cases).
+/// still empty), every later one as a count under its variant. A worker
+/// folds each failing case of a seed group the moment it finishes and
+/// aggregation merges the groups' folds in matrix order, so what is kept is
+/// O(distinct variants), never O(failing cases).
 #[derive(Debug, Clone, Default)]
 pub(crate) struct FailureFold {
     /// Dedup key -> position in `firsts`.
@@ -132,7 +163,8 @@ pub(crate) struct FailureFold {
 
 impl FailureFold {
     /// Counts one failing case and returns how often its key has now
-    /// reproduced. The evidence is copied only when the key is new.
+    /// reproduced, over all variants. The evidence is copied only when the
+    /// key is new.
     pub(crate) fn push(
         &mut self,
         index: usize,
@@ -143,8 +175,9 @@ impl FailureFold {
     ) -> usize {
         let key = (case.from, case.to, dedup_key(observations));
         if let Some(&slot) = self.slots.get(&key) {
-            self.firsts[slot].1.reproductions += 1;
-            return self.firsts[slot].1.reproductions;
+            let report = &mut self.firsts[slot].1;
+            report.add_variant(variant_key(observations), 1);
+            return report.reproductions();
         }
         let spec = CaseSpec {
             case: case.clone(),
@@ -157,14 +190,17 @@ impl FailureFold {
     }
 
     /// Folds a later fold in: its new keys append in their order, its known
-    /// keys add their counts.
+    /// keys add their variants' counts.
     pub(crate) fn merge(&mut self, later: FailureFold) {
         for (index, first) in later.firsts {
             let case = &first.spec.case;
             let key = (case.from, case.to, first.signature.clone());
             match self.slots.entry(key) {
                 Entry::Occupied(slot) => {
-                    self.firsts[*slot.get()].1.reproductions += first.reproductions
+                    let report = &mut self.firsts[*slot.get()].1;
+                    for (variant, n) in first.variants {
+                        report.add_variant(variant, n);
+                    }
                 }
                 Entry::Vacant(slot) => {
                     slot.insert(self.firsts.len());
@@ -620,7 +656,7 @@ mod tests {
             signature: String::new(),
             cause: "Unclassified",
             observations: vec![],
-            reproductions: 1,
+            variants: BTreeMap::from([(String::new(), 1)]),
             trace: None,
         }
     }
@@ -706,23 +742,73 @@ mod tests {
     }
 
     #[test]
-    fn dedup_key_uses_all_observations() {
-        let crash = |reason: &str| Observation::NodeCrash {
-            node: 0,
-            version: "1.0.0".into(),
-            reason: reason.to_string(),
+    fn a_failure_is_keyed_on_its_first_symptom() {
+        let errlog = |sample: &str| Observation::ErrorLogs {
+            count: 1,
+            sample: sample.to_string(),
         };
-        // Same leading observation, different second observation: keys differ.
-        let a = dedup_key(&[crash("alpha failure"), crash("beta failure")]);
-        let b = dedup_key(&[crash("alpha failure"), crash("gamma failure")]);
-        assert_ne!(a, b);
-        // Order-insensitive and duplicate-insensitive.
-        let c = dedup_key(&[
-            crash("beta failure"),
-            crash("alpha failure"),
-            crash("alpha failure"),
-        ]);
-        assert_eq!(a, c);
+        let crash = Observation::NodeCrash {
+            node: 0,
+            version: "2.0.0".into(),
+            reason: "beta".into(),
+        };
+        let case = |seed| TestCase {
+            from: "1.0.0".parse().unwrap(),
+            to: "2.0.0".parse().unwrap(),
+            scenario: Scenario::Rolling,
+            workload: WorkloadSpec::Stress,
+            seed,
+            faults: FaultIntensity::Off,
+            durability: Durability::Strict,
+        };
+        let none = &PlanNudge::default();
+        let mut fold = FailureFold::default();
+        // The same first error with different follow-ons: one report, two
+        // variants. A crash the oracle lists first does not lead the key.
+        let a = [errlog("alpha 1"), errlog("beta 2")];
+        let b = [crash.clone(), errlog("alpha 3"), errlog("gamma")];
+        fold.push(0, &case(1), none, &a, None);
+        assert_eq!(fold.push(1, &case(2), none, &b, None), 2);
+        assert_eq!(fold.push(2, &case(3), none, &a, None), 3);
+        // A different first error: another report.
+        fold.push(3, &case(4), none, &[errlog("beta"), errlog("alpha")], None);
+        // No error record: the first observation leads; a storm keys on
+        // `storm`, whatever its counts.
+        let storm = |messages| Observation::MessageStorm {
+            messages,
+            baseline: 10,
+        };
+        fold.push(4, &case(5), none, &[storm(9_000)], None);
+        fold.push(5, &case(6), none, &[storm(7_000), crash], None);
+        let reports: Vec<_> = fold.firsts.iter().map(|(_, f)| f).collect();
+        let keys: Vec<&str> = reports.iter().map(|f| f.signature.as_str()).collect();
+        assert_eq!(keys, ["errlog:alpha ", "errlog:beta", "storm"]);
+        assert_eq!(reports[0].reproductions(), 3);
+        assert_eq!(reports[2].reproductions(), 2);
+        // Only a report with more than one variant lists them, with counts.
+        let table = CampaignReport {
+            failures: reports.iter().map(|f| (*f).clone()).collect(),
+            ..CampaignReport::default()
+        };
+        let rendered = table.render_table();
+        let listed: Vec<&str> = rendered
+            .lines()
+            .filter(|line| line.starts_with("   variant"))
+            .collect();
+        assert_eq!(
+            listed,
+            [
+                "   variant x1: crash:beta|errlog:alpha |errlog:gamma",
+                "   variant x2: errlog:alpha |errlog:beta ",
+                "   variant x1: crash:beta|storm",
+                "   variant x1: storm",
+            ]
+        );
+        // The variant key is order- and duplicate-insensitive.
+        assert_eq!(
+            variant_key(&a),
+            variant_key(&[errlog("beta 4"), errlog("alpha 5"), errlog("alpha 6")])
+        );
     }
 
     #[test]
@@ -760,7 +846,7 @@ mod tests {
         let kept: Vec<_> = early
             .firsts
             .iter()
-            .map(|(index, f)| (*index, f.spec.case.seed, f.reproductions))
+            .map(|(index, f)| (*index, f.spec.case.seed, f.reproductions()))
             .collect();
         assert_eq!(kept, [(0, 1, 2), (1, 2, 2), (7, 8, 1), (9, 10, 1)]);
         assert_eq!(early.firsts[0].1.signature, dedup_key(&[crash("alpha")]));

@@ -2,6 +2,7 @@
 //! DUPTester's recall (the analog of the paper's §6.1.4 false-negative
 //! experiment, where DUPTester reproduced 5 of 15 sampled study failures).
 
+use crate::campaign::{CampaignReport, FailureReport};
 use crate::Scenario;
 use dup_core::VersionId;
 
@@ -234,9 +235,56 @@ pub fn seeded_bugs() -> Vec<SeededBug> {
     ]
 }
 
+/// A version pair that carries no seeded bug: every failure a campaign
+/// reports on it is a false positive.
+#[derive(Debug, Clone)]
+pub struct ControlPair {
+    /// System name (matches `SystemUnderTest::name()`).
+    pub system: &'static str,
+    /// Version upgraded from.
+    pub from: &'static str,
+    /// Version upgraded to.
+    pub to: &'static str,
+    /// The one scenario the pair is clean in, or `None` when it is clean in
+    /// all of them.
+    pub scenario: Option<Scenario>,
+}
+
+impl ControlPair {
+    /// The failures `report` holds on this pair (in its scenario, if it has
+    /// one): none, unless the tester reports a false positive.
+    pub fn failures_in<'r>(&self, report: &'r CampaignReport) -> Vec<&'r FailureReport> {
+        if report.system != self.system {
+            return Vec::new();
+        }
+        let version = |v: &str| v.parse().expect("static version strings parse");
+        let mut failures = report.failures_on(version(self.from), version(self.to));
+        failures.retain(|f| self.scenario.is_none_or(|s| f.spec.case.scenario == s));
+        failures
+    }
+}
+
+/// Every control pair of the four mini systems. zookeeper-mini 3.4 → 3.5
+/// is clean only in full-stop, because ZOOKEEPER-1805 is a rolling bug.
+pub fn control_pairs() -> Vec<ControlPair> {
+    let pair = |system, from, to, scenario| ControlPair {
+        system,
+        from,
+        to,
+        scenario,
+    };
+    vec![
+        pair("cassandra-mini", "2.1.0", "3.0.0", None),
+        pair("hdfs-mini", "2.0.0", "2.6.0", None),
+        pair("hdfs-mini", "2.8.0", "3.1.0", None),
+        pair("kafka-mini", "2.1.0", "2.3.0", None),
+        pair("zookeeper-mini", "3.4.0", "3.5.0", Some(Scenario::FullStop)),
+    ]
+}
+
 /// Computes which seeded bugs a campaign caught: the bug's marker must
 /// appear in some failure's evidence on the right version pair.
-pub fn recall(report: &crate::campaign::CampaignReport) -> (Vec<&'static str>, Vec<&'static str>) {
+pub fn recall(report: &CampaignReport) -> (Vec<&'static str>, Vec<&'static str>) {
     let mut caught = Vec::new();
     let mut missed = Vec::new();
     for bug in seeded_bugs() {

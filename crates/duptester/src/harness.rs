@@ -885,7 +885,7 @@ fn find_unit_test(sut: &dyn SystemUnderTest, name: &str) -> Option<UnitTest> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::{dedup_key, Campaign, CaseMatrix};
+    use crate::campaign::{variant_key, Campaign, CaseMatrix};
     use crate::faults::FaultIntensity;
     use crate::oracle::project_baseline;
     use crate::scenario::Scenario;
@@ -921,8 +921,9 @@ mod tests {
     /// The cut against the uncut reference over one system's whole extended
     /// matrix, case by case: the same verdict always; the same everything
     /// when the cut did not fire; and when it did, a storm on both sides
-    /// under the same dedup key. Snapshotting on and off must agree with
-    /// each other too. Returns how many cases were cut.
+    /// under the same variant key, so the same whole evidence set.
+    /// Snapshotting on and off must agree with each other too. Returns how
+    /// many cases were cut.
     fn cut_equals_uncut_reference(sut: &dyn SystemUnderTest) -> usize {
         let config = Campaign::builder(sut)
             .seeds(1..=3)
@@ -965,8 +966,8 @@ mod tests {
             assert!(has_storm(&cut.outcome), "{what}: {:?}", cut.outcome);
             assert!(has_storm(&uncut.outcome), "{what}: {:?}", uncut.outcome);
             assert_eq!(
-                dedup_key(evidence(&cut.outcome)),
-                dedup_key(evidence(&uncut.outcome)),
+                variant_key(evidence(&cut.outcome)),
+                variant_key(evidence(&uncut.outcome)),
                 "{what}"
             );
             assert!(

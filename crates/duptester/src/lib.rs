@@ -64,10 +64,11 @@ mod workload;
 
 pub use crate::campaign::search::mutate;
 pub use crate::campaign::{
-    dedup_key, Campaign, CampaignBuilder, CampaignConfig, CampaignMetrics, CampaignObserver,
-    CampaignReport, CaseMatrix, CaseSignature, CaseStatus, Corpus, CorpusEntry, CoverageMap,
-    Detection, FailureReport, MutationOp, NoopObserver, ProgressObserver, ScenarioCounts,
-    SearchConfig, SearchInput, SearchReport, SearchRound, SeedGroup, SIGNATURE_BITS,
+    dedup_key, variant_key, Campaign, CampaignBuilder, CampaignConfig, CampaignMetrics,
+    CampaignObserver, CampaignReport, CaseMatrix, CaseSignature, CaseStatus, Corpus, CorpusEntry,
+    CoverageMap, Detection, FailureReport, MutationOp, NoopObserver, ProgressObserver,
+    ScenarioCounts, SearchConfig, SearchInput, SearchReport, SearchRound, SeedGroup,
+    SIGNATURE_BITS,
 };
 pub use crate::faults::{
     apply_nudge, fault_plan_for, FaultIntensity, PlanNudge, MAX_NUDGE_SHIFT_MS, PLAN_WINDOW_MS,

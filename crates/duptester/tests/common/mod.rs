@@ -2,12 +2,15 @@
 //! it reports: each `repro:` line parses back and replays.
 
 use dup_core::SystemUnderTest;
-use dup_tester::{dedup_key, CampaignReport, CaseOutcome, CaseRunner, CaseSpec, Observation};
+use dup_tester::{
+    dedup_key, variant_key, CampaignReport, CaseOutcome, CaseRunner, CaseSpec, Observation,
+};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Every failure's `repro:` line parses to exactly its `spec`, and that spec
-/// run on a fresh runner fails with exactly its signature (a panicking case
-/// panics again). Returns how many of the lines carry a nudge.
+/// run on a fresh runner fails with exactly its signature and one of its
+/// variants (a panicking case panics again). Returns how many of the lines
+/// carry a nudge.
 pub fn assert_failures_replay(sut: &dyn SystemUnderTest, report: &CampaignReport) -> usize {
     for f in &report.failures {
         let line = f.repro();
@@ -26,6 +29,8 @@ pub fn assert_failures_replay(sut: &dyn SystemUnderTest, report: &CampaignReport
             }],
         };
         assert_eq!(dedup_key(&observations), f.signature, "{line}");
+        let variant = variant_key(&observations);
+        assert!(f.variants.contains_key(&variant), "{line}: {variant}");
     }
     let nudged = report.failures.iter().filter(|f| !f.spec.nudge.is_noop());
     nudged.count()

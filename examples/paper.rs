@@ -25,23 +25,18 @@ use std::process::ExitCode;
 
 const EXPERIMENTS: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/EXPERIMENTS.md");
 
-/// Version pairs that carry no seeded bug, as `(system, from, to, the one
-/// scenario checked or None for all)`: zookeeper-mini 3.4 → 3.5 is clean
-/// only in full-stop, because ZOOKEEPER-1805 is a rolling bug.
-const CONTROL_PAIRS: [(&str, &str, &str, Option<Scenario>); 5] = [
-    ("cassandra-mini", "2.1.0", "3.0.0", None),
-    ("hdfs-mini", "2.0.0", "2.6.0", None),
-    ("hdfs-mini", "2.8.0", "3.1.0", None),
-    ("kafka-mini", "2.1.0", "2.3.0", None),
-    ("zookeeper-mini", "3.4.0", "3.5.0", Some(Scenario::FullStop)),
-];
-
 /// Table 5's sweep: every consecutive pair, the paper's three scenarios,
 /// stress plus translated unit-test and state-handoff workloads, seeds 1–4.
 fn table5_sweep(sut: &dyn SystemUnderTest) -> CampaignBuilder<'_> {
     Campaign::builder(sut)
         .seeds(1..=4)
         .scenarios(Scenario::paper())
+}
+
+/// The symptom variants `report`'s failures absorbed: what the distinct
+/// failures would be if a failure were keyed on its whole evidence set.
+fn variants(report: &CampaignReport) -> usize {
+    report.failures.iter().map(|f| f.variants.len()).sum()
 }
 
 /// `n label` per distinct cause, in label order.
@@ -56,33 +51,29 @@ fn cause_mix(causes: impl Iterator<Item = &'static str>) -> String {
 
 fn table5(reports: &[CampaignReport]) -> String {
     let mut out = String::from(
-        "| System | Cases | Distinct failures | Cause mix | Seeded-bug recall | \
-         Reports on control pairs |\n|---|---|---|---|---|---|\n",
+        "| System | Cases | Distinct failures | Symptom variants | Cause mix | \
+         Seeded-bug recall | Reports on control pairs |\n|---|---|---|---|---|---|---|\n",
     );
     let (mut caught, mut seeded) = (0, 0);
     for report in reports {
         let (hit, missed) = catalog::recall(report);
         (caught, seeded) = (caught + hit.len(), seeded + hit.len() + missed.len());
-        let controls: Vec<String> = CONTROL_PAIRS
+        let controls: Vec<String> = catalog::control_pairs()
             .iter()
-            .filter(|(system, ..)| *system == report.system)
-            .map(|(_, from, to, only)| {
-                let version = |v: &str| v.parse().expect("control-pair versions parse");
-                let n = report
-                    .failures_on(version(from), version(to))
-                    .iter()
-                    .filter(|f| only.is_none_or(|s| f.spec.case.scenario == s))
-                    .count();
-                let only = only.map(|s| format!(" {s}")).unwrap_or_default();
-                format!("{from}→{to}{only}: {n}")
+            .filter(|pair| pair.system == report.system)
+            .map(|pair| {
+                let n = pair.failures_in(report).len();
+                let only = pair.scenario.map(|s| format!(" {s}")).unwrap_or_default();
+                format!("{}→{}{only}: {n}", pair.from, pair.to)
             })
             .collect();
         let _ = writeln!(
             out,
-            "| {} | {} | {} | {} | {}/{} | {} |",
+            "| {} | {} | {} | {} | {} | {}/{} | {} |",
             report.system,
             report.cases_run,
             report.failures.len(),
+            variants(report),
             cause_mix(report.failures.iter().map(|f| f.cause)),
             hit.len(),
             hit.len() + missed.len(),
@@ -93,8 +84,9 @@ fn table5(reports: &[CampaignReport]) -> String {
     let cases: usize = reports.iter().map(|r| r.cases_run).sum();
     let _ = writeln!(
         out,
-        "| **Total** | **{cases}** | **{}** | {} | **{caught}/{seeded}** | |",
+        "| **Total** | **{cases}** | **{}** | **{}** | {} | **{caught}/{seeded}** | |",
         all().count(),
+        reports.iter().map(variants).sum::<usize>(),
         cause_mix(all().map(|f| f.cause)),
     );
     let _ = writeln!(
@@ -109,7 +101,7 @@ fn table5(reports: &[CampaignReport]) -> String {
 /// added per row.
 fn ablation(full: &CampaignReport) -> String {
     let kv = &ds_upgrade::kvstore::KvStoreSystem;
-    let variants = [
+    let rows = [
         ("Table 5's sweep", full.clone()),
         (
             "without unit-test workloads",
@@ -134,16 +126,17 @@ fn ablation(full: &CampaignReport) -> String {
         ),
     ];
     let mut out = String::from(
-        "| Variant | Cases | Distinct failures | Seeded-bug recall | Missed |\n\
-         |---|---|---|---|---|\n",
+        "| Variant | Cases | Distinct failures | Symptom variants | Seeded-bug recall | Missed |\n\
+         |---|---|---|---|---|---|\n",
     );
-    for (variant, report) in &variants {
+    for (row, report) in &rows {
         let (caught, missed) = catalog::recall(report);
         let _ = writeln!(
             out,
-            "| {variant} | {} | {} | {}/{} | {} |",
+            "| {row} | {} | {} | {} | {}/{} | {} |",
             report.cases_run,
             report.failures.len(),
+            variants(report),
             caught.len(),
             caught.len() + missed.len(),
             if missed.is_empty() {
@@ -153,7 +146,7 @@ fn ablation(full: &CampaignReport) -> String {
             }
         );
     }
-    let without_unit = catalog::recall(&variants[1].1).0;
+    let without_unit = catalog::recall(&rows[1].1).0;
     let unit_only: Vec<&str> = catalog::recall(full)
         .0
         .into_iter()

@@ -1,6 +1,7 @@
 //! Replays one reported failure from its `repro:` line: runs the case traced
-//! and prints its outcome, its dedup key, the rollout plan it compiles to
-//! (before and after its nudge) and the causal trace slice.
+//! and prints its outcome, its dedup key (the first symptom) and variant key
+//! (the whole evidence set), the rollout plan it compiles to (before and
+//! after its nudge) and the causal trace slice.
 //!
 //! ```text
 //! cargo run --release --example replay -- hdfs-mini "repro: 2.8.0->3.1.0 \
@@ -8,7 +9,9 @@
 //! ```
 
 use ds_upgrade::core::SystemUnderTest;
-use ds_upgrade::tester::{dedup_key, CaseOutcome, CaseRunner, CaseSpec, RolloutPlan, TraceConfig};
+use ds_upgrade::tester::{
+    dedup_key, variant_key, CaseOutcome, CaseRunner, CaseSpec, RolloutPlan, TraceConfig,
+};
 use ds_upgrade::{coord, dfs, kvstore, mq};
 use std::process::exit;
 
@@ -48,6 +51,7 @@ fn main() {
                 println!("  {o}");
             }
             println!("dedup: {}", dedup_key(observations));
+            println!("variant: {}", variant_key(observations));
         }
         other => println!("outcome: {other:?}"),
     }
