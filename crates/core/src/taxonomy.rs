@@ -5,11 +5,10 @@
 //! so that a failure DUPTester exposes is classified in exactly the terms of
 //! Tables 2–4.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Issue-tracker priority (all studied systems except Cassandra).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Priority {
     /// Most severe and urgent.
     Blocker,
@@ -44,7 +43,7 @@ impl fmt::Display for Priority {
 }
 
 /// Cassandra's three-level priority scheme (paper §3.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum CassandraPriority {
     /// Highest.
     Urgent,
@@ -66,7 +65,7 @@ impl fmt::Display for CassandraPriority {
 }
 
 /// End-user-visible symptom categories of Table 2.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Symptom {
     /// All nodes crash, or the (HA-failover-defeating) master crash.
     WholeClusterDown,
@@ -114,7 +113,7 @@ impl Symptom {
 }
 
 /// The medium through which two versions interacted incompatibly (§4.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DataMedium {
     /// Files handed over through persistent storage (60% of incompatibilities).
     PersistentStorage,
@@ -123,7 +122,7 @@ pub enum DataMedium {
 }
 
 /// Fine-grained incompatibility category, the rows of Table 3.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IncompatCategory {
     /// Syntax: data defined using a serialization library.
     SyntaxSerializationLib,
@@ -166,7 +165,7 @@ impl IncompatCategory {
 }
 
 /// Top-level root-cause categories (§4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RootCause {
     /// Incompatible cross-version interaction (63%).
     IncompatibleInteraction {
@@ -185,7 +184,7 @@ pub enum RootCause {
 }
 
 /// Which upgrade scenario exposes a failure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum UpgradeKind {
     /// Whole service stops, restarts on the new version.
     FullStop,

@@ -6,12 +6,11 @@
 //! restrict itself to the O(N) consecutive pairs that expose >80% of the
 //! studied failures (Finding 9).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 
 /// A three-component release version.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct VersionId {
     /// Major component.
     pub major: u32,
@@ -96,7 +95,7 @@ impl FromStr for VersionId {
 }
 
 /// The distance between two releases, in Table 4's terms.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum VersionGap {
     /// Different major versions, by this many steps.
     Major(u32),

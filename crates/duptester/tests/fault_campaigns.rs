@@ -81,8 +81,8 @@ fn case_digest_reproducible_under_faults() {
         durability: Default::default(),
         ..case
     };
-    // The faults-off case runs on the same warm runner: the parked fault
-    // state must stay parked and inject nothing.
+    // The faults-off case runs on the same warm runner: a plan-less fault
+    // injector stays inactive and injects nothing.
     let d_off = off.run_in(&mut runner).digest;
     assert_eq!(d_off.faults_injected, 0, "faults off must inject nothing");
 }

@@ -339,7 +339,7 @@ impl Process for Broker {
 mod tests {
     use super::*;
     use dup_core::Config;
-    use dup_simnet::{Durability, FaultKind, FaultPlan, Sim, SimDuration};
+    use dup_simnet::{Durability, FaultKind, FaultPlan, Sim, SimDuration, SimSnapshot};
 
     fn v(s: &str) -> VersionId {
         s.parse().unwrap()
@@ -785,7 +785,10 @@ mod tests {
                     sim.install(node, "2.4.0", Checked::spawn(node)).unwrap();
                     sim.start_node(node).unwrap();
                 }
-                Op::Snapshot => snapshot = sim.snapshot(),
+                Op::Snapshot => {
+                    let mut snap = SimSnapshot::new();
+                    snapshot = sim.snapshot_into(&mut snap).then_some(snap);
+                }
                 Op::Restore => {
                     if let Some(snapshot) = &snapshot {
                         sim.restore(snapshot);

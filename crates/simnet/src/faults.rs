@@ -17,10 +17,12 @@
 //! Nodes crashed by the plan carry the crash reason [`FAULT_CRASH_REASON`],
 //! which failure oracles use to tell injected chaos from genuine failures.
 
-use crate::process::NodeId;
+use crate::process::{Endpoint, NodeId};
+use crate::queue::{EventKind, EventQueue};
 use crate::rng::SimRng;
 use crate::storage::Durability;
 use crate::time::{SimDuration, SimTime};
+use std::collections::VecDeque;
 use std::fmt;
 
 /// Crash reason recorded on nodes crashed by an injected fault, so oracles
@@ -222,17 +224,15 @@ impl FaultPlan {
     /// Field-wise copy that reuses the destination's action and crash-point
     /// vec capacities (the derived `clone_from` would clone-and-replace).
     pub(crate) fn copy_from(&mut self, src: &FaultPlan) {
-        self.seed = src.seed;
-        self.drop_probability = src.drop_probability;
-        self.duplicate_probability = src.duplicate_probability;
-        self.delay_probability = src.delay_probability;
-        self.max_delay_spike = src.max_delay_spike;
-        self.reorder_probability = src.reorder_probability;
-        self.max_reorder_shift = src.max_reorder_shift;
-        self.durability = src.durability;
-        self.crash_point_restart = src.crash_point_restart;
-        self.actions.clone_from(&src.actions);
-        self.crash_points.clone_from(&src.crash_points);
+        let mut actions = std::mem::take(&mut self.actions);
+        let mut crash_points = std::mem::take(&mut self.crash_points);
+        actions.clone_from(&src.actions);
+        crash_points.clone_from(&src.crash_points);
+        *self = FaultPlan {
+            actions,
+            crash_points,
+            ..*src
+        };
     }
 
     /// A compact one-line description, suitable for repro strings:
@@ -274,121 +274,212 @@ pub(crate) enum MessageFate {
     },
 }
 
-/// Live injection state inside [`crate::Sim`]: the plan plus its fate stream
-/// and a counter of injections performed.
-#[derive(Debug, Clone)]
-pub(crate) struct FaultState {
-    pub(crate) plan: FaultPlan,
+/// The simulator's fault component: the installed plan with its fate and
+/// crash-materializer streams, the plan epoch, and the restarts that came
+/// due. Without a plan it injects nothing and keeps its allocations.
+#[derive(Debug)]
+pub(crate) struct FaultInjector {
+    /// `true` once a plan is installed; the plan is empty otherwise.
+    active: bool,
+    plan: FaultPlan,
+    /// The per-message fate stream.
     rng: SimRng,
     /// The crash-materializer stream: consumed only when a host actually
     /// crashes, independent of message fates.
-    pub(crate) crash_rng: SimRng,
+    crash_rng: SimRng,
     /// Per-[`CrashPoint`] fired flags (each point fires at most once).
     consumed: Vec<bool>,
-    pub(crate) injected: u64,
+    /// Message fates, applied actions and fired crash points so far.
+    injected: u64,
+    /// Incremented per install; stamps `Fault` and `PointRestart` events so
+    /// a replaced plan's leftover events do nothing.
+    epoch: u64,
+    /// Nodes crashed by the plan whose restart came due, for the harness
+    /// to drain ([`crate::Sim::take_pending_restart`]).
+    pending_restarts: VecDeque<NodeId>,
 }
 
-impl FaultState {
-    pub(crate) fn new(plan: FaultPlan) -> Self {
-        let rng = SimRng::new(plan.seed).split(FATE_STREAM);
-        let crash_rng = SimRng::new(plan.seed).split(CRASH_STREAM);
-        let consumed = vec![false; plan.crash_points.len()];
-        FaultState {
-            plan,
-            rng,
-            crash_rng,
-            consumed,
+impl Default for FaultInjector {
+    fn default() -> Self {
+        FaultInjector {
+            active: false,
+            plan: FaultPlan::new(0),
+            rng: SimRng::new(0),
+            crash_rng: SimRng::new(0),
+            consumed: Vec::new(),
             injected: 0,
+            epoch: 0,
+            pending_restarts: VecDeque::new(),
         }
     }
+}
 
-    /// Rebinds this state to a new `plan`, reusing the `consumed` flag vec's
-    /// capacity. Observationally identical to `FaultState::new(plan)` — both
-    /// RNG streams are re-derived from the plan's seed — so `Sim::reset` can
-    /// park and recycle the state without touching the allocator.
-    pub(crate) fn reinstall(&mut self, plan: FaultPlan) {
+impl FaultInjector {
+    /// Installs `plan` under a new epoch, replacing any earlier one: its
+    /// actions go on `queue` (those already past fire at `now`), and both
+    /// RNG streams are derived from the plan's seed.
+    pub(crate) fn install(&mut self, plan: FaultPlan, now: SimTime, queue: &mut EventQueue) {
+        self.epoch += 1;
+        let epoch = self.epoch;
+        for (action, fault) in plan.actions().iter().enumerate() {
+            queue.schedule(fault.at.max(now), 0, EventKind::Fault { action, epoch });
+        }
         self.rng = SimRng::new(plan.seed).split(FATE_STREAM);
         self.crash_rng = SimRng::new(plan.seed).split(CRASH_STREAM);
         self.consumed.clear();
         self.consumed.resize(plan.crash_points.len(), false);
         self.injected = 0;
         self.plan = plan;
+        self.active = true;
     }
 
-    /// Cheap pre-check: is an unconsumed crash point armed for `node` of
-    /// `kind` whose window contains `now`? Does not consume the point.
-    pub(crate) fn wants(&self, node: NodeId, kind: CrashPointKind, now: SimTime) -> bool {
-        self.plan
-            .crash_points
-            .iter()
-            .zip(&self.consumed)
-            .any(|(p, &used)| {
-                !used && p.node == node && p.kind == kind && p.after <= now && now <= p.not_after
-            })
-    }
-
-    /// Fires the first matching crash point, marking it consumed and
-    /// counting one injection. Returns `false` if none is armed.
-    pub(crate) fn take_crash_point(
-        &mut self,
-        node: NodeId,
-        kind: CrashPointKind,
-        now: SimTime,
-    ) -> bool {
-        for (p, used) in self.plan.crash_points.iter().zip(&mut self.consumed) {
-            if !*used && p.node == node && p.kind == kind && p.after <= now && now <= p.not_after {
-                *used = true;
-                self.injected += 1;
-                return true;
-            }
+    /// The action a `Fault` event of `epoch` names, or `None` if a later
+    /// install made the event stale.
+    #[inline]
+    pub(crate) fn due_action(&self, action: usize, epoch: u64) -> Option<FaultKind> {
+        if !self.active || epoch != self.epoch {
+            return None;
         }
-        false
+        self.plan.actions().get(action).map(|a| a.kind)
     }
 
-    /// Makes this state a copy of `src` — plan, both RNG stream positions
-    /// mid-run (unlike [`FaultState::reinstall`], which re-derives them from
-    /// the seed), consumed crash-point flags, injection counter — reusing
-    /// retained capacity.
-    pub(crate) fn copy_from(&mut self, src: &FaultState) {
-        self.plan.copy_from(&src.plan);
-        self.rng = src.rng.clone();
-        self.crash_rng = src.crash_rng.clone();
-        self.consumed.clone_from(&src.consumed);
-        self.injected = src.injected;
+    /// `true` if an event stamped `epoch` belongs to the installed plan.
+    #[inline]
+    pub(crate) fn is_current(&self, epoch: u64) -> bool {
+        epoch == self.epoch
     }
 
-    /// Decides the fate of one node-to-node message. First matching fault
-    /// wins; every non-`Deliver` fate counts as one injection. Draw order is
-    /// fixed (drop, duplicate, delay, reorder) so the stream is stable.
-    pub(crate) fn message_fate(&mut self) -> MessageFate {
-        if self.rng.chance(self.plan.drop_probability) {
+    /// Decides the fate of one message to `to`; replies to clients always
+    /// go through, as in `Network::route`. First matching fault wins, in
+    /// the fixed draw order drop, duplicate, delay, reorder; every
+    /// non-`Deliver` fate counts as one injection.
+    #[inline]
+    pub(crate) fn message_fate(&mut self, to: Endpoint) -> MessageFate {
+        if !self.active || matches!(to, Endpoint::Client(_)) {
+            return MessageFate::Deliver;
+        }
+        let plan = &self.plan;
+        if self.rng.chance(plan.drop_probability) {
             self.injected += 1;
             return MessageFate::Drop;
         }
-        if self.rng.chance(self.plan.duplicate_probability) {
+        if self.rng.chance(plan.duplicate_probability) {
             self.injected += 1;
             let extra = SimDuration::from_millis(self.rng.next_range(1, 25));
             return MessageFate::Duplicate { extra };
         }
-        if self.rng.chance(self.plan.delay_probability) {
-            self.injected += 1;
-            let cap = self.plan.max_delay_spike.as_millis().max(1);
-            let extra = SimDuration::from_millis(self.rng.next_range(1, cap));
-            return MessageFate::Delay { extra };
-        }
-        if self.rng.chance(self.plan.reorder_probability) {
-            self.injected += 1;
-            let cap = self.plan.max_reorder_shift.as_millis().max(1);
-            let extra = SimDuration::from_millis(self.rng.next_range(1, cap));
-            return MessageFate::Delay { extra };
-        }
-        MessageFate::Deliver
+        let cap = if self.rng.chance(plan.delay_probability) {
+            plan.max_delay_spike
+        } else if self.rng.chance(plan.reorder_probability) {
+            plan.max_reorder_shift
+        } else {
+            return MessageFate::Deliver;
+        };
+        self.injected += 1;
+        let extra = SimDuration::from_millis(self.rng.next_range(1, cap.as_millis().max(1)));
+        MessageFate::Delay { extra }
+    }
+
+    /// The unfired crash point of `kind` armed for `node` whose window
+    /// contains `now`, if any. Consumes nothing.
+    #[inline]
+    pub(crate) fn armed(&self, node: NodeId, kind: CrashPointKind, now: SimTime) -> Option<usize> {
+        let mut points = self.plan.crash_points.iter().zip(&self.consumed);
+        points.position(|(p, &used)| {
+            !used && p.node == node && p.kind == kind && p.after <= now && now <= p.not_after
+        })
+    }
+
+    /// Fires the crash point of `kind` armed for `node` at `now`, counting
+    /// one injection; returns whether one was armed.
+    pub(crate) fn fire_point(&mut self, node: NodeId, kind: CrashPointKind, now: SimTime) -> bool {
+        let Some(i) = self.armed(node, kind, now) else {
+            return false;
+        };
+        self.consumed[i] = true;
+        self.injected += 1;
+        true
+    }
+
+    /// Fires `node`'s armed unflushed-write crash point, whose crash was
+    /// recorded under trace id `cause`, and schedules the node's restart
+    /// [`FaultPlan::crash_point_restart`] later.
+    pub(crate) fn fire_unflushed_write(
+        &mut self,
+        node: NodeId,
+        now: SimTime,
+        cause: u64,
+        queue: &mut EventQueue,
+    ) {
+        self.fire_point(node, CrashPointKind::UnflushedWrite, now);
+        let (at, epoch) = (now + self.plan.crash_point_restart, self.epoch);
+        queue.schedule(at, cause, EventKind::PointRestart { node, epoch });
+    }
+
+    /// Faults injected since the plan was installed.
+    pub(crate) fn injected(&self) -> u64 {
+        self.injected
+    }
+
+    /// Counts one scheduled action that took effect.
+    pub(crate) fn applied(&mut self) {
+        self.injected += 1;
+    }
+
+    /// Queues `node`, crashed by the plan, for the harness to restart.
+    pub(crate) fn queue_restart(&mut self, node: NodeId) {
+        self.pending_restarts.push_back(node);
+    }
+
+    /// Pops the next node whose restart came due.
+    pub(crate) fn take_restart(&mut self) -> Option<NodeId> {
+        self.pending_restarts.pop_front()
+    }
+
+    /// The crash-materializer stream, or `None` without a plan (no plan
+    /// means strict durability: nothing is ever unflushed).
+    #[inline]
+    pub(crate) fn crash_rng(&mut self) -> Option<&mut SimRng> {
+        self.active.then_some(&mut self.crash_rng)
+    }
+
+    /// Makes this component a copy of `src` — both RNG stream positions
+    /// included — reusing retained capacity.
+    pub(crate) fn copy_from(&mut self, src: &FaultInjector) {
+        let FaultInjector {
+            active,
+            plan,
+            rng,
+            crash_rng,
+            consumed,
+            injected,
+            epoch,
+            pending_restarts,
+        } = src;
+        self.active = *active;
+        self.plan.copy_from(plan);
+        self.rng = rng.clone();
+        self.crash_rng = crash_rng.clone();
+        self.consumed.clone_from(consumed);
+        self.injected = *injected;
+        self.epoch = *epoch;
+        self.pending_restarts.clone_from(pending_restarts);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn installed(plan: FaultPlan) -> FaultInjector {
+        let mut faults = FaultInjector::default();
+        faults.install(plan, SimTime::ZERO, &mut EventQueue::default());
+        faults
+    }
+
+    fn fate(faults: &mut FaultInjector) -> MessageFate {
+        faults.message_fate(Endpoint::Node(1))
+    }
 
     fn heavy_plan(seed: u64) -> FaultPlan {
         let mut plan = FaultPlan::new(seed);
@@ -404,10 +495,10 @@ mod tests {
 
     #[test]
     fn same_seed_same_fate_sequence() {
-        let mut a = FaultState::new(heavy_plan(7));
-        let mut b = FaultState::new(heavy_plan(7));
+        let mut a = installed(heavy_plan(7));
+        let mut b = installed(heavy_plan(7));
         for _ in 0..10_000 {
-            assert_eq!(a.message_fate(), b.message_fate());
+            assert_eq!(fate(&mut a), fate(&mut b));
         }
         assert_eq!(a.injected, b.injected);
         assert!(a.injected > 0, "heavy plan never injected in 10k draws");
@@ -415,20 +506,18 @@ mod tests {
 
     #[test]
     fn different_seeds_diverge() {
-        let mut a = FaultState::new(heavy_plan(1));
-        let mut b = FaultState::new(heavy_plan(2));
-        let same = (0..1000)
-            .filter(|_| a.message_fate() == b.message_fate())
-            .count();
+        let mut a = installed(heavy_plan(1));
+        let mut b = installed(heavy_plan(2));
+        let same = (0..1000).filter(|_| fate(&mut a) == fate(&mut b)).count();
         assert!(same < 1000, "independent streams matched everywhere");
     }
 
     #[test]
     fn noop_plan_always_delivers_and_counts_nothing() {
-        let mut state = FaultState::new(FaultPlan::new(9));
+        let mut state = installed(FaultPlan::new(9));
         assert!(state.plan.is_noop());
         for _ in 0..1000 {
-            assert_eq!(state.message_fate(), MessageFate::Deliver);
+            assert_eq!(fate(&mut state), MessageFate::Deliver);
         }
         assert_eq!(state.injected, 0);
     }
@@ -469,34 +558,24 @@ mod tests {
         );
         assert!(!plan.is_noop());
         assert_eq!(plan.crash_points().len(), 1);
-        let mut state = FaultState::new(plan);
+        let mut state = installed(plan);
         // Outside the window / wrong node / wrong kind: nothing fires.
-        assert!(!state.wants(1, CrashPointKind::UnflushedWrite, SimTime::from_millis(50)));
-        assert!(!state.take_crash_point(
-            1,
-            CrashPointKind::UnflushedWrite,
-            SimTime::from_millis(50)
-        ));
-        assert!(!state.take_crash_point(
-            2,
-            CrashPointKind::UnflushedWrite,
-            SimTime::from_millis(150)
-        ));
-        assert!(!state.take_crash_point(1, CrashPointKind::MidUpgrade, SimTime::from_millis(150)));
+        assert!(state
+            .armed(1, CrashPointKind::UnflushedWrite, SimTime::from_millis(50))
+            .is_none());
+        assert!(!state.fire_point(1, CrashPointKind::UnflushedWrite, SimTime::from_millis(50)));
+        assert!(!state.fire_point(2, CrashPointKind::UnflushedWrite, SimTime::from_millis(150)));
+        assert!(!state.fire_point(1, CrashPointKind::MidUpgrade, SimTime::from_millis(150)));
         assert_eq!(state.injected, 0);
         // Inside: fires exactly once.
-        assert!(state.wants(1, CrashPointKind::UnflushedWrite, SimTime::from_millis(150)));
-        assert!(state.take_crash_point(
-            1,
-            CrashPointKind::UnflushedWrite,
-            SimTime::from_millis(150)
-        ));
-        assert!(!state.wants(1, CrashPointKind::UnflushedWrite, SimTime::from_millis(150)));
-        assert!(!state.take_crash_point(
-            1,
-            CrashPointKind::UnflushedWrite,
-            SimTime::from_millis(150)
-        ));
+        assert!(state
+            .armed(1, CrashPointKind::UnflushedWrite, SimTime::from_millis(150))
+            .is_some());
+        assert!(state.fire_point(1, CrashPointKind::UnflushedWrite, SimTime::from_millis(150)));
+        assert!(state
+            .armed(1, CrashPointKind::UnflushedWrite, SimTime::from_millis(150))
+            .is_none());
+        assert!(!state.fire_point(1, CrashPointKind::UnflushedWrite, SimTime::from_millis(150)));
         assert_eq!(state.injected, 1);
     }
 
@@ -518,9 +597,9 @@ mod tests {
         let mut plan = FaultPlan::new(5);
         plan.delay_probability = 1.0;
         plan.max_delay_spike = SimDuration::from_millis(100);
-        let mut state = FaultState::new(plan);
+        let mut state = installed(plan);
         for _ in 0..500 {
-            match state.message_fate() {
+            match fate(&mut state) {
                 MessageFate::Delay { extra } => {
                     assert!((1..=100).contains(&extra.as_millis()), "{extra}")
                 }

@@ -62,25 +62,28 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod client;
 mod faults;
 mod log;
 mod net;
 mod node;
 mod process;
+mod queue;
 mod rng;
 mod sim;
 mod storage;
 mod time;
 mod trace;
 
+pub use crate::client::ClientHandle;
 pub use crate::faults::{
     CrashPoint, CrashPointKind, FaultKind, FaultPlan, ScheduledFault, FAULT_CRASH_REASON,
 };
 pub use crate::log::{LogBuffer, LogLevel, LogMark, LogRecord};
-pub use crate::node::NodeStatus;
+pub use crate::node::{NodeStatus, SimError};
 pub use crate::process::{restore_clone, Ctx, Endpoint, Fatal, NodeId, Process, StepResult};
 pub use crate::rng::SimRng;
-pub use crate::sim::{ClientHandle, Sim, SimError, SimSnapshot};
+pub use crate::sim::{Sim, SimSnapshot};
 pub use crate::storage::{Durability, HostId, HostStorage, StorageMap};
 pub use crate::time::{SimDuration, SimTime};
 pub use crate::trace::{TraceBuffer, TraceConfig, TraceEvent, TraceEventKind, TraceSlice};

@@ -1,4 +1,4 @@
-//! Network model: latency and partitions.
+//! Network model: latency, partitions and delivery counts.
 //!
 //! The model is intentionally simple — a base latency plus deterministic
 //! jitter, and a set of partitioned node pairs — because the studied upgrade
@@ -18,7 +18,7 @@ const BASE_LATENCY: SimDuration = SimDuration::from_millis(1);
 /// Maximum extra latency added per message (uniform jitter), in ms.
 const JITTER_MS: u64 = 4;
 
-/// The partitions of the simulated network.
+/// The partitions of the simulated network, and its delivery counters.
 #[derive(Debug, Default)]
 pub(crate) struct Network {
     /// Partitioned pairs, stored sorted-pair in a `Vec`: clusters hold a
@@ -26,13 +26,34 @@ pub(crate) struct Network {
     /// partition after a heal reuses capacity — fault plans can cycle
     /// partitions in steady state without touching the allocator.
     partitions: Vec<(NodeId, NodeId)>,
+    /// Messages delivered, client requests and replies included.
+    pub(crate) delivered: u64,
+    /// The node-to-node share of `delivered`: client traffic never moves
+    /// it.
+    pub(crate) cluster_delivered: u64,
 }
 
 impl Network {
     /// Makes this model a copy of `src`, reusing the partition vec's
     /// capacity.
     pub(crate) fn copy_from(&mut self, src: &Network) {
-        self.partitions.clone_from(&src.partitions);
+        let Network {
+            partitions,
+            delivered,
+            cluster_delivered,
+        } = src;
+        self.partitions.clone_from(partitions);
+        self.delivered = *delivered;
+        self.cluster_delivered = *cluster_delivered;
+    }
+
+    /// Counts one message delivered from `from` to `to`.
+    #[inline]
+    pub(crate) fn count_delivery(&mut self, from: Endpoint, to: Endpoint) {
+        self.delivered += 1;
+        if let (Endpoint::Node(_), Endpoint::Node(_)) = (from, to) {
+            self.cluster_delivered += 1;
+        }
     }
 
     /// Partitions `a` from `b` (both directions). Idempotent.

@@ -5,7 +5,7 @@
 //! slot — and its storage — persists, exactly like replacing a container that
 //! shares a host directory (paper §6.1.1).
 
-use crate::process::Process;
+use crate::process::{NodeId, Process};
 use crate::rng::SimRng;
 use crate::storage::HostId;
 use std::fmt;
@@ -45,11 +45,39 @@ impl fmt::Display for NodeStatus {
     }
 }
 
+/// Errors reported by the simulation harness API.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum SimError {
+    /// An operation referenced a node id that was never added.
+    UnknownNode(NodeId),
+    /// The operation is invalid in the node's current status.
+    BadStatus {
+        /// The offending node.
+        node: NodeId,
+        /// Its status at the time of the call.
+        status: NodeStatus,
+        /// The operation that was attempted.
+        op: &'static str,
+    },
+}
+
+impl fmt::Display for SimError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SimError::UnknownNode(n) => write!(f, "unknown node {n}"),
+            SimError::BadStatus { node, status, op } => {
+                write!(f, "cannot {op} node {node} while {status}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for SimError {}
+
 /// One container slot in the simulated cluster.
 ///
-/// The slot stores the *interned* host id, not the host name: the event
-/// loop reaches storage by `Vec` index, and the name is recoverable from the
-/// [`crate::StorageMap`] at the API edge.
+/// The slot stores only the *interned* host id, not the host name: the
+/// event loop reaches storage by `Vec` index.
 pub(crate) struct NodeSlot {
     pub host: HostId,
     pub version_label: String,
@@ -71,6 +99,18 @@ impl NodeSlot {
             generation: 0,
             rng: SimRng::new(0),
             crash_reason: None,
+        }
+    }
+
+    /// Refuses `op` on `node` while its process is running or starting.
+    pub(crate) fn check_down(&self, node: NodeId, op: &'static str) -> Result<(), SimError> {
+        match self.status {
+            NodeStatus::Running | NodeStatus::Starting => Err(SimError::BadStatus {
+                node,
+                status: self.status,
+                op,
+            }),
+            _ => Ok(()),
         }
     }
 

@@ -198,7 +198,7 @@ pub trait Process: std::any::Any {
 
     /// Deep-copies this process for a [`crate::SimSnapshot`]. Returning
     /// `None` (the default) marks the process unsnapshottable, which makes
-    /// [`crate::Sim::snapshot`] fail soft — callers then fall back to
+    /// [`crate::Sim::snapshot_into`] fail soft — callers then fall back to
     /// re-executing from scratch. Snapshot-aware processes implement this as
     /// `Some(Box::new(self.clone()))`.
     fn fork(&self) -> Option<Box<dyn Process>> {

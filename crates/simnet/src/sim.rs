@@ -1,128 +1,36 @@
-//! The discrete-event simulator.
+//! The discrete-event simulator: an engine plus components.
 //!
-//! [`Sim`] owns the clock, the event queue, the node slots, the network, the
-//! per-host persistent storage, and the captured logs. All execution is
-//! deterministic in the seed: events are ordered by `(time, sequence)` and all
-//! randomness is drawn from split streams of one root RNG.
-//!
-//! One private `Sim::copy_from` copies that state into retained capacity; it
-//! is all of [`Sim::reset`] (copy a fresh `Sim`), [`Sim::snapshot_into`]
-//! (copy into a [`SimSnapshot`], a `Sim` that is never stepped) and
-//! [`Sim::restore`] (copy back out).
+//! The engine owns the clock, the root seed and network jitter stream, the
+//! node slots, network, storage and logs, and dispatches each event to its
+//! node. Each component owns one decision, its pooled allocations and its
+//! own `copy_from`: [`EventQueue`] (order, budget), [`ClientInboxes`] (issued
+//! ids), [`FaultInjector`] (plan, epoch, due restarts) and [`Tracer`]
+//! (recorder, causal context). All randomness comes from split streams of
+//! one root RNG, so a run is a function of its seed. [`Sim::reset`],
+//! [`Sim::snapshot_into`] and [`Sim::restore`] are each one `Sim::copy_from`.
 
+use crate::client::{ClientHandle, ClientInboxes};
 use crate::faults::{
-    CrashPointKind, FaultKind, FaultPlan, FaultState, MessageFate, FAULT_CRASH_REASON,
+    CrashPointKind, FaultInjector, FaultKind, FaultPlan, MessageFate, FAULT_CRASH_REASON,
 };
 use crate::log::{LogBuffer, LogLevel, LogRecord};
 use crate::net::Network;
-use crate::node::{NodeSlot, NodeStatus};
+use crate::node::{NodeSlot, NodeStatus, SimError};
 use crate::process::{Ctx, Effect, Endpoint, NodeId, Process};
+use crate::queue::{EventKind, EventQueue};
 use crate::rng::SimRng;
 use crate::storage::{HostId, HostStorage, StorageMap};
 use crate::time::{SimDuration, SimTime};
-use crate::trace::{TraceBuffer, TraceConfig, TraceEventKind};
+use crate::trace::{TraceBuffer, TraceConfig, TraceEventKind, Tracer};
 use bytes::Bytes;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-/// Errors reported by the simulation harness API.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SimError {
-    /// An operation referenced a node id that was never added.
-    UnknownNode(NodeId),
-    /// The operation is invalid in the node's current status.
-    BadStatus {
-        /// The offending node.
-        node: NodeId,
-        /// Its status at the time of the call.
-        status: NodeStatus,
-        /// The operation that was attempted.
-        op: &'static str,
-    },
-}
-
-impl fmt::Display for SimError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SimError::UnknownNode(n) => write!(f, "unknown node {n}"),
-            SimError::BadStatus { node, status, op } => {
-                write!(f, "cannot {op} node {node} while {status}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for SimError {}
-
-/// Handle to the responses of one client request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct ClientHandle(u64);
-
-#[derive(Debug, Clone)]
-enum EventKind {
-    Start {
-        node: NodeId,
-        generation: u64,
-    },
-    Deliver {
-        from: Endpoint,
-        to: Endpoint,
-        payload: Bytes,
-    },
-    Timer {
-        node: NodeId,
-        generation: u64,
-        token: u64,
-    },
-    /// A scheduled fault action: an index into the installed plan's actions,
-    /// tagged with the plan epoch so events from a replaced plan are inert.
-    Fault {
-        action: usize,
-        epoch: u64,
-    },
-    /// A due restart after a crash-point crash: re-queues the node for the
-    /// harness if it is still fault-crashed. Epoch-tagged like `Fault`.
-    PointRestart {
-        node: NodeId,
-        epoch: u64,
-    },
-}
-
-#[derive(Clone)]
-struct QueuedEvent {
-    time: SimTime,
-    seq: u64,
-    /// Trace id of the event whose processing enqueued this one (0 when
-    /// tracing is disabled or the enqueue was a harness root action).
-    cause: u64,
-    kind: EventKind,
-}
-
-impl PartialEq for QueuedEvent {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl Eq for QueuedEvent {}
-impl PartialOrd for QueuedEvent {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for QueuedEvent {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.time, self.seq).cmp(&(other.time, other.seq))
-    }
-}
-
 /// A resumable snapshot of a [`Sim`]'s complete logical state: a simulator
 /// that is never stepped, written by [`Sim::snapshot_into`] and read by
-/// [`Sim::restore`]. Both directions copy into retained capacity, so in
-/// steady state neither touches the allocator: a campaign runner executes a
-/// shared case prefix once, snapshots it, and forks many seed-divergent
-/// suffixes off it at ~the cost of a `memcpy`.
+/// [`Sim::restore`]. A campaign runner runs a shared case prefix once,
+/// snapshots it, and forks many seed-divergent suffixes off it.
+#[derive(Debug)]
 pub struct SimSnapshot(Sim);
 
 impl Default for SimSnapshot {
@@ -138,230 +46,99 @@ impl SimSnapshot {
     }
 }
 
-impl fmt::Debug for SimSnapshot {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SimSnapshot")
-            .field("now", &self.0.now)
-            .field("nodes", &self.0.nodes.len())
-            .field("queued_events", &self.0.queue.len())
-            .finish_non_exhaustive()
-    }
-}
-
 /// The simulated world.
 pub struct Sim {
     seed: u64,
     now: SimTime,
-    seq: u64,
-    queue: BinaryHeap<Reverse<QueuedEvent>>,
+    queue: EventQueue,
     nodes: Vec<NodeSlot>,
     storage: StorageMap,
-    /// The network model: latency, and the partitions the fault plan cuts.
+    /// Latency, the partitions the fault plan cuts, and delivery counters.
     net: Network,
     logs: LogBuffer,
     net_rng: SimRng,
-    /// Client inboxes, a slab indexed by client id: [`Sim::client_send`]
-    /// assigns ids densely, so the id *is* the index. `VecDeque` makes
-    /// [`Sim::poll_response`] a pointer bump instead of a `Vec::remove(0)`
-    /// shift, and the slab spares [`Sim::rpc`] a tree lookup per poll. The
-    /// slab may hold more (empty) slots than `clients` after a
-    /// [`Sim::reset`]: slots are retained for reuse and re-issued in order.
-    client_inbox: Vec<VecDeque<Bytes>>,
-    /// Number of client ids issued so far — the live prefix of
-    /// `client_inbox`. Slots at or past this index are warm spares; they
-    /// must be invisible (a fresh simulator would not have them).
-    clients: usize,
-    events_processed: u64,
-    messages_delivered: u64,
-    /// The node-to-node share of `messages_delivered`: client requests and
-    /// replies never move it.
-    cluster_messages_delivered: u64,
-    /// Scratch buffer for the per-dispatch effect queue, recycled across
-    /// dispatches so steady-state dispatch performs no heap allocation.
-    effects_pool: Vec<Effect>,
-    /// Active fault-injection state, if a plan was installed.
-    faults: Option<FaultState>,
-    /// Fault state parked by [`Sim::reset`]; the next
-    /// [`Sim::install_fault_plan`] recycles its allocations.
-    fault_pool: Option<FaultState>,
-    /// Incremented per [`Sim::install_fault_plan`]; stamps `Fault` events so
-    /// a replaced plan's leftover events do nothing.
-    fault_epoch: u64,
-    /// Nodes crashed by the plan whose scheduled restart has come due. The
-    /// harness drains this via [`Sim::take_pending_restart`] and decides what
-    /// process to install (the simulator cannot spawn processes itself).
-    pending_restarts: VecDeque<NodeId>,
-    /// Remaining event budget, if one was set: the watchdog against
-    /// non-terminating cases. At zero, [`Sim::step`] refuses to run and
-    /// [`Sim::peek_time`] reports no pending events.
-    event_budget: Option<u64>,
-    /// The causal trace recorder, if [`Sim::enable_trace`] was called. The
-    /// hot path pays one branch per record site when disabled.
-    trace: Option<TraceBuffer>,
-    /// Trace ring parked by [`Sim::reset`]; the next [`Sim::enable_trace`]
-    /// with the same (normalized) config recycles it instead of allocating.
-    trace_pool: Option<TraceBuffer>,
-    /// Trace id of the event currently being processed: the causal parent
-    /// for everything the running handler produces. 0 while tracing is off.
-    trace_ctx: u64,
+    clients: ClientInboxes,
+    /// Dispatch's effect scratch buffer, recycled across dispatches so
+    /// steady-state dispatch performs no heap allocation. Never state.
+    effects: Vec<Effect>,
+    faults: FaultInjector,
+    trace: Tracer,
 }
 
 impl Sim {
     /// Creates an empty simulation seeded with `seed`.
     pub fn new(seed: u64) -> Self {
-        let root = SimRng::new(seed);
         Sim {
             seed,
             now: SimTime::ZERO,
-            seq: 0,
-            queue: BinaryHeap::new(),
+            queue: EventQueue::default(),
             nodes: Vec::new(),
             storage: StorageMap::new(),
             net: Network::default(),
             logs: LogBuffer::new(),
-            net_rng: root.split(u64::MAX),
-            client_inbox: Vec::new(),
-            clients: 0,
-            events_processed: 0,
-            messages_delivered: 0,
-            cluster_messages_delivered: 0,
-            effects_pool: Vec::new(),
-            faults: None,
-            fault_pool: None,
-            fault_epoch: 0,
-            pending_restarts: VecDeque::new(),
-            event_budget: None,
-            trace: None,
-            trace_pool: None,
-            trace_ctx: 0,
+            net_rng: SimRng::new(seed).split(u64::MAX),
+            clients: ClientInboxes::default(),
+            effects: Vec::new(),
+            faults: FaultInjector::default(),
+            trace: Tracer::default(),
         }
     }
 
-    /// Arena-style reset: returns the simulator to the state `Sim::new(seed)`
-    /// would produce — it copies one (`Sim::copy_from`) — but keeps every
-    /// pooled allocation: the event queue, storage and inbox slabs, the
-    /// effect scratch buffer, and (parked for the next
-    /// [`Sim::install_fault_plan`] / [`Sim::enable_trace`]) the fault state
-    /// and trace ring. In steady state this touches the allocator zero
-    /// times, which is what makes warm per-worker simulators cheaper than
-    /// constructing a fresh `Sim` per case.
+    /// Arena-style reset: copies `Sim::new(seed)` into this simulator but
+    /// keeps every pooled allocation, the fault plan's and the trace ring
+    /// among them, so a warm per-worker simulator allocates nothing here.
     pub fn reset(&mut self, seed: u64) {
         self.copy_from(&Sim::new(seed));
     }
 
     // ----- snapshot & fork --------------------------------------------------
 
-    /// Captures the simulator's complete logical state into a fresh
-    /// [`SimSnapshot`]. Returns `None` if any live process does not support
-    /// [`Process::fork`] — snapshotting is opt-in per process type.
-    ///
-    /// For repeated captures, allocate the buffer once and use
-    /// [`Sim::snapshot_into`], which reuses its capacity.
-    pub fn snapshot(&self) -> Option<SimSnapshot> {
-        let mut snap = SimSnapshot::new();
-        self.snapshot_into(&mut snap).then_some(snap)
-    }
-
-    /// Captures the simulator's state into a pooled snapshot buffer
-    /// (`Sim::copy_from` into the snapshot), overwriting whatever it held.
-    /// Returns `false` (leaving the buffer's contents unspecified) if any
-    /// live process does not support [`Process::fork`]. In steady state —
-    /// re-capturing a similarly shaped world into a warm buffer — this
-    /// performs no heap allocation.
+    /// Captures this simulator's state into `snap`, overwriting it. Returns
+    /// `false` (leaving `snap` unspecified) if a live process does not
+    /// support [`Process::fork`]. A warm buffer allocates nothing.
     pub fn snapshot_into(&self, snap: &mut SimSnapshot) -> bool {
         snap.0.copy_from(self)
     }
 
-    /// Restores the simulator to the exact state captured in `snap`
-    /// (`Sim::copy_from` out of the snapshot), reusing every retained
-    /// allocation: the simulator continues exactly as the one that produced
-    /// `snap` did from the capture point. In steady state — restoring the
-    /// same snapshot into the same warm simulator repeatedly, as the
-    /// campaign runner does per seed — this performs no heap allocation.
+    /// Restores the exact state captured in `snap`: the simulator continues
+    /// as the one that produced `snap` did. A warm simulator allocates nothing.
     pub fn restore(&mut self, snap: &SimSnapshot) {
         let forked = self.copy_from(&snap.0);
         debug_assert!(forked, "a captured snapshot holds forkable processes");
     }
 
-    /// Makes this simulator a copy of `src`'s complete logical state,
-    /// writing into retained capacity: the one copy behind [`Sim::reset`],
-    /// [`Sim::snapshot_into`] and [`Sim::restore`]. Returns `false`, with
-    /// the copy unfinished, if a live process of `src` cannot
-    /// [`Process::fork`].
-    ///
-    /// The copy-equals-source contract: afterwards every observable —
-    /// event order, RNG streams, host-id assignment, client handles,
-    /// storage, logs, counters, trace slices — is byte-identical to `src`
-    /// driven the same way. `src` is destructured below, so a new `Sim`
-    /// field does not compile until it is copied here or named a pool:
-    /// `effects_pool`, the parked `fault_pool`/`trace_pool` and inbox slots
-    /// past `clients` hold allocations, never state.
+    /// Makes this simulator a copy of `src`, writing into retained capacity.
+    /// Returns `false`, with the copy unfinished, if a live process of `src`
+    /// cannot [`Process::fork`]. Afterwards every observable —
+    /// event order, RNG streams, host ids, client handles, storage, logs,
+    /// counters, trace slices — is byte-identical to `src` driven the same
+    /// way. `src` is destructured here and in each component's `copy_from`,
+    /// so a new field does not compile until it is copied or named a pool.
     fn copy_from(&mut self, src: &Sim) -> bool {
         let Sim {
             seed,
             now,
-            seq,
             queue,
             nodes,
             storage,
             net,
             logs,
             net_rng,
-            client_inbox,
             clients,
-            events_processed,
-            messages_delivered,
-            cluster_messages_delivered,
-            effects_pool: _,
+            effects: _,
             faults,
-            fault_pool: _,
-            fault_epoch,
-            pending_restarts,
-            event_budget,
             trace,
-            trace_pool: _,
-            trace_ctx,
         } = src;
         self.seed = *seed;
         self.now = *now;
-        self.seq = *seq;
-        // An element-wise copy of the same valid heap array; pop order is
-        // total on the unique (time, seq) key anyway.
-        self.queue.clone_from(queue);
+        self.queue.copy_from(queue);
         self.storage.copy_from(storage);
         self.net.copy_from(net);
         self.logs.copy_from(logs);
         self.net_rng = net_rng.clone();
-        // Only the issued prefix is state. Slots past it become warm spares
-        // that must read empty when their ids are re-issued.
-        if self.client_inbox.len() < *clients {
-            self.client_inbox.resize_with(*clients, VecDeque::new);
-        }
-        let (live, spare) = self.client_inbox.split_at_mut(*clients);
-        for (dst, src) in live.iter_mut().zip(client_inbox) {
-            dst.clone_from(src);
-        }
-        spare.iter_mut().for_each(VecDeque::clear);
-        self.clients = *clients;
-        self.events_processed = *events_processed;
-        self.messages_delivered = *messages_delivered;
-        self.cluster_messages_delivered = *cluster_messages_delivered;
-        copy_pooled(
-            &mut self.faults,
-            &mut self.fault_pool,
-            faults.as_ref(),
-            FaultState::copy_from,
-        );
-        self.fault_epoch = *fault_epoch;
-        self.pending_restarts.clone_from(pending_restarts);
-        self.event_budget = *event_budget;
-        copy_pooled(
-            &mut self.trace,
-            &mut self.trace_pool,
-            trace.as_ref(),
-            TraceBuffer::copy_from,
-        );
-        self.trace_ctx = *trace_ctx;
+        self.clients.copy_from(clients);
+        self.faults.copy_from(faults);
+        self.trace.copy_from(trace);
         self.nodes.resize_with(nodes.len(), NodeSlot::empty);
         self.nodes
             .iter_mut()
@@ -369,55 +146,50 @@ impl Sim {
             .all(|(dst, src)| dst.copy_from(src))
     }
 
-    /// Rebinds the root seed without disturbing any existing state: node
-    /// RNG streams derived so far keep their positions, but every stream
-    /// derived *after* this call — node starts, restarts, new nodes, and the
-    /// network jitter stream — comes from `seed`.
-    ///
-    /// This is the fork point of snapshot-and-fork execution: restore a
-    /// seed-independent prefix snapshot, `reseed(case_seed)`, and the
-    /// suffix diverges exactly as if the whole case had run under a harness
-    /// that switched seeds at the same instant.
+    /// Rebinds the root seed without disturbing existing state: node RNG
+    /// streams derived so far keep their positions, but every stream derived
+    /// after this call — node starts, restarts, new nodes, network jitter —
+    /// comes from `seed`. This is the fork point of snapshot-and-fork
+    /// execution: restore a seed-independent prefix, `reseed(case_seed)`,
+    /// and the suffix diverges as if the harness switched seeds right then.
     pub fn reseed(&mut self, seed: u64) {
         self.seed = seed;
         self.net_rng = SimRng::new(seed).split(u64::MAX);
     }
 
-    /// Caps the total number of further events this simulation may process.
-    /// Once the budget is spent, [`Sim::step`] returns `false` and
-    /// [`Sim::peek_time`] reports no pending events, so every driver loop
-    /// terminates — the virtual-time watchdog for non-terminating cases.
-    /// Check [`Sim::budget_exhausted`] afterwards to tell "quiesced" from
-    /// "cut off".
+    /// Caps the further events this simulation may process, against
+    /// non-terminating cases: once spent, [`Sim::step`] and [`Sim::peek_time`]
+    /// see an empty queue; [`Sim::budget_exhausted`] tells it from quiescence.
     pub fn set_event_budget(&mut self, max_events: u64) {
-        self.event_budget = Some(max_events);
+        self.queue.set_budget(max_events);
     }
 
     /// `true` once a budget set via [`Sim::set_event_budget`] hit zero.
     pub fn budget_exhausted(&self) -> bool {
-        self.event_budget == Some(0)
+        self.queue.budget_exhausted()
     }
 
     /// Current simulated time.
+    #[inline]
     pub fn now(&self) -> SimTime {
         self.now
     }
 
     /// Total events processed so far.
     pub fn events_processed(&self) -> u64 {
-        self.events_processed
+        self.queue.popped()
     }
 
     /// Total node-to-node and node-to-client messages delivered so far.
     pub fn messages_delivered(&self) -> u64 {
-        self.messages_delivered
+        self.net.delivered
     }
 
     /// Node-to-node messages delivered so far: [`Sim::messages_delivered`]
     /// without client requests and replies, so it measures cluster traffic
     /// however hard clients drive the nodes.
     pub fn cluster_messages_delivered(&self) -> u64 {
-        self.cluster_messages_delivered
+        self.net.cluster_delivered
     }
 
     /// Captured logs.
@@ -427,48 +199,23 @@ impl Sim {
 
     // ----- causal tracing ---------------------------------------------------
 
-    /// Enables the causal trace recorder. The ring is fully allocated here,
-    /// so recording itself performs no heap allocation; call before the run
-    /// starts to capture the whole history. Replaces any previous buffer —
-    /// except that a buffer with the same (normalized) config, current or
-    /// parked by [`Sim::reset`], is emptied and reused instead of
-    /// reallocated, so warm case runners re-enable tracing for free.
+    /// Enables the causal trace recorder, emptying any earlier trace. The
+    /// ring is allocated here, or reused when its normalized config matches,
+    /// so recording never allocates; call before the run to capture it all.
     pub fn enable_trace(&mut self, config: TraceConfig) {
-        let config = config.normalized();
-        self.trace = match self.trace.take().or_else(|| self.trace_pool.take()) {
-            Some(mut t) if t.config() == config => {
-                t.reset();
-                Some(t)
-            }
-            _ => Some(TraceBuffer::new(config)),
-        };
-        self.trace_ctx = 0;
+        self.trace.enable(config);
     }
 
     /// The trace buffer, if tracing is enabled.
     pub fn trace(&self) -> Option<&TraceBuffer> {
-        self.trace.as_ref()
+        self.trace.buffer()
     }
 
-    /// Records an observation anchor — the terminal event a failure's
-    /// lineage chain ends at — parented to the last event touching `node`
-    /// (or the latest event overall when no node is implicated). Returns the
-    /// anchor's trace id, or 0 when tracing is disabled.
+    /// Records an observation anchor, where a failure's lineage chain ends,
+    /// parented to the last event touching `node` (else the latest event).
+    /// Returns the anchor's trace id, or 0 when tracing is disabled.
     pub fn trace_observe(&mut self, node: Option<NodeId>) -> u64 {
-        let parent = match self.trace.as_ref() {
-            Some(t) => t.anchor_for(node),
-            None => return 0,
-        };
-        self.trace_record(parent, TraceEventKind::Observation { node })
-    }
-
-    /// Records one trace event at the current time; returns 0 when disabled.
-    #[inline(always)]
-    fn trace_record(&mut self, parent: u64, kind: TraceEventKind) -> u64 {
-        match self.trace.as_mut() {
-            Some(t) => t.record(self.now, parent, kind),
-            None => 0,
-        }
+        self.trace.observe(self.now, node)
     }
 
     /// Emits a harness-level log record.
@@ -544,13 +291,7 @@ impl Sim {
     pub fn start_node(&mut self, node: NodeId) -> Result<(), SimError> {
         let seed = self.seed;
         let slot = self.slot_mut(node)?;
-        if slot.status == NodeStatus::Running || slot.status == NodeStatus::Starting {
-            return Err(SimError::BadStatus {
-                node,
-                status: slot.status,
-                op: "start",
-            });
-        }
+        slot.check_down(node, "start")?;
         if slot.process.is_none() {
             return Err(SimError::BadStatus {
                 node,
@@ -563,7 +304,8 @@ impl Sim {
         slot.crash_reason = None;
         let generation = slot.generation;
         slot.rng = SimRng::new(seed).split(u64::from(node) << 20 | generation);
-        self.schedule(self.now, 0, EventKind::Start { node, generation });
+        let start = EventKind::Start { node, generation };
+        self.queue.schedule(self.now, 0, start);
         Ok(())
     }
 
@@ -573,8 +315,9 @@ impl Sim {
         let status = self.slot_mut(node)?.status;
         match status {
             NodeStatus::Running => {
-                let stop_id = self.trace_record(0, TraceEventKind::NodeStop { node });
-                self.trace_ctx = stop_id;
+                let stop_id = self
+                    .trace
+                    .enter(self.now, 0, TraceEventKind::NodeStop { node });
                 self.dispatch(node, DispatchKind::Shutdown);
                 // A shutdown handler may itself crash the node; only mark
                 // stopped if it survived.
@@ -582,10 +325,8 @@ impl Sim {
                     // An armed mid-upgrade crash point fires here: the old
                     // version has shut down, and the host dies before the
                     // next version boots.
-                    let fired = self.faults.as_mut().is_some_and(|f| {
-                        f.take_crash_point(node, CrashPointKind::MidUpgrade, self.now)
-                    });
-                    if fired {
+                    let midway = CrashPointKind::MidUpgrade;
+                    if self.faults.fire_point(node, midway, self.now) {
                         let message = format!("crash point: node {node} crashed mid-upgrade");
                         self.fault_crash(node, message, stop_id);
                     } else {
@@ -593,17 +334,18 @@ impl Sim {
                         slot.process = None;
                         slot.status = NodeStatus::Stopped;
                         let host = slot.host;
-                        // A graceful stop syncs buffered storage (a clean
-                        // daemon exit flushes before the container is torn
-                        // down).
-                        self.trace_record(stop_id, TraceEventKind::StorageFlush { host });
+                        // A graceful stop syncs buffered storage: a clean
+                        // daemon exit flushes before its container goes.
+                        let flush = TraceEventKind::StorageFlush { host };
+                        self.trace.record(self.now, stop_id, flush);
                         self.storage.by_id_mut(host).flush_all();
                     }
                 }
                 Ok(())
             }
             NodeStatus::Starting | NodeStatus::Idle => {
-                self.trace_record(0, TraceEventKind::NodeStop { node });
+                self.trace
+                    .record(self.now, 0, TraceEventKind::NodeStop { node });
                 let slot = self.slot_mut(node)?;
                 slot.status = NodeStatus::Stopped;
                 Ok(())
@@ -612,10 +354,9 @@ impl Sim {
         }
     }
 
-    /// Installs a new process (typically a different software version) into a
-    /// stopped, crashed, or idle slot. The host — and its persistent storage —
-    /// is unchanged: this is the "replace the container, keep the shared
-    /// directory" upgrade step of DUPTester.
+    /// Installs a new process (typically another software version) into a
+    /// stopped, crashed or idle slot, keeping the host and its storage: the
+    /// "replace the container, keep the shared directory" upgrade step.
     pub fn install(
         &mut self,
         node: NodeId,
@@ -626,12 +367,10 @@ impl Sim {
         self.install_traced(node, version_label, process, traced)
     }
 
-    /// Installs an *older* process version into a stopped, crashed, or idle
-    /// slot — the rollback step of a downgrade rollout. Mechanically
-    /// identical to [`Sim::install`] (the host keeps its persistent storage,
-    /// including any newer-format state the replaced version wrote), but the
-    /// trace records a distinct downgrade event so rollbacks are separable
-    /// from forward rollouts in signatures and slices.
+    /// Installs an *older* process version — the rollback step of a
+    /// downgrade rollout. Like [`Sim::install`] (the host keeps any
+    /// newer-format state the replaced version wrote), but the trace records
+    /// a downgrade event, so rollbacks stay separable in signatures and slices.
     pub fn install_downgrade(
         &mut self,
         node: NodeId,
@@ -652,16 +391,10 @@ impl Sim {
         traced: TraceEventKind,
     ) -> Result<(), SimError> {
         let slot = self.slot_mut(node)?;
-        if slot.status == NodeStatus::Running || slot.status == NodeStatus::Starting {
-            return Err(SimError::BadStatus {
-                node,
-                status: slot.status,
-                op: "install over",
-            });
-        }
+        slot.check_down(node, "install over")?;
         slot.process = Some(process);
         slot.version_label = version_label.to_string();
-        self.trace_record(0, traced);
+        self.trace.record(self.now, 0, traced);
         Ok(())
     }
 
@@ -682,19 +415,6 @@ impl Sim {
         self.storage.by_id(host)
     }
 
-    /// The host name of `node`.
-    pub fn node_host(&self, node: NodeId) -> &str {
-        self.nodes
-            .get(node as usize)
-            .map(|s| self.storage.name(s.host))
-            .unwrap_or("")
-    }
-
-    /// The interned host id of `node`.
-    pub fn node_host_id(&self, node: NodeId) -> Option<HostId> {
-        self.nodes.get(node as usize).map(|s| s.host)
-    }
-
     // ----- fault injection --------------------------------------------------
 
     /// Installs a [`FaultPlan`]: schedules its actions as simulator events
@@ -702,38 +422,22 @@ impl Sim {
     /// its per-message fate stream. Replaces any previously installed plan;
     /// the old plan's pending actions become inert.
     pub fn install_fault_plan(&mut self, plan: FaultPlan) {
-        self.fault_epoch += 1;
-        let epoch = self.fault_epoch;
-        for (action, fault) in plan.actions().iter().enumerate() {
-            let at = fault.at.max(self.now);
-            self.schedule(at, 0, EventKind::Fault { action, epoch });
-        }
         // The plan's durability axis applies to every host, current and
         // future, for as long as the plan is installed.
         self.storage.set_mode(plan.durability);
-        // Recycle the replaced (or reset-parked) state's allocations;
-        // `reinstall` re-derives both RNG streams from the plan's seed, so
-        // the result is indistinguishable from `FaultState::new(plan)`.
-        self.faults = match self.faults.take().or_else(|| self.fault_pool.take()) {
-            Some(mut state) => {
-                state.reinstall(plan);
-                Some(state)
-            }
-            None => Some(FaultState::new(plan)),
-        };
+        self.faults.install(plan, self.now, &mut self.queue);
     }
 
     /// Total faults injected so far: per-message fates (drops, duplicates,
     /// delays, reorders) plus applied scheduled actions.
     pub fn faults_injected(&self) -> u64 {
-        self.faults.as_ref().map(|f| f.injected).unwrap_or(0)
+        self.faults.injected()
     }
 
-    /// Pops the next node whose plan-scheduled restart is due. The caller
-    /// installs a process and starts the node; the simulator has no way to
-    /// spawn one.
+    /// Pops the next node whose plan-scheduled restart is due, for the
+    /// caller to install a process on and start.
     pub fn take_pending_restart(&mut self) -> Option<NodeId> {
-        self.pending_restarts.pop_front()
+        self.faults.take_restart()
     }
 
     /// `true` if `node` is crashed and the crash was injected by the fault
@@ -747,6 +451,7 @@ impl Sim {
     /// hot path must stay allocation-free); crash/restart actions log at
     /// `Warn` — below the `Error` threshold failure oracles scan for.
     fn apply_fault(&mut self, kind: FaultKind) {
+        let cause = self.trace.ctx;
         match kind {
             FaultKind::Partition(a, b) => self.net.partition(a, b),
             FaultKind::Heal(a, b) => self.net.heal(a, b),
@@ -756,25 +461,21 @@ impl Sim {
                     return;
                 }
                 let message = format!("fault injection: crashed node {n}");
-                self.fault_crash(n, message, self.trace_ctx);
+                self.fault_crash(n, message, cause);
             }
             FaultKind::Restart(n) => {
-                if !self.restart_due(n, "fault injection", self.trace_ctx) {
+                if !self.restart_due(n, "fault injection", cause) {
                     return; // Never restart a genuinely crashed node.
                 }
             }
         }
-        if let Some(f) = self.faults.as_mut() {
-            f.injected += 1;
-        }
+        self.faults.applied();
     }
 
-    /// Crashes `node`: the one crash sequence behind every crash — a
-    /// handler's fatal return or panic, a scheduled fault crash and both
-    /// crash points. Marks
-    /// the slot crashed for `reason`, logs `message` at `level`, records the
-    /// crash under the trace id `parent` and resolves the host's unflushed
-    /// storage. Returns the crash's trace id.
+    /// Crashes `node`, whatever the cause: marks the slot crashed for
+    /// `reason`, logs `message` at `level`, records the crash under trace id
+    /// `parent` and resolves the host's unflushed storage. Returns the
+    /// crash's trace id.
     fn crash_node(
         &mut self,
         node: NodeId,
@@ -795,7 +496,8 @@ impl Sim {
             level,
             message,
         });
-        let crash_id = self.trace_record(parent, TraceEventKind::NodeCrash { node });
+        let crash = TraceEventKind::NodeCrash { node };
+        let crash_id = self.trace.record(self.now, parent, crash);
         self.crash_materialize_host(host, crash_id);
         crash_id
     }
@@ -812,7 +514,7 @@ impl Sim {
         if !self.is_fault_crashed(node) {
             return false;
         }
-        self.pending_restarts.push_back(node);
+        self.faults.queue_restart(node);
         self.logs.push(LogRecord {
             time: self.now,
             node: Some(node),
@@ -820,29 +522,26 @@ impl Sim {
             level: LogLevel::Warn,
             message: format!("{what}: restart of node {node} due"),
         });
-        self.trace_record(parent, TraceEventKind::NodeRestartDue { node });
+        let due = TraceEventKind::NodeRestartDue { node };
+        self.trace.record(self.now, parent, due);
         true
     }
 
     /// Resolves a host's unflushed storage against the plan's
-    /// crash-materializer stream. Called on **every** crash — scheduled
-    /// fault, genuine process failure, crash point — so the
-    /// recovery image is always crash-consistent. A no-op without a plan
-    /// (no plan means strict durability: nothing is ever unflushed).
-    /// `parent` is the trace id of the crash that triggered it.
+    /// crash-materializer stream. Called on **every** crash, so the recovery
+    /// image is always crash-consistent; a no-op without a plan. `parent` is
+    /// the trace id of the crash.
     fn crash_materialize_host(&mut self, host: HostId, parent: u64) {
-        if self.faults.is_none() {
+        let Some(crash_rng) = self.faults.crash_rng() else {
             return;
+        };
+        let storage = self.storage.by_id_mut(host);
+        if self.trace.buffer().is_some() {
+            let at_risk = storage.unflushed_bytes() as u32;
+            let crash = TraceEventKind::StorageCrash { host, at_risk };
+            self.trace.record(self.now, parent, crash);
         }
-        if self.trace.is_some() {
-            let at_risk = self.storage.by_id_mut(host).unflushed_bytes() as u32;
-            self.trace_record(parent, TraceEventKind::StorageCrash { host, at_risk });
-        }
-        if let Some(f) = self.faults.as_mut() {
-            self.storage
-                .by_id_mut(host)
-                .crash_materialize(&mut f.crash_rng);
-        }
+        storage.crash_materialize(crash_rng);
     }
 
     // ----- client traffic ---------------------------------------------------
@@ -850,44 +549,28 @@ impl Sim {
     /// Sends `payload` to `to` on behalf of a fresh external client; responses
     /// the node sends back are collected under the returned handle.
     pub fn client_send(&mut self, to: NodeId, payload: Bytes) -> ClientHandle {
-        let id = self.clients as u64;
-        if self.clients == self.client_inbox.len() {
-            self.client_inbox.push(VecDeque::new());
-        }
-        self.clients += 1;
-        let from = Endpoint::Client(id);
+        let handle = self.clients.issue();
+        let from = Endpoint::Client(handle.0);
         let latency = self
             .net
             .route(from, Endpoint::Node(to), &mut self.net_rng)
             .unwrap_or(SimDuration::from_millis(1));
-        let request_id = self.trace_record(
-            0,
-            TraceEventKind::ClientRequest {
-                client: id,
-                node: to,
-                bytes: payload.len() as u32,
-            },
-        );
-        self.schedule(
-            self.now + latency,
-            request_id,
-            EventKind::Deliver {
-                from,
-                to: Endpoint::Node(to),
-                payload,
-            },
-        );
-        ClientHandle(id)
+        let request = TraceEventKind::ClientRequest {
+            client: handle.0,
+            node: to,
+            bytes: payload.len() as u32,
+        };
+        let request_id = self.trace.record(self.now, 0, request);
+        let to = Endpoint::Node(to);
+        let deliver = EventKind::Deliver { from, to, payload };
+        self.queue.schedule(self.now + latency, request_id, deliver);
+        handle
     }
 
     /// Pops the next response received for `handle`, if any.
+    #[inline]
     pub fn poll_response(&mut self, handle: ClientHandle) -> Option<Bytes> {
-        // Index only the issued prefix: warm spare slots past `clients`
-        // must behave exactly like the out-of-range ids they would be on a
-        // fresh simulator.
-        self.client_inbox[..self.clients]
-            .get_mut(handle.0 as usize)?
-            .pop_front()
+        self.clients.poll(handle)
     }
 
     /// Sends a request and runs the simulation until a response arrives or
@@ -899,82 +582,56 @@ impl Sim {
             if let Some(resp) = self.poll_response(handle) {
                 return Some(resp);
             }
-            match self.peek_time() {
-                Some(t) if t <= deadline => {
-                    self.step();
-                }
-                _ => {
-                    self.now = deadline;
-                    return self.poll_response(handle);
-                }
+            if self.peek_time().is_none_or(|t| t > deadline) {
+                break;
             }
+            self.step();
         }
+        self.now = deadline;
+        self.poll_response(handle)
     }
 
     // ----- event loop -------------------------------------------------------
 
-    /// Processes the next event, if any; returns `false` when the queue is empty.
+    /// Processes the next event, if any; returns `false` when the queue is
+    /// empty or the event budget is spent.
     pub fn step(&mut self) -> bool {
-        if self.budget_exhausted() {
-            return false;
-        }
-        let Some(Reverse(event)) = self.queue.pop() else {
+        let Some(event) = self.queue.pop() else {
             return false;
         };
-        if let Some(budget) = self.event_budget.as_mut() {
-            *budget -= 1;
-        }
         debug_assert!(event.time >= self.now, "time went backwards");
         self.now = event.time;
-        self.events_processed += 1;
+        let cause = event.cause;
         match event.kind {
             EventKind::Start { node, generation } => {
                 let slot = &mut self.nodes[node as usize];
                 if slot.generation == generation && slot.status == NodeStatus::Starting {
                     slot.status = NodeStatus::Running;
-                    self.trace_ctx = self
-                        .trace_record(event.cause, TraceEventKind::NodeStart { node, generation });
+                    let start = TraceEventKind::NodeStart { node, generation };
+                    self.trace.enter(self.now, cause, start);
                     self.dispatch(node, DispatchKind::Start);
                 }
             }
             EventKind::Deliver { from, to, payload } => match to {
                 Endpoint::Node(n) => {
-                    if let Some(slot) = self.nodes.get_mut(n as usize) {
-                        if slot.status.is_running() {
-                            self.messages_delivered += 1;
-                            if let Endpoint::Node(_) = from {
-                                self.cluster_messages_delivered += 1;
-                            }
-                            self.trace_ctx = self.trace_record(
-                                event.cause,
-                                TraceEventKind::MessageDeliver {
-                                    from,
-                                    to,
-                                    bytes: payload.len() as u32,
-                                },
-                            );
-                            self.dispatch(n, DispatchKind::Message { from, payload });
-                        }
+                    if self
+                        .nodes
+                        .get(n as usize)
+                        .is_some_and(|s| s.status.is_running())
+                    {
+                        self.net.count_delivery(from, to);
+                        let bytes = payload.len() as u32;
+                        let deliver = TraceEventKind::MessageDeliver { from, to, bytes };
+                        self.trace.enter(self.now, cause, deliver);
+                        self.dispatch(n, DispatchKind::Message { from, payload });
                     }
                 }
-                Endpoint::Client(c) => {
-                    self.messages_delivered += 1;
-                    self.trace_record(
-                        event.cause,
-                        TraceEventKind::ClientResponse {
-                            client: c,
-                            bytes: payload.len() as u32,
-                        },
-                    );
-                    // A reply to a client id the harness never issued has no
-                    // reader; drop it (it still counts as delivered above,
-                    // exactly as the old map-backed inbox counted it). The
-                    // issued prefix keeps warm spare slots from absorbing
-                    // such replies and leaking them to a later client that
-                    // gets the recycled id.
-                    if let Some(inbox) = self.client_inbox[..self.clients].get_mut(c as usize) {
-                        inbox.push_back(payload);
-                    }
+                Endpoint::Client(client) => {
+                    self.net.count_delivery(from, to);
+                    let bytes = payload.len() as u32;
+                    let response = TraceEventKind::ClientResponse { client, bytes };
+                    self.trace.record(self.now, cause, response);
+                    self.clients.deliver(client, payload);
                 }
             },
             EventKind::Timer {
@@ -984,28 +641,21 @@ impl Sim {
             } => {
                 let slot = &mut self.nodes[node as usize];
                 if slot.generation == generation && slot.status.is_running() {
-                    self.trace_ctx =
-                        self.trace_record(event.cause, TraceEventKind::TimerFire { node, token });
+                    let fire = TraceEventKind::TimerFire { node, token };
+                    self.trace.enter(self.now, cause, fire);
                     self.dispatch(node, DispatchKind::Timer { token });
                 }
             }
             EventKind::Fault { action, epoch } => {
-                if epoch == self.fault_epoch {
-                    let kind = self
-                        .faults
-                        .as_ref()
-                        .and_then(|f| f.plan.actions().get(action))
-                        .map(|a| a.kind);
-                    if let Some(kind) = kind {
-                        self.trace_ctx =
-                            self.trace_record(event.cause, TraceEventKind::FaultAction { kind });
-                        self.apply_fault(kind);
-                    }
+                if let Some(kind) = self.faults.due_action(action, epoch) {
+                    let fault = TraceEventKind::FaultAction { kind };
+                    self.trace.enter(self.now, cause, fault);
+                    self.apply_fault(kind);
                 }
             }
             EventKind::PointRestart { node, epoch } => {
-                if epoch == self.fault_epoch {
-                    self.restart_due(node, "crash point", event.cause);
+                if self.faults.is_current(epoch) {
+                    self.restart_due(node, "crash point", cause);
                 }
             }
         }
@@ -1032,14 +682,11 @@ impl Sim {
         self.run_until(deadline);
     }
 
-    /// The timestamp of the next queued event. Reports `None` once the
-    /// event budget is exhausted, so deadline loops built on peek+step
-    /// terminate instead of spinning on events that will never run.
+    /// The timestamp of the next queued event; `None` once the event budget
+    /// is spent, so deadline loops built on peek+step terminate.
+    #[inline]
     pub fn peek_time(&self) -> Option<SimTime> {
-        if self.budget_exhausted() {
-            return None;
-        }
-        self.queue.peek().map(|Reverse(e)| e.time)
+        self.queue.peek_time()
     }
 
     // ----- internals --------------------------------------------------------
@@ -1048,17 +695,6 @@ impl Sim {
         self.nodes
             .get_mut(node as usize)
             .ok_or(SimError::UnknownNode(node))
-    }
-
-    fn schedule(&mut self, time: SimTime, cause: u64, kind: EventKind) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.queue.push(Reverse(QueuedEvent {
-            time,
-            seq,
-            cause,
-            kind,
-        }));
     }
 
     fn dispatch(&mut self, node: NodeId, kind: DispatchKind) {
@@ -1070,11 +706,9 @@ impl Sim {
         let generation = slot.generation;
         let mut rng = std::mem::replace(&mut slot.rng, SimRng::new(0));
 
-        // Recycle the effect scratch buffer: after warm-up its capacity
-        // covers any handler's burst, so steady-state dispatch performs no
-        // heap allocation. (Dispatch never nests — effects are applied after
-        // the handler returns — so one pooled buffer suffices.)
-        let mut effects: Vec<Effect> = std::mem::take(&mut self.effects_pool);
+        // Recycle the effect scratch buffer (dispatch never nests, so one
+        // suffices): after warm-up, dispatch performs no heap allocation.
+        let mut effects: Vec<Effect> = std::mem::take(&mut self.effects);
         debug_assert!(effects.is_empty());
         let result = {
             let storage = self.storage.by_id_mut(host);
@@ -1087,10 +721,8 @@ impl Sim {
                 logs: &mut self.logs,
                 effects: &mut effects,
             };
-            // The process is discarded if the handler panics, so its
-            // (possibly broken) state can never be observed afterwards;
-            // catching the unwind here is therefore sound and reproduces a
-            // process crash inside a container.
+            // A panicking handler's process is discarded, so its broken
+            // state is never observed: the unwind is a process crash.
             catch_unwind(AssertUnwindSafe(|| match &kind {
                 DispatchKind::Start => process.on_start(&mut ctx),
                 DispatchKind::Message { from, payload } => {
@@ -1105,91 +737,62 @@ impl Sim {
 
         // Everything this handler produced is causally parented to the
         // event that dispatched it.
-        let dispatch_ctx = self.trace_ctx;
+        let dispatch_ctx = self.trace.ctx;
+        let (now, from) = (self.now, Endpoint::Node(node));
         for effect in effects.drain(..) {
             match effect {
                 Effect::Send { to, payload } => {
-                    let send_id = self.trace_record(
-                        dispatch_ctx,
-                        TraceEventKind::MessageSend {
-                            from: Endpoint::Node(node),
-                            to,
-                            bytes: payload.len() as u32,
-                        },
-                    );
-                    if let Some(latency) =
-                        self.net.route(Endpoint::Node(node), to, &mut self.net_rng)
-                    {
-                        // Only node-to-node traffic is subject to injected
-                        // faults; replies to clients always go through, like
-                        // the partition exemption in `Network::route`.
-                        let fate = match (&mut self.faults, to) {
-                            (Some(f), Endpoint::Node(_)) => f.message_fate(),
-                            _ => MessageFate::Deliver,
-                        };
-                        let from = Endpoint::Node(node);
-                        match fate {
-                            MessageFate::Drop => {
-                                self.trace_record(send_id, TraceEventKind::FaultDrop { from, to });
-                            }
-                            MessageFate::Duplicate { extra } => {
-                                let dup_id = self.trace_record(
-                                    send_id,
-                                    TraceEventKind::FaultDuplicate { extra },
-                                );
-                                // `Bytes::clone` bumps a refcount; no copy.
-                                self.schedule(
-                                    self.now + latency + extra,
-                                    dup_id,
-                                    EventKind::Deliver {
-                                        from,
-                                        to,
-                                        payload: payload.clone(),
-                                    },
-                                );
-                                self.schedule(
-                                    self.now + latency,
-                                    send_id,
-                                    EventKind::Deliver { from, to, payload },
-                                );
-                            }
-                            MessageFate::Delay { extra } => {
-                                let delay_id = self
-                                    .trace_record(send_id, TraceEventKind::FaultDelay { extra });
-                                self.schedule(
-                                    self.now + latency + extra,
-                                    delay_id,
-                                    EventKind::Deliver { from, to, payload },
-                                );
-                            }
-                            MessageFate::Deliver => {
-                                self.schedule(
-                                    self.now + latency,
-                                    send_id,
-                                    EventKind::Deliver { from, to, payload },
-                                );
-                            }
+                    let bytes = payload.len() as u32;
+                    let send = TraceEventKind::MessageSend { from, to, bytes };
+                    let send_id = self.trace.record(now, dispatch_ctx, send);
+                    let Some(latency) = self.net.route(from, to, &mut self.net_rng) else {
+                        continue;
+                    };
+                    match self.faults.message_fate(to) {
+                        MessageFate::Drop => {
+                            let drop = TraceEventKind::FaultDrop { from, to };
+                            self.trace.record(now, send_id, drop);
+                        }
+                        MessageFate::Duplicate { extra } => {
+                            let duplicate = TraceEventKind::FaultDuplicate { extra };
+                            let dup_id = self.trace.record(now, send_id, duplicate);
+                            // `Bytes::clone` bumps a refcount; no copy.
+                            let copy = payload.clone();
+                            let copy = EventKind::Deliver {
+                                from,
+                                to,
+                                payload: copy,
+                            };
+                            self.queue.schedule(now + latency + extra, dup_id, copy);
+                            let deliver = EventKind::Deliver { from, to, payload };
+                            self.queue.schedule(now + latency, send_id, deliver);
+                        }
+                        MessageFate::Delay { extra } => {
+                            let delay = TraceEventKind::FaultDelay { extra };
+                            let delay_id = self.trace.record(now, send_id, delay);
+                            let deliver = EventKind::Deliver { from, to, payload };
+                            self.queue
+                                .schedule(now + latency + extra, delay_id, deliver);
+                        }
+                        MessageFate::Deliver => {
+                            let deliver = EventKind::Deliver { from, to, payload };
+                            self.queue.schedule(now + latency, send_id, deliver);
                         }
                     }
                 }
                 Effect::SetTimer { delay, token } => {
-                    let timer_id = self.trace_record(
-                        dispatch_ctx,
-                        TraceEventKind::TimerSet { node, token, delay },
-                    );
-                    self.schedule(
-                        self.now + delay,
-                        timer_id,
-                        EventKind::Timer {
-                            node,
-                            generation,
-                            token,
-                        },
-                    );
+                    let set = TraceEventKind::TimerSet { node, token, delay };
+                    let timer_id = self.trace.record(now, dispatch_ctx, set);
+                    let timer = EventKind::Timer {
+                        node,
+                        generation,
+                        token,
+                    };
+                    self.queue.schedule(now + delay, timer_id, timer);
                 }
             }
         }
-        self.effects_pool = effects;
+        self.effects = effects;
 
         // A crash's reason and its log message.
         let crash = match result {
@@ -1210,25 +813,17 @@ impl Sim {
             self.crash_node(node, reason, LogLevel::Fatal, message, dispatch_ctx);
         } else if self
             .faults
-            .as_ref()
-            .is_some_and(|f| f.wants(node, CrashPointKind::UnflushedWrite, self.now))
+            .armed(node, CrashPointKind::UnflushedWrite, now)
+            .is_some()
             && self.nodes[node as usize].status.is_running()
             && self.storage.by_id_mut(host).has_unflushed()
         {
             // An armed unflushed-write crash point fires: the handler left
             // dirty bytes behind and the host dies before flushing them.
-            let restart = self.faults.as_mut().map_or(SimDuration::from_secs(2), |f| {
-                f.take_crash_point(node, CrashPointKind::UnflushedWrite, self.now);
-                f.plan.crash_point_restart
-            });
-            let epoch = self.fault_epoch;
             let message = format!("crash point: node {node} crashed with unflushed writes");
             let crash_id = self.fault_crash(node, message, dispatch_ctx);
-            self.schedule(
-                self.now + restart,
-                crash_id,
-                EventKind::PointRestart { node, epoch },
-            );
+            self.faults
+                .fire_unflushed_write(node, now, crash_id, &mut self.queue);
         }
     }
 }
@@ -1238,7 +833,7 @@ impl fmt::Debug for Sim {
         f.debug_struct("Sim")
             .field("now", &self.now)
             .field("nodes", &self.nodes)
-            .field("events_processed", &self.events_processed)
+            .field("events_processed", &self.queue.popped())
             .finish_non_exhaustive()
     }
 }
@@ -1257,32 +852,6 @@ fn panic_message(panic: &Box<dyn std::any::Any + Send>) -> String {
         s.clone()
     } else {
         "unknown panic payload".to_string()
-    }
-}
-
-/// Makes `live` a copy of `src` with `copy`, reusing `live`'s value or the
-/// one parked in `pool`. A `None` source parks `live`'s value in `pool`:
-/// the copy must read `None` (crash and fate gating test for it), but the
-/// allocations are worth keeping for the next install.
-fn copy_pooled<T: Clone>(
-    live: &mut Option<T>,
-    pool: &mut Option<T>,
-    src: Option<&T>,
-    copy: fn(&mut T, &T),
-) {
-    match src {
-        Some(src) => match live.take().or_else(|| pool.take()) {
-            Some(mut t) => {
-                copy(&mut t, src);
-                *live = Some(t);
-            }
-            None => *live = Some(src.clone()),
-        },
-        None => {
-            if let Some(t) = live.take() {
-                *pool = Some(t);
-            }
-        }
     }
 }
 
@@ -1555,30 +1124,6 @@ mod tests {
         assert!(sim.poll_response(h2).is_none());
     }
 
-    #[test]
-    fn node_host_roundtrips_through_interning() {
-        let mut sim = Sim::new(1);
-        let a = sim.add_node("alpha", "v1", Box::new(Echo));
-        let b = sim.add_node("beta", "v1", Box::new(Echo));
-        // Same host, second node: same interned id.
-        let a2 = sim.add_node("alpha", "v2", Box::new(Echo));
-        assert_eq!(sim.node_host(a), "alpha");
-        assert_eq!(sim.node_host(b), "beta");
-        assert_eq!(sim.node_host_id(a), sim.node_host_id(a2));
-        assert_ne!(sim.node_host_id(a), sim.node_host_id(b));
-        assert_eq!(sim.node_host_id(99), None);
-        assert_eq!(sim.node_host(99), "");
-        // Interning is idempotent: `host_id` returns the id the node slot
-        // already carries, and both address the same bytes.
-        let id = sim.host_id("alpha");
-        assert_eq!(sim.node_host_id(a), Some(id));
-        sim.host_storage_by_id(id).write("f", b"x".to_vec());
-        assert_eq!(
-            sim.host_storage_by_id_ref(id).unwrap().read("f"),
-            Some(&b"x"[..])
-        );
-    }
-
     /// Ping-pongs with a peer forever, re-arming a keepalive timer so the
     /// volley survives injected message drops.
     struct KeepalivePinger(NodeId);
@@ -1758,7 +1303,10 @@ mod tests {
         sim.run_for(SimDuration::from_secs(3));
         assert!(sim.node_status(a).is_running());
         assert_eq!(sim.faults_injected(), 0);
-        assert!(sim.faults.is_some());
+        assert!(
+            sim.faults.crash_rng().is_some(),
+            "the new plan is installed"
+        );
     }
 
     #[test]
@@ -2048,10 +1596,10 @@ mod tests {
     fn snapshot_requires_forkable_processes() {
         let mut sim = Sim::new(1);
         let _ = started_echo(&mut sim); // Echo does not implement fork.
-        assert!(sim.snapshot().is_none());
+        assert!(!sim.snapshot_into(&mut SimSnapshot::new()));
         // Stopping the node removes the unforkable process: snapshot works.
         sim.stop_node(0).unwrap();
-        assert!(sim.snapshot().is_some());
+        assert!(sim.snapshot_into(&mut SimSnapshot::new()));
     }
 
     #[test]
@@ -2063,7 +1611,8 @@ mod tests {
         // Snapshot at the fork point, run the suffix, restore, run it again:
         // both runs must match the fresh run byte for byte.
         let mut sim = forkable_world(77);
-        let snap = sim.snapshot().expect("world is forkable");
+        let mut snap = SimSnapshot::new();
+        assert!(sim.snapshot_into(&mut snap), "world is forkable");
         assert_eq!(snap.0.now(), sim.now());
         let first = suffix_fingerprint(&mut sim);
         assert_eq!(first, want, "suffix after snapshot capture diverged");
@@ -2104,7 +1653,8 @@ mod tests {
     #[test]
     fn reseed_forks_divergent_but_reproducible_suffixes() {
         let mut sim = forkable_world(9);
-        let snap = sim.snapshot().unwrap();
+        let mut snap = SimSnapshot::new();
+        assert!(sim.snapshot_into(&mut snap));
 
         let mut fp = |seed: u64| {
             sim.restore(&snap);
@@ -2130,7 +1680,8 @@ mod tests {
         sim.host_storage_by_id(fa).write("keep", "k");
         sim.host_storage_by_id(fa).write("doomed", "d");
         let want_files = files(&sim, fa);
-        let snap = sim.snapshot().unwrap();
+        let mut snap = SimSnapshot::new();
+        assert!(sim.snapshot_into(&mut snap));
         let want = suffix_fingerprint(&mut sim);
 
         // Wreck the world after the snapshot: rewrite storage and intern a
@@ -2167,7 +1718,7 @@ mod tests {
         cold.host_storage_by_id(zz).write("stale", "s");
         cold.restore(&snap);
         assert_eq!(cold.host_id("fa"), fa);
-        assert_eq!(cold.node_host(0), "fa");
+        assert_eq!(cold.nodes[0].host, fa);
         assert_eq!(files(&cold, fa), want_files);
         assert_eq!(suffix_fingerprint(&mut cold), want);
     }

@@ -462,11 +462,6 @@ impl StorageMap {
         self.ids.get(host).copied()
     }
 
-    /// The name a [`HostId`] was interned under.
-    pub fn name(&self, id: HostId) -> &str {
-        &self.names[id.index()]
-    }
-
     /// Number of interned hosts.
     pub fn host_count(&self) -> usize {
         self.hosts.len()
@@ -626,7 +621,7 @@ mod tests {
         assert_ne!(a, b);
         assert_eq!(a.index(), 0);
         assert_eq!(b.index(), 1);
-        assert_eq!(map.name(a), "alpha");
+        assert_eq!(map.lookup("alpha"), Some(a));
         assert_eq!(map.lookup("beta"), Some(b));
         assert_eq!(map.lookup("gamma"), None);
         assert_eq!(map.host_count(), 2);

@@ -538,11 +538,9 @@ impl TraceBuffer {
     }
 
     /// Rewinds the buffer to its freshly-constructed state without touching
-    /// the ring storage. Stale slot contents are unreachable afterwards:
+    /// (or allocating) the ring. Stale slots are unreachable afterwards:
     /// every accessor derives liveness from `next_id`, and slots are
-    /// overwritten in id order before an id that maps to them is ever handed
-    /// out again. Performs no allocation, so `Sim::enable_trace` recycles a
-    /// ring for free.
+    /// overwritten in id order before an id that maps to them is reused.
     pub(crate) fn reset(&mut self) {
         self.cursor = 0;
         self.next_id = 1;
@@ -770,6 +768,77 @@ impl TraceSlice {
         }
         out.push(']');
         out
+    }
+}
+
+/// The simulator's trace component: the recorder and the causal context.
+#[derive(Debug, Default)]
+pub(crate) struct Tracer {
+    /// `true` once [`crate::Sim::enable_trace`] was called.
+    on: bool,
+    /// The ring, allocated by the first enable and kept while tracing is
+    /// off, for the next enable to reuse.
+    buffer: Option<TraceBuffer>,
+    /// Trace id of the event being processed: the causal parent of
+    /// everything the running handler produces. 0 while tracing is off.
+    pub(crate) ctx: u64,
+}
+
+impl Tracer {
+    /// Starts recording into an empty buffer, reusing the ring when its
+    /// (normalized) config matches.
+    pub(crate) fn enable(&mut self, config: TraceConfig) {
+        let config = config.normalized();
+        match self.buffer.as_mut() {
+            Some(t) if t.config() == config => t.reset(),
+            _ => self.buffer = Some(TraceBuffer::new(config)),
+        }
+        self.on = true;
+        self.ctx = 0;
+    }
+
+    /// The buffer, if tracing is on.
+    pub(crate) fn buffer(&self) -> Option<&TraceBuffer> {
+        self.buffer.as_ref().filter(|_| self.on)
+    }
+
+    /// Records one event at `now`; returns its id, or 0 when tracing is off.
+    #[inline(always)]
+    pub(crate) fn record(&mut self, now: SimTime, parent: u64, kind: TraceEventKind) -> u64 {
+        match self.buffer.as_mut() {
+            Some(t) if self.on => t.record(now, parent, kind),
+            _ => 0,
+        }
+    }
+
+    /// Records the event the simulator is about to process and makes it the
+    /// causal context of what its handler produces; returns its id.
+    #[inline(always)]
+    pub(crate) fn enter(&mut self, now: SimTime, parent: u64, kind: TraceEventKind) -> u64 {
+        self.ctx = self.record(now, parent, kind);
+        self.ctx
+    }
+
+    /// Records an observation anchor parented to the last event touching
+    /// `node`; returns its id, or 0 when tracing is off.
+    pub(crate) fn observe(&mut self, now: SimTime, node: Option<NodeId>) -> u64 {
+        let parent = self.buffer().map(|t| t.anchor_for(node));
+        parent.map_or(0, |parent| {
+            self.record(now, parent, TraceEventKind::Observation { node })
+        })
+    }
+
+    /// Makes this component a copy of `src`, reusing the ring. A traceless
+    /// `src` leaves the ring untouched for the next enable.
+    pub(crate) fn copy_from(&mut self, src: &Tracer) {
+        let Tracer { on, buffer, ctx } = src;
+        match (self.buffer.as_mut(), buffer) {
+            (Some(t), Some(src)) if *on => t.copy_from(src),
+            (None, Some(src)) if *on => self.buffer = Some(src.clone()),
+            _ => {}
+        }
+        self.on = *on;
+        self.ctx = *ctx;
     }
 }
 

@@ -1,11 +1,10 @@
 //! Record types for the upgrade-failure study (paper §2–§5).
 
 use dup_core::{IncompatCategory, RootCause, Symptom, UpgradeKind};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The eight studied systems (Table 1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum StudySystem {
     /// Apache Cassandra.
     Cassandra,
@@ -70,7 +69,7 @@ impl fmt::Display for StudySystem {
 }
 
 /// Priority of a report, covering both tracker schemes (§3.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StudyPriority {
     /// Five-level scheme (all systems except Cassandra).
     Jira(dup_core::Priority),
@@ -79,7 +78,7 @@ pub enum StudyPriority {
 }
 
 /// When the bug was caught relative to the affected release (§3.3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CaughtWhen {
     /// Report filed before the new version's release date.
     BeforeRelease,
@@ -90,7 +89,7 @@ pub enum CaughtWhen {
 }
 
 /// Version gap needed to trigger, in Table 4's buckets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum GapClass {
     /// Major gap of 2.
     Major2,
@@ -121,7 +120,7 @@ impl GapClass {
 }
 
 /// How the failure-triggering workload relates to existing assets (§5.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Trigger {
     /// Stress-testing operations with default configuration (Finding 12).
     StressDefault,
@@ -143,7 +142,7 @@ pub enum Trigger {
 }
 
 /// One studied upgrade failure.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StudyFailure {
     /// Ticket id. Real ids where the paper names them; reconstructed
     /// (`<SYS>-R<n>`) otherwise.
